@@ -5,7 +5,7 @@ import numpy as np
 from heatforms.geometry import (SurfaceKind, Point, distance, distance_gradient,
                                 mixed_distance_hessian, hodge_star_1,
                                 apply_i_plus_star, integrate_surface,
-                                _pair_derivatives, _distance_many)
+                                _pair_derivatives)
 from heatforms.quadrature import DecayHint, ToleranceBudget
 
 
@@ -109,15 +109,6 @@ m = BiTensor1(1.0, 2.0, 3.0, 4.0)
 ap = apply_i_plus_star(m)
 assert (ap.m11, ap.m12, ap.m21, ap.m22) == (5.0, -1.0, 1.0, 5.0)
 print("star algebra OK")
-
-# vectorized distances agree with scalars
-for kind in SurfaceKind:
-    x = Point(kind, 0.9, 2.0)
-    c1s = np.linspace(0.05, 2.8 if kind is SurfaceKind.SPHERE else 3.5, 40)
-    c2s = rng.uniform(0, 2 * math.pi, 40)
-    many = _distance_many(kind, x, c1s, c2s)
-    sc = np.array([distance(kind, x, Point(kind, a, b)) for a, b in zip(c1s, c2s)])
-    print(f"{kind.value:11s} batch-vs-scalar max diff {np.max(np.abs(many - sc)):.3e}")
 
 # surface integrals: Gaussian on the plane (= pi/a * ... known), sphere area
 budget = ToleranceBudget(abs_tol=1e-9)

@@ -20,8 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (CoincidentPointsError, CutLocusError, DecayHintError,
-                     DomainError, KindMismatchError, NonconvergenceError)
-from .quadrature import DEFAULT_BUDGET, DecayHint, ToleranceBudget, _gauss_rule
+                     DomainError, KindMismatchError)
+from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
+                         _composite_gauss, _gauss_rule, _h2_envelope_radius,
+                         refine_until_stable, solve_radius)
 
 __all__ = [
     "SurfaceKind",
@@ -173,25 +175,6 @@ def _sphere_vec(phi: float, theta: float) -> np.ndarray:
     return np.array([sp * math.cos(theta), sp * math.sin(theta), math.cos(phi)])
 
 
-def _distance_many(kind: SurfaceKind, x: Point, c1s: np.ndarray,
-                   c2s: np.ndarray) -> np.ndarray:
-    """Distances from x to arrays of coordinates (vectorized grid helper)."""
-    dtheta = x.c2 - c2s
-    if kind is SurfaceKind.EUCLIDEAN:
-        return np.hypot(x.c1 - c1s,
-                        2.0 * np.sqrt(x.c1 * c1s) * np.abs(np.sin(0.5 * dtheta)))
-    if kind is SurfaceKind.HYPERBOLIC:
-        q = (2.0 * np.sinh(0.5 * (x.c1 - c1s)) ** 2
-             + 2.0 * math.sinh(x.c1) * np.sinh(c1s) * np.sin(0.5 * dtheta) ** 2)
-        return 2.0 * np.arcsinh(np.sqrt(0.5 * q))
-    sx = math.sin(x.c1)
-    sy = np.sin(c1s)
-    # Haversine: sin^2(d/2) = sin^2(dphi/2) + sin(phi1) sin(phi2) sin^2(dtheta/2)
-    h = np.sin(0.5 * (c1s - x.c1)) ** 2 + sx * sy * np.sin(0.5 * dtheta) ** 2
-    h = np.clip(h, 0.0, 1.0)
-    return 2.0 * np.arctan2(np.sqrt(h), np.sqrt(1.0 - h))
-
-
 @dataclass(frozen=True)
 class _PairDerivatives:
     d: float
@@ -313,29 +296,14 @@ def _radial_truncation(kind: SurfaceKind, decay: DecayHint, tol: float) -> float
             val = math.pi * decay.bound / a
             arg = math.log(max(val / tol, 1.0)) / a
             return max(1.0, math.sqrt(arg))
-        # exp: tail <= 2 pi C (R + 1/a) e^{-aR} / a; solve by iteration
-        R = max(1.0, 2.0 / a)
-        for _ in range(200):
-            tail = _TWO_PI * decay.bound * (R + 1.0 / a) * math.exp(-a * R) / a
-            if tail <= tol:
-                return R
-            R *= 1.25
-        raise NonconvergenceError("could not truncate the planar integral")
-    # hyperbolic
+        # exp: tail <= 2 pi C (R + 1/a) e^{-aR} / a
+        return solve_radius(
+            lambda R: _TWO_PI * decay.bound * (R + 1.0 / a) * math.exp(-a * R) / a,
+            tol, max(1.0, 2.0 / a), 1.25)[0]
     if decay.kind == "exp" and a <= 1.0:
         raise DecayHintError("exponential decay on the hyperbolic plane must "
                              "have rate > 1 to beat the area growth")
-    R = max(2.0, (2.0 / a if decay.kind == "gaussian" else 2.0))
-    for _ in range(400):
-        if decay.kind == "gaussian":
-            slope = 2.0 * a * R - 1.0
-            tail = math.pi * decay.bound * math.exp(R - a * R * R) / max(slope, 1e-9)
-        else:
-            tail = math.pi * decay.bound * math.exp((1.0 - a) * R) / (a - 1.0)
-        if tail <= tol:
-            return R
-        R *= 1.25
-    raise NonconvergenceError("could not truncate the hyperbolic integral")
+    return _h2_envelope_radius(decay, tol)
 
 
 def _surface_grid(kind: SurfaceKind, n_rad: int, n_ang: int, radius: float = 0.0):
@@ -352,13 +320,7 @@ def _surface_grid(kind: SurfaceKind, n_rad: int, n_ang: int, radius: float = 0.0
         c1 = np.arccos(xs)
         w_rad = ws  # d(cos phi) absorbs the sin(phi) area factor
     else:
-        base_x, base_w = _gauss_rule(15)
-        n_panels = max(1, n_rad // 15)
-        edges = np.linspace(0.0, radius, n_panels + 1)
-        half = 0.5 * (edges[1] - edges[0])
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        c1 = (mids[:, None] + half * base_x[None, :]).ravel()
-        w_flat = np.tile(half * base_w, n_panels)
+        c1, w_flat = _composite_gauss(radius, max(1, n_rad // 15))
         area = c1 if kind is SurfaceKind.EUCLIDEAN else np.sinh(c1)
         w_rad = w_flat * area
     return c1, ang, np.outer(w_rad, w_ang)
@@ -396,14 +358,6 @@ def integrate_surface(kind, f, budget: ToleranceBudget = DEFAULT_BUDGET,
             vals = np.array([[float(f(Point(kind, a, b))) for b in c2] for a in c1])
         return float(np.sum(vals * wt))
 
-    n_rad, n_ang = 32, 64
-    prev = evaluate(n_rad, n_ang)
-    for _ in range(max(2, budget.max_quad_depth // 4)):
-        n_rad = int(n_rad * 3 / 2)
-        n_ang = int(n_ang * 3 / 2)
-        cur = evaluate(n_rad, n_ang)
-        if abs(cur - prev) <= 0.5 * budget.abs_tol:
-            return cur
-        prev = cur
-    raise NonconvergenceError("surface integral did not stabilize",
-                              achieved=abs(cur - prev), requested=budget.abs_tol)
+    value, _ = refine_until_stable(evaluate, (32, 64), 1.5, 0.5 * budget.abs_tol,
+                                   max(2, budget.max_quad_depth // 4))
+    return value

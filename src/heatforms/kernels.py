@@ -18,16 +18,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1
 
 from .errors import (CoincidentPointsError, CutLocusError, DecayHintError,
-                     DomainError, NonconvergenceError)
+                     DomainError)
 from .geometry import (BiTensor1, OneFormValue, Point, SurfaceKind,
                        apply_i_plus_star, distance, _metric_profile,
                        _pair_derivatives)
 from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
-                         _gauss_rule, gaussian_tail_radius, integrate_adaptive)
-from .specfun import _composite_gauss, _conical_many, _sinhc
+                         _composite_gauss, _gauss_rule, gaussian_tail_radius,
+                         integrate_adaptive, refine_until_stable, solve_radius)
+from .specfun import _conical_many, _sinhc
 
 __all__ = [
     "T_MIN",
@@ -53,6 +53,7 @@ _FOUR_PI = 4.0 * math.pi
 _GAMMA_14 = math.gamma(0.25)
 _GAMMA_34 = math.gamma(0.75)
 _EPS = np.finfo(float).eps
+_EULER_GAMMA = 0.57721566490153286061
 
 
 @dataclass(frozen=True)
@@ -192,8 +193,7 @@ def _h2_spectral(d: float, t: float, budget: ToleranceBudget, mode: str):
                                         poly_degree=poly)
     radius = max(radius, 2.0 / math.sqrt(t))
     ctol = max(1e-13, 0.05 * tol / max(radius, 1.0))
-    cb = ToleranceBudget(abs_tol=ctol, max_quad_depth=budget.max_quad_depth,
-                         max_series_terms=budget.max_series_terms)
+    cb = ToleranceBudget(abs_tol=ctol, max_quad_depth=budget.max_quad_depth)
     evals = 0
 
     def integrand(rhos: np.ndarray) -> np.ndarray:
@@ -239,33 +239,24 @@ def _mckean_many(ds, t: float, tol: float, max_depth: int = 24):
         return ds.copy(), 0.0
     dmin = float(np.min(ds))
     c = math.sqrt(2.0) * math.exp(-0.25 * t) * (_FOUR_PI * t) ** -1.5
-    limit = max(0.5, (4.0 * t * math.log(10.0)) ** 0.25)
-    for _ in range(400):
+
+    def tail(limit: float) -> float:
         s_end = dmin + limit * limit
         sinhc_w = float(_sinhc(np.array([0.5 * limit * limit]))[0])
         with np.errstate(over="ignore"):
             denom = math.sqrt(min(math.sinh(dmin + 0.5 * limit * limit), 1e280)
                               * sinhc_w)
-        tail = c * (2.0 * t / limit) * math.exp(-s_end * s_end / (4.0 * t)) / denom
-        if tail <= 0.25 * tol:
-            break
-        limit *= 1.2
-    else:
-        raise NonconvergenceError("could not truncate the heat-kernel integral")
+        return c * (2.0 * t / limit) * math.exp(-s_end * s_end / (4.0 * t)) / denom
+
+    limit, tail_bound = solve_radius(
+        tail, 0.25 * tol, max(0.5, (4.0 * t * math.log(10.0)) ** 0.25), 1.2)
     step = max(min(0.5, (4.0 * t) ** 0.25), 1e-3)
-    n_panels = max(6, int(math.ceil(limit / step)))
-    prev = _mckean_nodes(ds, t, limit, n_panels)
-    for _ in range(max_depth):
-        n_panels *= 2
-        cur = _mckean_nodes(ds, t, limit, n_panels)
-        diff = c * float(np.max(np.abs(cur - prev)))
-        prev = cur
+    values, diff = refine_until_stable(
+        lambda n: c * _mckean_nodes(ds, t, limit, n),
+        (max(6, int(math.ceil(limit / step))),), 2, 0.25 * tol, max_depth,
         # the floor concedes what roundoff already spent
-        floor = 64.0 * _EPS * c * (1.0 + float(np.max(np.abs(cur))))
-        if diff <= max(0.25 * tol, floor):
-            return c * cur, diff + tail
-    raise NonconvergenceError("heat-kernel integral did not converge",
-                              achieved=diff, requested=tol)
+        floor=lambda cur: 64.0 * _EPS * (c + float(np.max(np.abs(cur)))))
+    return values, diff + tail_bound
 
 
 def _h2_gd_batch(s_nodes: np.ndarray, t: float, tol: float) -> np.ndarray:
@@ -294,18 +285,11 @@ def _h2_gd_batch(s_nodes: np.ndarray, t: float, tol: float) -> np.ndarray:
             out[i] = float(p1 @ weight) / (2.0 * math.pi)
         return out
 
-    n_panels = max(8, int(math.ceil(radius * math.sqrt(max(t, 0.05)))))
-    prev = one_pass(n_panels)
-    for _ in range(12):
-        n_panels *= 2
-        cur = one_pass(n_panels)
-        diff = float(np.max(np.abs(cur - prev)))
-        prev = cur
-        floor = 64.0 * _EPS * (1.0 + float(np.max(np.abs(cur))))
-        if diff <= max(0.25 * tol, floor):
-            return cur
-    raise NonconvergenceError("generator batch did not converge",
-                              achieved=diff, requested=tol)
+    gd, _ = refine_until_stable(
+        one_pass, (max(8, int(math.ceil(radius * math.sqrt(max(t, 0.05))))),), 2,
+        0.25 * tol, 12,
+        floor=lambda cur: 64.0 * _EPS * (1.0 + float(np.max(np.abs(cur)))))
+    return gd
 
 
 def k0_h2_mckean(d: float, t, budget: ToleranceBudget = DEFAULT_BUDGET) -> float:
@@ -354,12 +338,8 @@ def _mass_tail(kind: SurfaceKind, radius: float, t: float) -> float:
 
 
 def _mass_radius(kind: SurfaceKind, t: float, tol: float) -> float:
-    radius = max(1.0, 3.0 * math.sqrt(t))
-    for _ in range(200):
-        if _mass_tail(kind, radius, t) <= tol:
-            return radius
-        radius *= 1.2
-    raise NonconvergenceError("kernel mass tail would not fall below tolerance")
+    return solve_radius(lambda R: _mass_tail(kind, R, t), tol,
+                        max(1.0, 3.0 * math.sqrt(t)), 1.2)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +381,46 @@ def _k0_radial_batch(kind: SurfaceKind, ds: np.ndarray, t: float, tol: float):
 # ---------------------------------------------------------------------------
 # 1-form generator
 
+def _ein(z: float) -> float:
+    """Ein(z) = int_0^z (1 - e^-s)/s ds = E1(z) + gamma + ln z, for 0 <= z <= 1,
+    by its power series sum_k (-1)^(k+1) z^k / (k k!) (DLMF §6.6)."""
+    total, term = 0.0, -1.0
+    for k in range(1, 25):
+        term *= -z / k
+        total += term / k
+    return total
+
+
+def _e1(z: float) -> float:
+    """Exponential integral E1(z) for z > 1 by the even contraction of its
+    continued fraction (DLMF §6.9), e^-z / (z + 1 - 1/(z + 3 - 4/(z + 5 -
+    ...))), summed with the modified Lentz method."""
+    scale = math.exp(-z)
+    if scale == 0.0:
+        return 0.0  # E1(z) < e^-z / z has underflowed
+    eps = float(_EPS)
+    b = z + 1.0
+    c, d = math.inf, 1.0 / b
+    frac = d
+    for k in range(1, 200):
+        b += 2.0
+        d = 1.0 / (b - k * k * d)
+        c = b - k * k / c
+        frac *= c * d
+        if abs(c * d - 1.0) <= eps:
+            break
+    return frac * scale
+
+
 def _euclid_g1(d: float, t: float):
     z = d * d / (4.0 * t)
     kern = math.exp(-z) / (_FOUR_PI * t)
-    g_val = -(2.0 * math.log(d) + float(exp1(z))) / _FOUR_PI if z < 700.0 \
-        else -math.log(d) / (2.0 * math.pi)
+    # G = -(2 ln d + E1(z)) / 4 pi.  Below z = 1, E1 = Ein - gamma - ln z
+    # cancels the logarithm of d, so a d whose z underflows keeps a finite G.
+    if z <= 1.0:
+        g_val = (_EULER_GAMMA - math.log(4.0 * t) - _ein(z)) / _FOUR_PI
+    else:
+        g_val = -(2.0 * math.log(d) + _e1(z)) / _FOUR_PI
     g_d = math.expm1(-z) / (2.0 * math.pi * d)
     g_dd = -g_d / d - kern
     return g_val, g_d, g_dd
@@ -582,8 +597,7 @@ def _chart_points(kind: SurfaceKind, x: Point, s_grid: np.ndarray,
     return c1, c2, p, q
 
 
-def _radial_rule(kind: SurfaceKind, t: float, tol: float,
-                 n_rad: int, radius: float):
+def _radial_rule(kind: SurfaceKind, n_rad: int, radius: float):
     """Radial nodes and weights with the area factor absorbed."""
     if kind is SurfaceKind.SPHERE:
         xs, ws = _gauss_rule(n_rad)
@@ -638,7 +652,7 @@ def apply_k0(kind, field: FormField, t,
 
     def evaluate(x: Point) -> float:
         def one_pass(n_rad: int, n_ang: int) -> float:
-            s_nodes, s_wts = _radial_rule(kind, t, tol, n_rad, radius)
+            s_nodes, s_wts = _radial_rule(kind, n_rad, radius)
             psi = np.arange(n_ang) * (2.0 * math.pi / n_ang)
             kern, _ = _k0_radial_batch(kind, s_nodes, t,
                                        max(1e-14, 0.1 * tol / max(sup, 1e-300)
@@ -651,17 +665,8 @@ def apply_k0(kind, field: FormField, t,
             ang_w = 2.0 * math.pi / n_ang
             return float(np.sum((kern * s_wts) @ (vals * ang_w)))
 
-        n_rad, n_ang = (64, 128) if kind is SurfaceKind.SPHERE else (90, 96)
-        prev = one_pass(n_rad, n_ang)
-        for _ in range(3):
-            n_rad = int(n_rad * 3 / 2)
-            n_ang = int(n_ang * 3 / 2)
-            cur = one_pass(n_rad, n_ang)
-            if abs(cur - prev) <= 0.5 * tol:
-                return cur
-            prev = cur
-        raise NonconvergenceError("kernel application did not stabilize",
-                                  achieved=abs(cur - prev), requested=tol)
+        grid = (64, 128) if kind is SurfaceKind.SPHERE else (90, 96)
+        return refine_until_stable(one_pass, grid, 1.5, 0.5 * tol, 3)[0]
 
     return FormField(0, evaluate, _evolved_hint(field.decay, t))
 
@@ -700,7 +705,7 @@ def apply_k1(kind, field: FormField, t,
 
     def evaluate(x: Point) -> OneFormValue:
         def one_pass(n_rad: int, n_ang: int):
-            s_nodes, s_wts = _radial_rule(kind, t, tol, n_rad, radius)
+            s_nodes, s_wts = _radial_rule(kind, n_rad, radius)
             psi = np.arange(n_ang) * (2.0 * math.pi / n_ang)
             kap = _kappa_batch(kind, s_nodes, t,
                                max(1e-14, 0.1 * tol / max(sup, 1e-300)
@@ -727,18 +732,8 @@ def apply_k1(kind, field: FormField, t,
             out_b = float(np.sum((kap * s_wts) @ (integ_b * ang_w)))
             return out_a, out_b
 
-        n_rad, n_ang = (64, 128) if kind is SurfaceKind.SPHERE else (90, 96)
-        pa, pb = one_pass(n_rad, n_ang)
-        for _ in range(3):
-            n_rad = int(n_rad * 3 / 2)
-            n_ang = int(n_ang * 3 / 2)
-            ca, cb = one_pass(n_rad, n_ang)
-            if max(abs(ca - pa), abs(cb - pb)) <= 0.5 * tol:
-                return OneFormValue(ca, cb)
-            pa, pb = ca, cb
-        raise NonconvergenceError("kernel application did not stabilize",
-                                  achieved=max(abs(ca - pa), abs(cb - pb)),
-                                  requested=tol)
+        grid = (64, 128) if kind is SurfaceKind.SPHERE else (90, 96)
+        return OneFormValue(*refine_until_stable(one_pass, grid, 1.5, 0.5 * tol, 3)[0])
 
     return FormField(1, evaluate, _evolved_hint(field.decay, t))
 

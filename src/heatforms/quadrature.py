@@ -5,6 +5,14 @@ Two engines are provided: ``integrate_adaptive`` for finite intervals and
 Gaussian decay bound.  Both return ``(value, err_est)`` with ``err_est`` no
 larger than the requested absolute tolerance, or raise
 :class:`~heatforms.errors.NonconvergenceError`.
+
+Two helpers here are the package's only truncation and refinement policy:
+``solve_radius`` cuts every noncompact integral or sum at the first radius
+where an explicit tail bound falls below its share of the tolerance, and
+``refine_until_stable`` grows a grid until two successive passes agree.
+Every radius search and every "refine until two passes agree" loop in the
+package calls them, so each failure reports the tail or the change it
+achieved against the tolerance it was asked for.
 """
 
 from __future__ import annotations
@@ -30,6 +38,9 @@ __all__ = [
 # Hard cap on accepted panels, independent of the depth limit, so a hostile
 # integrand cannot allocate unboundedly.
 _MAX_PANELS = 20000
+# Radii a truncation search tries before giving up; even at the smallest
+# growth factor in use (1.2) this spans 31 decades beyond the start radius.
+_MAX_RADIUS_STEPS = 400
 
 
 @dataclass(frozen=True)
@@ -42,15 +53,12 @@ class ToleranceBudget:
 
     abs_tol: float = 1e-8
     max_quad_depth: int = 40
-    max_series_terms: int = 20000
 
     def __post_init__(self):
         if not (self.abs_tol > 0.0) or not math.isfinite(self.abs_tol):
             raise DomainError("abs_tol must be positive and finite")
         if self.max_quad_depth < 1:
             raise DomainError("max_quad_depth must be at least 1")
-        if self.max_series_terms < 1:
-            raise DomainError("max_series_terms must be at least 1")
 
     def part(self, fraction: float) -> "ToleranceBudget":
         """A budget carrying `fraction` of this budget's error allowance."""
@@ -93,6 +101,66 @@ class DecayHint:
 def _gauss_rule(n: int):
     nodes, weights = np.polynomial.legendre.leggauss(n)
     return nodes, weights
+
+
+def _composite_gauss(limit: float, n_panels: int):
+    """Nodes and weights of a composite 15-point Gauss rule on [0, limit]."""
+    base_x, base_w = _gauss_rule(15)
+    edges = np.linspace(0.0, limit, n_panels + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    nodes = (mids[:, None] + half * base_x[None, :]).ravel()
+    weights = np.tile(half * base_w, n_panels)
+    return nodes, weights
+
+
+def solve_radius(tail, tol: float, start: float, grow: float):
+    """First radius R = start * grow**k with tail(R) <= tol.
+
+    tail(R) must bound what is cut off beyond R (math.inf where the bound
+    does not apply yet).  Returns (R, tail(R)); raises NonconvergenceError
+    carrying the last tail against tol when no radius qualifies.
+    """
+    R = start
+    for _ in range(_MAX_RADIUS_STEPS):
+        bound = tail(R)
+        if bound <= tol:
+            return R, bound
+        R *= grow
+    raise NonconvergenceError(
+        f"tail bound {bound:.3e} would not fall below {tol:.3e} "
+        f"(last radius {R / grow:.3e})", achieved=bound, requested=tol)
+
+
+def _max_change(cur, prev) -> float:
+    if isinstance(cur, tuple):
+        return max(_max_change(c, p) for c, p in zip(cur, prev) if c is not None)
+    return float(np.max(np.abs(cur - prev)))
+
+
+def refine_until_stable(one_pass, size: tuple, grow: float, tol: float,
+                        rounds: int, floor=None):
+    """Rerun one_pass on grids grown by `grow` until two passes agree.
+
+    one_pass(*size) returns a float, an array, or a tuple of them (None
+    entries are skipped).  Each round scales every entry of size by grow
+    (truncating to int), reruns, and accepts once the largest change is at
+    most tol or, if given, floor(result), the roundoff already spent.
+    Returns (result, last_change); raises NonconvergenceError with the last
+    change against tol after `rounds` unsuccessful rounds.
+    """
+    prev = one_pass(*size)
+    diff = math.inf
+    for _ in range(rounds):
+        size = tuple(int(n * grow) for n in size)
+        cur = one_pass(*size)
+        diff = _max_change(cur, prev)
+        if diff <= tol or (floor is not None and diff <= floor(cur)):
+            return cur, diff
+        prev = cur
+    raise NonconvergenceError(
+        f"refinement did not stabilize: change {diff:.3e} after {rounds} "
+        f"rounds (requested {tol:.3e})", achieved=diff, requested=tol)
 
 
 def _eval_many(f, xs: np.ndarray, vectorized: bool) -> np.ndarray:
@@ -199,14 +267,28 @@ def gaussian_tail_radius(rate: float, tol: float, bound: float = 1.0,
         log_val = math.log(bound) + p * math.log1p(R) - rate * R * R - math.log(slope)
         return math.exp(min(log_val, 700.0))
 
-    R = max(1.0, math.sqrt(max(p, 1.0) / rate))
-    for _ in range(200):
-        t = tail(R)
-        if t <= tol:
-            return R, t
-        R *= 1.25
-    raise NonconvergenceError("could not solve the Gaussian tail bound",
-                              achieved=tail(R), requested=tol)
+    return solve_radius(tail, tol, max(1.0, math.sqrt(max(p, 1.0) / rate)), 1.25)
+
+
+def _h2_envelope_radius(decay: DecayHint, tol: float, scale: float = 1.0) -> float:
+    """Radius beyond which scale * int_R^inf envelope(r) pi e^r dr <= tol.
+
+    pi e^r majorizes the hyperbolic area growth 2 pi sinh r.  A Gaussian
+    envelope leaves the tail exp(R - rate R^2) / (2 rate R - 1), an
+    exponential one exp((1 - rate) R) / (rate - 1); callers reject decay
+    that area growth defeats.
+    """
+    a = decay.rate
+    c = math.pi * decay.bound * scale
+
+    def tail(R: float) -> float:
+        if decay.kind == "exp":
+            return c * math.exp((1.0 - a) * R) / (a - 1.0)
+        slope = 2.0 * a * R - 1.0
+        return c * math.exp(R - a * R * R) / slope if slope > 0.0 else math.inf
+
+    start = max(2.0, 1.0 / a) if decay.kind == "gaussian" else 2.0
+    return solve_radius(tail, tol, start, 1.25)[0]
 
 
 def integrate_semiinfinite(f, gaussian_rate: float, budget: ToleranceBudget = DEFAULT_BUDGET,

@@ -15,16 +15,16 @@ Gaussian in the distance on both surfaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DomainError, EnumerationOverflowError, KindMismatchError,
-                     NonconvergenceError, UnsupportedGroupError)
+                     UnsupportedGroupError)
 from .geometry import BiTensor1, Point, SurfaceKind, distance
 from .kernels import (Kernel1Value, _as_time, _h2_k0_majorant, _k0_dist,
                       k1 as _k1_base)
-from .quadrature import DEFAULT_BUDGET, ToleranceBudget
+from .quadrature import DEFAULT_BUDGET, ToleranceBudget, solve_radius
 
 __all__ = [
     "CoveringGroupSpec",
@@ -175,23 +175,18 @@ def _reduce_point(group: CoveringGroupSpec, p: Point) -> Point:
 class QuotientSurface:
     """A quotient of a model surface by a covering group.
 
-    reducer maps any point to the fixed fundamental-domain representative of
+    reduce maps any point to the fixed fundamental-domain representative of
     its orbit; reducing twice equals reducing once.
     """
 
     base: SurfaceKind
     group: CoveringGroupSpec
-    reducer: object = None
 
     def __post_init__(self):
         base = SurfaceKind.parse(self.base)
         object.__setattr__(self, "base", base)
         if base is not self.group.base:
             raise KindMismatchError("quotient base must match the group's surface")
-        if self.reducer is None:
-            group = self.group
-            object.__setattr__(self, "reducer",
-                               lambda p, _g=group: _reduce_point(_g, p))
 
     @classmethod
     def from_group(cls, group: CoveringGroupSpec) -> "QuotientSurface":
@@ -200,7 +195,7 @@ class QuotientSurface:
     def reduce(self, p: Point) -> Point:
         if p.kind is not self.base:
             raise KindMismatchError("point lives on a different surface")
-        return self.reducer(p)
+        return _reduce_point(self.group, p)
 
 
 def enumerate_elements(group: CoveringGroupSpec, x: Point, y: Point,
@@ -308,16 +303,12 @@ def _h2_tail(group: CoveringGroupSpec, d0: float, radius: float, t: float) -> fl
 def _truncation(group: CoveringGroupSpec, d0: float, t: float,
                 target: float) -> tuple[float, float]:
     """(radius, tail bound) with the tail at most target."""
-    radius = max(1.0, d0 + 4.0 * math.sqrt(t))
-    for _ in range(300):
-        tail = (_h2_tail(group, d0, radius, t)
-                if group.variant == "hyperbolic_cyclic"
-                else _euclid_tail(group, radius, t))
-        if tail <= target:
-            return radius, tail
-        radius *= 1.2
-    raise NonconvergenceError("image-sum tail would not fall below tolerance",
-                              achieved=tail, requested=target)
+    def tail(radius: float) -> float:
+        if group.variant == "hyperbolic_cyclic":
+            return _h2_tail(group, d0, radius, t)
+        return _euclid_tail(group, radius, t)
+
+    return solve_radius(tail, target, max(1.0, d0 + 4.0 * math.sqrt(t)), 1.2)
 
 
 def _k0_quotient_full(q: QuotientSurface, x: Point, y: Point, t: float,
@@ -335,8 +326,7 @@ def _k0_quotient_full(q: QuotientSurface, x: Point, y: Point, t: float,
     els = enumerate_elements(q.group, x, y, radius)
     if q.group.variant == "hyperbolic_cyclic":
         sub = ToleranceBudget(abs_tol=0.5 * tol / max(1, len(els)),
-                              max_quad_depth=budget.max_quad_depth,
-                              max_series_terms=budget.max_series_terms)
+                              max_quad_depth=budget.max_quad_depth)
         total = 0.0
         err = tail
         for g in els:
@@ -409,8 +399,7 @@ def torus_fourier_oracle(lattice: CoveringGroupSpec, x: Point, y: Point, t,
     pad = 0.5 * (np.hypot(*dual[:, 0]) + np.hypot(*dual[:, 1]))
     rate = 4.0 * math.pi ** 2 * t
 
-    k_rad = max(1.0, pad)
-    for _ in range(200):
+    def tail(k_rad: float) -> float:
         total = 0.0
         m = math.floor(k_rad)
         for _ in range(400):
@@ -421,16 +410,15 @@ def torus_fourier_oracle(lattice: CoveringGroupSpec, x: Point, y: Point, t,
             m += 1
             if term <= 1e-8 * total or term == 0.0:
                 break
-        if total / area <= 0.25 * tol:
-            break
-        k_rad *= 1.2
-    else:
-        raise NonconvergenceError("dual-lattice tail would not converge")
+        return total / area
 
+    k_rad, _ = solve_radius(tail, 0.25 * tol, max(1.0, pad), 1.2)
     half = k_rad * np.hypot(*mat).max() + 1.0
     lim = int(math.ceil(half))
     if (2 * lim + 1) ** 2 > _MAX_ELEMENTS:
-        raise NonconvergenceError("dual sum would need too many terms")
+        raise EnumerationOverflowError(
+            f"dual sum would need {(2 * lim + 1) ** 2} candidates, over the "
+            f"{_MAX_ELEMENTS} guard")
     m1, m2 = np.meshgrid(np.arange(-lim, lim + 1), np.arange(-lim, lim + 1),
                          indexing="ij")
     ks = dual @ np.vstack([m1.ravel(), m2.ravel()])

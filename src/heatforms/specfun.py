@@ -15,9 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonconvergenceError
-from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget, _gauss_rule,
-                         integrate_adaptive, integrate_semiinfinite)
+from .errors import DomainError
+from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
+                         _composite_gauss, _h2_envelope_radius,
+                         integrate_adaptive, integrate_semiinfinite,
+                         refine_until_stable)
 
 __all__ = [
     "SpectralParameter",
@@ -28,13 +30,9 @@ __all__ = [
     "conical_p1",
     "mehler_fock_forward",
     "mehler_fock_inverse",
-    "integrate_adaptive",
-    "integrate_semiinfinite",
 ]
 
 _TWO_SQRT2_OVER_PI = 2.0 * math.sqrt(2.0) / math.pi
-# Below this radius the quadratic Taylor polynomial of the conical function is
-# already accurate to ~1e-13 for rho <= 50, and the quadrature grid degenerates.
 
 
 @dataclass(frozen=True)
@@ -117,17 +115,6 @@ def legendre_p1(n: int, x):
     return p_cur if p_cur.ndim else float(p_cur)
 
 
-def _composite_gauss(limit: float, n_panels: int):
-    """Nodes and weights of a composite 15-point Gauss rule on [0, limit]."""
-    base_x, base_w = _gauss_rule(15)
-    edges = np.linspace(0.0, limit, n_panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mids[:, None] + half * base_x[None, :]).ravel()
-    weights = np.tile(half * base_w, n_panels)
-    return nodes, weights
-
-
 def _sinhc(x: np.ndarray) -> np.ndarray:
     safe = np.where(x == 0.0, 1.0, x)
     return np.where(x == 0.0, 1.0, np.sinh(safe) / safe)
@@ -203,22 +190,13 @@ def _conical_many(rhos: np.ndarray, r: float, budget: ToleranceBudget,
     s_half = math.sinh(0.5 * r) ** 2
     if s_half <= 0.5 and s_half * (0.25 + rho_max * rho_max) <= 0.3:
         return _conical_series(rhos, r, need_p1)
-    n_panels = max(4, int(math.ceil(rho_max * r / 4.0)) + 1)
-    p_old, p1_old = _mehler_dirichlet_eval(rhos, r, n_panels, need_p1)
-    diff = math.inf
-    for _ in range(budget.max_quad_depth):
-        if n_panels > 65536:
-            break
-        n_panels *= 2
-        p_new, p1_new = _mehler_dirichlet_eval(rhos, r, n_panels, need_p1)
-        diff = float(np.max(np.abs(p_new - p_old)))
-        if need_p1:
-            diff = max(diff, float(np.max(np.abs(p1_new - p1_old))))
-        p_old, p1_old = p_new, p1_new
-        if diff <= budget.abs_tol:
-            return p_new, p1_new, diff
-    raise NonconvergenceError("conical-function quadrature did not converge",
-                              achieved=diff, requested=budget.abs_tol)
+    n0 = max(4, int(math.ceil(rho_max * r / 4.0)) + 1)
+    # A grid of more than 65536 panels is not doubled again.
+    rounds = min(budget.max_quad_depth, (65536 // n0).bit_length())
+    (p, p1), diff = refine_until_stable(
+        lambda n: _mehler_dirichlet_eval(rhos, r, n, need_p1), (n0,), 2,
+        budget.abs_tol, rounds)
+    return p, p1, diff
 
 
 def conical_p(rho, r: float, budget: ToleranceBudget = DEFAULT_BUDGET) -> float:
@@ -241,37 +219,17 @@ def _forward_truncation_radius(decay: DecayHint, c_e: float, tol: float) -> floa
     """Radius where the forward-transform integrand envelope tail is <= tol.
 
     The integrand is 2 pi * E_rho(r) f(r) sinh(r); sinh(r) <= exp(r)/2 and the
-    eigenfunction magnitude is bounded by c_e, so for a Gaussian hint the tail
-    is controlled by exp(r - rate r^2) and for an exponential hint by
-    exp((1 - rate) r).
+    eigenfunction magnitude is bounded by c_e, so the tail is c_e times the
+    hint's tail against the hyperbolic area growth.
     """
-    c = math.pi * decay.bound * c_e  # 2*pi * bound * c_e * (1/2)
-    if c == 0.0:
+    if decay.bound == 0.0:
         return 1.0
-    if decay.kind == "gaussian":
-        a = decay.rate
-        R = max(2.0, 1.0 / a)
-        for _ in range(200):
-            slope = 2.0 * a * R - 1.0
-            if slope > 0.0:
-                tail = c * math.exp(R - a * R * R) / slope
-                if tail <= tol:
-                    return R
-            R *= 1.25
-    elif decay.kind == "exp":
-        a = decay.rate
-        if a <= 1.0:
-            raise DomainError("exponential decay rate must exceed 1 on the "
-                              "hyperbolic plane (area growth eats the rest)")
-        R = 2.0
-        for _ in range(400):
-            tail = c * math.exp((1.0 - a) * R) / (a - 1.0)
-            if tail <= tol:
-                return R
-            R += 1.0
-    else:
+    if decay.kind == "exp" and decay.rate <= 1.0:
+        raise DomainError("exponential decay rate must exceed 1 on the "
+                          "hyperbolic plane (area growth eats the rest)")
+    if decay.kind == "bounded":
         raise DomainError("forward transform needs a decaying profile")
-    raise NonconvergenceError("could not truncate the forward transform")
+    return _h2_envelope_radius(decay, tol, scale=c_e)
 
 
 def mehler_fock_forward(profile: RadialProfile, rho,

@@ -227,3 +227,10 @@ def test_help_documents_radians():
     out = run_cli("--help")
     assert out.returncode == 0
     assert "radians" in out.stdout
+
+
+def test_import_leaves_scipy_unloaded():
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, heatforms; print('scipy' in sys.modules)"],
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

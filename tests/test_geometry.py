@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatforms.errors import DecayHintError, DomainError
+from heatforms.errors import DecayHintError, DomainError, NonconvergenceError
 from heatforms.geometry import (BiTensor1, OneFormValue, Point, SurfaceKind,
                                 apply_i_plus_star, distance, distance_gradient,
                                 hodge_star_1, integrate_surface,
@@ -160,3 +160,17 @@ def test_noncompact_integration_needs_decay():
         integrate_surface("hyperbolic", lambda a, b: np.exp(-0.5 * a),
                           decay=DecayHint("exp", rate=0.5, bound=1.0),
                           vectorized=True)
+
+
+def test_unsettled_surface_integral_reports_its_last_change():
+    """exp(-r^2)(1 + 0.2 cos phi), phi the angle about (1, 0): the jump at
+    that pole keeps successive grids apart, and the error says by how much."""
+    def field(c1, c2):
+        x, y = c1 * np.cos(c2), c1 * np.sin(c2)
+        return np.exp(-c1 ** 2) * (1.0 + 0.2 * np.cos(np.arctan2(y, x - 1.0)))
+
+    with pytest.raises(NonconvergenceError) as info:
+        integrate_surface("plane", field,
+                          ToleranceBudget(abs_tol=1e-9, max_quad_depth=8),
+                          decay=DecayHint("gaussian", 1.0, 1.2), vectorized=True)
+    assert info.value.achieved > info.value.requested == 5e-10

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heatforms import kernels
 from heatforms.errors import (CoincidentPointsError, CutLocusError,
-                              DomainError)
+                              DomainError, NonconvergenceError)
 from heatforms.geometry import (OneFormValue, Point, SurfaceKind, distance)
 from heatforms.kernels import (T_MIN, FormField, HeatTime, apply_k0, apply_k1,
                                g1_scalar, heat_residual, k0, k0_h2_mckean, k1,
@@ -132,6 +133,50 @@ def test_generator_frozen_plane_triple():
         assert abs(a - b) < 1e-12
 
 
+# G = g1_scalar("plane", sqrt(4 t z), t)[0] for z across both E1 branches,
+# frozen from scipy.special.exp1 before the package computed E1 itself.
+PLANE_G_ZS = (1e-12, 1e-6, 1e-3, 0.1, 0.5, 0.999, 1.001, 2.0, 10.0, 60.0,
+              300.0, 700.0)
+PLANE_G_FROZEN = {
+    1e-4: (0.6685511619525997, 0.6685510823752274, 0.6684716043710809,
+           0.6607880190914135, 0.6332313315307921, 0.6052100930778386,
+           0.605109487962011, 0.563567519765486, 0.43938356828216835,
+           0.2968002109035672, 0.16872521122187314, 0.10129938984596809),
+    0.3: (0.03142467465151379, 0.03142459507414153, 0.03134511706999504,
+          0.023661531790327782, -0.0038951557702936756, -0.03191639422324713,
+          -0.03201699933907483, -0.07355896753559975, -0.19774291901891747,
+          -0.3403262763975186, -0.46840127607921267, -0.5358270974551177),
+    5.0: (-0.1924594366085222, -0.19245951618589444, -0.19253899419004103,
+          -0.20022257946970823, -0.22777926703032972, -0.25580050548328315,
+          -0.25590111059911086, -0.29744307879563575, -0.4216270302789535,
+          -0.5642103876575546, -0.6922853873392486, -0.7597112087151537),
+}
+
+
+def test_plane_generator_matches_frozen_exp1_values():
+    for t, row in PLANE_G_FROZEN.items():
+        for z, ref in zip(PLANE_G_ZS, row):
+            g = g1_scalar("plane", math.sqrt(4.0 * t * z), t)[0]
+            assert abs(g - ref) < 1e-14, (t, z)
+
+
+def test_plane_generator_at_extreme_separations():
+    # d^2/4t underflows to 0, where G = (gamma - ln 4t) / 4 pi
+    g = g1_scalar("plane", 1e-200, 0.3)[0]
+    assert abs(g - (0.5772156649015329 - math.log(1.2)) / (4.0 * math.pi)) < 1e-16
+    # d^2/4t overflows, where E1 vanishes and G = -ln d / 2 pi
+    g = g1_scalar("plane", 1e160, 1.0)[0]
+    assert g == pytest.approx(-math.log(1e160) / (2.0 * math.pi), abs=1e-14)
+
+
+@pytest.mark.xfail(strict=True, reason="d ** 3 underflows to 0 in "
+                   "geometry._pair_derivatives, so the mixed Hessian is NaN")
+def test_plane_k1_at_a_subnormal_separation_is_finite():
+    m = k1("plane", Point("plane", 0.05, 0.0), Point("plane", 0.05, 1e-300),
+           0.3).matrix.as_array()
+    assert np.all(np.isfinite(m))
+
+
 def test_coincident_and_cut_locus_rejection():
     with pytest.raises(CoincidentPointsError):
         g1_scalar("plane", 0.0, 0.3)
@@ -227,3 +272,35 @@ def test_heat_residual_of_the_kernels():
     fields1 = [FormField(1, lambda p, T=T: omega(p, T))
                for T in (t - 1e-3, t, t + 1e-3)]
     assert heat_residual(kind, fields1, xp, 1e-3, 1e-2) < 1e-3
+
+
+def _pole_jump(p):
+    return math.exp(-p.c1 ** 2) * (1.0 + 0.2 * math.cos(p.c2))
+
+
+def test_unsettled_kernel_application_reports_its_last_change():
+    """exp(-r^2)(1 + 0.2 cos theta) jumps at the pole, so refinement cannot
+    settle at 1e-9; the error carries the change reached, not zero."""
+    hint = DecayHint("gaussian", 1.0, 1.2)
+    budget = ToleranceBudget(abs_tol=1e-9)
+    scalar = FormField(0, _pole_jump, hint)
+    form = FormField(1, lambda p: OneFormValue(_pole_jump(p), 0.0), hint)
+    for field in (apply_k0("plane", scalar, 0.1, budget),
+                  apply_k1("plane", form, 0.1, budget)):
+        with pytest.raises(NonconvergenceError) as info:
+            field(Point("plane", 0.3, 0.0))
+        assert info.value.achieved > info.value.requested == 5e-10
+
+
+def test_mckean_refinement_failure_is_in_kernel_units(monkeypatch):
+    """Raw quadrature sums that alternate 0, 1, 0, ... differ by 1 each round;
+    the kernel values, c times the sums, differ by c."""
+    passes = iter(range(100))
+    monkeypatch.setattr(kernels, "_mckean_nodes",
+                        lambda ds, t, limit, n: np.full(ds.shape, next(passes) % 2.0))
+    t, tol = 0.01, 1e-8
+    with pytest.raises(NonconvergenceError) as info:
+        kernels._mckean_many(np.array([0.5]), t, tol)
+    c = math.sqrt(2.0) * math.exp(-0.25 * t) * (4.0 * math.pi * t) ** -1.5
+    assert info.value.achieved == pytest.approx(c)
+    assert info.value.requested == 0.25 * tol

@@ -6,7 +6,8 @@ import pytest
 from heatforms.errors import DomainError, NonconvergenceError
 from heatforms.quadrature import (DecayHint, ToleranceBudget,
                                   gaussian_tail_radius, integrate_adaptive,
-                                  integrate_semiinfinite)
+                                  integrate_semiinfinite, refine_until_stable,
+                                  solve_radius)
 
 
 def test_gaussian_on_finite_interval():
@@ -90,3 +91,42 @@ def test_decay_hint_validation_and_envelope():
     assert hint.envelope(0.0) == 3.0
     assert abs(hint.envelope(1.5) - 3.0 * math.exp(-2.0 * 2.25)) < 1e-15
     assert DecayHint("bounded").envelope(100.0) == 1.0
+
+
+def test_solve_radius_stops_at_the_first_radius_under_tol():
+    radius, tail = solve_radius(lambda r: math.exp(-r), 1e-3, 1.0, 1.5)
+    assert tail == math.exp(-radius) <= 1e-3
+    assert math.exp(-radius / 1.5) > 1e-3
+
+
+def test_solve_radius_failure_carries_tail_and_tol():
+    with pytest.raises(NonconvergenceError) as info:
+        solve_radius(lambda r: 1.0 + 1.0 / r, 1e-3, 1.0, 1.2)
+    assert info.value.requested == 1e-3
+    assert info.value.achieved == pytest.approx(1.0)
+
+
+def test_refine_until_stable_reports_the_last_change():
+    # passes on 4, 8, 16, ... panels; successive passes differ by 1/(2n)
+    value, diff = refine_until_stable(lambda n: 1.0 / n, (4,), 2, 0.02, 10)
+    assert (value, diff) == (1.0 / 64, 1.0 / 64)
+    with pytest.raises(NonconvergenceError) as info:
+        refine_until_stable(lambda n: 1.0 / n, (4,), 2, 1e-9, 3)
+    assert info.value.achieved == 1.0 / 32
+    assert info.value.requested == 1e-9
+    # a roundoff floor above the change accepts the first refinement
+    value, _ = refine_until_stable(lambda n: 1.0 / n, (4,), 2, 0.0, 3,
+                                   floor=lambda cur: 1.0)
+    assert value == 1.0 / 8
+
+
+def test_refine_until_stable_grows_every_grid_axis_and_skips_none():
+    seen = []
+
+    def one_pass(n_rad, n_ang):
+        seen.append((n_rad, n_ang))
+        return np.array([1.0 / n_rad, 1.0 / n_ang]), None
+
+    (vals, extra), diff = refine_until_stable(one_pass, (90, 96), 1.5, 2e-3, 3)
+    assert seen == [(90, 96), (135, 144), (202, 216), (303, 324)]
+    assert extra is None and diff == pytest.approx(1.0 / 202 - 1.0 / 303)

@@ -231,3 +231,15 @@ def test_fourier_oracle_validates_time():
     with pytest.raises(DomainError):
         torus_fourier_oracle(UNIT, Point(E, 0.0, 0.0), Point(E, 0.0, 0.0),
                              1e-9)
+
+
+def test_fourier_oracle_overflow_guard():
+    # a 1 x 1000 torus at t = 0.01 needs ~3e8 dual-lattice candidates
+    thin = CoveringGroupSpec.euclidean_lattice((1.0, 0.0), (0.0, 1000.0))
+    origin = Point(E, 0.0, 0.0)
+    with pytest.raises(EnumerationOverflowError):
+        torus_fourier_oracle(thin, origin, origin, 0.01)
+
+
+def test_quotient_surfaces_of_one_group_compare_equal():
+    assert QuotientSurface.from_group(SKEW) == QuotientSurface(E, SKEW)
