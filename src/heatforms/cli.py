@@ -35,7 +35,7 @@ from .kernels import k0, k1, k2
 from .quadrature import ToleranceBudget
 from .quotient import (CoveringGroupSpec, QuotientSurface, _k0_quotient_full,
                        k1_quotient_flat)
-from .specfun import mehler_fock_forward, mehler_fock_inverse
+from .specfun import _forward_with_error, _inverse_with_error, mehler_fock_forward
 from .verify import PROFILES, SUITE_NAMES, run_suite
 
 _MAX_RECORDS = 10 ** 6
@@ -184,9 +184,9 @@ def _run_transform(args) -> int:
     rows = []
     if args.direction == "forward":
         for rho in _parse_range(args.rho_range, "--rho-range"):
-            val = mehler_fock_forward(profile, rho, budget)
+            val, err = _forward_with_error(profile, rho, budget)
             rows.append({"direction": "forward", "profile": profile.name,
-                         "arg": rho, "value": val, "err_est": budget.abs_tol})
+                         "arg": rho, "value": val, "err_est": err})
     else:
         cache = {}
 
@@ -199,12 +199,11 @@ def _run_transform(args) -> int:
         radii = _parse_range(args.r_range, "--r-range")
         num = den = 0.0
         for r in radii:
-            back = mehler_fock_inverse(fhat, r, budget,
-                                       gaussian_rate=0.2, bound=10.0)
+            back, err = _inverse_with_error(fhat, r, budget,
+                                            gaussian_rate=0.2, bound=10.0)
             if args.direction == "inverse":
                 rows.append({"direction": "inverse", "profile": profile.name,
-                             "arg": r, "value": back,
-                             "err_est": budget.abs_tol})
+                             "arg": r, "value": back, "err_est": err})
             num += (back - profile(r)) ** 2
             den += profile(r) ** 2
         if args.direction == "roundtrip":
@@ -213,7 +212,7 @@ def _run_transform(args) -> int:
                                   "radius with a nonzero profile value")
             rows.append({"direction": "roundtrip", "profile": profile.name,
                          "arg": None, "value": math.sqrt(num / den),
-                         "err_est": budget.abs_tol})
+                         "err_est": None})
     _emit(rows, _TRANSFORM_HEADER, args)
     return 0
 

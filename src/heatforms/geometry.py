@@ -189,7 +189,9 @@ def _pair_derivatives(kind, x: Point, y: Point) -> _PairDerivatives:
     The generating functions are Q = d^2/2 (plane), C = cosh d (hyperbolic),
     and C = cos d (sphere); each row below writes the gradient/mixed data of
     the generator with half-angle identities so that no term suffers
-    cancellation near coincidence, then applies the chain rule.
+    cancellation near coincidence, then applies the chain rule.  The mixed
+    term is formed from the gradients and divided by the distance factor
+    once, so no cube of a tiny separation underflows.
     """
     kind = _check_pair(kind, x, y)
     d = distance(kind, x, y)
@@ -207,7 +209,7 @@ def _pair_derivatives(kind, x: Point, y: Point) -> _PairDerivatives:
         w_mat = np.array([[-cos_dt, -sin_dt], [sin_dt, -cos_dt]])
         grad_x = u / d
         grad_y = v / d
-        mixed = w_mat / d - np.outer(u, v) / d ** 3
+        mixed = (w_mat - np.outer(grad_x, grad_y)) / d
         return _PairDerivatives(d, grad_x, grad_y, mixed)
 
     if kind is SurfaceKind.HYPERBOLIC:
@@ -224,7 +226,7 @@ def _pair_derivatives(kind, x: Point, y: Point) -> _PairDerivatives:
         cd = math.cosh(d)
         grad_x = u / sd
         grad_y = v / sd
-        mixed = w_mat / sd - cd * np.outer(u, v) / sd ** 3
+        mixed = (w_mat - cd * np.outer(grad_x, grad_y)) / sd
         return _PairDerivatives(d, grad_x, grad_y, mixed)
 
     if math.pi - d < CUT_LOCUS_TOL:
@@ -244,7 +246,7 @@ def _pair_derivatives(kind, x: Point, y: Point) -> _PairDerivatives:
     # d = acos(C) flips the sign of every chain-rule factor.
     grad_x = -u / sd
     grad_y = -v / sd
-    mixed = -w_mat / sd - cd * np.outer(u, v) / sd ** 3
+    mixed = -(w_mat + cd * np.outer(grad_x, grad_y)) / sd
     return _PairDerivatives(d, grad_x, grad_y, mixed)
 
 
@@ -303,7 +305,7 @@ def _radial_truncation(kind: SurfaceKind, decay: DecayHint, tol: float) -> float
     if decay.kind == "exp" and a <= 1.0:
         raise DecayHintError("exponential decay on the hyperbolic plane must "
                              "have rate > 1 to beat the area growth")
-    return _h2_envelope_radius(decay, tol)
+    return _h2_envelope_radius(decay, tol)[0]
 
 
 def _surface_grid(kind: SurfaceKind, n_rad: int, n_ang: int, radius: float = 0.0):

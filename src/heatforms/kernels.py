@@ -27,7 +27,7 @@ from .geometry import (BiTensor1, OneFormValue, Point, SurfaceKind,
 from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
                          _composite_gauss, _gauss_rule, gaussian_tail_radius,
                          integrate_adaptive, refine_until_stable, solve_radius)
-from .specfun import _conical_many, _sinhc
+from .specfun import _EPS, _conical_many, _sinhc
 
 __all__ = [
     "T_MIN",
@@ -52,7 +52,6 @@ T_MIN = 1e-4
 _FOUR_PI = 4.0 * math.pi
 _GAMMA_14 = math.gamma(0.25)
 _GAMMA_34 = math.gamma(0.75)
-_EPS = np.finfo(float).eps
 _EULER_GAMMA = 0.57721566490153286061
 
 
@@ -195,11 +194,13 @@ def _h2_spectral(d: float, t: float, budget: ToleranceBudget, mode: str):
     ctol = max(1e-13, 0.05 * tol / max(radius, 1.0))
     cb = ToleranceBudget(abs_tol=ctol, max_quad_depth=budget.max_quad_depth)
     evals = 0
+    achieved = 0.0
 
     def integrand(rhos: np.ndarray) -> np.ndarray:
-        nonlocal evals
+        nonlocal evals, achieved
         evals += rhos.size
-        p, p1, _ = _conical_many(rhos, d, cb, need_p1=(mode == "gd"))
+        p, p1, c_err = _conical_many(rhos, d, cb, need_p1=(mode == "gd"))
+        achieved = max(achieved, c_err)
         lam = 0.25 + rhos * rhos
         w = rhos * np.tanh(np.pi * rhos) * np.exp(-lam * t)
         if mode != "k0":
@@ -209,7 +210,9 @@ def _h2_spectral(d: float, t: float, budget: ToleranceBudget, mode: str):
 
     value, qerr = integrate_adaptive(integrand, 0.0, radius, budget.part(0.5),
                                      vectorized=True)
-    err = qerr + tail + radius * ctol / (2.0 * math.pi)
+    # The conical share charges the largest change met, which exceeds ctol
+    # only where the roundoff floor accepted it.
+    err = qerr + tail + radius * max(ctol, achieved) / (2.0 * math.pi)
     return value, err, radius, evals
 
 

@@ -103,14 +103,19 @@ def _gauss_rule(n: int):
     return nodes, weights
 
 
-def _composite_gauss(limit: float, n_panels: int):
-    """Nodes and weights of a composite 15-point Gauss rule on [0, limit]."""
+def _composite_gauss(limit, n_panels: int):
+    """Nodes and weights of a composite 15-point Gauss rule on [0, limit].
+
+    An array of limits gives one grid per row; each row carries the same
+    bits as the grid built for that limit alone.
+    """
     base_x, base_w = _gauss_rule(15)
-    edges = np.linspace(0.0, limit, n_panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mids[:, None] + half * base_x[None, :]).ravel()
-    weights = np.tile(half * base_w, n_panels)
+    edges = np.linspace(0.0, limit, n_panels + 1)  # one column per limit
+    half = np.asarray(0.5 * (edges[1] - edges[0]))[..., None, None]
+    mids = (0.5 * (edges[:-1] + edges[1:])).T
+    panels = mids.shape + (15,)
+    nodes = (mids[..., None] + half * base_x).reshape(*panels[:-2], -1)
+    weights = (half * base_w).repeat(n_panels, axis=-2).reshape(*panels[:-2], -1)
     return nodes, weights
 
 
@@ -135,7 +140,7 @@ def solve_radius(tail, tol: float, start: float, grow: float):
 def _max_change(cur, prev) -> float:
     if isinstance(cur, tuple):
         return max(_max_change(c, p) for c, p in zip(cur, prev) if c is not None)
-    return float(np.max(np.abs(cur - prev)))
+    return float(np.abs(cur - prev).max())
 
 
 def refine_until_stable(one_pass, size: tuple, grow: float, tol: float,
@@ -270,8 +275,8 @@ def gaussian_tail_radius(rate: float, tol: float, bound: float = 1.0,
     return solve_radius(tail, tol, max(1.0, math.sqrt(max(p, 1.0) / rate)), 1.25)
 
 
-def _h2_envelope_radius(decay: DecayHint, tol: float, scale: float = 1.0) -> float:
-    """Radius beyond which scale * int_R^inf envelope(r) pi e^r dr <= tol.
+def _h2_envelope_radius(decay: DecayHint, tol: float, scale: float = 1.0):
+    """(R, tail) with tail = scale * int_R^inf envelope(r) pi e^r dr <= tol.
 
     pi e^r majorizes the hyperbolic area growth 2 pi sinh r.  A Gaussian
     envelope leaves the tail exp(R - rate R^2) / (2 rate R - 1), an
@@ -288,7 +293,7 @@ def _h2_envelope_radius(decay: DecayHint, tol: float, scale: float = 1.0) -> flo
         return c * math.exp(R - a * R * R) / slope if slope > 0.0 else math.inf
 
     start = max(2.0, 1.0 / a) if decay.kind == "gaussian" else 2.0
-    return solve_radius(tail, tol, start, 1.25)[0]
+    return solve_radius(tail, tol, start, 1.25)
 
 
 def integrate_semiinfinite(f, gaussian_rate: float, budget: ToleranceBudget = DEFAULT_BUDGET,

@@ -6,6 +6,14 @@ Conventions
 ``legendre_p1(n, cos(phi)) == d/dphi legendre_p(n, cos(phi))`` holds exactly.
 ``conical_p1`` is likewise the r-derivative of ``conical_p`` evaluated at
 cosh(r), which is the radial eigenfunction pairing used by the transform.
+
+One conical evaluator, ``_conical_many``, serves both axes: an array of rho
+at one radius (``conical_p``, ``conical_p1``, the inverse transform and the
+hyperbolic spectral kernels) and an array of radii at fixed rho (each
+adaptive panel of the forward transform in one call).  Near the origin it
+sums the hypergeometric series, elsewhere it evaluates the Mehler-Dirichlet
+integral (DLMF 14.20; Gil, Segura & Temme, Numerical Methods for Special
+Functions, SIAM 2007).
 """
 
 from __future__ import annotations
@@ -33,6 +41,9 @@ __all__ = [
 ]
 
 _TWO_SQRT2_OVER_PI = 2.0 * math.sqrt(2.0) / math.pi
+_EPS = np.finfo(float).eps
+# Entries of one rho-by-node array in the Mehler-Dirichlet evaluator (512 KB).
+_BLOCK_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -120,7 +131,7 @@ def _sinhc(x: np.ndarray) -> np.ndarray:
     return np.where(x == 0.0, 1.0, np.sinh(safe) / safe)
 
 
-def _mehler_dirichlet_eval(rhos: np.ndarray, r: float, n_panels: int,
+def _mehler_dirichlet_eval(rhos: np.ndarray, radii: np.ndarray, n_panels: int,
                            need_p1: bool):
     """Composite-Gauss evaluation of the conical integral and its r-derivative.
 
@@ -128,75 +139,156 @@ def _mehler_dirichlet_eval(rhos: np.ndarray, r: float, n_panels: int,
     (2 sqrt 2 / pi) * int_0^sqrt(r) cos(rho (r - w^2)) / sqrt(psi(w)) dw with
     psi(w) = sinh(r - w^2/2) * sinhc(w^2/2); the substitution s = r - w^2 has
     absorbed the inverse-square-root endpoint singularity of the classical
-    form, so the integrand is smooth on the whole interval.
+    form, so the integrand is smooth on the whole interval.  Each radius gets
+    its own grid of n_panels panels on [0, sqrt(r)]; a 0-d radii gives values
+    shaped like rhos, a 1-d one a row per radius.
     """
-    w, wt = _composite_gauss(math.sqrt(r), n_panels)
+    s, inv, d_inv, wt = _dirichlet_nodes(radii, n_panels, need_p1)
+    inv_wt = (inv * wt)[..., None]
+    sums = [_dirichlet_sums(rhos[lo:hi], s, inv, inv_wt, d_inv, wt)
+            for lo, hi in _rho_blocks(rhos.size, s.size)]
+    p_vals = _TWO_SQRT2_OVER_PI * np.concatenate([p for p, _ in sums], axis=-1)
+    if not need_p1:
+        return p_vals, None
+    boundary = np.array([1.0 / (2.0 * math.sqrt(2.0) * math.sinh(0.5 * x))
+                         for x in radii.reshape(-1)]).reshape(radii.shape + (1,))
+    p1_vals = _TWO_SQRT2_OVER_PI * (
+        boundary + np.concatenate([p1 for _, p1 in sums], axis=-1))
+    return p_vals, p1_vals
+
+
+def _dirichlet_nodes(radii: np.ndarray, n_panels: int, need_p1: bool):
+    """Per-node factors of the integrand on each radius's grid: s = r - w^2,
+    1/sqrt(psi), its r-derivative (None unless need_p1) and the weights."""
+    w, wt = _composite_gauss(np.sqrt(radii), n_panels)
+    r = radii[..., None]
     s = np.maximum(0.0, r - w * w)
     half_wsq = 0.5 * w * w
     a = r - half_wsq
     shc = _sinhc(half_wsq)
     inv = 1.0 / np.sqrt(np.sinh(a) * shc)
-    phase = rhos[:, None] * s[None, :]
-    cos_phase = np.cos(phase)
-    p_vals = _TWO_SQRT2_OVER_PI * (cos_phase @ (inv * wt))
-    if not need_p1:
-        return p_vals, None
     # d/dr picks up a moving-endpoint term (the integrand at w = sqrt(r)) plus
     # the derivative of the smooth integrand.
-    d_inv = -0.5 * inv ** 3 * np.cosh(a) * shc
-    deriv = (-rhos[:, None]) * np.sin(phase) * inv[None, :] + cos_phase * d_inv[None, :]
-    boundary = 1.0 / (2.0 * math.sqrt(2.0) * math.sinh(0.5 * r))
-    p1_vals = _TWO_SQRT2_OVER_PI * (boundary + deriv @ wt)
-    return p_vals, p1_vals
+    d_inv = -0.5 * inv ** 3 * np.cosh(a) * shc if need_p1 else None
+    return s, inv, d_inv, wt
 
 
-def _conical_series(rhos: np.ndarray, r: float, need_p1: bool):
+def _rho_blocks(n_rho: int, n_nodes: int):
+    """(lo, hi) slices of the rho axis whose rho-by-node arrays stay near
+    _BLOCK_ELEMS entries, so the evaluator's memory does not grow with the
+    grid.  Blocks hold a multiple of 4 rows and the last never holds a lone
+    row: BLAS then sums every row as it would in one unsplit product."""
+    step = max(4, _BLOCK_ELEMS // max(n_nodes, 1) // 4 * 4)
+    starts = list(range(0, max(n_rho, 1), step))
+    if len(starts) > 1 and n_rho - starts[-1] == 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [n_rho])
+
+
+def _dirichlet_sums(rhos: np.ndarray, s: np.ndarray, inv: np.ndarray,
+                    inv_wt: np.ndarray, d_inv, wt: np.ndarray):
+    """Quadrature sums of the conical integrand (and of its r-derivative
+    when d_inv is given) for a block of rho."""
+    phase = rhos[:, None] * s[..., None, :]
+    cos_phase = np.cos(phase)
+    p = (cos_phase @ inv_wt)[..., 0]
+    if d_inv is None:
+        return p, None
+    # -rho sin(phase) inv + cos(phase) d_inv, in place of phase and cos_phase
+    deriv = np.sin(phase, out=phase)
+    deriv *= -rhos[:, None]
+    deriv *= inv[..., None, :]
+    cos_phase *= d_inv[..., None, :]
+    deriv += cos_phase
+    return p, (deriv @ wt[..., None])[..., 0]
+
+
+def _conical_series(rhos: np.ndarray, radii: np.ndarray, s: np.ndarray,
+                    need_p1: bool):
     """Hypergeometric series about the origin, in s = sinh^2(r/2).
 
     P_{-1/2+i rho}(cosh r) = sum_k a_k(rho) (-s)^k with the ratio
     a_k/a_{k-1} = ((k - 1/2)^2 + rho^2)/k^2; it converges fast whenever
     s * (rho^2 + 1/4) is small, which is exactly the regime where the
-    integral form loses its derivative to cancellation.
+    integral form loses its derivative to cancellation.  radii and s are
+    0-d or 1-d as in _mehler_dirichlet_eval.  Every term shrinks by a factor
+    of at least 0.8 in the series regime, so the sum stops for the whole
+    batch at the first term below 1e-18 (1 + max |P|).
     """
-    s = math.sinh(0.5 * r) ** 2
-    p = np.ones_like(rhos)
-    dp = np.zeros_like(rhos)
-    if s == 0.0:
-        return p, (dp if need_p1 else None), 0.0
+    s = s[..., None]
+    neg_s = -s
+    s_div = np.where(s == 0.0, 1.0, s)  # s = 0 keeps P = 1, P1 = 0
+    p = np.ones(s.shape[:-1] + rhos.shape)
+    dp = np.zeros_like(p)
     rsq = rhos * rhos
-    term = np.ones_like(rhos)
-    tail = math.inf
+    term = np.ones_like(p)
     for k in range(1, 80):
-        term = term * (-s) * (((k - 0.5) ** 2 + rsq) / (k * k))
+        term = term * neg_s * (((k - 0.5) ** 2 + rsq) / (k * k))
         p = p + term
-        dp = dp + k * term / s
-        tail = float(np.max(np.abs(term)))
-        if tail <= 1e-18 * (1.0 + float(np.max(np.abs(p)))):
+        dp = dp + k * term / s_div
+        tail = float(abs(term).max())
+        if tail <= 1e-18 * (1.0 + float(abs(p).max())):
             break
-    p1 = dp * 0.5 * math.sinh(r) if need_p1 else None
-    return p, p1, 2.0 * tail
+    if not need_p1:
+        return p, None, 2.0 * tail
+    sinh_r = np.array([math.sinh(x) for x in radii.reshape(-1)]).reshape(s.shape)
+    return p, dp * 0.5 * sinh_r, 2.0 * tail
 
 
-def _conical_many(rhos: np.ndarray, r: float, budget: ToleranceBudget,
-                  need_p1: bool):
-    """(P, P1, err) for an array of rho at one radius."""
-    rhos = np.asarray(rhos, dtype=float)
-    if r < 0.0 or not math.isfinite(r):
-        raise DomainError("radius must be finite and nonnegative")
-    rho_max = float(np.max(np.abs(rhos))) if rhos.size else 0.0
-    # The series needs fast initial decay (small s rho^2) AND to sit well
-    # inside its |s| < 1 convergence disk; at small rho the first condition
-    # alone would admit s up to 1.2, where the tail diverges.
-    s_half = math.sinh(0.5 * r) ** 2
-    if s_half <= 0.5 and s_half * (0.25 + rho_max * rho_max) <= 0.3:
-        return _conical_series(rhos, r, need_p1)
-    n0 = max(4, int(math.ceil(rho_max * r / 4.0)) + 1)
+def _conical_integral(rhos: np.ndarray, radii: np.ndarray, rho_max: float,
+                      budget: ToleranceBudget, need_p1: bool):
+    """Mehler-Dirichlet branch, refined until the largest change over all
+    radii is within budget.abs_tol or the roundoff floor."""
+    n0 = max(4, int(math.ceil(rho_max * float(radii.max()) / 4.0)) + 1)
     # A grid of more than 65536 panels is not doubled again.
     rounds = min(budget.max_quad_depth, (65536 // n0).bit_length())
     (p, p1), diff = refine_until_stable(
-        lambda n: _mehler_dirichlet_eval(rhos, r, n, need_p1), (n0,), 2,
-        budget.abs_tol, rounds)
+        lambda n: _mehler_dirichlet_eval(rhos, radii, n, need_p1), (n0,), 2,
+        budget.abs_tol, rounds,
+        # the floor concedes what roundoff already spent
+        floor=lambda cur: 64.0 * _EPS * (1.0 + max(
+            float(abs(v).max()) for v in cur if v is not None)))
     return p, p1, diff
+
+
+def _conical_many(rhos: np.ndarray, r, budget: ToleranceBudget, need_p1: bool):
+    """(P, P1, err) for an array of rho at one radius or at an array of radii.
+
+    A scalar r gives arrays shaped like rhos; an array of radii gives one row
+    per radius.  Each radius takes the series or the integral branch on its
+    own, and the integral radii share one refinement, so every radius meets
+    the tolerance it would meet alone.  err is the largest series tail or
+    final refinement change met.
+    """
+    rhos = np.asarray(rhos, dtype=float)
+    radii = np.asarray(r, dtype=float)
+    rs = radii.reshape(-1).tolist()
+    if not all(0.0 <= x < math.inf for x in rs):
+        raise DomainError("radius must be finite and nonnegative")
+    rho_max = float(abs(rhos).max()) if rhos.size else 0.0
+    # The series needs fast initial decay (small s rho^2) AND to sit well
+    # inside its |s| < 1 convergence disk; at small rho the first condition
+    # alone would admit s up to 1.2, where the tail diverges.
+    s_half = [math.sinh(0.5 * x) ** 2 for x in rs]
+    series = [s <= 0.5 and s * (0.25 + rho_max * rho_max) <= 0.3 for s in s_half]
+    if all(series):
+        return _conical_series(rhos, radii, np.reshape(s_half, radii.shape),
+                               need_p1)
+    if not any(series):
+        return _conical_integral(rhos, radii, rho_max, budget, need_p1)
+    # A batch straddling the seam: each side on its own, rows put back.
+    near = np.array(series)
+    sp, sp1, s_err = _conical_series(rhos, radii[near], np.array(s_half)[near],
+                                     need_p1)
+    fp, fp1, f_err = _conical_integral(rhos, radii[~near], rho_max, budget,
+                                       need_p1)
+    p = np.empty((near.size, rhos.size))
+    p[near], p[~near] = sp, fp
+    p1 = None
+    if need_p1:
+        p1 = np.empty_like(p)
+        p1[near], p1[~near] = sp1, fp1
+    return p, p1, max(s_err, f_err)
 
 
 def conical_p(rho, r: float, budget: ToleranceBudget = DEFAULT_BUDGET) -> float:
@@ -209,27 +301,83 @@ def conical_p(rho, r: float, budget: ToleranceBudget = DEFAULT_BUDGET) -> float:
 def conical_p1(rho, r: float, budget: ToleranceBudget = DEFAULT_BUDGET) -> float:
     """Radial derivative d/dr of conical_p; vanishes at r = 0."""
     rho_val = _as_rho(rho)
-    if float(r) == 0.0:
-        return 0.0
     _, p1, _ = _conical_many(np.array([rho_val]), float(r), budget, need_p1=True)
     return float(p1[0])
 
 
-def _forward_truncation_radius(decay: DecayHint, c_e: float, tol: float) -> float:
-    """Radius where the forward-transform integrand envelope tail is <= tol.
+def _forward_truncation_radius(decay: DecayHint, c_e: float, tol: float):
+    """(R, tail) with the forward-transform integrand envelope tail <= tol.
 
     The integrand is 2 pi * E_rho(r) f(r) sinh(r); sinh(r) <= exp(r)/2 and the
     eigenfunction magnitude is bounded by c_e, so the tail is c_e times the
     hint's tail against the hyperbolic area growth.
     """
     if decay.bound == 0.0:
-        return 1.0
+        return 1.0, 0.0
     if decay.kind == "exp" and decay.rate <= 1.0:
         raise DomainError("exponential decay rate must exceed 1 on the "
                           "hyperbolic plane (area growth eats the rest)")
     if decay.kind == "bounded":
         raise DomainError("forward transform needs a decaying profile")
     return _h2_envelope_radius(decay, tol, scale=c_e)
+
+
+def _area_mass(decay: DecayHint) -> float:
+    """Bound on int_0^inf envelope(r) 2 pi sinh(r) dr for a forward profile.
+
+    2 pi sinh r <= pi e^r; against exp(-a r^2) the integral over the whole
+    line is sqrt(pi/a) e^{1/(4a)}, against exp(-a r) it is 1/(a - 1).
+    """
+    if decay.bound == 0.0:
+        return 0.0
+    a = decay.rate
+    if decay.kind == "exp":
+        return math.pi * decay.bound / (a - 1.0)
+    return math.pi * decay.bound * math.sqrt(math.pi / a) * math.exp(0.25 / a)
+
+
+def _forward_with_error(profile: RadialProfile, rho,
+                        budget: ToleranceBudget = DEFAULT_BUDGET):
+    """(value, err_est) of mehler_fock_forward.
+
+    err_est adds the quadrature error, the envelope tail cut off beyond the
+    truncation radius, and the largest conical change met, spread over the
+    profile's area-weighted mass.
+    """
+    rho_val = _as_rho(rho)
+    if not isinstance(profile, RadialProfile):
+        raise DomainError("profile must be a RadialProfile with a decay hint")
+    lam = 0.25 + rho_val * rho_val
+    c_e = 1.0 + lam  # coarse sup bound for |E_rho|; only the log enters R
+    radius, tail = _forward_truncation_radius(profile.decay, c_e,
+                                              0.25 * budget.abs_tol)
+
+    # Runaway profiles (violating their own hint) would silently corrupt the
+    # truncation, so sample the envelope beyond the cut.
+    for probe in (radius, 1.1 * radius + 0.1, 1.25 * radius + 0.2):
+        allowed = 10.0 * profile.decay.envelope(probe) + 1e-300
+        if abs(profile(probe)) > allowed:
+            raise DomainError(
+                f"profile sample at r={probe:.3g} exceeds its decay hint")
+
+    # Pointwise noise must sit far below the quadrature target or the
+    # adaptive estimator stalls chasing it across the series/integral
+    # branch seam of the conical evaluation.
+    cb = budget.part(0.005)
+    rho_row = np.array([rho_val])
+    achieved = 0.0
+
+    def integrand(rs: np.ndarray) -> np.ndarray:
+        nonlocal achieved
+        _, e_vals, e_err = _conical_many(rho_row, rs, cb, need_p1=True)
+        achieved = max(achieved, e_err)
+        f_vals = np.array([profile(r) for r in rs])
+        return 2.0 * math.pi * e_vals[:, 0] * f_vals * np.sinh(rs)
+
+    value, qerr = integrate_adaptive(integrand, 0.0, radius, budget.part(0.5),
+                                     vectorized=True)
+    conical = max(cb.abs_tol, achieved) * _area_mass(profile.decay)
+    return value, qerr + tail + conical
 
 
 def mehler_fock_forward(profile: RadialProfile, rho,
@@ -245,32 +393,35 @@ def mehler_fock_forward(profile: RadialProfile, rho,
     1/rho, outside the numerical domain of the inverse.  Profiles of the shape
     r * h(r^2) with analytic h transform with exp(-pi rho) decay.
     """
-    rho_val = _as_rho(rho)
-    if not isinstance(profile, RadialProfile):
-        raise DomainError("profile must be a RadialProfile with a decay hint")
-    lam = 0.25 + rho_val * rho_val
-    c_e = 1.0 + lam  # coarse sup bound for |E_rho|; only the log enters R
-    radius = _forward_truncation_radius(profile.decay, c_e, 0.25 * budget.abs_tol)
+    return _forward_with_error(profile, rho, budget)[0]
 
-    # Runaway profiles (violating their own hint) would silently corrupt the
-    # truncation, so sample the envelope beyond the cut.
-    for probe in (radius, 1.1 * radius + 0.1, 1.25 * radius + 0.2):
-        allowed = 10.0 * profile.decay.envelope(probe) + 1e-300
-        if abs(profile(probe)) > allowed:
-            raise DomainError(
-                f"profile sample at r={probe:.3g} exceeds its decay hint")
 
-    def integrand(r: float) -> float:
-        if r == 0.0:
-            return 0.0
-        # Pointwise noise must sit far below the quadrature target or the
-        # adaptive estimator stalls chasing it across the series/integral
-        # branch seam of the conical evaluation.
-        e_val = conical_p1(rho_val, r, budget.part(0.005))
-        return 2.0 * math.pi * e_val * profile(r) * math.sinh(r)
+def _inverse_with_error(fhat, r: float, budget: ToleranceBudget = DEFAULT_BUDGET,
+                        gaussian_rate: float = 0.25, bound: float = 10.0):
+    """(value, err_est) of mehler_fock_inverse, taking fhat as exact.
 
-    value, _ = integrate_adaptive(integrand, 0.0, radius, budget.part(0.5))
-    return value
+    err_est adds the semi-infinite quadrature error (tail included) and the
+    largest conical change met: |w| <= 1, so a change delta in E moves the
+    integral by at most delta * int bound exp(-rate rho^2) drho / (2 pi).
+    """
+    if float(r) <= 0.0:
+        raise DomainError("inverse transform evaluation needs r > 0")
+    cb = budget.part(0.05)
+    achieved = 0.0
+
+    def integrand(rhos: np.ndarray) -> np.ndarray:
+        nonlocal achieved
+        fhat_vals = np.array([float(fhat(p)) for p in rhos])
+        weight = rhos * np.tanh(math.pi * rhos) / (0.25 + rhos * rhos)
+        _, e_vals, e_err = _conical_many(rhos, float(r), cb, need_p1=True)
+        achieved = max(achieved, e_err)
+        return fhat_vals * weight * e_vals / (2.0 * math.pi)
+
+    value, err = integrate_semiinfinite(integrand, gaussian_rate, budget.part(0.9),
+                                        bound=bound, poly_degree=2, vectorized=True)
+    conical = (max(cb.abs_tol, achieved) * bound * math.sqrt(math.pi / gaussian_rate)
+               / (4.0 * math.pi))
+    return value, err + conical
 
 
 def mehler_fock_inverse(fhat, r: float, budget: ToleranceBudget = DEFAULT_BUDGET,
@@ -287,16 +438,4 @@ def mehler_fock_inverse(fhat, r: float, budget: ToleranceBudget = DEFAULT_BUDGET
     f(0) != 0 the spectral data escapes every such envelope and only the
     regular part of f is reconstructed.
     """
-    if float(r) <= 0.0:
-        raise DomainError("inverse transform evaluation needs r > 0")
-
-    def integrand(rhos: np.ndarray) -> np.ndarray:
-        fhat_vals = np.array([float(fhat(p)) for p in rhos])
-        weight = rhos * np.tanh(math.pi * rhos) / (0.25 + rhos * rhos)
-        _, e_vals, _ = _conical_many(rhos, float(r), budget.part(0.05),
-                                     need_p1=True)
-        return fhat_vals * weight * e_vals / (2.0 * math.pi)
-
-    value, _ = integrate_semiinfinite(integrand, gaussian_rate, budget.part(0.9),
-                                      bound=bound, poly_degree=2, vectorized=True)
-    return value
+    return _inverse_with_error(fhat, r, budget, gaussian_rate, bound)[0]

@@ -183,6 +183,7 @@ def test_transform_roundtrip_reports_small_error():
     header, rows = rows_of(out.stdout)
     assert header == ["direction", "profile", "arg", "value", "err_est"]
     assert rows[0]["arg"] == ""
+    assert rows[0]["err_est"] == ""
     assert float(rows[0]["value"]) <= 1e-4
 
 
@@ -192,6 +193,21 @@ def test_transform_forward_frozen_value():
     assert out.returncode == 0
     _, rows = rows_of(out.stdout)
     assert abs(float(rows[0]["value"]) - -0.8130183293610438) < 1e-9
+
+
+def test_transform_err_est_is_the_computed_bound():
+    out = run_cli("transform", "--direction", "forward", "--profile",
+                  "gaussian", "--rho-range", "0.5:0.5:1", "--tol", "1e-6")
+    _, rows = rows_of(out.stdout)
+    err = float(rows[0]["err_est"])
+    assert err != 1e-6
+    assert abs(float(rows[0]["value"]) - -0.8130183293610438) <= err
+    out = run_cli("transform", "--direction", "inverse", "--profile",
+                  "gaussian", "--r-range", "0.5:1:2", "--tol", "1e-6")
+    _, rows = rows_of(out.stdout)
+    for row in rows:
+        r = float(row["arg"])
+        assert abs(float(row["value"]) - r * math.exp(-r * r)) <= float(row["err_est"])
 
 
 def test_verify_suite_passes():

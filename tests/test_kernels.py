@@ -169,12 +169,22 @@ def test_plane_generator_at_extreme_separations():
     assert g == pytest.approx(-math.log(1e160) / (2.0 * math.pi), abs=1e-14)
 
 
-@pytest.mark.xfail(strict=True, reason="d ** 3 underflows to 0 in "
-                   "geometry._pair_derivatives, so the mixed Hessian is NaN")
 def test_plane_k1_at_a_subnormal_separation_is_finite():
     m = k1("plane", Point("plane", 0.05, 0.0), Point("plane", 0.05, 1e-300),
            0.3).matrix.as_array()
     assert np.all(np.isfinite(m))
+
+
+@pytest.mark.parametrize("kind,r", [("hyperbolic", 0.05), ("sphere", 1.0)])
+def test_curved_k1_at_a_tiny_separation_is_finite(kind, r):
+    # sinh(d) ** 3 (sin(d) ** 3) underflows here although d itself does not
+    x, y = Point(kind, r, 0.0), Point(kind, r, 1e-120)
+    assert 0.0 < distance(kind, x, y) < 1e-100
+    m = k1(kind, x, y, 0.3).matrix.as_array()
+    assert np.all(np.isfinite(m))
+    # the kernel is continuous at coincidence
+    np.testing.assert_allclose(m, k1(kind, x, x, 0.3).matrix.as_array(),
+                               atol=1e-12)
 
 
 def test_coincident_and_cut_locus_rejection():
@@ -304,3 +314,16 @@ def test_mckean_refinement_failure_is_in_kernel_units(monkeypatch):
     c = math.sqrt(2.0) * math.exp(-0.25 * t) * (4.0 * math.pi * t) ** -1.5
     assert info.value.achieved == pytest.approx(c)
     assert info.value.requested == 0.25 * tol
+
+
+def test_h2_k1_at_small_time_and_separation_meets_a_tight_request():
+    # The spectral route asks the conical evaluation for 1e-13 here, below
+    # what |P1| ~ 100 at d ~ 0.007 leaves after roundoff; the evaluation
+    # accepts the roundoff floor and charges it to err_est.
+    x = Point("hyperbolic", 0.053893574259596455, 4.3586909126399895)
+    y = Point("hyperbolic", 0.060122155357255264, 4.3240697040925475)
+    t = 0.001032441547219743
+    tight = k1("hyperbolic", x, y, t, ToleranceBudget(abs_tol=1e-10))
+    loose = k1("hyperbolic", x, y, t, ToleranceBudget(abs_tol=1e-8))
+    diff = np.abs(tight.matrix.as_array() - loose.matrix.as_array()).max()
+    assert diff <= tight.err_est + loose.err_est

@@ -1,13 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatforms.errors import DomainError
 from heatforms.quadrature import DecayHint, ToleranceBudget
-from heatforms.specfun import (RadialProfile, SpectralParameter, conical_p,
-                               conical_p1, legendre_p, legendre_p1,
-                               mehler_fock_forward, mehler_fock_inverse)
+from heatforms.specfun import (RadialProfile, SpectralParameter,
+                               _conical_many, _forward_with_error,
+                               _inverse_with_error,
+                               _mehler_dirichlet_eval, conical_p, conical_p1,
+                               legendre_p, legendre_p1, mehler_fock_forward,
+                               mehler_fock_inverse)
 from heatforms.verify import PROFILES
 
 TIGHT = ToleranceBudget(abs_tol=1e-12)
@@ -41,8 +47,12 @@ def test_legendre_domain_checks():
 
 
 # Values frozen from 40-digit evaluations of the Legendre function of
-# complex degree -1/2 + i rho; the pair at rho = 0, r ~ 1.9 pins the
-# switch between the hypergeometric series and the integral branch.
+# complex degree -1/2 + i rho (mpmath legenp, type 3; P1 by differentiating
+# it in r).  A radius takes the series when s = sinh^2(r/2) <= 0.5 and
+# s (1/4 + rho^2) <= 0.3, so the branch seam sits at r ~ 1.317 for rho = 0,
+# 0.5253 for rho = 2 and 0.1094 for rho = 10; each seam has a case 0.002 to
+# either side.  The pair at rho = 0, r ~ 1.9 sat on the seam of an older
+# rule without the s <= 0.5 condition.
 CONICAL_CASES = [
     (0.5, 1.0, 0.8835378988482238, -0.21692422417246043),
     (0.0, 1.89, 0.8139424270069399, -0.16468385332675511),
@@ -50,6 +60,18 @@ CONICAL_CASES = [
     (2.0, 2.5, -0.12212413213329544, 0.4502033992746009),
     (10.0, 1.5, -0.010994272013760012, -1.7197795007795473),
     (0.0, 0.3, 0.9944038339797285, -0.03711667229682594),
+    (0.0, 1.315, 0.9015537532066531, -0.1365364442960948),
+    (0.0, 1.319, 0.90100706701611, -0.1368064734691606),
+    (2.0, 0.5233, 0.732489886044801, -0.9366260234155873),
+    (2.0, 0.5273, 0.7287341148263909, -0.941250828213623),
+    (10.0, 0.1074, 0.7312701261308377, -4.6374234498531735),
+    (10.0, 0.1114, 0.7124844092989557, -4.754505363529805),
+    (0.0, 0.5, 0.9845951956958332, -0.060752573255464286),
+    (1.0, 1e-05, 0.99999999996875, -6.249999999850261e-06),
+    (3.0, 9.0, 0.003663644037529625, -0.020555874867682535),
+    (25.0, 2.0, 0.041250609170405295, 1.8019969054154317),
+    (25.0, 3.0, 0.018801495699062264, 1.1600724521457748),
+    (40.0, 0.4, -0.1725578699918885, -3.559710402621209),
 ]
 
 
@@ -131,3 +153,123 @@ def test_roundtrip_reproduces_profile(name):
         back = mehler_fock_inverse(fhat, r, budget,
                                    gaussian_rate=0.2, bound=10.0)
         assert abs(back - profile(r)) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# one conical evaluator for arrays of rho and arrays of radii
+
+def _seam(rho):
+    """Radius where the conical evaluation switches from series to integral."""
+    return 2.0 * math.asinh(math.sqrt(min(0.5, 0.3 / (0.25 + rho * rho))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=st.floats(0.0, 8.0),
+       extra=st.lists(st.floats(0.0, 4.0), max_size=6),
+       gap=st.floats(1e-6, 0.2),
+       exponent=st.integers(-12, -6))
+def test_radius_batch_matches_single_radius_calls(rho, extra, gap, exponent):
+    budget = ToleranceBudget(abs_tol=10.0 ** exponent)
+    radii = np.array(extra + [_seam(rho) * (1.0 - gap), _seam(rho) * (1.0 + gap)])
+    p, p1, _ = _conical_many(np.array([rho]), radii, budget, need_p1=True)
+    assert p.shape == p1.shape == (radii.size, 1)
+    for i, r in enumerate(radii):
+        assert abs(p[i, 0] - conical_p(rho, r, budget)) <= budget.abs_tol
+        assert abs(p1[i, 0] - conical_p1(rho, r, budget)) <= budget.abs_tol
+
+
+@pytest.mark.parametrize("r", [0.0, 0.01, 0.3, 1.5, 6.0])
+def test_single_radius_batch_keeps_the_scalar_bits(r):
+    rhos = np.linspace(0.0, 12.0, 22)
+    p, p1, err = _conical_many(rhos, r, TIGHT, need_p1=True)
+    bp, bp1, berr = _conical_many(rhos, np.array([r]), TIGHT, need_p1=True)
+    assert bp.shape == bp1.shape == (1, rhos.size)
+    assert np.array_equal(bp[0], p) and np.array_equal(bp1[0], p1)
+    assert berr == err
+    for rho in (0.0, 3.5, 12.0):
+        one = np.array([rho])
+        assert conical_p(rho, r, TIGHT) == _conical_many(one, [r], TIGHT, False)[0][0, 0]
+        assert conical_p1(rho, r, TIGHT) == _conical_many(one, [r], TIGHT, True)[1][0, 0]
+
+
+def test_conical_roundoff_floor_accepts_the_achievable_change():
+    # |P1| reaches ~12 here, so grid doublings keep changing it by a few
+    # ulps of that size; without the floor a 1e-16 request can never be met
+    rhos = np.linspace(0.0, 30.0, 22)
+    p, p1, err = _conical_many(rhos, 0.1, ToleranceBudget(abs_tol=1e-16),
+                               need_p1=True)
+    assert np.max(np.abs(p1)) > 10.0
+    assert 1e-16 < err <= 64.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(p1)))
+    ref_p, ref_p1, _ = _conical_many(rhos, 0.1, ToleranceBudget(abs_tol=1e-12),
+                                     need_p1=True)
+    np.testing.assert_allclose(p, ref_p, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(p1, ref_p1, rtol=0, atol=1e-12)
+
+
+def test_conical_rejects_bad_radii():
+    for bad in (-0.1, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            _conical_many(np.array([1.0]), np.array([0.5, bad]), TIGHT, True)
+
+
+def test_dirichlet_memory_does_not_grow_with_the_rho_count():
+    # 4096 panels: a 22-by-61440 array would take 10.8 MB; rho blocks of
+    # 4 rows keep the peak at that of a 4-rho evaluation
+    def peak(rhos):
+        tracemalloc.start()
+        try:
+            out = _mehler_dirichlet_eval(rhos, np.array(3.0), 4096, True)
+            return tracemalloc.get_traced_memory()[1], out
+        finally:
+            tracemalloc.stop()
+
+    rhos = np.linspace(0.0, 12.0, 22)
+    few, _ = peak(rhos[:4])
+    many, (p, p1) = peak(rhos)
+    assert many <= 1.1 * few
+    for i in (0, 9, 21):
+        one_p, one_p1 = _mehler_dirichlet_eval(rhos[i:i + 1], np.array(3.0), 4096, True)
+        assert abs(p[i] - one_p[0]) <= 1e-14 and abs(p1[i] - one_p1[0]) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# transform error bars
+
+# 2 pi int E_rho(r) f(r) sinh(r) dr in 30-digit arithmetic (mpmath quad with
+# E from legenp of order one, type 3), for the two named profiles.
+FORWARD_CASES = [
+    ("gaussian", 0.5, -0.8130183293610438),
+    ("gaussian", 3.0, -1.4028314262978605),
+    ("cubic", 0.5, -1.648722162885666),
+    ("cubic", 3.0, 0.766754711965913),
+]
+
+
+@pytest.mark.parametrize("name,rho,ref", FORWARD_CASES)
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+def test_forward_err_est_bounds_the_error(name, rho, ref, tol):
+    budget = ToleranceBudget(abs_tol=tol)
+    value, err = _forward_with_error(PROFILES[name], rho, budget)
+    assert abs(value - ref) <= err
+    public = mehler_fock_forward(PROFILES[name], rho, budget)
+    assert type(public) is float and public == value
+
+
+@pytest.mark.parametrize("tol", [1e-5, 1e-7])
+def test_inverse_err_est_bounds_the_error(tol):
+    profile = PROFILES["gaussian"]
+    exact = ToleranceBudget(abs_tol=1e-11)
+    cache = {}
+
+    def fhat(rho):
+        if rho not in cache:
+            cache[rho] = mehler_fock_forward(profile, rho, exact)
+        return cache[rho]
+
+    budget = ToleranceBudget(abs_tol=tol)
+    for r in (0.4, 1.3):
+        value, err = _inverse_with_error(fhat, r, budget, gaussian_rate=0.2,
+                                         bound=10.0)
+        assert abs(value - profile(r)) <= err
+        assert mehler_fock_inverse(fhat, r, budget, gaussian_rate=0.2,
+                                   bound=10.0) == value
