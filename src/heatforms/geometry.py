@@ -308,23 +308,30 @@ def _radial_truncation(kind: SurfaceKind, decay: DecayHint, tol: float) -> float
     return _h2_envelope_radius(decay, tol)[0]
 
 
+def _radial_rule(kind: SurfaceKind, n_rad: int, radius: float):
+    """Radial nodes and weights with the area factor absorbed.
+
+    Sphere: n_rad Gauss-Legendre nodes in cos(phi), whose measure absorbs
+    the sin(phi) area factor.  Planes: composite 15-point Gauss panels in r
+    up to `radius`, weighted by r or sinh r.
+    """
+    if kind is SurfaceKind.SPHERE:
+        xs, ws = _gauss_rule(n_rad)
+        return np.arccos(xs), ws
+    nodes, wts = _composite_gauss(radius, max(1, n_rad // 15))
+    area = nodes if kind is SurfaceKind.EUCLIDEAN else np.sinh(nodes)
+    return nodes, wts * area
+
+
 def _surface_grid(kind: SurfaceKind, n_rad: int, n_ang: int, radius: float = 0.0):
     """Product quadrature grid: (c1 nodes, c2 nodes, weight matrix).
 
-    Sphere: Gauss-Legendre in cos(phi) times uniform theta (trapezoid on the
-    periodic direction is spectrally accurate).  Planes: composite Gauss
-    panels in r up to `radius` with the area factor folded into the weights.
+    The radial rule times uniform theta (trapezoid on the periodic
+    direction is spectrally accurate).
     """
     ang = np.arange(n_ang) * (_TWO_PI / n_ang)
     w_ang = np.full(n_ang, _TWO_PI / n_ang)
-    if kind is SurfaceKind.SPHERE:
-        xs, ws = _gauss_rule(n_rad)
-        c1 = np.arccos(xs)
-        w_rad = ws  # d(cos phi) absorbs the sin(phi) area factor
-    else:
-        c1, w_flat = _composite_gauss(radius, max(1, n_rad // 15))
-        area = c1 if kind is SurfaceKind.EUCLIDEAN else np.sinh(c1)
-        w_rad = w_flat * area
+    c1, w_rad = _radial_rule(kind, n_rad, radius)
     return c1, ang, np.outer(w_rad, w_ang)
 
 

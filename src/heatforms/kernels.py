@@ -3,6 +3,9 @@
 The scalar kernel K0 is a closed form on the plane, a Legendre series on the
 sphere, and a spectral integral over conical functions on the hyperbolic
 plane (with an independent single-integral form kept as a cross-check).
+On the hyperbolic plane K0, G and G_d below share one spectral weight, so a
+single adaptive rho integral (_h2_spectral) gives all three at any number
+of distances.
 
 The 1-form kernel is assembled from the scalar generator
 G(d, t) = int_t^inf K0(d, tau) dtau (mean-zero part on the sphere): its radial
@@ -23,9 +26,9 @@ from .errors import (CoincidentPointsError, CutLocusError, DecayHintError,
                      DomainError)
 from .geometry import (BiTensor1, OneFormValue, Point, SurfaceKind,
                        apply_i_plus_star, distance, _metric_profile,
-                       _pair_derivatives)
+                       _pair_derivatives, _radial_rule)
 from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
-                         _composite_gauss, _gauss_rule, gaussian_tail_radius,
+                         _composite_gauss, gaussian_tail_radius,
                          integrate_adaptive, refine_until_stable, solve_radius)
 from .specfun import _EPS, _conical_many, _sinhc
 
@@ -78,8 +81,9 @@ def _as_time(t) -> float:
 class Kernel0Value:
     """Scalar kernel value with its error estimate and truncation metadata.
 
-    terms counts series terms or integrand evaluations; radius is the series
-    cutoff index or quadrature truncation radius (0 for closed forms).
+    terms counts series terms on the sphere and, on the hyperbolic plane,
+    the rho evaluations of the one spectral pass; radius is the rho
+    truncation radius of that pass (0 for closed forms and series).
     """
 
     value: float
@@ -90,7 +94,12 @@ class Kernel0Value:
 
 @dataclass(frozen=True)
 class Kernel1Value:
-    """2x2 frame-coupling matrix of the 1-form kernel plus diagnostics."""
+    """2x2 frame-coupling matrix of the 1-form kernel plus diagnostics.
+
+    terms and radius are as in Kernel0Value; on the hyperbolic plane one
+    spectral pass yields K0, G and G_d together, so terms counts its rho
+    evaluations once.
+    """
 
     matrix: BiTensor1
     err_est: float
@@ -172,48 +181,59 @@ def _sphere_g1_raw(x, t: float, tol: float):
 # ---------------------------------------------------------------------------
 # hyperbolic plane: spectral route
 
-def _h2_spectral(d: float, t: float, budget: ToleranceBudget, mode: str):
-    """Common driver for the rho integrals behind K0, G, and G_d on H2.
+def _h2_spectral(ds, t: float, budget: ToleranceBudget, generator: bool = False):
+    """K0 on H2, and with `generator` also G and G_d, at an array of distances.
 
-    mode selects the spectral weight: "k0" uses rho tanh(pi rho) e^{-lam t},
-    "g" divides by lam, "gd" additionally swaps the conical function for its
-    radial derivative.  Returns (value, err_est, radius, evals).
+    All three are the spectral weight rho tanh(pi rho) e^{-lam t} / 2 pi
+    integrated against the conical function (K0; G divides the weight by
+    lam) or its radial derivative (G_d), so one adaptive rho integral with
+    one conical evaluation per panel serves every row.  Returns (rows,
+    err_est, radius, evals): rows[0] holds K0 at each distance, rows[1] and
+    rows[2] hold G and G_d when `generator` is set, and err_est bounds every
+    entry.  With `generator` every distance must be positive.
     """
+    ds = np.asarray(ds, dtype=float)
     tol = budget.abs_tol
-    if mode == "gd":
+    amp = 1.0
+    if generator:
         # |P1| grows at most linearly in rho with an O(1/sinh(d/2)) constant
-        # from the boundary term of its integral representation.
-        amp = 2.0 + d + 1.0 / math.sinh(0.5 * d)
-    else:
-        amp = 1.0
+        # from the boundary term of its integral representation; the G_d
+        # envelope dominates the K0 and G ones.
+        amp = 2.0 + float(ds.max()) + 1.0 / math.sinh(0.5 * float(ds.min()))
     bound = math.exp(-0.25 * t) * amp / (2.0 * math.pi)
-    poly = 1 if mode == "k0" else (1 if mode == "gd" else 0)
     radius, tail = gaussian_tail_radius(t, 0.25 * tol, bound=bound,
-                                        poly_degree=poly)
+                                        poly_degree=1)
     radius = max(radius, 2.0 / math.sqrt(t))
     ctol = max(1e-13, 0.05 * tol / max(radius, 1.0))
     cb = ToleranceBudget(abs_tol=ctol, max_quad_depth=budget.max_quad_depth)
+    # The quadrature is asked for half the budget, but never for less than
+    # the conical share charged below: where the 1e-13 floor on ctol binds
+    # (tight requests, or G_d amplified by coth d in k1), err_est cannot
+    # fall under that share anyway.
+    qb = ToleranceBudget(abs_tol=max(0.5 * tol, radius * ctol / (2.0 * math.pi)),
+                         max_quad_depth=budget.max_quad_depth)
+    # A lone distance takes the evaluator's cheaper scalar-radius path.
+    radii = float(ds[0]) if ds.size == 1 else ds
     evals = 0
     achieved = 0.0
 
     def integrand(rhos: np.ndarray) -> np.ndarray:
         nonlocal evals, achieved
         evals += rhos.size
-        p, p1, c_err = _conical_many(rhos, d, cb, need_p1=(mode == "gd"))
+        p, p1, c_err = _conical_many(rhos, radii, cb, need_p1=generator)
         achieved = max(achieved, c_err)
         lam = 0.25 + rhos * rhos
         w = rhos * np.tanh(np.pi * rhos) * np.exp(-lam * t)
-        if mode != "k0":
-            w = w / lam
-        e = p1 if mode == "gd" else p
-        return e * w / (2.0 * math.pi)
+        if not generator:
+            return p * w / (2.0 * math.pi)
+        rows = np.stack([p * w, p * (w / lam), p1 * (w / lam)])
+        return rows.reshape(-1, rhos.size) / (2.0 * math.pi)
 
-    value, qerr = integrate_adaptive(integrand, 0.0, radius, budget.part(0.5),
-                                     vectorized=True)
+    value, qerr = integrate_adaptive(integrand, 0.0, radius, qb, vectorized=True)
     # The conical share charges the largest change met, which exceeds ctol
     # only where the roundoff floor accepted it.
     err = qerr + tail + radius * max(ctol, achieved) / (2.0 * math.pi)
-    return value, err, radius, evals
+    return np.reshape(value, (-1, ds.size)), err, radius, evals
 
 
 # ---------------------------------------------------------------------------
@@ -260,39 +280,6 @@ def _mckean_many(ds, t: float, tol: float, max_depth: int = 24):
         # the floor concedes what roundoff already spent
         floor=lambda cur: 64.0 * _EPS * (c + float(np.max(np.abs(cur)))))
     return values, diff + tail_bound
-
-
-def _h2_gd_batch(s_nodes: np.ndarray, t: float, tol: float) -> np.ndarray:
-    """Generator derivative G_d on H2 over an array of distances.
-
-    Shares one rho grid across the batch (the spectral weight does not
-    depend on the distance) and doubles it until the values stabilize.
-    """
-    s_nodes = np.asarray(s_nodes, dtype=float)
-    s_min = float(np.min(s_nodes))
-    amp = 2.0 + float(np.max(s_nodes)) + 1.0 / math.sinh(0.5 * max(s_min, 1e-12))
-    bound = math.exp(-0.25 * t) * amp / (2.0 * math.pi)
-    radius, tail = gaussian_tail_radius(t, 0.25 * tol, bound=bound,
-                                        poly_degree=1)
-    radius = max(radius, 2.0 / math.sqrt(t))
-    ctol = max(1e-13, 0.05 * tol / max(radius, 1.0))
-    cb = ToleranceBudget(abs_tol=ctol)
-
-    def one_pass(n_panels: int) -> np.ndarray:
-        rhos, wts = _composite_gauss(radius, n_panels)
-        lam = 0.25 + rhos * rhos
-        weight = wts * rhos * np.tanh(np.pi * rhos) * np.exp(-lam * t) / lam
-        out = np.empty_like(s_nodes)
-        for i, s in enumerate(s_nodes):
-            _, p1, _ = _conical_many(rhos, float(s), cb, need_p1=True)
-            out[i] = float(p1 @ weight) / (2.0 * math.pi)
-        return out
-
-    gd, _ = refine_until_stable(
-        one_pass, (max(8, int(math.ceil(radius * math.sqrt(max(t, 0.05))))),), 2,
-        0.25 * tol, 12,
-        floor=lambda cur: 64.0 * _EPS * (1.0 + float(np.max(np.abs(cur)))))
-    return gd
 
 
 def k0_h2_mckean(d: float, t, budget: ToleranceBudget = DEFAULT_BUDGET) -> float:
@@ -357,8 +344,8 @@ def _k0_dist(kind: SurfaceKind, d: float, t: float,
         raw, n_max, tail = _sphere_k0_raw(math.cos(d), t,
                                           budget.abs_tol * _FOUR_PI)
         return Kernel0Value(float(raw) / _FOUR_PI, tail / _FOUR_PI, n_max, 0.0)
-    value, err, radius, evals = _h2_spectral(d, t, budget, "k0")
-    return Kernel0Value(value, err, evals, radius)
+    rows, err, radius, evals = _h2_spectral([d], t, budget)
+    return Kernel0Value(float(rows[0, 0]), err, evals, radius)
 
 
 def k0(kind, x: Point, y: Point, t,
@@ -451,12 +438,10 @@ def _g1_full(kind: SurfaceKind, d: float, t: float, budget: ToleranceBudget):
         err1 = tail
         err2 = tail * abs(1.0 / math.tan(d)) + k0_tail / _FOUR_PI
         return float(g_arr), g_d, g_dd, err1, err2, n_max, 0.0
-    g_val, err_g, radius, ev1 = _h2_spectral(d, t, budget.part(0.3), "g")
-    g_d, err_d, _, ev2 = _h2_spectral(d, t, budget.part(0.3), "gd")
-    kval = _k0_dist(kind, d, t, budget.part(0.3))
-    g_dd = -g_d / math.tanh(d) - kval.value
-    err2 = err_d / math.tanh(d) + kval.err_est
-    return g_val, g_d, g_dd, err_d, err2, ev1 + ev2 + kval.terms, radius
+    rows, err, radius, evals = _h2_spectral([d], t, budget, generator=True)
+    kern, g_val, g_d = (float(v) for v in rows[:, 0])
+    g_dd = -g_d / math.tanh(d) - kern
+    return g_val, g_d, g_dd, err, err / math.tanh(d) + err, evals, radius
 
 
 def g1_scalar(kind, d: float, t, budget: ToleranceBudget = DEFAULT_BUDGET):
@@ -483,8 +468,8 @@ def _k1_coincidence(kind: SurfaceKind, t: float, budget: ToleranceBudget):
     if kind is SurfaceKind.SPHERE:
         raw, n_max, tail = _sphere_k0_raw(1.0, t, budget.abs_tol * _FOUR_PI)
         return (float(raw) - 1.0) / _FOUR_PI, tail / _FOUR_PI, n_max, 0.0
-    value, err, radius, evals = _h2_spectral(0.0, t, budget, "k0")
-    return value, err, evals, radius
+    rows, err, radius, evals = _h2_spectral([0.0], t, budget)
+    return float(rows[0, 0]), err, evals, radius
 
 
 def k1(kind, x: Point, y: Point, t,
@@ -500,11 +485,15 @@ def k1(kind, x: Point, y: Point, t,
     if d == 0.0:
         c, err, terms, radius = _k1_coincidence(kind, t, budget)
         return Kernel1Value(BiTensor1(c, 0.0, 0.0, c), 2.0 * err, terms, radius)
-    _, g_d, g_dd, err1, err2, terms, radius = _g1_full(kind, d, t, budget)
     data = _pair_derivatives(kind, x, y)
+    frame_scale = float(np.max(np.abs(data.mixed)))
+    if kind is SurfaceKind.HYPERBOLIC:
+        # One spectral pass bounds G_d and K0 alike, and the error below
+        # multiplies that bound by 2 (1 + coth d + frame_scale).
+        budget = budget.part(0.5 / (1.0 + 1.0 / math.tanh(d) + frame_scale))
+    _, g_d, g_dd, err1, err2, terms, radius = _g1_full(kind, d, t, budget)
     core = g_dd * np.outer(data.grad_x, data.grad_y) + g_d * data.mixed
     mat = apply_i_plus_star(BiTensor1.from_array(core))
-    frame_scale = float(np.max(np.abs(data.mixed)))
     err = 2.0 * (err2 + err1 * frame_scale)
     return Kernel1Value(mat, err, terms, radius)
 
@@ -600,17 +589,6 @@ def _chart_points(kind: SurfaceKind, x: Point, s_grid: np.ndarray,
     return c1, c2, p, q
 
 
-def _radial_rule(kind: SurfaceKind, n_rad: int, radius: float):
-    """Radial nodes and weights with the area factor absorbed."""
-    if kind is SurfaceKind.SPHERE:
-        xs, ws = _gauss_rule(n_rad)
-        return np.arccos(xs), ws
-    n_panels = max(4, n_rad // 15)
-    nodes, wts = _composite_gauss(radius, n_panels)
-    area = nodes if kind is SurfaceKind.EUCLIDEAN else np.sinh(nodes)
-    return nodes, wts * area
-
-
 def _field_bound(field: FormField, kind: SurfaceKind) -> float:
     if kind is SurfaceKind.SPHERE:
         return 1.0
@@ -678,15 +656,17 @@ def _kappa_batch(kind: SurfaceKind, s_nodes: np.ndarray, t: float, tol: float,
                  budget: ToleranceBudget) -> np.ndarray:
     """Radial profile kappa(s) with K1 = kappa(d) I in geodesic-adapted
     frames at both points; kappa = G_dd + G_d / L(d), reduced through the
-    radial identity so only K0 and G_d are ever evaluated."""
+    radial identity so only K0 and G_d are needed."""
+    if kind is SurfaceKind.HYPERBOLIC:
+        (kern, _, gd), _, _, _ = _h2_spectral(
+            s_nodes, t, budget.part(max(tol / budget.abs_tol, 0.01)),
+            generator=True)
+        return -kern - np.tanh(0.5 * s_nodes) * gd
     kern, _ = _k0_radial_batch(kind, s_nodes, t, tol)
     if kind is SurfaceKind.EUCLIDEAN:
         return -kern
-    if kind is SurfaceKind.SPHERE:
-        _, gd, _, _ = _sphere_g1_raw(np.cos(s_nodes), t, tol)
-        return -kern + 1.0 / _FOUR_PI + np.tan(0.5 * s_nodes) * gd
-    gd = _h2_gd_batch(s_nodes, t, max(tol, 0.01 * budget.abs_tol))
-    return -kern - np.tanh(0.5 * s_nodes) * gd
+    _, gd, _, _ = _sphere_g1_raw(np.cos(s_nodes), t, tol)
+    return -kern + 1.0 / _FOUR_PI + np.tan(0.5 * s_nodes) * gd
 
 
 def apply_k1(kind, field: FormField, t,

@@ -171,14 +171,18 @@ def refine_until_stable(one_pass, size: tuple, grow: float, tol: float,
 def _eval_many(f, xs: np.ndarray, vectorized: bool) -> np.ndarray:
     if vectorized:
         out = np.asarray(f(xs), dtype=float)
-        if out.shape != xs.shape:
+        if out.ndim not in (1, 2) or out.shape[-1] != xs.size:
             raise DomainError("vectorized integrand returned a wrong shape")
         return out
     return np.array([float(f(x)) for x in xs], dtype=float)
 
 
 def _panel_estimates(f, a: float, b: float, vectorized: bool):
-    """(G15, |G15 - G7|) on one panel; 22 integrand evaluations."""
+    """(G15, |G15 - G7|) on one panel; 22 integrand evaluations.
+
+    A row-valued integrand gives an array of G15 values, one per row, and
+    the largest |G15 - G7| over its rows.
+    """
     x15, w15 = _gauss_rule(15)
     x7, w7 = _gauss_rule(7)
     half = 0.5 * (b - a)
@@ -187,6 +191,10 @@ def _panel_estimates(f, a: float, b: float, vectorized: bool):
     ys = _eval_many(f, xs, vectorized)
     if not np.all(np.isfinite(ys)):
         raise DomainError(f"integrand returned a non-finite value on [{a}, {b}]")
+    if ys.ndim == 2:
+        coarse = half * (ys[:, 15:] @ w7)
+        fine = half * (ys[:, :15] @ w15)
+        return fine, float(np.abs(fine - coarse).max())
     coarse = half * float(w7 @ ys[15:])
     fine = half * float(w15 @ ys[:15])
     return fine, abs(fine - coarse)
@@ -200,14 +208,17 @@ def integrate_adaptive(f, a: float, b: float, budget: ToleranceBudget = DEFAULT_
     ----------
     f : callable
         Real integrand.  With ``vectorized=True`` it must map an ndarray of
-        abscissae to an ndarray of values.
+        abscissae to an ndarray of values, or to a 2-d array holding one row
+        of values per component of a vector-valued integrand.
     a, b : float
         Interval endpoints, a <= b.
 
     Returns
     -------
-    (value, err_est) : tuple of float
-        err_est <= budget.abs_tol on success.
+    (value, err_est)
+        value is a float, or an array with one entry per row for a
+        row-valued integrand.  err_est <= budget.abs_tol on success; for
+        rows it sums each panel's largest row error, so it bounds every row.
 
     Raises
     ------
@@ -246,8 +257,10 @@ def integrate_adaptive(f, a: float, b: float, budget: ToleranceBudget = DEFAULT_
         counter += 1
         heapq.heappush(heap, (-re, counter, mid, pb, rv, depth + 1))
         n_panels += 1
-    value = math.fsum(entry[4] for entry in heap)
-    return value, total_err
+    if isinstance(value, np.ndarray):
+        rows = np.array([entry[4] for entry in heap]).T
+        return np.array([math.fsum(row) for row in rows]), total_err
+    return math.fsum(entry[4] for entry in heap), total_err
 
 
 def gaussian_tail_radius(rate: float, tol: float, bound: float = 1.0,

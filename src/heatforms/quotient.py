@@ -22,8 +22,8 @@ import numpy as np
 from .errors import (DomainError, EnumerationOverflowError, KindMismatchError,
                      UnsupportedGroupError)
 from .geometry import BiTensor1, Point, SurfaceKind, distance
-from .kernels import (Kernel1Value, _as_time, _h2_k0_majorant, _k0_dist,
-                      k1 as _k1_base)
+from .kernels import (Kernel1Value, _as_time, _h2_k0_majorant, _h2_spectral,
+                      _k0_dist, k1 as _k1_base)
 from .quadrature import DEFAULT_BUDGET, ToleranceBudget, solve_radius
 
 __all__ = [
@@ -325,15 +325,12 @@ def _k0_quotient_full(q: QuotientSurface, x: Point, y: Point, t: float,
     radius, tail = _truncation(q.group, d0, t, 0.25 * tol)
     els = enumerate_elements(q.group, x, y, radius)
     if q.group.variant == "hyperbolic_cyclic":
-        sub = ToleranceBudget(abs_tol=0.5 * tol / max(1, len(els)),
-                              max_quad_depth=budget.max_quad_depth)
-        total = 0.0
-        err = tail
-        for g in els:
-            val = _k0_dist(q.base, distance(q.base, x, act(g, y)), t, sub)
-            total += val.value
-            err += val.err_est
-        return total, err, len(els), radius
+        # One spectral pass over every image (the identity is always among
+        # them, since radius > d0), each held to its own share.
+        rows, err, _, _ = _h2_spectral(
+            [distance(q.base, x, act(g, y)) for g in els], t,
+            budget.part(0.5 / len(els)))
+        return math.fsum(rows[0]), tail + len(els) * err, len(els), radius
     diff = _cart(x) - _cart(y)
     if els:
         if q.group.variant == "euclidean_lattice":

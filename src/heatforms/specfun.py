@@ -143,6 +143,15 @@ def _mehler_dirichlet_eval(rhos: np.ndarray, radii: np.ndarray, n_panels: int,
     its own grid of n_panels panels on [0, sqrt(r)]; a 0-d radii gives values
     shaped like rhos, a 1-d one a row per radius.
     """
+    # Radius blocks keep a 4-row rho block near _BLOCK_ELEMS entries however
+    # many radii come in; each radius's row is the same sum in any block.
+    r_step = max(1, _BLOCK_ELEMS // (4 * 15 * n_panels))
+    if radii.ndim and radii.size > r_step:
+        parts = [_mehler_dirichlet_eval(rhos, radii[lo:lo + r_step], n_panels,
+                                        need_p1)
+                 for lo in range(0, radii.size, r_step)]
+        p1_vals = np.concatenate([p1 for _, p1 in parts]) if need_p1 else None
+        return np.concatenate([p for p, _ in parts]), p1_vals
     s, inv, d_inv, wt = _dirichlet_nodes(radii, n_panels, need_p1)
     inv_wt = (inv * wt)[..., None]
     sums = [_dirichlet_sums(rhos[lo:hi], s, inv, inv_wt, d_inv, wt)

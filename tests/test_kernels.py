@@ -12,7 +12,8 @@ from heatforms.geometry import (OneFormValue, Point, SurfaceKind, distance)
 from heatforms.kernels import (T_MIN, FormField, HeatTime, apply_k0, apply_k1,
                                g1_scalar, heat_residual, k0, k0_h2_mckean, k1,
                                k2)
-from heatforms.quadrature import DecayHint, ToleranceBudget
+from heatforms.quadrature import (DecayHint, ToleranceBudget,
+                                  _composite_gauss, integrate_adaptive)
 from heatforms.specfun import legendre_p
 
 TIGHT = ToleranceBudget(abs_tol=1e-12)
@@ -96,6 +97,59 @@ def test_h2_dual_routes_agree():
                    Point("hyperbolic", d, 0.0), t, TIGHT).value
             b = k0_h2_mckean(d, t, TIGHT)
             assert abs(a - b) < 1e-9
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.floats(0.05, 6.0), min_size=2, max_size=4),
+       st.floats(0.01, 2.0), st.floats(-10.0, -6.0), st.booleans())
+def test_h2_spectral_batch_matches_single_distances(ds, t, log_tol, generator):
+    budget = ToleranceBudget(abs_tol=10.0 ** log_tol)
+    rows, err, _, _ = kernels._h2_spectral(ds, t, budget, generator)
+    assert rows.shape == (3 if generator else 1, len(ds))
+    for i, d in enumerate(ds):
+        one, one_err, _, _ = kernels._h2_spectral([d], t, budget, generator)
+        assert np.all(np.abs(rows[:, i] - one[:, 0]) <= err + one_err)
+
+
+@pytest.mark.parametrize("kind,d", [("sphere", 1.0), ("hyperbolic", 0.8)])
+def test_generator_is_the_time_integral_of_the_kernel(kind, d):
+    # G = int_t^inf K0 dtau (mean-zero part on the sphere), cut where the
+    # integrand has decayed below 1e-11
+    t = 0.3
+    x, y = Point(kind, 0.2, 0.0), Point(kind, 0.2 + d, 0.0)
+    mean = 1.0 / (4.0 * math.pi) if kind == "sphere" else 0.0
+    horizon = t + (12.0 if kind == "sphere" else 90.0)
+    kern = ToleranceBudget(abs_tol=1e-10)
+    val, _ = integrate_adaptive(lambda tau: k0(kind, x, y, tau, kern).value - mean,
+                                t, horizon, ToleranceBudget(abs_tol=1e-9))
+    assert abs(g1_scalar(kind, d, t, TIGHT)[0] - val) < 1e-9
+
+
+def test_h2_mass_tail_and_majorant_bound_the_kernel():
+    for t in (0.05, 0.5, 2.0):
+        # the whole mass is 1
+        assert kernels._h2_mass_tail(0.0, t) >= 1.0
+        ds = np.array([0.1, 0.5, 1.0, 2.0, 4.0])
+        vals, _ = kernels._mckean_many(ds, t, 1e-12)
+        for d, v in zip(ds, vals):
+            assert 0.0 < v <= kernels._h2_k0_majorant(d, t)
+        for radius in (1.0, 2.0):
+            rs, wts = _composite_gauss(20.0, 40)
+            kern, _ = kernels._mckean_many(radius + rs, t, 1e-12)
+            mass = float(np.sum(kern * 2.0 * math.pi * np.sinh(radius + rs) * wts))
+            assert mass <= kernels._h2_mass_tail(radius, t)
+
+
+@pytest.mark.parametrize("d", [0.1, 0.5, 1.5])
+def test_h2_k1_meets_its_tolerance(d):
+    x, y = Point("hyperbolic", 0.4, 0.3), Point("hyperbolic", 0.4 + d, 0.3)
+    for t in (0.01, 0.1, 1.0):
+        ref = k1("hyperbolic", x, y, t, TIGHT)
+        for tol in (1e-6, 1e-8):
+            got = k1("hyperbolic", x, y, t, ToleranceBudget(abs_tol=tol))
+            assert got.err_est <= tol
+            diff = np.abs(got.matrix.as_array() - ref.matrix.as_array()).max()
+            assert diff <= got.err_est + ref.err_est
 
 
 @pytest.mark.parametrize("kind,d,t", [("plane", 0.7, 0.4),
@@ -230,6 +284,29 @@ def test_apply_k1_plane_parallel_field():
     got = apply_k1("plane", dx, 0.4).fn(Point("plane", 1.1, 0.7))
     assert abs(got.a - math.cos(0.7)) < 1e-7
     assert abs(got.b - -math.sin(0.7)) < 1e-7
+
+
+def test_h2_apply_k1_of_a_gaussian_differential_is_d_of_apply_k0():
+    """apply_k1 of d(e^{-r^2}) equals the r-derivative of apply_k0 of
+    e^{-r^2}: the 1-form evolution runs through the spectral K0 and G_d,
+    the scalar one through the McKean kernel, and the evolved 1-form of a
+    radial field has no angular component."""
+    t, tol = 0.5, 1e-6
+    x = Point("hyperbolic", 1.0, 0.3)
+    form = FormField(1, lambda p: OneFormValue(-2.0 * p.c1 * math.exp(-p.c1 ** 2), 0.0),
+                     DecayHint("gaussian", 0.5, 1.25))
+    got = apply_k1("hyperbolic", form, t, ToleranceBudget(abs_tol=tol)).fn(x)
+    scalar = apply_k0("hyperbolic",
+                      FormField(0, lambda p: math.exp(-p.c1 ** 2),
+                                DecayHint("gaussian", 1.0, 1.0)),
+                      t, ToleranceBudget(abs_tol=1e-8)).fn
+
+    def diff(h):  # five-point difference in r
+        v = [scalar(Point("hyperbolic", x.c1 + j * h, x.c2)) for j in (-2, -1, 1, 2)]
+        return (v[0] - 8.0 * v[1] + 8.0 * v[2] - v[3]) / (12.0 * h)
+
+    ref = (16.0 * diff(0.01) - diff(0.02)) / 15.0  # Richardson, h = 0.02
+    assert abs(got.a - ref) <= tol and abs(got.b) <= tol
 
 
 def test_apply_k1_sphere_eigenform():

@@ -33,6 +33,18 @@ def test_vectorized_matches_scalar():
     assert abs(v1 - v2) < 1e-12
 
 
+def test_row_valued_integrand_matches_each_row_integral():
+    budget = ToleranceBudget(abs_tol=1e-11)
+    rates = np.array([0.5, 1.0, 4.0])
+    rows = lambda x: np.sin(3.0 * x) * np.exp(-rates[:, None] * x)
+    vals, err = integrate_adaptive(rows, 0.0, 2.0, budget, vectorized=True)
+    assert vals.shape == (3,) and err <= budget.abs_tol
+    for a, v in zip(rates, vals):
+        ref, _ = integrate_adaptive(lambda x: math.sin(3.0 * x) * math.exp(-a * x),
+                                    0.0, 2.0, budget)
+        assert abs(v - ref) <= budget.abs_tol
+
+
 def test_degenerate_and_invalid_intervals():
     assert integrate_adaptive(lambda x: x, 1.0, 1.0) == (0.0, 0.0)
     with pytest.raises(DomainError):

@@ -232,6 +232,29 @@ def test_dirichlet_memory_does_not_grow_with_the_rho_count():
         assert abs(p[i] - one_p[0]) <= 1e-14 and abs(p1[i] - one_p1[0]) <= 1e-14
 
 
+def test_dirichlet_memory_does_not_grow_with_the_radius_count():
+    # 32 panels of 15 nodes per radius: radius blocks of 34 keep the peak of
+    # 300 radii near that of 40
+    rhos = np.linspace(0.0, 12.0, 22)
+
+    def peak(radii):
+        tracemalloc.start()
+        try:
+            out = _mehler_dirichlet_eval(rhos, radii, 32, True)
+            return tracemalloc.get_traced_memory()[1], out
+        finally:
+            tracemalloc.stop()
+
+    radii = np.linspace(0.1, 8.0, 300)
+    few, _ = peak(radii[:40])
+    many, (p, p1) = peak(radii)
+    assert many <= 1.2 * few
+    for i in (0, 150, 299):
+        one_p, one_p1 = _mehler_dirichlet_eval(rhos, radii[i], 32, True)
+        assert np.abs(p[i] - one_p).max() <= 1e-14
+        assert np.abs(p1[i] - one_p1).max() <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # transform error bars
 
