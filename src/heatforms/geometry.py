@@ -102,6 +102,30 @@ class Point:
         object.__setattr__(self, "c2", c2 % _TWO_PI)
 
 
+def _grid_points(kind: SurfaceKind, c1: np.ndarray, c2: np.ndarray):
+    """Yield Point(kind, a, b) for the chart arrays c1, c2 in row-major order.
+
+    The domain checks of Point run once over the whole arrays, and the
+    points are built without __post_init__ from the normalized rows; np.mod
+    rounds exactly as Python's % does, so each point equals, hashes as and
+    is bit-identical to Point(kind, a, b).  If any entry fails a check the
+    points come from Point itself, which raises its own DomainError at the
+    first bad entry.  Points are made row by row, never all at once.
+    """
+    if not (np.isfinite(c1).all() and np.isfinite(c2).all() and (c1 >= 0.0).all()
+            and (kind is not SurfaceKind.SPHERE or (c1 <= math.pi).all())):
+        for row1, row2 in zip(c1, c2):
+            for a, b in zip(row1.tolist(), row2.tolist()):
+                yield Point(kind, a, b)
+        return
+    new, set_attr = object.__new__, object.__setattr__
+    for row1, row2 in zip(c1, np.mod(c2, _TWO_PI)):
+        for a, b in zip(row1.tolist(), row2.tolist()):
+            p = new(Point)
+            set_attr(p, "__dict__", {"kind": kind, "c1": a, "c2": b})
+            yield p
+
+
 @dataclass(frozen=True)
 class OneFormValue:
     """Components (a, b) of a 1-form against the orthonormal coframe."""
@@ -364,7 +388,8 @@ def integrate_surface(kind, f, budget: ToleranceBudget = DEFAULT_BUDGET,
         if vectorized:
             vals = np.asarray(f(g1, g2), dtype=float)
         else:
-            vals = np.array([[float(f(Point(kind, a, b))) for b in c2] for a in c1])
+            vals = np.fromiter(map(float, map(f, _grid_points(kind, g1, g2))),
+                               float, count=g1.size).reshape(g1.shape)
         return float(np.sum(vals * wt))
 
     value, _ = refine_until_stable(evaluate, (32, 64), 1.5, 0.5 * budget.abs_tol,

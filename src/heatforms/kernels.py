@@ -25,8 +25,8 @@ import numpy as np
 from .errors import (CoincidentPointsError, CutLocusError, DecayHintError,
                      DomainError)
 from .geometry import (BiTensor1, OneFormValue, Point, SurfaceKind,
-                       apply_i_plus_star, distance, _metric_profile,
-                       _pair_derivatives, _radial_rule)
+                       apply_i_plus_star, distance, _grid_points,
+                       _metric_profile, _pair_derivatives, _radial_rule)
 from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
                          _composite_gauss, gaussian_tail_radius,
                          integrate_adaptive, refine_until_stable, solve_radius)
@@ -157,7 +157,8 @@ def _sphere_g1_raw(x, t: float, tol: float):
     """Generator sums G = sum F(n,t) P_n and G_d = sum F(n,t) P1_n at cos d = x.
 
     F(n,t) = (2n+1) e^{-n(n+1)t} / (4 pi n (n+1)).  With |P_n| <= 1 and
-    |P1_n| <= n(n+1)/2 both tails are <= e^{-N(N+1)t}/(8 pi t).
+    |P1_n| <= n(n+1)/2 both tails are <= e^{-N(N+1)t}/(8 pi t); as
+    P1_n(cos d) = -sin d P_n'(cos d), the G_d tail is also sin d times that.
     """
     x = np.asarray(x, dtype=float)
     n_max = _sphere_terms(t, tol * 8.0 * math.pi)
@@ -427,16 +428,18 @@ def _g1_full(kind: SurfaceKind, d: float, t: float, budget: ToleranceBudget):
     tol = budget.abs_tol
     if kind is SurfaceKind.EUCLIDEAN:
         g_val, g_d, g_dd = _euclid_g1(d, t)
-        eps = 8.0 * _EPS * (abs(g_d) + 1.0 / (_FOUR_PI * t))
-        return g_val, g_d, g_dd, eps, eps, 1, 0.0
+        # expm1 keeps G_d within a few ulps relative at any d, and
+        # |G_dd| <= |G_d| / d + K0 <= 3 / (8 pi t).
+        err2 = 8.0 * _EPS * (abs(g_d) + 1.0 / (_FOUR_PI * t))
+        return g_val, g_d, g_dd, 8.0 * _EPS * abs(g_d), err2, 1, 0.0
     if kind is SurfaceKind.SPHERE:
         g_arr, gd_arr, n_max, tail = _sphere_g1_raw(math.cos(d), t, 0.25 * tol)
         k0_raw, _, k0_tail = _sphere_k0_raw(math.cos(d), t, 0.25 * tol * _FOUR_PI)
         kern = float(k0_raw) / _FOUR_PI
         g_d = float(gd_arr)
         g_dd = -g_d / math.tan(d) - kern + 1.0 / _FOUR_PI
-        err1 = tail
-        err2 = tail * abs(1.0 / math.tan(d)) + k0_tail / _FOUR_PI
+        err1 = tail * math.sin(d)
+        err2 = tail * abs(math.cos(d)) + k0_tail / _FOUR_PI
         return float(g_arr), g_d, g_dd, err1, err2, n_max, 0.0
     rows, err, radius, evals = _h2_spectral([d], t, budget, generator=True)
     kern, g_val, g_d = (float(v) for v in rows[:, 0])
@@ -598,6 +601,26 @@ def _field_bound(field: FormField, kind: SurfaceKind) -> float:
     return field.decay.bound
 
 
+def _check_finite(vals: np.ndarray, degree: int, kind: SurfaceKind):
+    if not np.isfinite(vals).all():
+        raise DomainError(f"the degree-{degree} field returned a non-finite value "
+                          f"on the {kind.value} surface")
+
+
+def _one_form_parts(values, kind: SurfaceKind):
+    """a, then b, of each degree-1 field value, in order (flat floats fill
+    an array faster than pairs do)."""
+    for v in values:
+        try:
+            a, b = v.a, v.b
+        except AttributeError:
+            raise DomainError(
+                f"the degree-1 field returned {type(v).__name__!r}, not a value "
+                f"with components .a and .b, on the {kind.value} surface") from None
+        yield a
+        yield b
+
+
 def _evolved_hint(decay: DecayHint | None, t: float) -> DecayHint | None:
     """Decay hint for an evolved field: heat flow widens a Gaussian envelope
     (variance grows by 4t), scales an exponential one, and preserves sup
@@ -620,7 +643,9 @@ def apply_k0(kind, field: FormField, t,
     The integral runs in the geodesic polar chart centered at each evaluation
     point, where the kernel is purely radial; the grid is Gauss in cos s by
     uniform angle on the sphere and Gauss panels to the kernel-mass radius on
-    the planes.  The returned field evaluates lazily.
+    the planes.  The returned field evaluates lazily; each pass calls the
+    field once per node in row-major order, and a non-finite value raises
+    DomainError.
     """
     kind = SurfaceKind.parse(kind)
     t = _as_time(t)
@@ -639,10 +664,9 @@ def apply_k0(kind, field: FormField, t,
                                        max(1e-14, 0.1 * tol / max(sup, 1e-300)
                                            / max(1.0, radius * radius)))
             c1, c2, _, _ = _chart_points(kind, x, s_nodes, psi, False)
-            vals = np.empty_like(c1)
-            for i in range(c1.shape[0]):
-                for j in range(c1.shape[1]):
-                    vals[i, j] = float(field.fn(Point(kind, c1[i, j], c2[i, j])))
+            vals = np.fromiter(map(float, map(field.fn, _grid_points(kind, c1, c2))),
+                               float, count=c1.size).reshape(c1.shape)
+            _check_finite(vals, 0, kind)
             ang_w = 2.0 * math.pi / n_ang
             return float(np.sum((kern * s_wts) @ (vals * ang_w)))
 
@@ -675,7 +699,9 @@ def apply_k1(kind, field: FormField, t,
 
     In frames adapted to the geodesic between the points the kernel matrix is
     kappa(d) I, so the integrand needs only the radial profile kappa, the
-    direction of departure at x, and the direction of arrival at y.
+    direction of departure at x, and the direction of arrival at y.  The
+    field is sampled as in apply_k0; a value without finite components .a
+    and .b raises DomainError.
     """
     kind = SurfaceKind.parse(kind)
     t = _as_time(t)
@@ -695,13 +721,11 @@ def apply_k1(kind, field: FormField, t,
                                    / max(1.0, radius * radius)),
                                budget.part(0.25))
             c1, c2, p, q = _chart_points(kind, x, s_nodes, psi, True)
-            na = np.empty_like(c1)
-            nb = np.empty_like(c1)
-            for i in range(c1.shape[0]):
-                for j in range(c1.shape[1]):
-                    v = field.fn(Point(kind, c1[i, j], c2[i, j]))
-                    na[i, j] = v.a
-                    nb[i, j] = v.b
+            values = map(field.fn, _grid_points(kind, c1, c2))
+            nu = np.fromiter(_one_form_parts(values, kind), float,
+                             count=2 * c1.size).reshape(c1.shape + (2,))
+            _check_finite(nu, 1, kind)
+            na, nb = nu[..., 0], nu[..., 1]
             # Adapted components of nu at the target; the arrival coframe is
             # (p, q) and its star is (-q, p).
             nu1 = na * p + nb * q

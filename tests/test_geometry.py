@@ -1,4 +1,6 @@
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -7,9 +9,9 @@ from hypothesis import strategies as st
 
 from heatforms.errors import DecayHintError, DomainError, NonconvergenceError
 from heatforms.geometry import (BiTensor1, OneFormValue, Point, SurfaceKind,
-                                apply_i_plus_star, distance, distance_gradient,
-                                hodge_star_1, integrate_surface,
-                                mixed_distance_hessian)
+                                _grid_points, apply_i_plus_star, distance,
+                                distance_gradient, hodge_star_1,
+                                integrate_surface, mixed_distance_hessian)
 from heatforms.quadrature import DecayHint, ToleranceBudget
 
 KINDS = (SurfaceKind.EUCLIDEAN, SurfaceKind.SPHERE, SurfaceKind.HYPERBOLIC)
@@ -35,6 +37,53 @@ def test_point_validation():
         Point("plane", -0.1, 0.0)
     with pytest.raises(DomainError):
         Point("plane", math.nan, 0.0)
+
+
+def _bits(v):
+    return struct.pack("<d", v)
+
+
+grid_angles = st.one_of(st.floats(-1e3, 1e3),
+                        st.sampled_from([0.0, -0.0, 2.0 * math.pi,
+                                         -2.0 * math.pi, -1e-300]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(KINDS), st.integers(1, 5), st.integers(1, 6), st.data())
+def test_grid_points_equal_the_checked_constructor(kind, n_rows, n_cols, data):
+    n = n_rows * n_cols
+    angles = data.draw(st.lists(grid_angles, min_size=n, max_size=n))
+    radii = data.draw(st.lists(st.floats(0.0, math.pi), min_size=n, max_size=n))
+    c1 = np.array(radii).reshape(n_rows, n_cols)
+    c2 = np.array(angles).reshape(n_rows, n_cols)
+    got = list(_grid_points(kind, c1, c2))
+    want = [Point(kind, a, b) for a, b in zip(radii, angles)]
+    assert got == want
+    for p, q in zip(got, want):
+        assert hash(p) == hash(q)
+        assert p.kind is q.kind
+        assert _bits(p.c1) == _bits(q.c1) and _bits(p.c2) == _bits(q.c2)
+        assert type(p.c1) is float and type(p.c2) is float
+
+
+@pytest.mark.parametrize("kind,bad", [
+    (SurfaceKind.EUCLIDEAN, (math.nan, 0.0)),
+    (SurfaceKind.HYPERBOLIC, (0.5, math.inf)),
+    (SurfaceKind.EUCLIDEAN, (-1e-9, 0.0)),
+    (SurfaceKind.SPHERE, (math.pi + 1e-9, 1.0)),
+])
+def test_grid_points_raise_as_the_constructor_does(kind, bad):
+    with pytest.raises(DomainError) as want:
+        Point(kind, *bad)
+    c1 = np.full((3, 4), 0.5)
+    c2 = np.linspace(-4.0, 4.0, 12).reshape(3, 4)
+    c1[1, 2], c2[1, 2] = bad
+    points = _grid_points(kind, c1, c2)
+    # the six entries before the bad one still come out, then Point's error
+    assert [next(points) for _ in range(6)] == \
+        [Point(kind, a, b) for a, b in zip(c1.ravel()[:6], c2.ravel()[:6])]
+    with pytest.raises(DomainError, match=f"^{re.escape(str(want.value))}$"):
+        next(points)
 
 
 def test_plane_distance_closed_form():
@@ -150,6 +199,20 @@ def test_surface_integrals_against_closed_forms():
                                             bound=1.0),
                             vectorized=True)
     assert abs(hyp - 2.0 * math.pi * math.exp(-a) / a) < 1e-8
+
+
+def test_pointwise_surface_integrals_keep_their_bits():
+    # frozen before the per-point grid sampler existed
+    def sphere_field(p):
+        return math.exp(math.cos(p.c1) + 0.3 * math.sin(p.c1) * math.cos(p.c2 - 0.4))
+
+    def plane_field(p):
+        x, y = p.c1 * math.cos(p.c2), p.c1 * math.sin(p.c2)
+        return math.exp(-p.c1 ** 2) * (1.0 + 0.3 * x + 0.1 * x * y)
+
+    assert integrate_surface("sphere", sphere_field) == 14.976957118664739
+    assert integrate_surface("plane", plane_field,
+                             decay=DecayHint("gaussian", 1.0, 1.4)) == 3.141592651804078
 
 
 def test_noncompact_integration_needs_decay():

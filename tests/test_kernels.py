@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,8 +63,10 @@ def test_euclid_k1_closed_form(r1, t1, r2, t2, t):
     dth = t1 - t2
     ref = kern * np.array([[math.cos(dth), math.sin(dth)],
                            [-math.sin(dth), math.cos(dth)]])
-    got = k1("plane", x, y, t, TIGHT).matrix.as_array()
-    assert np.max(np.abs(got - ref)) < 1e-12
+    got = k1("plane", x, y, t, TIGHT)
+    err = np.max(np.abs(got.matrix.as_array() - ref))
+    assert err < 1e-12
+    assert err <= got.err_est
 
 
 def test_sphere_k1_frozen_matrix():
@@ -229,6 +232,41 @@ def test_plane_k1_at_a_subnormal_separation_is_finite():
     assert np.all(np.isfinite(m))
 
 
+def _rotated(scale, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return scale * np.array([[c, s], [-s, c]])
+
+
+@pytest.mark.parametrize("d", [1e-300, 1e-10, 1e-4])
+def test_plane_k1_err_est_at_tiny_separations(d):
+    # y sits at distance d along the circle r = 0.05 (d = 0.1 sin(dth / 2))
+    dth = 2.0 * math.asin(d / 0.1)
+    x, y = Point("plane", 0.05, 0.0), Point("plane", 0.05, dth)
+    t, tol = 0.3, 1e-8
+    v = k1("plane", x, y, t, ToleranceBudget(abs_tol=tol))
+    m = v.matrix.as_array()
+    assert v.err_est <= tol
+    dist = distance("plane", x, y)
+    exact = _rotated(math.exp(-dist * dist / (4.0 * t)) / (4.0 * math.pi * t), -dth)
+    assert np.max(np.abs(m - exact)) <= v.err_est
+
+
+@pytest.mark.parametrize("dth", [1e-10, 1e-8, 1e-7])
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+def test_sphere_k1_err_est_at_tiny_separations(dth, tol):
+    # Along the colatitude circle phi = 0.5 the polar coframes turn by
+    # dth cos(phi) against parallel transport, and at d < 1e-7 the kernel
+    # differs from its coincidence value c(t) I by O(d^2) < 1e-15.
+    phi, t = 0.5, 0.3
+    budget = ToleranceBudget(abs_tol=tol)
+    x, y = Point("sphere", phi, 0.0), Point("sphere", phi, dth)
+    v = k1("sphere", x, y, t, budget)
+    assert v.err_est <= tol
+    c = k1("sphere", x, x, t, budget).matrix.m11
+    exact = _rotated(c, -dth * math.cos(phi))
+    assert np.max(np.abs(v.matrix.as_array() - exact)) <= v.err_est
+
+
 @pytest.mark.parametrize("kind,r", [("hyperbolic", 0.05), ("sphere", 1.0)])
 def test_curved_k1_at_a_tiny_separation_is_finite(kind, r):
     # sinh(d) ** 3 (sin(d) ** 3) underflows here although d itself does not
@@ -336,6 +374,86 @@ def test_evolution_commutes_with_differential():
         v = ev1.fn(Point("sphere", phi, th))
         assert abs(da - v.a) < 1e-4
         assert abs(db - v.b) < 1e-4
+
+
+def _frozen_scalar(p):
+    x, y = p.c1 * math.cos(p.c2), p.c1 * math.sin(p.c2)
+    return math.exp(-p.c1 ** 2) * (1.0 + 0.3 * x + 0.1 * x * y)
+
+
+def _frozen_form(p):
+    g = math.exp(-p.c1 ** 2)
+    return OneFormValue(g * math.cos(p.c2), g * (0.3 * p.c1 - math.sin(p.c2)))
+
+
+def _frozen_sphere_form(p):
+    # d(cos phi + 0.2 sin phi cos theta)
+    return OneFormValue(-math.sin(p.c1) + 0.2 * math.cos(p.c1) * math.cos(p.c2),
+                        -0.2 * math.sin(p.c2))
+
+
+# Frozen before the per-point grid sampler existed: (apply_k0, apply_k1 a,
+# apply_k1 b) at (0.7, 5.9), t = 0.5; the H2 apply_k1 at abs_tol 1e-6.
+_FROZEN_EVOLUTIONS = {
+    "sphere": (0.331754955923188, -0.18480157416075194, 0.027508307704957893),
+    "plane": (0.3009482156697401, 0.2625716289363291, 0.12566267318777705),
+    "hyperbolic": (0.2639528497249115, 0.15535624899802297, 0.08336338989764339),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_evolved_fields_keep_their_bits(kind):
+    if kind == "sphere":
+        f0 = FormField(0, lambda p: math.cos(p.c1)
+                       + 0.3 * math.sin(p.c1) * math.cos(p.c2 - 0.4))
+        f1 = FormField(1, _frozen_sphere_form)
+    else:
+        f0 = FormField(0, _frozen_scalar, DecayHint("gaussian", 1.0, 1.4))
+        f1 = FormField(1, _frozen_form, DecayHint("gaussian", 1.0, 1.0))
+    budget1 = ToleranceBudget(abs_tol=1e-6 if kind == "hyperbolic" else 1e-8)
+    x = Point(kind, 0.7, 5.9)
+    v1 = apply_k1(kind, f1, 0.5, budget1).fn(x)
+    assert (apply_k0(kind, f0, 0.5).fn(x), v1.a, v1.b) == _FROZEN_EVOLUTIONS[kind]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_bad_field_values_raise_on_the_first_pass(kind):
+    hint = DecayHint("bounded", 0.0, 1.0)
+    calls = []
+
+    def counted(value):
+        def fn(p):
+            calls.append(p)
+            return value
+        return fn
+
+    for evolve, field, degree in ((apply_k0, FormField(0, counted(math.nan), hint), 0),
+                                  (apply_k0, FormField(0, counted(-math.inf), hint), 0),
+                                  (apply_k1, FormField(1, counted(OneFormValue(0.0, math.nan)),
+                                                       hint), 1)):
+        calls.clear()
+        with pytest.raises(DomainError, match=f"degree-{degree} field .*non-finite"
+                                              f".* {SurfaceKind.parse(kind).value} "):
+            evolve(kind, field, 0.5).fn(Point(kind, 0.7, 0.2))
+        assert len(calls) == (64 * 128 if kind == "sphere" else 90 * 96)
+    calls.clear()
+    with pytest.raises(DomainError, match="degree-1 field returned 'float'"):
+        apply_k1(kind, FormField(1, counted(1.0), hint), 0.5).fn(Point(kind, 0.7, 0.2))
+    assert len(calls) == 1
+
+
+def test_sphere_apply_k0_streams_its_samples():
+    # A list of every Point of one 96 x 192 pass alone would take ~5 MB.
+    evolved = apply_k0("sphere", FormField(0, lambda p: math.cos(p.c1)), 0.3)
+    x = Point("sphere", 0.7, 0.2)
+    evolved.fn(x)  # builds the cached quadrature rules
+    tracemalloc.start()
+    try:
+        evolved.fn(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 def test_heat_residual_of_the_kernels():
