@@ -359,6 +359,12 @@ def _surface_grid(kind: SurfaceKind, n_rad: int, n_ang: int, radius: float = 0.0
     return c1, ang, np.outer(w_rad, w_ang)
 
 
+def _check_finite(vals: np.ndarray, degree: int, kind: SurfaceKind):
+    if not np.isfinite(vals).all():
+        raise DomainError(f"the degree-{degree} field returned a non-finite value "
+                          f"on the {kind.value} surface")
+
+
 def integrate_surface(kind, f, budget: ToleranceBudget = DEFAULT_BUDGET,
                       decay: DecayHint | None = None, vectorized: bool = False) -> float:
     """Integrate a scalar field over the whole surface.
@@ -372,7 +378,8 @@ def integrate_surface(kind, f, budget: ToleranceBudget = DEFAULT_BUDGET,
         Required on the plane and hyperbolic plane to truncate the domain.
 
     The grid is refined until two successive refinements agree to within the
-    budget; the sphere needs no decay hint.
+    budget; the sphere needs no decay hint.  A non-finite value of f raises
+    DomainError on the first pass.
     """
     kind = SurfaceKind.parse(kind)
     radius = 0.0
@@ -390,6 +397,7 @@ def integrate_surface(kind, f, budget: ToleranceBudget = DEFAULT_BUDGET,
         else:
             vals = np.fromiter(map(float, map(f, _grid_points(kind, g1, g2))),
                                float, count=g1.size).reshape(g1.shape)
+        _check_finite(vals, 0, kind)
         return float(np.sum(vals * wt))
 
     value, _ = refine_until_stable(evaluate, (32, 64), 1.5, 0.5 * budget.abs_tol,

@@ -1,11 +1,12 @@
 """Heat kernels for 0-, 1-, and 2-forms on the three model surfaces.
 
 The scalar kernel K0 is a closed form on the plane, a Legendre series on the
-sphere, and a spectral integral over conical functions on the hyperbolic
-plane (with an independent single-integral form kept as a cross-check).
-On the hyperbolic plane K0, G and G_d below share one spectral weight, so a
-single adaptive rho integral (_h2_spectral) gives all three at any number
-of distances.
+sphere, and McKean's single integral on the hyperbolic plane.  There the
+batched route hyperbolic._h2_mckean gives K0, and the 1-form generator G
+with its radial derivative G_d, at any number of distances from one shared
+w grid; the spectral integral (hyperbolic._h2_spectral) gives the same three
+rows by an independent route and is the oracle the verification suite holds
+the served values against.
 
 The 1-form kernel is assembled from the scalar generator
 G(d, t) = int_t^inf K0(d, tau) dtau (mean-zero part on the sphere): its radial
@@ -25,12 +26,13 @@ import numpy as np
 from .errors import (CoincidentPointsError, CutLocusError, DecayHintError,
                      DomainError)
 from .geometry import (BiTensor1, OneFormValue, Point, SurfaceKind,
-                       apply_i_plus_star, distance, _grid_points,
-                       _metric_profile, _pair_derivatives, _radial_rule)
+                       apply_i_plus_star, distance, _check_finite,
+                       _grid_points, _metric_profile, _pair_derivatives,
+                       _radial_rule)
+from .hyperbolic import _h2_mass_tail, _h2_mckean
 from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
-                         _composite_gauss, gaussian_tail_radius,
-                         integrate_adaptive, refine_until_stable, solve_radius)
-from .specfun import _EPS, _conical_many, _sinhc
+                         refine_until_stable, solve_radius)
+from .specfun import _EPS
 
 __all__ = [
     "T_MIN",
@@ -53,8 +55,6 @@ __all__ = [
 T_MIN = 1e-4
 
 _FOUR_PI = 4.0 * math.pi
-_GAMMA_14 = math.gamma(0.25)
-_GAMMA_34 = math.gamma(0.75)
 _EULER_GAMMA = 0.57721566490153286061
 
 
@@ -82,8 +82,8 @@ class Kernel0Value:
     """Scalar kernel value with its error estimate and truncation metadata.
 
     terms counts series terms on the sphere and, on the hyperbolic plane,
-    the rho evaluations of the one spectral pass; radius is the rho
-    truncation radius of that pass (0 for closed forms and series).
+    the w nodes of every pass of the McKean integral; radius is that
+    integral's w limit (0 for closed forms and series).
     """
 
     value: float
@@ -97,8 +97,8 @@ class Kernel1Value:
     """2x2 frame-coupling matrix of the 1-form kernel plus diagnostics.
 
     terms and radius are as in Kernel0Value; on the hyperbolic plane one
-    spectral pass yields K0, G and G_d together, so terms counts its rho
-    evaluations once.
+    McKean integral yields K0, G and G_d together, so terms counts its w
+    nodes once.
     """
 
     matrix: BiTensor1
@@ -153,8 +153,9 @@ def _sphere_k0_raw(x, t: float, tol_raw: float):
     return total, n_max, tail
 
 
-def _sphere_g1_raw(x, t: float, tol: float):
-    """Generator sums G = sum F(n,t) P_n and G_d = sum F(n,t) P1_n at cos d = x.
+def _sphere_g1_raw(x, sin_d, t: float, tol: float):
+    """Generator sums G = sum F(n,t) P_n and G_d = sum F(n,t) P1_n at
+    cos d = x, sin d = sin_d (passed in: sqrt(1 - x^2) cancels at small d).
 
     F(n,t) = (2n+1) e^{-n(n+1)t} / (4 pi n (n+1)).  With |P_n| <= 1 and
     |P1_n| <= n(n+1)/2 both tails are <= e^{-N(N+1)t}/(8 pi t); as
@@ -162,13 +163,12 @@ def _sphere_g1_raw(x, t: float, tol: float):
     """
     x = np.asarray(x, dtype=float)
     n_max = _sphere_terms(t, tol * 8.0 * math.pi)
-    sin_d = np.sqrt(np.maximum(0.0, 1.0 - x * x))
     g = np.zeros_like(x)
     gd = np.zeros_like(x)
     p_prev = np.ones_like(x)
     p_cur = x.copy()
     q_prev = np.zeros_like(x)
-    q_cur = -sin_d
+    q_cur = -np.asarray(sin_d, dtype=float)
     for n in range(1, n_max + 1):
         f_n = (2 * n + 1) * math.exp(-n * (n + 1) * t) / (_FOUR_PI * n * (n + 1))
         g = g + f_n * p_cur
@@ -180,143 +180,20 @@ def _sphere_g1_raw(x, t: float, tol: float):
 
 
 # ---------------------------------------------------------------------------
-# hyperbolic plane: spectral route
-
-def _h2_spectral(ds, t: float, budget: ToleranceBudget, generator: bool = False):
-    """K0 on H2, and with `generator` also G and G_d, at an array of distances.
-
-    All three are the spectral weight rho tanh(pi rho) e^{-lam t} / 2 pi
-    integrated against the conical function (K0; G divides the weight by
-    lam) or its radial derivative (G_d), so one adaptive rho integral with
-    one conical evaluation per panel serves every row.  Returns (rows,
-    err_est, radius, evals): rows[0] holds K0 at each distance, rows[1] and
-    rows[2] hold G and G_d when `generator` is set, and err_est bounds every
-    entry.  With `generator` every distance must be positive.
-    """
-    ds = np.asarray(ds, dtype=float)
-    tol = budget.abs_tol
-    amp = 1.0
-    if generator:
-        # |P1| grows at most linearly in rho with an O(1/sinh(d/2)) constant
-        # from the boundary term of its integral representation; the G_d
-        # envelope dominates the K0 and G ones.
-        amp = 2.0 + float(ds.max()) + 1.0 / math.sinh(0.5 * float(ds.min()))
-    bound = math.exp(-0.25 * t) * amp / (2.0 * math.pi)
-    radius, tail = gaussian_tail_radius(t, 0.25 * tol, bound=bound,
-                                        poly_degree=1)
-    radius = max(radius, 2.0 / math.sqrt(t))
-    ctol = max(1e-13, 0.05 * tol / max(radius, 1.0))
-    cb = ToleranceBudget(abs_tol=ctol, max_quad_depth=budget.max_quad_depth)
-    # The quadrature is asked for half the budget, but never for less than
-    # the conical share charged below: where the 1e-13 floor on ctol binds
-    # (tight requests, or G_d amplified by coth d in k1), err_est cannot
-    # fall under that share anyway.
-    qb = ToleranceBudget(abs_tol=max(0.5 * tol, radius * ctol / (2.0 * math.pi)),
-                         max_quad_depth=budget.max_quad_depth)
-    # A lone distance takes the evaluator's cheaper scalar-radius path.
-    radii = float(ds[0]) if ds.size == 1 else ds
-    evals = 0
-    achieved = 0.0
-
-    def integrand(rhos: np.ndarray) -> np.ndarray:
-        nonlocal evals, achieved
-        evals += rhos.size
-        p, p1, c_err = _conical_many(rhos, radii, cb, need_p1=generator)
-        achieved = max(achieved, c_err)
-        lam = 0.25 + rhos * rhos
-        w = rhos * np.tanh(np.pi * rhos) * np.exp(-lam * t)
-        if not generator:
-            return p * w / (2.0 * math.pi)
-        rows = np.stack([p * w, p * (w / lam), p1 * (w / lam)])
-        return rows.reshape(-1, rhos.size) / (2.0 * math.pi)
-
-    value, qerr = integrate_adaptive(integrand, 0.0, radius, qb, vectorized=True)
-    # The conical share charges the largest change met, which exceeds ctol
-    # only where the roundoff floor accepted it.
-    err = qerr + tail + radius * max(ctol, achieved) / (2.0 * math.pi)
-    return np.reshape(value, (-1, ds.size)), err, radius, evals
-
-
-# ---------------------------------------------------------------------------
-# hyperbolic plane: single-integral route and majorants
-
-def _mckean_nodes(ds: np.ndarray, t: float, limit: float, n_panels: int):
-    w, wt = _composite_gauss(limit, n_panels)
-    half_wsq = 0.5 * w * w
-    s = ds[:, None] + w[None, :] ** 2
-    with np.errstate(over="ignore"):
-        denom = np.sqrt(np.sinh(ds[:, None] + half_wsq[None, :])
-                        * _sinhc(half_wsq)[None, :])
-        core = 2.0 * s * np.exp(-s * s / (4.0 * t)) / denom
-    core = np.where(np.isfinite(core), core, 0.0)
-    return core @ wt
-
-
-def _mckean_many(ds, t: float, tol: float, max_depth: int = 24):
-    """Heat-kernel values on H2 at an array of distances, via the
-    single-integral form with the substitution s = d + w^2.
-
-    Shares one w grid across all distances; returns (values, err_bound).
-    """
-    ds = np.asarray(ds, dtype=float)
-    if ds.size == 0:
-        return ds.copy(), 0.0
-    dmin = float(np.min(ds))
-    c = math.sqrt(2.0) * math.exp(-0.25 * t) * (_FOUR_PI * t) ** -1.5
-
-    def tail(limit: float) -> float:
-        s_end = dmin + limit * limit
-        sinhc_w = float(_sinhc(np.array([0.5 * limit * limit]))[0])
-        with np.errstate(over="ignore"):
-            denom = math.sqrt(min(math.sinh(dmin + 0.5 * limit * limit), 1e280)
-                              * sinhc_w)
-        return c * (2.0 * t / limit) * math.exp(-s_end * s_end / (4.0 * t)) / denom
-
-    limit, tail_bound = solve_radius(
-        tail, 0.25 * tol, max(0.5, (4.0 * t * math.log(10.0)) ** 0.25), 1.2)
-    step = max(min(0.5, (4.0 * t) ** 0.25), 1e-3)
-    values, diff = refine_until_stable(
-        lambda n: c * _mckean_nodes(ds, t, limit, n),
-        (max(6, int(math.ceil(limit / step))),), 2, 0.25 * tol, max_depth,
-        # the floor concedes what roundoff already spent
-        floor=lambda cur: 64.0 * _EPS * (c + float(np.max(np.abs(cur)))))
-    return values, diff + tail_bound
-
+# hyperbolic plane
 
 def k0_h2_mckean(d: float, t, budget: ToleranceBudget = DEFAULT_BUDGET) -> float:
-    """Hyperbolic scalar heat kernel by the single-integral form.
-
-    Independent of the spectral route in k0; the two are cross-checked by the
-    verification suite.
+    """Hyperbolic scalar heat kernel at a distance, by McKean's single
+    integral: the route k0 serves from, here without the pair of points.
+    The spectral integral (hyperbolic._h2_spectral) is the independent
+    route the verification suite holds it against.
     """
     t = _as_time(t)
     d = float(d)
     if d < 0.0 or not math.isfinite(d):
         raise DomainError("distance must be finite and nonnegative")
-    values, _ = _mckean_many(np.array([d]), t, budget.abs_tol)
-    return float(values[0])
-
-
-def _h2_k0_majorant(d: float, t: float) -> float:
-    """Pointwise upper bound for the hyperbolic K0, valid for d > 0."""
-    a = 0.5 * _GAMMA_14 * (4.0 * t) ** 0.25
-    b = 0.5 * _GAMMA_34 * (4.0 * t) ** 0.75
-    lead = math.sqrt(2.0) * math.exp(-0.25 * t) * (_FOUR_PI * t) ** -1.5
-    with np.errstate(over="ignore"):
-        sh = math.sinh(d) if d < 300.0 else 1e130
-    return lead * math.exp(-d * d / (4.0 * t)) / math.sqrt(sh) * (a * d + b)
-
-
-def _h2_mass_tail(radius: float, t: float) -> float:
-    """Upper bound for int_{d > radius} K0 dA on the hyperbolic plane."""
-    a = 0.5 * _GAMMA_14 * (4.0 * t) ** 0.25
-    b = 0.5 * _GAMMA_34 * (4.0 * t) ** 0.75
-    lead = 2.0 * math.pi * (_FOUR_PI * t) ** -1.5
-    u = radius - t
-    gauss = math.exp(-u * u / (4.0 * t))
-    return lead * (2.0 * a * t * gauss
-                   + (a * t + b) * math.sqrt(math.pi * t)
-                   * math.erfc(u / (2.0 * math.sqrt(t))))
+    rows, _, _, _ = _h2_mckean([d], t, budget)
+    return float(rows[0, 0])
 
 
 def _mass_tail(kind: SurfaceKind, radius: float, t: float) -> float:
@@ -345,7 +222,7 @@ def _k0_dist(kind: SurfaceKind, d: float, t: float,
         raw, n_max, tail = _sphere_k0_raw(math.cos(d), t,
                                           budget.abs_tol * _FOUR_PI)
         return Kernel0Value(float(raw) / _FOUR_PI, tail / _FOUR_PI, n_max, 0.0)
-    rows, err, radius, evals = _h2_spectral([d], t, budget)
+    rows, err, radius, evals = _h2_mckean([d], t, budget)
     return Kernel0Value(float(rows[0, 0]), err, evals, radius)
 
 
@@ -366,7 +243,8 @@ def _k0_radial_batch(kind: SurfaceKind, ds: np.ndarray, t: float, tol: float):
     if kind is SurfaceKind.SPHERE:
         raw, _, tail = _sphere_k0_raw(np.cos(ds), t, tol * _FOUR_PI)
         return raw / _FOUR_PI, tail / _FOUR_PI
-    return _mckean_many(ds, t, tol)
+    rows, err, _, _ = _h2_mckean(ds, t, ToleranceBudget(abs_tol=tol))
+    return rows[0], err
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +267,6 @@ def _e1(z: float) -> float:
     scale = math.exp(-z)
     if scale == 0.0:
         return 0.0  # E1(z) < e^-z / z has underflowed
-    eps = float(_EPS)
     b = z + 1.0
     c, d = math.inf, 1.0 / b
     frac = d
@@ -398,7 +275,7 @@ def _e1(z: float) -> float:
         d = 1.0 / (b - k * k * d)
         c = b - k * k / c
         frac *= c * d
-        if abs(c * d - 1.0) <= eps:
+        if abs(c * d - 1.0) <= _EPS:
             break
     return frac * scale
 
@@ -417,8 +294,10 @@ def _euclid_g1(d: float, t: float):
     return g_val, g_d, g_dd
 
 
-def _g1_full(kind: SurfaceKind, d: float, t: float, budget: ToleranceBudget):
-    """(G, G_d, G_dd, err_d1, err_d2, terms, radius) behind g1_scalar and k1."""
+def _g1_full(kind: SurfaceKind, d: float, t: float, budget: ToleranceBudget,
+             h2=_h2_mckean):
+    """(G, G_d, G_dd, err_d1, err_d2, terms, radius) behind g1_scalar and k1;
+    h2 is the hyperbolic route (_h2_spectral when checking the oracle)."""
     if not math.isfinite(d) or d <= 0.0:
         raise CoincidentPointsError(
             "the 1-form generator is singular at zero separation; use the "
@@ -433,7 +312,8 @@ def _g1_full(kind: SurfaceKind, d: float, t: float, budget: ToleranceBudget):
         err2 = 8.0 * _EPS * (abs(g_d) + 1.0 / (_FOUR_PI * t))
         return g_val, g_d, g_dd, 8.0 * _EPS * abs(g_d), err2, 1, 0.0
     if kind is SurfaceKind.SPHERE:
-        g_arr, gd_arr, n_max, tail = _sphere_g1_raw(math.cos(d), t, 0.25 * tol)
+        g_arr, gd_arr, n_max, tail = _sphere_g1_raw(math.cos(d), math.sin(d), t,
+                                                    0.25 * tol)
         k0_raw, _, k0_tail = _sphere_k0_raw(math.cos(d), t, 0.25 * tol * _FOUR_PI)
         kern = float(k0_raw) / _FOUR_PI
         g_d = float(gd_arr)
@@ -441,10 +321,11 @@ def _g1_full(kind: SurfaceKind, d: float, t: float, budget: ToleranceBudget):
         err1 = tail * math.sin(d)
         err2 = tail * abs(math.cos(d)) + k0_tail / _FOUR_PI
         return float(g_arr), g_d, g_dd, err1, err2, n_max, 0.0
-    rows, err, radius, evals = _h2_spectral([d], t, budget, generator=True)
+    rows, err, radius, evals = h2([d], t, budget, generator=True)
     kern, g_val, g_d = (float(v) for v in rows[:, 0])
     g_dd = -g_d / math.tanh(d) - kern
-    return g_val, g_d, g_dd, err, err / math.tanh(d) + err, evals, radius
+    err_k0, _, err_gd = (float(e) for e in np.broadcast_to(err, 3))
+    return g_val, g_d, g_dd, err_gd, err_gd / math.tanh(d) + err_k0, evals, radius
 
 
 def g1_scalar(kind, d: float, t, budget: ToleranceBudget = DEFAULT_BUDGET):
@@ -471,7 +352,7 @@ def _k1_coincidence(kind: SurfaceKind, t: float, budget: ToleranceBudget):
     if kind is SurfaceKind.SPHERE:
         raw, n_max, tail = _sphere_k0_raw(1.0, t, budget.abs_tol * _FOUR_PI)
         return (float(raw) - 1.0) / _FOUR_PI, tail / _FOUR_PI, n_max, 0.0
-    rows, err, radius, evals = _h2_spectral([0.0], t, budget)
+    rows, err, radius, evals = _h2_mckean([0.0], t, budget)
     return float(rows[0, 0]), err, evals, radius
 
 
@@ -488,13 +369,20 @@ def k1(kind, x: Point, y: Point, t,
     if d == 0.0:
         c, err, terms, radius = _k1_coincidence(kind, t, budget)
         return Kernel1Value(BiTensor1(c, 0.0, 0.0, c), 2.0 * err, terms, radius)
+    return _k1_apart(kind, x, y, d, t, budget)
+
+
+def _k1_apart(kind: SurfaceKind, x: Point, y: Point, d: float, t: float,
+              budget: ToleranceBudget, h2=_h2_mckean) -> Kernel1Value:
+    """k1 at separation d > 0, with the hyperbolic rows from route h2."""
     data = _pair_derivatives(kind, x, y)
     frame_scale = float(np.max(np.abs(data.mixed)))
     if kind is SurfaceKind.HYPERBOLIC:
-        # One spectral pass bounds G_d and K0 alike, and the error below
-        # multiplies that bound by 2 (1 + coth d + frame_scale).
+        # The K0 and G_d rows each come with their own bound within this
+        # part; the error below is 2 (err_K0 + err_Gd (coth d + frame_scale)),
+        # so 2 (1 + coth d + frame_scale) parts cover it.
         budget = budget.part(0.5 / (1.0 + 1.0 / math.tanh(d) + frame_scale))
-    _, g_d, g_dd, err1, err2, terms, radius = _g1_full(kind, d, t, budget)
+    _, g_d, g_dd, err1, err2, terms, radius = _g1_full(kind, d, t, budget, h2)
     core = g_dd * np.outer(data.grad_x, data.grad_y) + g_d * data.mixed
     mat = apply_i_plus_star(BiTensor1.from_array(core))
     err = 2.0 * (err2 + err1 * frame_scale)
@@ -601,12 +489,6 @@ def _field_bound(field: FormField, kind: SurfaceKind) -> float:
     return field.decay.bound
 
 
-def _check_finite(vals: np.ndarray, degree: int, kind: SurfaceKind):
-    if not np.isfinite(vals).all():
-        raise DomainError(f"the degree-{degree} field returned a non-finite value "
-                          f"on the {kind.value} surface")
-
-
 def _one_form_parts(values, kind: SurfaceKind):
     """a, then b, of each degree-1 field value, in order (flat floats fill
     an array faster than pairs do)."""
@@ -682,14 +564,14 @@ def _kappa_batch(kind: SurfaceKind, s_nodes: np.ndarray, t: float, tol: float,
     frames at both points; kappa = G_dd + G_d / L(d), reduced through the
     radial identity so only K0 and G_d are needed."""
     if kind is SurfaceKind.HYPERBOLIC:
-        (kern, _, gd), _, _, _ = _h2_spectral(
+        (kern, _, gd), _, _, _ = _h2_mckean(
             s_nodes, t, budget.part(max(tol / budget.abs_tol, 0.01)),
             generator=True)
         return -kern - np.tanh(0.5 * s_nodes) * gd
     kern, _ = _k0_radial_batch(kind, s_nodes, t, tol)
     if kind is SurfaceKind.EUCLIDEAN:
         return -kern
-    _, gd, _, _ = _sphere_g1_raw(np.cos(s_nodes), t, tol)
+    _, gd, _, _ = _sphere_g1_raw(np.cos(s_nodes), np.sin(s_nodes), t, tol)
     return -kern + 1.0 / _FOUR_PI + np.tan(0.5 * s_nodes) * gd
 
 

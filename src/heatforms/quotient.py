@@ -22,8 +22,8 @@ import numpy as np
 from .errors import (DomainError, EnumerationOverflowError, KindMismatchError,
                      UnsupportedGroupError)
 from .geometry import BiTensor1, Point, SurfaceKind, distance
-from .kernels import (Kernel1Value, _as_time, _h2_k0_majorant, _h2_spectral,
-                      _k0_dist, k1 as _k1_base)
+from .hyperbolic import _h2_k0_majorant, _h2_mckean
+from .kernels import Kernel1Value, _as_time, _k0_dist, k1 as _k1_base
 from .quadrature import DEFAULT_BUDGET, ToleranceBudget, solve_radius
 
 __all__ = [
@@ -325,9 +325,9 @@ def _k0_quotient_full(q: QuotientSurface, x: Point, y: Point, t: float,
     radius, tail = _truncation(q.group, d0, t, 0.25 * tol)
     els = enumerate_elements(q.group, x, y, radius)
     if q.group.variant == "hyperbolic_cyclic":
-        # One spectral pass over every image (the identity is always among
+        # One McKean pass over every image (the identity is always among
         # them, since radius > d0), each held to its own share.
-        rows, err, _, _ = _h2_spectral(
+        rows, err, _, _ = _h2_mckean(
             [distance(q.base, x, act(g, y)) for g in els], t,
             budget.part(0.5 / len(els)))
         return math.fsum(rows[0]), tail + len(els) * err, len(els), radius

@@ -41,7 +41,29 @@ __all__ = [
 ]
 
 _TWO_SQRT2_OVER_PI = 2.0 * math.sqrt(2.0) / math.pi
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+# Cody's coefficients for _erfcx, in his order (CALERF).
+_ERFCX_A = (3.16112374387056560e00, 1.13864154151050156e02,
+            3.77485237685302021e02, 3.20937758913846947e03,
+            1.85777706184603153e-1)
+_ERFCX_B = (2.36012909523441209e01, 2.44024637934444173e02,
+            1.28261652607737228e03, 2.84423683343917062e03)
+_ERFCX_C = (5.64188496988670089e-1, 8.88314979438837594e00,
+            6.61191906371416295e01, 2.98635138197400131e02,
+            8.81952221241769090e02, 1.71204761263407058e03,
+            2.05107837782607147e03, 1.23033935479799725e03,
+            2.15311535474403846e-8)
+_ERFCX_D = (1.57449261107098347e01, 1.17693950891312499e02,
+            5.37181101862009858e02, 1.62138957456669019e03,
+            3.29079923573345963e03, 4.36261909014324716e03,
+            3.43936767414372164e03, 1.23033935480374942e03)
+_ERFCX_P = (3.05326634961232344e-1, 3.60344899949804439e-1,
+            1.25781726111229246e-1, 1.60837851487422766e-2,
+            6.58749161529837803e-4, 1.63153871373020978e-2)
+_ERFCX_Q = (2.56852019228982242e00, 1.87295284992346725e00,
+            5.27905102951428412e-1, 6.05183413124413191e-2,
+            2.33520497626869185e-3)
 # Entries of one rho-by-node array in the Mehler-Dirichlet evaluator (512 KB).
 _BLOCK_ELEMS = 1 << 16
 
@@ -129,6 +151,44 @@ def legendre_p1(n: int, x):
 def _sinhc(x: np.ndarray) -> np.ndarray:
     safe = np.where(x == 0.0, 1.0, x)
     return np.where(x == 0.0, 1.0, np.sinh(safe) / safe)
+
+
+def _erfcx(x: np.ndarray) -> np.ndarray:
+    """Scaled complementary error function e^{x^2} erfc(x) for x >= 0.
+
+    W. J. Cody's rational Chebyshev approximations (Math. Comp. 23, 1969):
+    erf on [0, 0.46875], erfcx itself on (0.46875, 4], and erfcx in 1/x^2
+    beyond; each is good to a few ulps, and nothing overflows at large x.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = x <= 0.46875
+    big = x > 4.0
+    mid = ~(small | big)
+    if small.any():
+        y = x[small]
+        ysq = y * y
+        num, den = _ERFCX_A[4] * ysq, ysq
+        for i in range(3):
+            num = (num + _ERFCX_A[i]) * ysq
+            den = (den + _ERFCX_B[i]) * ysq
+        out[small] = np.exp(ysq) * (1.0 - y * (num + _ERFCX_A[3]) / (den + _ERFCX_B[3]))
+    if mid.any():
+        y = x[mid]
+        num, den = _ERFCX_C[8] * y, y
+        for i in range(7):
+            num = (num + _ERFCX_C[i]) * y
+            den = (den + _ERFCX_D[i]) * y
+        out[mid] = (num + _ERFCX_C[7]) / (den + _ERFCX_D[7])
+    if big.any():
+        y = x[big]
+        r = (1.0 / y) ** 2
+        num, den = _ERFCX_P[5] * r, r
+        for i in range(4):
+            num = (num + _ERFCX_P[i]) * r
+            den = (den + _ERFCX_Q[i]) * r
+        out[big] = (_INV_SQRT_PI - r * (num + _ERFCX_P[4]) / (den + _ERFCX_Q[4])) / y
+    return out
 
 
 def _mehler_dirichlet_eval(rhos: np.ndarray, radii: np.ndarray, n_panels: int,

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import OneFormValue, Point, SurfaceKind, distance
-from .kernels import (FormField, _k0_radial_batch, _mass_radius, apply_k0,
-                      apply_k1, heat_residual, k0, k0_h2_mckean, k1)
+from .hyperbolic import _h2_mckean, _h2_spectral
+from .kernels import (FormField, _k0_radial_batch, _k1_apart, _mass_radius,
+                      apply_k0, apply_k1, heat_residual, k0, k1)
 from .quadrature import DecayHint, ToleranceBudget, _gauss_rule
 from .quotient import (CoveringGroupSpec, GroupElement, QuotientSurface, act,
                        k0_quotient, torus_fourier_oracle)
@@ -139,16 +140,34 @@ def _suite_residual(tol=None):
 
 
 def _suite_dual_h2(tol=None):
+    """The served McKean route against the spectral oracle on H2.
+
+    Per (r, t): K0 against the release tolerance, then K0, G, G_d and the
+    k1 matrix each against the two routes' summed err_est.
+    """
     out = []
     budget = ToleranceBudget(abs_tol=1e-9)
-    x = Point("hyperbolic", 0.0, 0.0)
-    for r in np.linspace(0.1, 3.0, 10):
-        y = Point("hyperbolic", float(r), 0.0)
-        for t in np.linspace(0.1, 2.0, 10):
-            spectral = k0("hyperbolic", x, y, float(t), budget).value
-            integral = k0_h2_mckean(float(r), float(t), budget)
-            out.append(CheckResult(f"dual-h2[r={r:.3g},t={t:.3g}]",
-                                   abs(spectral - integral), _tol(1e-6, tol)))
+    rs = np.linspace(0.1, 3.0, 10)
+    x = Point("hyperbolic", 0.3, 0.2)
+    for t in np.linspace(0.1, 2.0, 10):
+        t = float(t)
+        spec, spec_err, _, _ = _h2_spectral(rs, t, budget, generator=True)
+        mck, mck_err, _, _ = _h2_mckean(rs, t, budget, generator=True)
+        for i, r in enumerate(rs):
+            at = f"r={r:.3g},t={t:.3g}"
+            diff = np.abs(spec[:, i] - mck[:, i])
+            out.append(CheckResult(f"dual-h2[{at}]", float(diff[0]), _tol(1e-6, tol)))
+            for name, value, err in zip(("K0", "G", "G_d"), diff,
+                                        spec_err + mck_err):
+                out.append(CheckResult(f"dual-h2-{name}[{at}]", float(value),
+                                       _tol(float(err), tol)))
+            y = Point("hyperbolic", 0.3 + float(r), 0.2)
+            served = _k1_apart(SurfaceKind.HYPERBOLIC, x, y, float(r), t, budget)
+            oracle = _k1_apart(SurfaceKind.HYPERBOLIC, x, y, float(r), t, budget,
+                               _h2_spectral)
+            gap = np.abs(served.matrix.as_array() - oracle.matrix.as_array()).max()
+            out.append(CheckResult(f"dual-h2-k1[{at}]", float(gap),
+                                   _tol(served.err_est + oracle.err_est, tol)))
     return out
 
 

@@ -237,3 +237,81 @@ def test_unsettled_surface_integral_reports_its_last_change():
                           ToleranceBudget(abs_tol=1e-9, max_quad_depth=8),
                           decay=DecayHint("gaussian", 1.0, 1.2), vectorized=True)
     assert info.value.achieved > info.value.requested == 5e-10
+
+
+def _f_derivs(d):
+    """F = e^{-d} sin(2d + 0.3) and its first two derivatives."""
+    e, s, c = math.exp(-d), math.sin(2.0 * d + 0.3), math.cos(2.0 * d + 0.3)
+    return e * s, e * (2.0 * c - s), e * (-3.0 * s - 4.0 * c)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+def test_pair_derivatives_at_random_pairs(kind):
+    """Gradient and mixed Hessian of F(d(x, y)) against central differences
+    at seeded pairs, for an F whose derivatives do not vanish together."""
+    metric = {SurfaceKind.EUCLIDEAN: lambda r: r,
+              SurfaceKind.SPHERE: math.sin,
+              SurfaceKind.HYPERBOLIC: math.sinh}[kind]
+    rng = np.random.default_rng(7)
+    h = 1e-5
+    top = 2.8 if kind is SurfaceKind.SPHERE else 2.5
+    checked = 0
+    for _ in range(60):
+        coords = [rng.uniform(0.1, top), rng.uniform(0, 2 * math.pi),
+                  rng.uniform(0.1, top), rng.uniform(0, 2 * math.pi)]
+        x, y = Point(kind, *coords[:2]), Point(kind, *coords[2:])
+        d0 = distance(kind, x, y)
+        if d0 < 0.3 or (kind is SurfaceKind.SPHERE and d0 > 2.9):
+            continue
+        checked += 1
+
+        def fd(steps):
+            q = [c + s * h for c, s in zip(coords, steps)]
+            return _f_derivs(distance(kind, Point(kind, *q[:2]),
+                                      Point(kind, *q[2:])))[0]
+
+        _, f1, f2 = _f_derivs(d0)
+        grad = distance_gradient(kind, x, y)
+        assert abs(math.hypot(grad.a, grad.b) - 1.0) < 1e-10
+        g_r = (fd((1, 0, 0, 0)) - fd((-1, 0, 0, 0))) / (2 * h)
+        g_t = (fd((0, 1, 0, 0)) - fd((0, -1, 0, 0))) / (2 * h)
+        assert abs(f1 * grad.a - g_r) < 1e-8
+        assert abs(f1 * grad.b - g_t / metric(coords[0])) < 1e-8
+
+        def mixed(i, j):
+            def ev(si, sj):
+                steps = [0, 0, 0, 0]
+                steps[i], steps[j] = si, sj
+                return fd(steps)
+            return (ev(1, 1) - ev(1, -1) - ev(-1, 1) + ev(-1, -1)) / (4 * h * h)
+
+        lx, ly = metric(coords[0]), metric(coords[2])
+        ref = np.array([[mixed(0, 2), mixed(0, 3) / ly],
+                        [mixed(1, 2) / lx, mixed(1, 3) / (lx * ly)]])
+        got = mixed_distance_hessian(kind, x, y, f1, f2).as_array()
+        assert np.abs(got - ref).max() < 1e-4
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+def test_mixed_hessian_is_finite_near_coincidence(kind):
+    x = Point(kind, 0.7, 1.1)
+    y = Point(kind, 0.7 + 1e-8, 1.1 + 1e-8)
+    d0 = distance(kind, x, y)
+    m = mixed_distance_hessian(kind, x, y, -1.0 / d0, -2.0).as_array()
+    assert np.all(np.isfinite(m))
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+def test_nan_field_raises_on_the_first_integration_pass(kind):
+    calls = []
+
+    def field(p):
+        calls.append(p)
+        return math.nan
+
+    decay = None if kind is SurfaceKind.SPHERE else DecayHint("gaussian", 1.0, 1.0)
+    with pytest.raises(DomainError, match="non-finite"):
+        integrate_surface(kind, field, ToleranceBudget(abs_tol=1e-8), decay)
+    # the first pass asks for a 32 x 64 grid
+    assert 0 < len(calls) <= 32 * 64

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatforms import kernels
+from heatforms import hyperbolic, kernels
 from heatforms.errors import (CoincidentPointsError, CutLocusError,
                               DomainError, NonconvergenceError)
 from heatforms.geometry import (OneFormValue, Point, SurfaceKind, distance)
 from heatforms.kernels import (T_MIN, FormField, HeatTime, apply_k0, apply_k1,
-                               g1_scalar, heat_residual, k0, k0_h2_mckean, k1,
-                               k2)
+                               g1_scalar, heat_residual, k0, k1, k2)
 from heatforms.quadrature import (DecayHint, ToleranceBudget,
                                   _composite_gauss, integrate_adaptive)
 from heatforms.specfun import legendre_p
@@ -94,12 +93,126 @@ def test_k1_coincidence_is_isotropic():
 
 
 def test_h2_dual_routes_agree():
+    # k0 serves from McKean's integral; the spectral integral is the oracle.
     for d in (0.1, 1.0, 2.5):
         for t in (0.1, 0.8):
-            a = k0("hyperbolic", Point("hyperbolic", 0.0, 0.0),
-                   Point("hyperbolic", d, 0.0), t, TIGHT).value
-            b = k0_h2_mckean(d, t, TIGHT)
-            assert abs(a - b) < 1e-9
+            served = k0("hyperbolic", Point("hyperbolic", 0.0, 0.0),
+                        Point("hyperbolic", d, 0.0), t, TIGHT)
+            rows, err, _, _ = hyperbolic._h2_spectral([d], t, TIGHT)
+            gap = abs(served.value - rows[0, 0])
+            assert gap < 1e-9
+            assert gap <= served.err_est + err
+
+
+# (d, t, K0, G, G_d) from mpmath quadrature of the defining integrals at
+# 30 digits, with G's and G_d's numerator from the closed form of I(s, t).
+_MCKEAN_FROZEN = (
+    (0.01, 0.001, 77.5861845381959, 0.5936851851468941, -0.39281907885260187),
+    (1e-06, 0.4, 0.17439242924063034, 0.12905548240248013, -8.71962146203387e-08),
+    (0.1, 0.05, 1.4877106459699274, 0.2817834308934897, -0.07624442765902462),
+    (0.8, 0.4, 0.11107905358216655, 0.10465990823504344, -0.053113652799642634),
+    (1.5, 0.05, 1.7097411281125414e-05, 0.0722396799015928, -0.07474475931876104),
+    (0.2, 1.0, 0.05678324924601428, 0.06952109684948826, -0.005696845374993593),
+    (3.0, 2.0, 0.0038802213894533373, 0.010700996761732584, -0.007668371931318349),
+)
+
+
+@pytest.mark.parametrize("d,t,kern,g,g_d", _MCKEAN_FROZEN)
+def test_h2_mckean_rows_meet_their_err_est(d, t, kern, g, g_d):
+    for tol in (1e-8, 1e-12):
+        rows, err, _, _ = hyperbolic._h2_mckean([d], t, ToleranceBudget(abs_tol=tol),
+                                            generator=True)
+        assert np.all(err <= tol)
+        assert np.all(np.abs(rows[:, 0] - (kern, g, g_d)) <= err)
+
+
+@pytest.mark.parametrize("d,t,kern,g,g_d", _MCKEAN_FROZEN)
+def test_h2_mckean_rows_match_the_spectral_oracle(d, t, kern, g, g_d):
+    budget = ToleranceBudget(abs_tol=1e-10)
+    served, s_err, _, _ = hyperbolic._h2_mckean([d], t, budget, generator=True)
+    oracle, o_err, _, _ = hyperbolic._h2_spectral([d], t, budget, generator=True)
+    assert np.all(np.abs(served - oracle)[:, 0] <= s_err + o_err)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.floats(1e-4, 6.0), min_size=2, max_size=4),
+       st.floats(1e-3, 2.0), st.floats(-12.0, -6.0), st.booleans())
+def test_h2_mckean_batch_matches_single_distances(ds, t, log_tol, generator):
+    budget = ToleranceBudget(abs_tol=10.0 ** log_tol)
+    rows, err, _, _ = hyperbolic._h2_mckean(ds, t, budget, generator)
+    assert rows.shape == (3 if generator else 1, len(ds))
+    assert np.all(err <= budget.abs_tol)
+    for i, d in enumerate(ds):
+        one, one_err, _, _ = hyperbolic._h2_mckean([d], t, budget, generator)
+        assert np.all(np.abs(rows[:, i] - one[:, 0]) <= err + one_err)
+
+
+def test_h2_mckean_batch_memory_stays_under_the_spectral_route():
+    """Distance-by-node arrays are built in blocks, so a 200-node generator
+    batch (an apply_k1 pass) peaks no higher than the spectral route's
+    rho-by-radius blocks on the same nodes."""
+    nodes = np.linspace(0.025, 5.0, 200)
+    budget = ToleranceBudget(abs_tol=1e-10)
+    peaks = []
+    for route in (hyperbolic._h2_mckean, hyperbolic._h2_spectral):
+        route(nodes, 0.1, budget, True)  # builds the cached quadrature rules
+        tracemalloc.start()
+        try:
+            route(nodes, 0.1, budget, True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
+
+
+# (z, (E_2.5, E_7.5, E_14.5)) from mpmath.expint.
+_EXPINT_FROZEN = (
+    (0.01, (0.6489300494125563, 0.15203903568614924, 0.07327840607090695)),
+    (1.0, (0.12648781959325442, 0.048111374216158694, 0.025243518873891514)),
+    (2.9, (0.010968299058131603, 0.00566124273747861, 0.0033179092809167217)),
+    (3.1, (0.00861462508728204, 0.004535316687750674, 0.0026825112176820745)),
+    (10.0, (3.68442399367994e-06, 2.655273500207407e-06, 1.8973718371958531e-06)),
+)
+
+
+@pytest.mark.parametrize("z,ref", _EXPINT_FROZEN)
+def test_expint_table_on_both_sides_of_its_seam(z, ref):
+    got = hyperbolic._expint_table(z, 13)[[0, 5, 12]]
+    assert np.all(np.abs(got - ref) <= 2e-14 * np.abs(ref))
+
+
+def test_sigma_parts_agree_with_mpmath_across_the_series_seam():
+    # (s, s/sinh s, (s/sinh s)'/s) from mpmath at 30 digits
+    frozen = ((1e-06, 0.9999999999998334, -0.33333333333325554),
+              (0.3, 0.9851560190095271, -0.3264317653945207),
+              (0.999, 0.8511844198828828, -0.266482323857748),
+              (1.001, 0.8506516851772198, -0.26625242618954287),
+              (4.0, 0.14657428130346242, -0.02750727109134249),
+              (40.0, 3.398683404233271e-16, -8.284290797818598e-18))
+    s, sigma, dsig = (np.array(col) for col in zip(*frozen))
+    got_sigma, got_dsig = hyperbolic._sigma_parts(s)
+    assert np.all(np.abs(got_sigma - sigma) <= 4e-16 * np.abs(sigma))
+    assert np.all(np.abs(got_dsig - dsig) <= 2e-15 * np.abs(dsig))
+
+
+def test_sphere_generator_keeps_g_d_at_small_separation():
+    """G_d/d and G_dd both tend to -c(t)/2, with c(t) the coincidence value
+    of k1; rebuilding sin d from cos d used to zero G_d below d ~ 1e-8."""
+    t = 0.3
+    x = Point("sphere", 0.7, 0.2)
+    half_c = 0.5 * k1("sphere", x, x, t, TIGHT).matrix.m11
+    for d in np.logspace(-12, -3, 10):
+        _, g_d, g_dd = g1_scalar("sphere", float(d), t, TIGHT)
+        assert abs(g_d / d + half_c) <= 1e-12 + 0.1 * d * d
+        assert abs(g_dd + half_c) <= 1e-12 + 0.2 * d * d
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_err_est_is_a_python_float(kind):
+    x = Point(kind, 0.4, 0.3)
+    for y in (x, Point(kind, 0.9, 1.0)):
+        for value in (k0(kind, x, y, 0.3), k1(kind, x, y, 0.3), k2(kind, x, y, 0.3)):
+            assert type(value.err_est) is float
 
 
 @settings(max_examples=12, deadline=None)
@@ -107,10 +220,10 @@ def test_h2_dual_routes_agree():
        st.floats(0.01, 2.0), st.floats(-10.0, -6.0), st.booleans())
 def test_h2_spectral_batch_matches_single_distances(ds, t, log_tol, generator):
     budget = ToleranceBudget(abs_tol=10.0 ** log_tol)
-    rows, err, _, _ = kernels._h2_spectral(ds, t, budget, generator)
+    rows, err, _, _ = hyperbolic._h2_spectral(ds, t, budget, generator)
     assert rows.shape == (3 if generator else 1, len(ds))
     for i, d in enumerate(ds):
-        one, one_err, _, _ = kernels._h2_spectral([d], t, budget, generator)
+        one, one_err, _, _ = hyperbolic._h2_spectral([d], t, budget, generator)
         assert np.all(np.abs(rows[:, i] - one[:, 0]) <= err + one_err)
 
 
@@ -131,16 +244,16 @@ def test_generator_is_the_time_integral_of_the_kernel(kind, d):
 def test_h2_mass_tail_and_majorant_bound_the_kernel():
     for t in (0.05, 0.5, 2.0):
         # the whole mass is 1
-        assert kernels._h2_mass_tail(0.0, t) >= 1.0
+        assert hyperbolic._h2_mass_tail(0.0, t) >= 1.0
         ds = np.array([0.1, 0.5, 1.0, 2.0, 4.0])
-        vals, _ = kernels._mckean_many(ds, t, 1e-12)
+        vals = hyperbolic._h2_mckean(ds, t, TIGHT)[0][0]
         for d, v in zip(ds, vals):
-            assert 0.0 < v <= kernels._h2_k0_majorant(d, t)
+            assert 0.0 < v <= hyperbolic._h2_k0_majorant(d, t)
         for radius in (1.0, 2.0):
             rs, wts = _composite_gauss(20.0, 40)
-            kern, _ = kernels._mckean_many(radius + rs, t, 1e-12)
+            kern = hyperbolic._h2_mckean(radius + rs, t, TIGHT)[0][0]
             mass = float(np.sum(kern * 2.0 * math.pi * np.sinh(radius + rs) * wts))
-            assert mass <= kernels._h2_mass_tail(radius, t)
+            assert mass <= hyperbolic._h2_mass_tail(radius, t)
 
 
 @pytest.mark.parametrize("d", [0.1, 0.5, 1.5])
@@ -326,8 +439,8 @@ def test_apply_k1_plane_parallel_field():
 
 def test_h2_apply_k1_of_a_gaussian_differential_is_d_of_apply_k0():
     """apply_k1 of d(e^{-r^2}) equals the r-derivative of apply_k0 of
-    e^{-r^2}: the 1-form evolution runs through the spectral K0 and G_d,
-    the scalar one through the McKean kernel, and the evolved 1-form of a
+    e^{-r^2}: the 1-form evolution runs through the generator rows K0 and
+    G_d, the scalar one through K0 alone, and the evolved 1-form of a
     radial field has no angular component."""
     t, tol = 0.5, 1e-6
     x = Point("hyperbolic", 1.0, 0.3)
@@ -393,11 +506,13 @@ def _frozen_sphere_form(p):
 
 
 # Frozen before the per-point grid sampler existed: (apply_k0, apply_k1 a,
-# apply_k1 b) at (0.7, 5.9), t = 0.5; the H2 apply_k1 at abs_tol 1e-6.
+# apply_k1 b) at (0.7, 5.9), t = 0.5; the H2 apply_k1 at abs_tol 1e-6.  The
+# H2 entry was refrozen when its radial kernels moved to the batched McKean
+# route: apply_k0 moved by 1.8e-13 and apply_k1 by 2.8e-17.
 _FROZEN_EVOLUTIONS = {
     "sphere": (0.331754955923188, -0.18480157416075194, 0.027508307704957893),
     "plane": (0.3009482156697401, 0.2625716289363291, 0.12566267318777705),
-    "hyperbolic": (0.2639528497249115, 0.15535624899802297, 0.08336338989764339),
+    "hyperbolic": (0.2639528497247274, 0.155356248998023, 0.0833633898976434),
 }
 
 
@@ -498,23 +613,55 @@ def test_unsettled_kernel_application_reports_its_last_change():
 
 
 def test_mckean_refinement_failure_is_in_kernel_units(monkeypatch):
-    """Raw quadrature sums that alternate 0, 1, 0, ... differ by 1 each round;
-    the kernel values, c times the sums, differ by c."""
+    """Block sums that alternate 0, c, 0, ... differ by c each round, and
+    the failure reports that change against the quadrature's share of the
+    tolerance."""
     passes = iter(range(100))
-    monkeypatch.setattr(kernels, "_mckean_nodes",
-                        lambda ds, t, limit, n: np.full(ds.shape, next(passes) % 2.0))
+    c = 3.0e-3
+
+    def block(ds, w, wts, t, generator, di_coefs):
+        # one column per rule, each rule a pass of its own
+        rows = np.empty((3 if generator else 1, ds.size, wts.shape[1]))
+        for rule in range(wts.shape[1]):
+            rows[..., rule] = c * (next(passes) % 2)
+        return rows, np.abs(rows)
+
+    monkeypatch.setattr(hyperbolic, "_mckean_block", block)
     t, tol = 0.01, 1e-8
-    with pytest.raises(NonconvergenceError) as info:
-        kernels._mckean_many(np.array([0.5]), t, tol)
-    c = math.sqrt(2.0) * math.exp(-0.25 * t) * (4.0 * math.pi * t) ** -1.5
-    assert info.value.achieved == pytest.approx(c)
-    assert info.value.requested == 0.25 * tol
+    for generator in (False, True):
+        with pytest.raises(NonconvergenceError) as info:
+            hyperbolic._h2_mckean([0.5], t, ToleranceBudget(abs_tol=tol), generator)
+        assert info.value.achieved == pytest.approx(c)
+        assert info.value.requested == 0.5 * tol
+
+
+def test_mckean_third_pass_evaluates_one_grid(monkeypatch):
+    """Only the first pass takes the next grid with it: a call that needs a
+    third pass evaluates the 4-split grid alone, not the 8-split one too."""
+    splits = []
+    grid = hyperbolic._mckean_grid
+
+    def counted_grid(limit, fine, n_split):
+        splits.append(n_split)
+        return grid(limit, fine, n_split)
+
+    values = iter([3.0e-3, 0.0, 0.0])  # one per rule, in pass order
+
+    def block(ds, w, wts, t, generator, di_coefs):
+        rows = np.empty((1, ds.size, wts.shape[1]))
+        for rule in range(wts.shape[1]):
+            rows[..., rule] = next(values)
+        return rows, np.abs(rows)
+
+    monkeypatch.setattr(hyperbolic, "_mckean_grid", counted_grid)
+    monkeypatch.setattr(hyperbolic, "_mckean_block", block)
+    hyperbolic._h2_mckean([0.5], 0.01, ToleranceBudget(abs_tol=1e-8))
+    assert splits == [1, 2, 4]
 
 
 def test_h2_k1_at_small_time_and_separation_meets_a_tight_request():
-    # The spectral route asks the conical evaluation for 1e-13 here, below
-    # what |P1| ~ 100 at d ~ 0.007 leaves after roundoff; the evaluation
-    # accepts the roundoff floor and charges it to err_est.
+    # k1 multiplies the G_d bound by coth d ~ 140 here; the McKean rows
+    # carry one bound each, so K0's roundoff (K0 ~ 80) is not amplified.
     x = Point("hyperbolic", 0.053893574259596455, 4.3586909126399895)
     y = Point("hyperbolic", 0.060122155357255264, 4.3240697040925475)
     t = 0.001032441547219743
@@ -522,3 +669,18 @@ def test_h2_k1_at_small_time_and_separation_meets_a_tight_request():
     loose = k1("hyperbolic", x, y, t, ToleranceBudget(abs_tol=1e-8))
     diff = np.abs(tight.matrix.as_array() - loose.matrix.as_array()).max()
     assert diff <= tight.err_est + loose.err_est
+
+
+def test_h2_k1_meets_a_tight_request_at_small_time_and_separation():
+    """d = 0.003, t = 1e-3, abs_tol 1e-12: the spectral route reported
+    err_est 8e-9 here; the McKean rows meet the request and agree with that
+    route within the two bounds."""
+    x, y = Point("hyperbolic", 0.4, 0.3), Point("hyperbolic", 0.403, 0.3)
+    budget = ToleranceBudget(abs_tol=1e-12)
+    served = k1("hyperbolic", x, y, 1e-3, budget)
+    assert served.err_est <= 1e-12
+    d = distance("hyperbolic", x, y)
+    oracle = kernels._k1_apart(SurfaceKind.HYPERBOLIC, x, y, d, 1e-3, budget,
+                               hyperbolic._h2_spectral)
+    gap = np.abs(served.matrix.as_array() - oracle.matrix.as_array()).max()
+    assert gap <= served.err_est + oracle.err_est

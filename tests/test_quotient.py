@@ -243,3 +243,79 @@ def test_fourier_oracle_overflow_guard():
 
 def test_quotient_surfaces_of_one_group_compare_equal():
     assert QuotientSurface.from_group(SKEW) == QuotientSurface(E, SKEW)
+
+
+# theta_3(0, exp(-1/(4t)))^2 / (4 pi t) on the unit torus diagonal, and the
+# off-diagonal product of two one-dimensional theta sums at offset
+# (0.35, 0.2), t = 0.3; mpmath 1.3.0 at 40 digits.
+@pytest.mark.parametrize("t,y,ref", [
+    (0.1, (0.0, 0.0), 1.0786751768406495),
+    (0.6, (0.0, 0.0), 1.0000000002064926),
+    (1.0, (0.0, 0.0), 1.0),
+    (0.3, (0.35, 0.2), 0.999995994103659),
+])
+def test_unit_torus_matches_the_mpmath_theta_value(t, y, ref):
+    q = QuotientSurface.from_group(UNIT)
+    origin = Point(E, 0.0, 0.0)
+    yp = Point(E, math.hypot(*y), math.atan2(y[1], y[0]))
+    assert abs(k0_quotient(q, origin, yp, t, TIGHT) - ref) < 1e-12
+    assert abs(torus_fourier_oracle(UNIT, origin, yp, t, TIGHT) - ref) < 1e-12
+
+
+def test_reduce_stays_in_the_orbit():
+    rng = np.random.default_rng(20260819)
+    for group, kind, reach in ((SKEW, E, 8.0), (HCYL, H, 12.0)):
+        q = QuotientSurface.from_group(group)
+        for _ in range(20):
+            p = Point(kind, rng.uniform(0.0, 3.0), rng.uniform(0.0, 2 * math.pi))
+            red = q.reduce(p)
+            gap = min(distance(kind, p, act(g, red))
+                      for g in enumerate_elements(group, p, red, reach))
+            assert gap < 1e-10
+
+
+def test_hyperbolic_cylinder_is_invariant_along_its_axis():
+    from heatforms.quotient import _axis_translate
+    q = QuotientSurface.from_group(HCYL)
+    x, y = Point(H, 0.5, 0.9), Point(H, 0.8, 2.4)
+    base = k0_quotient(q, x, y, 0.4, TIGHT)
+    for delta in (0.3, -0.7, 1.1):
+        moved = k0_quotient(q, _axis_translate(x, delta),
+                            _axis_translate(y, delta), 0.4, TIGHT)
+        assert abs(moved - base) < 1e-10
+    # every image adds a positive kernel value
+    assert base > k0("hyperbolic", x, y, 0.4, TIGHT).value
+
+
+def _dx(p):
+    """The constant Cartesian form dx in p's unit polar coframe."""
+    return np.array([math.cos(p.c2), -math.sin(p.c2)])
+
+
+def _torus_cells(n):
+    for i in range(n):
+        for j in range(n):
+            u, v = (i + 0.5) / n, (j + 0.5) / n
+            yield Point(E, math.hypot(u, v), math.atan2(v, u))
+
+
+@pytest.mark.parametrize("t,n", [(0.3, 28), (20.0, 4)])
+def test_torus_k1_fixes_the_constant_form_dx(t, n):
+    # uniform Riemann sums are exact for smooth periodic integrands; at
+    # t = 20 every nonconstant mode has decayed below roundoff
+    q = QuotientSurface.from_group(UNIT)
+    x = Point(E, 0.41, 0.87)
+    out = sum(k1_quotient_flat(q, x, y, t).matrix.as_array() @ _dx(y)
+              for y in _torus_cells(n)) / n ** 2
+    assert np.abs(out - _dx(x)).max() < 1e-8
+
+
+def test_torus_k1_semigroup():
+    q = QuotientSurface.from_group(UNIT)
+    x, y, s = Point(E, 0.2, 0.5), Point(E, 0.66, 2.8), 0.15
+    n = 24
+    acc = sum(k1_quotient_flat(q, x, z, s).matrix.as_array()
+              @ k1_quotient_flat(q, z, y, s).matrix.as_array()
+              for z in _torus_cells(n)) / n ** 2
+    direct = k1_quotient_flat(q, x, y, 2 * s).matrix.as_array()
+    assert np.abs(acc - direct).max() < 1e-4

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from heatforms.errors import DomainError
 from heatforms.quadrature import DecayHint, ToleranceBudget
 from heatforms.specfun import (RadialProfile, SpectralParameter,
-                               _conical_many, _forward_with_error,
+                               _conical_many, _erfcx, _forward_with_error,
                                _inverse_with_error,
                                _mehler_dirichlet_eval, conical_p, conical_p1,
                                legendre_p, legendre_p1, mehler_fock_forward,
@@ -296,3 +296,19 @@ def test_inverse_err_est_bounds_the_error(tol):
         assert abs(value - profile(r)) <= err
         assert mehler_fock_inverse(fhat, r, budget, gaussian_rate=0.2,
                                    bound=10.0) == value
+
+
+def test_erfcx_is_pinned_to_the_scaled_erfc():
+    # exp(x^2) erfc(x) loses relative accuracy to erfc's underflow only
+    # past x ~ 26; below that it is a faithful reference.
+    xs = np.concatenate([np.linspace(0.0, 6.0, 601), [0.46875, 4.0, 10.0, 25.0],
+                         np.logspace(-12, -1, 12)])
+    ref = np.array([math.exp(x * x) * math.erfc(x) for x in xs])
+    assert np.all(np.abs(_erfcx(xs) - ref) <= 5e-15 * ref)
+    # far out erfcx(x) = (1 - 1/(2x^2) + 3/(4x^4) - ...) / (sqrt(pi) x), and
+    # nothing overflows
+    big = np.array([1e3, 1e8, 1e150, 1e300])
+    inv_sq = (1.0 / big) ** 2
+    asym = (1.0 - 0.5 * inv_sq + 0.75 * inv_sq ** 2) / (math.sqrt(math.pi) * big)
+    assert np.all(np.abs(_erfcx(big) - asym) <= 1e-15 * asym)
+    assert _erfcx(np.array([0.0]))[0] == 1.0
