@@ -35,7 +35,7 @@ from .kernels import k0, k1, k2
 from .quadrature import ToleranceBudget
 from .quotient import (CoveringGroupSpec, QuotientSurface, _k0_quotient_full,
                        k1_quotient_flat)
-from .specfun import _forward_with_error, _inverse_with_error, mehler_fock_forward
+from .specfun import _forward_with_error, _inverse_fhat_gain, _inverse_with_error
 from .verify import PROFILES, SUITE_NAMES, run_suite
 
 _MAX_RECORDS = 10 ** 6
@@ -188,19 +188,27 @@ def _run_transform(args) -> int:
             rows.append({"direction": "forward", "profile": profile.name,
                          "arg": rho, "value": val, "err_est": err})
     else:
+        # fhat is computed, not exact: each inverse row also charges the
+        # largest forward err_est among the rho it sampled, times the gain
+        # _inverse_fhat_gain proves.
         cache = {}
+        worst = [0.0]
 
         def fhat(rho):
             key = float(rho)
             if key not in cache:
-                cache[key] = mehler_fock_forward(profile, key, budget)
-            return cache[key]
+                cache[key] = _forward_with_error(profile, key, budget)
+            worst[0] = max(worst[0], cache[key][1])
+            return cache[key][0]
 
         radii = _parse_range(args.r_range, "--r-range")
+        gain = _inverse_fhat_gain(budget, 0.2, 10.0)
         num = den = 0.0
         for r in radii:
+            worst[0] = 0.0
             back, err = _inverse_with_error(fhat, r, budget,
                                             gaussian_rate=0.2, bound=10.0)
+            err += worst[0] * gain
             if args.direction == "inverse":
                 rows.append({"direction": "inverse", "profile": profile.name,
                              "arg": r, "value": back, "err_est": err})

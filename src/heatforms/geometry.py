@@ -16,14 +16,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import (CoincidentPointsError, CutLocusError, DecayHintError,
-                     DomainError, KindMismatchError)
+                     DomainError, KindMismatchError, NonconvergenceError)
 from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
-                         _composite_gauss, _gauss_rule, _h2_envelope_radius,
-                         refine_until_stable, solve_radius)
+                         _h2_envelope_radius, _max_change, refine_until_stable,
+                         solve_radius)
 
 __all__ = [
     "SurfaceKind",
@@ -332,31 +333,156 @@ def _radial_truncation(kind: SurfaceKind, decay: DecayHint, tol: float) -> float
     return _h2_envelope_radius(decay, tol)[0]
 
 
-def _radial_rule(kind: SurfaceKind, n_rad: int, radius: float):
-    """Radial nodes and weights with the area factor absorbed.
+@lru_cache(maxsize=None)
+def _nested_order(n: int) -> np.ndarray:
+    """0 .. n - 1 sorted by decreasing power of two dividing them (0 first),
+    then by size.  Listed in this order, the nodes k pi / 2n of a doubled
+    rule start with the nodes k pi / n of the rule it doubles, in their own
+    order and bit for bit, so each doubling only appends nodes."""
+    k = np.arange(n)
+    return np.lexsort((k, -np.where(k == 0, n, k & -k)))
 
-    Sphere: n_rad Gauss-Legendre nodes in cos(phi), whose measure absorbs
-    the sin(phi) area factor.  Planes: composite 15-point Gauss panels in r
-    up to `radius`, weighted by r or sinh r.
+
+@lru_cache(maxsize=None)
+def _fejer2(n_int: int):
+    """Fejer's second rule on [-1, 1] in nested order: the n_int - 1 nodes
+    cos(k pi / n_int), none at an endpoint, with weights
+    (4 sin th / n_int) sum_{j <= n_int / 2} sin((2j - 1) th) / (2j - 1)
+    at th = k pi / n_int (Waldvogel, BIT 46, 2006).  Exact for polynomials
+    of degree n_int - 1; doubling n_int keeps every node."""
+    th = _nested_order(n_int)[1:] * math.pi / n_int
+    odd = np.arange(1, n_int, 2)
+    sums = (np.sin(np.outer(th, odd)) / odd).sum(axis=1)
+    return np.cos(th), 4.0 * np.sin(th) * sums / n_int
+
+
+def _radial_panel(kind: SurfaceKind, lo: float, hi: float, n_int: int):
+    """Radial nodes s in [lo, hi] (nested order) and their area weights.
+
+    Fejer's second rule runs in v = 1 - cos s on the sphere, whose measure
+    dv = sin s ds absorbs the area factor, and in s weighted by s or sinh s
+    on the planes.  No node falls on a panel edge, so none on the chart
+    centre or the sphere's antipode.
     """
+    x, w = _fejer2(n_int)
     if kind is SurfaceKind.SPHERE:
-        xs, ws = _gauss_rule(n_rad)
-        return np.arccos(xs), ws
-    nodes, wts = _composite_gauss(radius, max(1, n_rad // 15))
-    area = nodes if kind is SurfaceKind.EUCLIDEAN else np.sinh(nodes)
-    return nodes, wts * area
+        a, b = 2.0 * math.sin(0.5 * lo) ** 2, 2.0 * math.sin(0.5 * hi) ** 2
+        v = 0.5 * (a + b) + 0.5 * (b - a) * x
+        return 2.0 * np.arcsin(np.sqrt(0.5 * v)), 0.5 * (b - a) * w
+    s = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+    area = s if kind is SurfaceKind.EUCLIDEAN else np.sinh(s)
+    return s, 0.5 * (hi - lo) * w * area
 
 
-def _surface_grid(kind: SurfaceKind, n_rad: int, n_ang: int, radius: float = 0.0):
-    """Product quadrature grid: (c1 nodes, c2 nodes, weight matrix).
+def _nested_integral(kind: SurfaceKind, edges, sample, tol: float, start: tuple,
+                     limit: tuple, profile=None, mass_tol: float = 0.0):
+    """Integral of sample over a product of nested radial and angular rules.
 
-    The radial rule times uniform theta (trapezoid on the periodic
-    direction is spectrally accurate).
+    edges are the radial panel edges, each panel carrying its own Fejer
+    rule (_radial_panel); the angle takes the trapezoid rule, spectrally
+    accurate on the periodic direction.  sample(s, psi) returns the
+    integrand on the product of radial nodes s and angles psi, shaped
+    (s.size, psi.size) or (s.size, psi.size, c) for c components.
+    profile(s), if given, is a radial factor (a kernel) on the weights.
+
+    The first pass takes start = (radial intervals per panel, angles).
+    With a profile, each panel's radial start is sized from the profile
+    alone, without samples: its rule doubles from start[0] until two rules
+    agree on the profile's mass over the panel to within mass_tol, and the
+    coarser of the two is the start.
+
+    Both rules are nested, so every pass also holds the rules of half its
+    size in either direction, and the changes from those halves estimate
+    each direction's error without new samples.  The next pass doubles
+    the rules whose change exceeds tol / 4, or the one with the larger
+    change when neither does, and refine_until_stable accepts once two
+    passes agree within tol.  No rule grows past limit = (radial intervals
+    per panel, angles); a pass that should but cannot raises
+    NonconvergenceError.  A pass keeps the values it has and samples only
+    the new nodes: the new radial nodes at every angle, then the old ones
+    at the new angles.  So each node is sampled once, and the profile is
+    evaluated once per radial node.  Returns the last pass, a float or an
+    array of c components.
     """
-    ang = np.arange(n_ang) * (_TWO_PI / n_ang)
-    w_ang = np.full(n_ang, _TWO_PI / n_ang)
-    c1, w_rad = _radial_rule(kind, n_rad, radius)
-    return c1, ang, np.outer(w_rad, w_ang)
+    panels = list(zip(edges[:-1], edges[1:]))
+    prof = [np.empty(0) for _ in panels]
+    vals = [None for _ in panels]
+    psi = np.empty(0)
+
+    def rule(p: int, n_int: int):
+        s, w = _radial_panel(kind, *panels[p], n_int)
+        if profile is None:
+            return s, w
+        if prof[p].size < s.size:
+            prof[p] = np.concatenate([prof[p], profile(s[prof[p].size:])])
+        return s, w * prof[p][:s.size]
+
+    def sized_start(p: int) -> int:
+        tried = []
+
+        def mass(n_int: int) -> float:
+            tried.append(n_int)
+            return float(rule(p, n_int)[1].sum())
+
+        refine_until_stable(mass, (start[0],), 2, mass_tol,
+                            int(math.log2(limit[0] / start[0])))
+        return tried[-2]
+
+    starts = [start[0] if profile is None else sized_start(p)
+              for p in range(len(panels))]
+
+    def integral(scale: int, n_a: int):
+        """The sum over the stored values of the rules scale x the starts
+        and the first n_a angles."""
+        total = 0.0
+        for p, n in enumerate(starts):
+            _, w = rule(p, int(n * scale))
+            total = total + np.tensordot(w, vals[p][:w.size, :n_a], axes=1).sum(axis=0)
+        return total * (_TWO_PI / n_a)
+
+    size = [1, start[1]]  # radial scale, angles
+    room = [int(math.log2(limit[0] / max(starts))), int(math.log2(limit[1] / start[1]))]
+    passes, changes = [], None  # the last two passes; the last's half-rule changes
+
+    def one_pass(_):
+        nonlocal psi, changes
+        if changes is not None:
+            grow = [c > 0.25 * tol and r > 0 for c, r in zip(changes, room)]
+            if not any(grow):
+                open_dims = [d for d in (0, 1) if room[d] > 0]
+                if not open_dims:
+                    diff = _max_change(*passes)
+                    raise NonconvergenceError(
+                        f"refinement did not stabilize: change {diff:.3e} on "
+                        f"its largest grid (requested {tol:.3e})",
+                        achieved=diff, requested=tol)
+                grow[max(open_dims, key=lambda d: changes[d])] = True
+            for d in (0, 1):
+                size[d] *= 1 + grow[d]
+                room[d] -= grow[d]
+        scale, n_a = size
+        new_psi = _TWO_PI * _nested_order(n_a)[psi.size:] / n_a
+        rules = [rule(p, n * scale)[0] for p, n in enumerate(starts)]
+        held = [0 if v is None else v.shape[0] for v in vals]
+        if psi.size and new_psi.size:
+            block = sample(np.concatenate([s[:h] for s, h in zip(rules, held)]),
+                           new_psi)
+            parts = np.split(block, np.cumsum(held)[:-1])
+            vals[:] = [np.concatenate([v, b], axis=1) for v, b in zip(vals, parts)]
+        psi = np.concatenate([psi, new_psi])
+        fresh = [s[h:] for s, h in zip(rules, held)]
+        if sum(f.size for f in fresh):
+            block = sample(np.concatenate(fresh), psi)
+            parts = np.split(block, np.cumsum([f.size for f in fresh])[:-1])
+            vals[:] = [b if v is None else np.concatenate([v, b])
+                       for v, b in zip(vals, parts)]
+        value = integral(scale, n_a)
+        changes = (_max_change(value, integral(0.5 * scale, n_a)),
+                   _max_change(value, integral(scale, n_a // 2)))
+        passes[:] = passes[-1:] + [value]
+        return value
+
+    return refine_until_stable(one_pass, (1,), 2, tol, sum(room) + 1)[0]
 
 
 def _check_finite(vals: np.ndarray, degree: int, kind: SurfaceKind):
@@ -377,20 +503,23 @@ def integrate_surface(kind, f, budget: ToleranceBudget = DEFAULT_BUDGET,
     decay : DecayHint, optional
         Required on the plane and hyperbolic plane to truncate the domain.
 
-    The grid is refined until two successive refinements agree to within the
-    budget; the sphere needs no decay hint.  A non-finite value of f raises
+    The integral runs on the nested sampler of apply_k0 and apply_k1
+    (_nested_integral) without a kernel, from 31 radial nodes by 64
+    angles: refinement keeps every value it has and samples f only at new
+    nodes, so each node once, until two passes agree to within the budget.
+    The sphere needs no decay hint.  A non-finite value of f raises
     DomainError on the first pass.
     """
     kind = SurfaceKind.parse(kind)
-    radius = 0.0
-    if kind is not SurfaceKind.SPHERE:
-        if decay is None:
-            raise DecayHintError("integration over a noncompact surface needs "
-                                 "a decay hint")
-        radius = _radial_truncation(kind, decay, 0.25 * budget.abs_tol)
+    if kind is SurfaceKind.SPHERE:
+        edges = (0.0, math.pi)
+    elif decay is None:
+        raise DecayHintError("integration over a noncompact surface needs "
+                             "a decay hint")
+    else:
+        edges = (0.0, _radial_truncation(kind, decay, 0.25 * budget.abs_tol))
 
-    def evaluate(n_rad: int, n_ang: int) -> float:
-        c1, c2, wt = _surface_grid(kind, n_rad, n_ang, radius)
+    def sample(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
         g1, g2 = np.meshgrid(c1, c2, indexing="ij")
         if vectorized:
             vals = np.asarray(f(g1, g2), dtype=float)
@@ -398,8 +527,10 @@ def integrate_surface(kind, f, budget: ToleranceBudget = DEFAULT_BUDGET,
             vals = np.fromiter(map(float, map(f, _grid_points(kind, g1, g2))),
                                float, count=g1.size).reshape(g1.shape)
         _check_finite(vals, 0, kind)
-        return float(np.sum(vals * wt))
+        return vals
 
-    value, _ = refine_until_stable(evaluate, (32, 64), 1.5, 0.5 * budget.abs_tol,
-                                   max(2, budget.max_quad_depth // 4))
-    return value
+    # max(2, max_quad_depth // 4) rounds of growth by 1.5 from 32 x 64 bound
+    # the grid; this many doublings reach at least as far.
+    grow = 2 ** math.ceil(max(2, budget.max_quad_depth // 4) * math.log2(1.5))
+    return float(_nested_integral(kind, edges, sample, 0.5 * budget.abs_tol,
+                                  (32, 64), (32 * grow, 64 * grow)))

@@ -27,8 +27,8 @@ from .errors import (CoincidentPointsError, CutLocusError, DecayHintError,
                      DomainError)
 from .geometry import (BiTensor1, OneFormValue, Point, SurfaceKind,
                        apply_i_plus_star, distance, _check_finite,
-                       _grid_points, _metric_profile, _pair_derivatives,
-                       _radial_rule)
+                       _grid_points, _metric_profile, _nested_integral,
+                       _pair_derivatives)
 from .hyperbolic import _h2_mass_tail, _h2_mckean
 from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
                          refine_until_stable, solve_radius)
@@ -210,6 +210,42 @@ def _mass_radius(kind: SurfaceKind, t: float, tol: float) -> float:
                         max(1.0, 3.0 * math.sqrt(t)), 1.2)[0]
 
 
+def _h2_kappa_radius(decay: DecayHint, r_x: float, t: float, tol: float) -> float:
+    """Radius beyond which apply_k1 on H2, about a point at radius r_x,
+    cuts off at most tol of each component, for a Gaussian or exponential
+    hint |nu(y)| <= env(r_y).
+
+    The radial profile is kappa = -K0 - tanh(s/2) G_d.  On the ball B_s,
+    d/dtau of its kernel mass M(s, tau) = int_{B_s} K0(., tau) dA is the
+    flux 2 pi sinh s d_s K0(s, tau); integrating tau over [t, inf), where M
+    tends to 0 (K0 <= C tau^(-3/2)), gives G_d(s, t) = -M(s, t) / (2 pi
+    sinh s), so |G_d| <= 1 / (2 pi sinh s): the tail is as heavy as the
+    area grows, unlike K0's.  Each component of the integrand is at most
+    |kappa| |nu|, and r_y >= s - r_x, so env(s - r_x) bounds |nu| on the
+    circle of radius s >= r_x.  With 2 pi sinh s |tanh(s/2) G_d| <=
+    tanh(s/2) <= 1, what lies beyond R is at most
+        env(R - r_x) int_{s > R} K0 dA + int_R^inf env(s - r_x) ds,
+    where _h2_mass_tail integrates the majorant _h2_k0_majorant for the
+    first term and the second is closed: (C/2) sqrt(pi/a) erfc(sqrt(a) u)
+    for env = C e^{-a r^2}, C e^{-a u} / a for env = C e^{-a r}, at
+    u = R - r_x.  A bounded hint gives no such bound; there apply_k1 keeps
+    the K0 mass radius, and the G_d tail goes uncounted.
+    """
+    a, c = decay.rate, decay.bound
+
+    def tail(R: float) -> float:
+        u = R - r_x
+        if u <= 0.0:
+            return math.inf
+        if decay.kind == "gaussian":
+            beyond = 0.5 * c * math.sqrt(math.pi / a) * math.erfc(math.sqrt(a) * u)
+        else:
+            beyond = c * math.exp(-a * u) / a
+        return decay.envelope(u) * _h2_mass_tail(R, t) + beyond
+
+    return solve_radius(tail, tol, r_x + max(1.0, 3.0 * math.sqrt(t)), 1.2)[0]
+
+
 # ---------------------------------------------------------------------------
 # scalar kernel
 
@@ -312,14 +348,16 @@ def _g1_full(kind: SurfaceKind, d: float, t: float, budget: ToleranceBudget,
         err2 = 8.0 * _EPS * (abs(g_d) + 1.0 / (_FOUR_PI * t))
         return g_val, g_d, g_dd, 8.0 * _EPS * abs(g_d), err2, 1, 0.0
     if kind is SurfaceKind.SPHERE:
+        # 0.24 rather than 0.25 of tol per series leaves room for roundoff
         g_arr, gd_arr, n_max, tail = _sphere_g1_raw(math.cos(d), math.sin(d), t,
-                                                    0.25 * tol)
-        k0_raw, _, k0_tail = _sphere_k0_raw(math.cos(d), t, 0.25 * tol * _FOUR_PI)
+                                                    0.24 * tol)
+        k0_raw, _, k0_tail = _sphere_k0_raw(math.cos(d), t, 0.24 * tol * _FOUR_PI)
         kern = float(k0_raw) / _FOUR_PI
         g_d = float(gd_arr)
         g_dd = -g_d / math.tan(d) - kern + 1.0 / _FOUR_PI
-        err1 = tail * math.sin(d)
-        err2 = tail * abs(math.cos(d)) + k0_tail / _FOUR_PI
+        # the series tails, plus the roundoff of the sums as on the plane
+        err1 = tail * math.sin(d) + 8.0 * _EPS * abs(g_d)
+        err2 = tail * abs(math.cos(d)) + k0_tail / _FOUR_PI + 8.0 * _EPS * abs(g_dd)
         return float(g_arr), g_d, g_dd, err1, err2, n_max, 0.0
     rows, err, radius, evals = h2([d], t, budget, generator=True)
     kern, g_val, g_d = (float(v) for v in rows[:, 0])
@@ -518,42 +556,68 @@ def _evolved_hint(decay: DecayHint | None, t: float) -> DecayHint | None:
     return decay
 
 
+def _radial_edges(kind: SurfaceKind, t: float, tol: float) -> tuple:
+    """Radial panel edges for applying a kernel whose mass beyond them
+    (beyond its plane-like mass radius, on the sphere) is at most tol: the
+    sphere is graded at that radius, where it falls below pi."""
+    if kind is not SurfaceKind.SPHERE:
+        return 0.0, _mass_radius(kind, t, tol)
+    width = _mass_radius(SurfaceKind.EUCLIDEAN, t, tol)
+    return (0.0, width, math.pi) if width < math.pi else (0.0, math.pi)
+
+
+def _kernel_tol(kind: SurfaceKind, edges: tuple, tol: float) -> float:
+    """Pointwise tolerance of the radial kernel values, a tenth of tol
+    spread over the disc of the truncation radius on the planes."""
+    reach = 1.0 if kind is SurfaceKind.SPHERE else max(1.0, edges[-1] ** 2)
+    return max(1e-14, 0.1 * tol / reach)
+
+
+# First-pass sizes of the kernel applications: radial rules double from 8
+# intervals until the kernel's own mass settles, and the angle starts at 32.
+# Neither rule grows past 512, which covers 303 radial nodes by 432 angles.
+_APPLY_START = (8, 32)
+_APPLY_LIMIT = (512, 512)
+
+
 def apply_k0(kind, field: FormField, t,
              budget: ToleranceBudget = DEFAULT_BUDGET) -> FormField:
     """Heat evolution of a scalar field: x -> int K0(x, y, t) f(y) dA_y.
 
     The integral runs in the geodesic polar chart centered at each evaluation
-    point, where the kernel is purely radial; the grid is Gauss in cos s by
-    uniform angle on the sphere and Gauss panels to the kernel-mass radius on
-    the planes.  The returned field evaluates lazily; each pass calls the
-    field once per node in row-major order, and a non-finite value raises
-    DomainError.
+    point, where the kernel is purely radial, on the nested product grid of
+    geometry._nested_integral: Fejer's second rule in 1 - cos s on the
+    sphere (graded at the kernel's width) and in s up to the kernel-mass
+    radius on the planes, by a trapezoid rule in angle.  The radial start
+    comes from the kernel: the rule doubles on kernel values alone, with no
+    field calls, until it reproduces the kernel's mass.  The angle starts
+    at 32 nodes.  Each pass doubles the rule whose halving moves the
+    result most (or both) until two passes agree, and keeps the values it
+    has: one evaluation samples the field once at each node.  The returned
+    field evaluates lazily, and a non-finite value raises DomainError.
     """
     kind = SurfaceKind.parse(kind)
     t = _as_time(t)
     if field.degree != 0:
         raise DomainError("apply_k0 expects a degree-0 field")
-    sup = _field_bound(field, kind)
+    sup = max(_field_bound(field, kind), 1e-300)
     tol = budget.abs_tol
-    radius = 0.0 if kind is SurfaceKind.SPHERE else \
-        _mass_radius(kind, t, 0.25 * tol / max(sup, 1e-300))
+    edges = _radial_edges(kind, t, 0.25 * tol / sup)
+    ktol = _kernel_tol(kind, edges, tol / sup)
+
+    def kernel(s: np.ndarray) -> np.ndarray:
+        return _k0_radial_batch(kind, s, t, ktol)[0]
 
     def evaluate(x: Point) -> float:
-        def one_pass(n_rad: int, n_ang: int) -> float:
-            s_nodes, s_wts = _radial_rule(kind, n_rad, radius)
-            psi = np.arange(n_ang) * (2.0 * math.pi / n_ang)
-            kern, _ = _k0_radial_batch(kind, s_nodes, t,
-                                       max(1e-14, 0.1 * tol / max(sup, 1e-300)
-                                           / max(1.0, radius * radius)))
-            c1, c2, _, _ = _chart_points(kind, x, s_nodes, psi, False)
+        def sample(s: np.ndarray, psi: np.ndarray) -> np.ndarray:
+            c1, c2, _, _ = _chart_points(kind, x, s, psi, False)
             vals = np.fromiter(map(float, map(field.fn, _grid_points(kind, c1, c2))),
                                float, count=c1.size).reshape(c1.shape)
             _check_finite(vals, 0, kind)
-            ang_w = 2.0 * math.pi / n_ang
-            return float(np.sum((kern * s_wts) @ (vals * ang_w)))
+            return vals
 
-        grid = (64, 128) if kind is SurfaceKind.SPHERE else (90, 96)
-        return refine_until_stable(one_pass, grid, 1.5, 0.5 * tol, 3)[0]
+        return float(_nested_integral(kind, edges, sample, 0.5 * tol, _APPLY_START,
+                                      _APPLY_LIMIT, kernel, 0.25 * tol / sup))
 
     return FormField(0, evaluate, _evolved_hint(field.decay, t))
 
@@ -582,27 +646,33 @@ def apply_k1(kind, field: FormField, t,
     In frames adapted to the geodesic between the points the kernel matrix is
     kappa(d) I, so the integrand needs only the radial profile kappa, the
     direction of departure at x, and the direction of arrival at y.  The
-    field is sampled as in apply_k0; a value without finite components .a
-    and .b raises DomainError.
+    field is sampled as in apply_k0, once per node of a grid whose radial
+    start comes from kappa; a value without finite components .a and .b
+    raises DomainError.  On H2 a Gaussian or exponential hint sets the cut
+    by a bound on kappa's tail at each x (_h2_kappa_radius).  A bounded
+    hint keeps the cut at K0's mass radius, where G_d's tail, which decays
+    only like 1/sinh s, is not counted.
     """
     kind = SurfaceKind.parse(kind)
     t = _as_time(t)
     if field.degree != 1:
         raise DomainError("apply_k1 expects a degree-1 field")
-    sup = _field_bound(field, kind)
+    sup = max(_field_bound(field, kind), 1e-300)
     tol = budget.abs_tol
-    radius = 0.0 if kind is SurfaceKind.SPHERE else \
-        _mass_radius(kind, t, 0.125 * tol / max(sup, 1e-300))
+    kbudget = budget.part(0.25)
+    mass_edges = _radial_edges(kind, t, 0.125 * tol / sup)
 
     def evaluate(x: Point) -> OneFormValue:
-        def one_pass(n_rad: int, n_ang: int):
-            s_nodes, s_wts = _radial_rule(kind, n_rad, radius)
-            psi = np.arange(n_ang) * (2.0 * math.pi / n_ang)
-            kap = _kappa_batch(kind, s_nodes, t,
-                               max(1e-14, 0.1 * tol / max(sup, 1e-300)
-                                   / max(1.0, radius * radius)),
-                               budget.part(0.25))
-            c1, c2, p, q = _chart_points(kind, x, s_nodes, psi, True)
+        edges = mass_edges
+        if kind is SurfaceKind.HYPERBOLIC and field.decay.kind != "bounded":
+            edges = (0.0, _h2_kappa_radius(field.decay, x.c1, t, 0.125 * tol))
+        ktol = _kernel_tol(kind, edges, tol / sup)
+
+        def kappa(s: np.ndarray) -> np.ndarray:
+            return _kappa_batch(kind, s, t, ktol, kbudget)
+
+        def sample(s: np.ndarray, psi: np.ndarray) -> np.ndarray:
+            c1, c2, p, q = _chart_points(kind, x, s, psi, True)
             values = map(field.fn, _grid_points(kind, c1, c2))
             nu = np.fromiter(_one_form_parts(values, kind), float,
                              count=2 * c1.size).reshape(c1.shape + (2,))
@@ -614,15 +684,12 @@ def apply_k1(kind, field: FormField, t,
             nu2 = -na * q + nb * p
             cpsi = np.cos(psi)[None, :]
             spsi = np.sin(psi)[None, :]
-            integ_a = nu1 * (-cpsi) + nu2 * spsi
-            integ_b = nu1 * (-spsi) + nu2 * (-cpsi)
-            ang_w = 2.0 * math.pi / n_ang
-            out_a = float(np.sum((kap * s_wts) @ (integ_a * ang_w)))
-            out_b = float(np.sum((kap * s_wts) @ (integ_b * ang_w)))
-            return out_a, out_b
+            return np.stack([-nu1 * cpsi + nu2 * spsi, -nu1 * spsi - nu2 * cpsi],
+                            axis=-1)
 
-        grid = (64, 128) if kind is SurfaceKind.SPHERE else (90, 96)
-        return OneFormValue(*refine_until_stable(one_pass, grid, 1.5, 0.5 * tol, 3)[0])
+        out = _nested_integral(kind, edges, sample, 0.5 * tol, _APPLY_START,
+                               _APPLY_LIMIT, kappa, 0.25 * tol / sup)
+        return OneFormValue(float(out[0]), float(out[1]))
 
     return FormField(1, evaluate, _evolved_hint(field.decay, t))
 

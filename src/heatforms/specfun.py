@@ -26,8 +26,8 @@ import numpy as np
 from .errors import DomainError
 from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
                          _composite_gauss, _h2_envelope_radius,
-                         integrate_adaptive, integrate_semiinfinite,
-                         refine_until_stable)
+                         gaussian_tail_radius, integrate_adaptive,
+                         integrate_semiinfinite, refine_until_stable)
 
 __all__ = [
     "SpectralParameter",
@@ -491,6 +491,29 @@ def _inverse_with_error(fhat, r: float, budget: ToleranceBudget = DEFAULT_BUDGET
     conical = (max(cb.abs_tol, achieved) * bound * math.sqrt(math.pi / gaussian_rate)
                / (4.0 * math.pi))
     return value, err + conical
+
+
+def _inverse_fhat_gain(budget: ToleranceBudget, gaussian_rate: float,
+                       bound: float) -> float:
+    """Largest change of _inverse_with_error's value per unit of a uniform
+    error in the fhat values it samples: R / (2 pi), R the radius where
+    integrate_semiinfinite cuts the rho integral.
+
+    The value is sum_i W_i fhat(rho_i) w(rho_i) E_rho_i(r) / (2 pi) over
+    the accepted Gauss panels, whose weights W_i are positive and sum to R.
+    |w E| <= 1: w = rho tanh(pi rho) / (1/4 + rho^2) <= rho / (1/4 + rho^2),
+    and with q = cosh r + sinh r cos phi in Laplace's integral P(cosh r) =
+    (1/pi) int_0^pi q^(-1/2 + i rho) dphi, d/dr q^(-1/2 + i rho) = (-1/2 +
+    i rho) q^(-3/2 + i rho) (sinh r + cosh r cos phi), where (sinh r +
+    cosh r cos phi)^2 = q^2 - sin^2 phi <= q^2.  So |E_rho(r)| <=
+    sqrt(1/4 + rho^2) (1/pi) int_0^pi q^(-1/2) dphi, and by Cauchy-Schwarz
+    the last integral is at most ((1/pi) int_0^pi q^(-1) dphi)^(1/2) = 1.
+    Hence |w E| <= rho / sqrt(1/4 + rho^2) < 1, and errors of at most eps
+    in fhat move the value by at most eps sum_i W_i / (2 pi) = eps R / (2 pi).
+    """
+    radius, _ = gaussian_tail_radius(gaussian_rate, 0.5 * budget.part(0.9).abs_tol,
+                                     bound=bound, poly_degree=2)
+    return radius / (2.0 * math.pi)
 
 
 def mehler_fock_inverse(fhat, r: float, budget: ToleranceBudget = DEFAULT_BUDGET,

@@ -202,12 +202,19 @@ def test_transform_err_est_is_the_computed_bound():
     err = float(rows[0]["err_est"])
     assert err != 1e-6
     assert abs(float(rows[0]["value"]) - -0.8130183293610438) <= err
-    out = run_cli("transform", "--direction", "inverse", "--profile",
-                  "gaussian", "--r-range", "0.5:1:2", "--tol", "1e-6")
-    _, rows = rows_of(out.stdout)
-    for row in rows:
-        r = float(row["arg"])
-        assert abs(float(row["value"]) - r * math.exp(-r * r)) <= float(row["err_est"])
+    # Inverse rows also charge the forward transforms' error, so each
+    # err_est is at least what it was when fhat counted as exact.
+    for profile, radii, tol, exact_fhat in (
+            ("gaussian", "0.5:1:2", "1e-6", (3.0153066119344172e-07, 4.4540928145091217e-07)),
+            ("cubic", "0.25:0.75:2", "1e-8", (5.6889606051657036e-09, 3.9249214124139686e-09))):
+        out = run_cli("transform", "--direction", "inverse", "--profile", profile,
+                      "--r-range", radii, "--tol", tol)
+        _, rows = rows_of(out.stdout)
+        assert len(rows) == len(exact_fhat)
+        for row, before in zip(rows, exact_fhat):
+            r = float(row["arg"])
+            f = r * math.exp(-r * r) * (r * r if profile == "cubic" else 1.0)
+            assert float(row["err_est"]) >= max(before, abs(float(row["value"]) - f))
 
 
 def test_verify_suite_passes():

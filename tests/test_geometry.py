@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from heatforms.errors import DecayHintError, DomainError, NonconvergenceError
 from heatforms.geometry import (BiTensor1, OneFormValue, Point, SurfaceKind,
-                                _grid_points, apply_i_plus_star, distance,
+                                _fejer2, _grid_points, apply_i_plus_star, distance,
                                 distance_gradient, hodge_star_1,
                                 integrate_surface, mixed_distance_hessian)
 from heatforms.quadrature import DecayHint, ToleranceBudget
@@ -210,9 +210,21 @@ def test_pointwise_surface_integrals_keep_their_bits():
         x, y = p.c1 * math.cos(p.c2), p.c1 * math.sin(p.c2)
         return math.exp(-p.c1 ** 2) * (1.0 + 0.3 * x + 0.1 * x * y)
 
-    assert integrate_surface("sphere", sphere_field) == 14.976957118664739
+    # refrozen for the nested sampler: moved by 1.8e-14 and 4.4e-16
+    assert integrate_surface("sphere", sphere_field) == 14.976957118664721
     assert integrate_surface("plane", plane_field,
-                             decay=DecayHint("gaussian", 1.0, 1.4)) == 3.141592651804078
+                             decay=DecayHint("gaussian", 1.0, 1.4)) == 3.1415926518040784
+
+
+@pytest.mark.parametrize("n_int", [4, 8, 32, 256])
+def test_fejer_rule_is_exact_and_nested(n_int):
+    """Fejer's second rule integrates x^k exactly for k < n_int, and the rule
+    of twice as many intervals lists this rule's nodes first, bit for bit."""
+    x, w = _fejer2(n_int)
+    for k in range(n_int):
+        assert abs(w @ x ** k - (2.0 / (k + 1) if k % 2 == 0 else 0.0)) < 1e-14
+    assert np.array_equal(_fejer2(2 * n_int)[0][:n_int - 1], x)
+    assert np.all(np.abs(x) < 1.0) and np.all(w > 0.0)
 
 
 def test_noncompact_integration_needs_decay():
