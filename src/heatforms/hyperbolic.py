@@ -63,11 +63,13 @@ def _h2_spectral(ds, t: float, budget: ToleranceBudget, generator: bool = False)
                          max_quad_depth=budget.max_quad_depth)
     evals = 0
     achieved = 0.0
+    tables = {}  # the distances stay fixed, so every panel shares their tables
 
     def integrand(rhos: np.ndarray) -> np.ndarray:
         nonlocal evals, achieved
         evals += rhos.size
-        p, p1, c_err = _conical_many(rhos, ds, cb, need_p1=generator)
+        p, p1, c_err = _conical_many(rhos, ds, cb, need_p1=generator,
+                                     tables=tables)
         achieved = max(achieved, c_err)
         lam = 0.25 + rhos * rhos
         w = rhos * np.tanh(np.pi * rhos) * np.exp(-lam * t)

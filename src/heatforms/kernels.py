@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (CoincidentPointsError, CutLocusError, DecayHintError,
-                     DomainError)
+                     DomainError, NonconvergenceError)
 from .geometry import (BiTensor1, OneFormValue, Point, SurfaceKind,
                        apply_i_plus_star, distance, _check_finite,
                        _grid_points, _metric_profile, _nested_integral,
@@ -415,15 +415,35 @@ def _k1_apart(kind: SurfaceKind, x: Point, y: Point, d: float, t: float,
     """k1 at separation d > 0, with the hyperbolic rows from route h2."""
     data = _pair_derivatives(kind, x, y)
     frame_scale = float(np.max(np.abs(data.mixed)))
+    tol = budget.abs_tol
     if kind is SurfaceKind.HYPERBOLIC:
         # The K0 and G_d rows each come with their own bound within this
         # part; the error below is 2 (err_K0 + err_Gd (coth d + frame_scale)),
         # so 2 (1 + coth d + frame_scale) parts cover it.
         budget = budget.part(0.5 / (1.0 + 1.0 / math.tanh(d) + frame_scale))
+    elif kind is SurfaceKind.SPHERE:
+        # Each series tail is at most 0.24 of the part; G's reaches the
+        # error below through |cos d| + sin d frame_scale and K0's once, so
+        # the tails take at most 0.24 abs_tol and roundoff the rest.
+        budget = budget.part(0.5 / (1.0 + abs(math.cos(d))
+                                    + math.sin(d) * frame_scale))
     _, g_d, g_dd, err1, err2, terms, radius = _g1_full(kind, d, t, budget, h2)
+    err = 2.0 * (err2 + err1 * frame_scale)
+    if kind is SurfaceKind.SPHERE and err > tol:
+        # The roundoff of the sums took more than 0.76 abs_tol: shrink the
+        # tails to 0.72 of what it leaves, or report what it spent.
+        roundoff = 16.0 * _EPS * (abs(g_d) * frame_scale + abs(g_dd))
+        if roundoff < tol:
+            _, g_d, g_dd, err1, err2, terms, radius = _g1_full(
+                kind, d, t, budget.part(3.0 * (1.0 - roundoff / tol)), h2)
+            err = 2.0 * (err2 + err1 * frame_scale)
+        if err > tol:
+            raise NonconvergenceError(
+                f"k1 on the sphere: error bound {err:.3e}, of which the "
+                f"roundoff of its sums is {roundoff:.3e} (requested {tol:.3e})",
+                achieved=err, requested=tol)
     core = g_dd * np.outer(data.grad_x, data.grad_y) + g_d * data.mixed
     mat = apply_i_plus_star(BiTensor1.from_array(core))
-    err = 2.0 * (err2 + err1 * frame_scale)
     return Kernel1Value(mat, err, terms, radius)
 
 

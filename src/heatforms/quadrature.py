@@ -9,7 +9,8 @@ larger than the requested absolute tolerance, or raise
 Two helpers here are the package's only truncation and refinement policy:
 ``solve_radius`` cuts every noncompact integral or sum at the first radius
 where an explicit tail bound falls below its share of the tolerance, and
-``refine_until_stable`` grows a grid until two successive passes agree.
+``refine_until_stable`` grows a grid until two successive passes agree, or
+until one pass agrees with the lower-order rule embedded in it.
 Every radius search and every "refine until two passes agree" loop in the
 package calls them, so each failure reports the tail or the change it
 achieved against the tolerance it was asked for.
@@ -103,20 +104,70 @@ def _gauss_rule(n: int):
     return nodes, weights
 
 
-def _composite_gauss(limit, n_panels: int):
-    """Nodes and weights of a composite 15-point Gauss rule on [0, limit].
-
-    An array of limits gives one grid per row; each row carries the same
-    bits as the grid built for that limit alone.
-    """
+def _composite_gauss(limit: float, n_panels: int):
+    """Nodes and weights of a composite 15-point Gauss rule on [0, limit]."""
     base_x, base_w = _gauss_rule(15)
-    edges = np.linspace(0.0, limit, n_panels + 1)  # one column per limit
-    half = np.asarray(0.5 * (edges[1] - edges[0]))[..., None, None]
-    mids = (0.5 * (edges[:-1] + edges[1:])).T
-    panels = mids.shape + (15,)
-    nodes = (mids[..., None] + half * base_x).reshape(*panels[:-2], -1)
-    weights = (half * base_w).repeat(n_panels, axis=-2).reshape(*panels[:-2], -1)
-    return nodes, weights
+    half = 0.5 * limit / n_panels
+    mids = (2.0 * np.arange(n_panels) + 1.0) * half
+    return ((mids[:, None] + half * base_x).ravel(),
+            np.tile(half * base_w, n_panels))
+
+
+# QUADPACK's 21-point Gauss-Kronrod rule QK21 (Piessens, de Doncker-Kapenga,
+# Ueberhuber & Kahaner, QUADPACK, Springer 1983) on [-1, 1].  The rule is
+# symmetric, so only the nonnegative nodes are listed, largest first; those
+# at odd positions are the nodes of the embedded 10-point Gauss rule, whose
+# weights _G10_WEIGHTS lists in the same order.
+_K21_NODES = (0.995657163025808080735527280689003,
+              0.973906528517171720077964012084452,
+              0.930157491355708226001207180059508,
+              0.865063366688984510732096688423493,
+              0.780817726586416897063717578345042,
+              0.679409568299024406234327365114874,
+              0.562757134668604683339000099272694,
+              0.433395394129247190799265943165784,
+              0.294392862701460198131126603103866,
+              0.148874338981631210884826001129720,
+              0.0)
+_K21_WEIGHTS = (0.011694638867371874278064396062192,
+                0.032558162307964727478818972459390,
+                0.054755896574351996031381300244580,
+                0.075039674810919952767043140916190,
+                0.093125454583697605535065465083366,
+                0.109387158802297641899210590325805,
+                0.123491976262065851077958109831074,
+                0.134709217311473325928054001771707,
+                0.142775938577060080797094273138717,
+                0.147739104901338491374841515972068,
+                0.149445554002916905664936468389821)
+_G10_WEIGHTS = (0.066671344308688137593568809893332,
+                0.149451349150580593145776339657697,
+                0.219086362515982043995534934228163,
+                0.269266719309996355091226921569469,
+                0.295524224714752870173892994651338)
+
+
+@lru_cache(maxsize=None)
+def _kronrod21():
+    """QK21 on [-1, 1]: ascending nodes and a (21, 2) array of weights whose
+    columns are the K21 rule and its embedded G10 rule (0 at the 11 nodes
+    only K21 uses)."""
+    half = np.array(_K21_NODES)
+    g10 = np.zeros(11)
+    g10[1::2] = _G10_WEIGHTS
+    weights = np.array([_K21_WEIGHTS, g10]).T
+    return (np.concatenate([-half[:-1], half[::-1]]),
+            np.concatenate([weights[:-1], weights[::-1]]))
+
+
+def _kronrod_panels(n_panels: int):
+    """Nodes and (K21, G10) weight columns of composite QK21 on [0, 1] over
+    n_panels equal panels."""
+    x, w = _kronrod21()
+    half = 0.5 / n_panels
+    mids = (2.0 * np.arange(n_panels) + 1.0) * half
+    return ((mids[:, None] + half * x).ravel(),
+            (half * w)[None].repeat(n_panels, axis=0).reshape(-1, 2))
 
 
 def solve_radius(tail, tol: float, start: float, grow: float):
@@ -144,24 +195,32 @@ def _max_change(cur, prev) -> float:
 
 
 def refine_until_stable(one_pass, size: tuple, grow: float, tol: float,
-                        rounds: int, floor=None):
+                        rounds: int, floor=None, embedded: bool = False):
     """Rerun one_pass on grids grown by `grow` until two passes agree.
 
     one_pass(*size) returns a float, an array, or a tuple of them (None
     entries are skipped).  Each round scales every entry of size by grow
     (truncating to int), reruns, and accepts once the largest change is at
     most tol or, if given, floor(result), the roundoff already spent.
-    Returns (result, last_change); raises NonconvergenceError with the last
-    change against tol after `rounds` unsuccessful rounds.
+    With `embedded`, one_pass returns (result, lower): the result and a
+    lower-order one from the same nodes, such as the Gauss rule inside a
+    Kronrod rule.  Each pass is then compared with its own lower result,
+    so the first pass can be accepted, and at most `rounds` grown passes
+    follow it.  Returns (result, last_change); raises NonconvergenceError
+    with the last change against tol after `rounds` unsuccessful rounds.
     """
-    prev = one_pass(*size)
+    prev = None
     diff = math.inf
-    for _ in range(rounds):
-        size = tuple(int(n * grow) for n in size)
+    for k in range(rounds + 1):
+        if k:
+            size = tuple(int(n * grow) for n in size)
         cur = one_pass(*size)
-        diff = _max_change(cur, prev)
-        if diff <= tol or (floor is not None and diff <= floor(cur)):
-            return cur, diff
+        if embedded:
+            cur, prev = cur
+        if embedded or k:
+            diff = _max_change(cur, prev)
+            if diff <= tol or (floor is not None and diff <= floor(cur)):
+                return cur, diff
         prev = cur
     raise NonconvergenceError(
         f"refinement did not stabilize: change {diff:.3e} after {rounds} "

@@ -13,7 +13,15 @@ hyperbolic spectral kernels) and an array of radii at fixed rho (each
 adaptive panel of the forward transform in one call).  Near the origin it
 sums the hypergeometric series, elsewhere it evaluates the Mehler-Dirichlet
 integral (DLMF 14.20; Gil, Segura & Temme, Numerical Methods for Special
-Functions, SIAM 2007).
+Functions, SIAM 2007) in one pass of composite 21-point Gauss-Kronrod
+panels, whose embedded 10-point Gauss sum is the accuracy check; only a
+failed check doubles the panels.  The radius-only factors of that integral
+(nodes, weights times 1/sqrt(psi) and its r-derivative) form a table built
+from a unit rule scaled by sqrt(r).  Callers whose radii stay fixed across
+many rho panels, the inverse transform and the spectral kernels, keep one
+set of tables for the length of a call, so each panel costs a cos and a
+sin of a rho-by-node phase and matrix-vector products against the
+table.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError
 from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
-                         _composite_gauss, _h2_envelope_radius,
+                         _h2_envelope_radius, _kronrod_panels,
                          gaussian_tail_radius, integrate_adaptive,
                          integrate_semiinfinite, refine_until_stable)
 
@@ -192,54 +200,69 @@ def _erfcx(x: np.ndarray) -> np.ndarray:
 
 
 def _mehler_dirichlet_eval(rhos: np.ndarray, radii: np.ndarray, n_panels: int,
-                           need_p1: bool):
-    """Composite-Gauss evaluation of the conical integral and its r-derivative.
+                           need_p1: bool, tables=None):
+    """Composite-K21 evaluation of the conical integral and its r-derivative.
 
     The representation is P_{-1/2+i rho}(cosh r) =
     (2 sqrt 2 / pi) * int_0^sqrt(r) cos(rho (r - w^2)) / sqrt(psi(w)) dw with
     psi(w) = sinh(r - w^2/2) * sinhc(w^2/2); the substitution s = r - w^2 has
     absorbed the inverse-square-root endpoint singularity of the classical
     form, so the integrand is smooth on the whole interval.  Each radius gets
-    its own grid of n_panels panels on [0, sqrt(r)]; a 0-d radii gives values
-    shaped like rhos, a 1-d one a row per radius.
+    its own grid of n_panels K21 panels on [0, sqrt(r)].  Returns
+    ((P, P1), (P_G10, P1_G10)): the K21 values and those of the embedded
+    10-point Gauss rule on the same nodes (P1 entries None unless need_p1).
+    A 0-d radii gives values shaped like rhos, a 1-d one a row per radius.
+
+    Radius blocks keep a block's table and a 4-row rho block near
+    _BLOCK_ELEMS entries however many radii come in.  `tables`, a dict
+    that lives for one call of a caller whose radii stay fixed, keeps each
+    block's table for later evaluations at the same panel count.
     """
-    # Radius blocks keep a 4-row rho block near _BLOCK_ELEMS entries however
-    # many radii come in; each radius's row is the same sum in any block.
-    r_step = max(1, _BLOCK_ELEMS // (4 * 15 * n_panels))
-    if radii.ndim and radii.size > r_step:
-        parts = [_mehler_dirichlet_eval(rhos, radii[lo:lo + r_step], n_panels,
-                                        need_p1)
-                 for lo in range(0, radii.size, r_step)]
-        p1_vals = np.concatenate([p1 for _, p1 in parts]) if need_p1 else None
-        return np.concatenate([p for p, _ in parts]), p1_vals
-    s, inv, d_inv, wt = _dirichlet_nodes(radii, n_panels, need_p1)
-    inv_wt = (inv * wt)[..., None]
-    sums = [_dirichlet_sums(rhos[lo:hi], s, inv, inv_wt, d_inv, wt)
-            for lo, hi in _rho_blocks(rhos.size, s.size)]
-    p_vals = _TWO_SQRT2_OVER_PI * np.concatenate([p for p, _ in sums], axis=-1)
+    flat = radii.reshape(-1)
+    step = max(1, _BLOCK_ELEMS // (4 * 21 * n_panels))
+    out = np.empty((4 if need_p1 else 2, flat.size, rhos.size))
+
+    def table(block):
+        if tables is None:
+            return _dirichlet_table(block, n_panels, need_p1)
+        key = (n_panels, need_p1, block.tobytes())
+        if key not in tables:
+            tables[key] = _dirichlet_table(block, n_panels, need_p1)
+        return tables[key]
+
+    for lo in range(0, flat.size, step):
+        _dirichlet_sums(rhos, *table(flat[lo:lo + step]), out[:, lo:lo + step])
+    out *= _TWO_SQRT2_OVER_PI
+    out = out.reshape(out.shape[:1] + radii.shape + rhos.shape)
     if not need_p1:
-        return p_vals, None
-    boundary = np.array([1.0 / (2.0 * math.sqrt(2.0) * math.sinh(0.5 * x))
-                         for x in radii.reshape(-1)]).reshape(radii.shape + (1,))
-    p1_vals = _TWO_SQRT2_OVER_PI * (
-        boundary + np.concatenate([p1 for _, p1 in sums], axis=-1))
-    return p_vals, p1_vals
+        return (out[0], None), (out[1], None)
+    return (out[0], out[2]), (out[1], out[3])
 
 
-def _dirichlet_nodes(radii: np.ndarray, n_panels: int, need_p1: bool):
-    """Per-node factors of the integrand on each radius's grid: s = r - w^2,
-    1/sqrt(psi), its r-derivative (None unless need_p1) and the weights."""
-    w, wt = _composite_gauss(np.sqrt(radii), n_panels)
-    r = radii[..., None]
-    s = np.maximum(0.0, r - w * w)
-    half_wsq = 0.5 * w * w
+def _dirichlet_table(radii: np.ndarray, n_panels: int, need_p1: bool):
+    """The radius-only factors of the conical integrand for a 1-d array of
+    radii, on a unit composite K21 rule scaled by sqrt(r): (s, weights,
+    boundary).  s holds the nodes s = r - w^2; weights holds radius-by-node
+    rows, the K21 and G10 weights times 1/sqrt(psi) and, with need_p1, both
+    times its r-derivative; boundary (None unless need_p1) is the
+    moving-endpoint term 1 / (2 sqrt 2 sinh(r/2)) of the r-derivative."""
+    x, wts = _kronrod_panels(n_panels)
+    r = radii[:, None]
+    xsq = x * x
+    s = r * (1.0 - xsq)  # w = sqrt(r) x
+    half_wsq = r * (0.5 * xsq)
     a = r - half_wsq
-    shc = _sinhc(half_wsq)
-    inv = 1.0 / np.sqrt(np.sinh(a) * shc)
-    # d/dr picks up a moving-endpoint term (the integrand at w = sqrt(r)) plus
-    # the derivative of the smooth integrand.
-    d_inv = -0.5 * inv ** 3 * np.cosh(a) * shc if need_p1 else None
-    return s, inv, d_inv, wt
+    inv = np.sqrt(r) / np.sqrt(np.sinh(a) * _sinhc(half_wsq))
+    factors = [inv]
+    boundary = None
+    if need_p1:
+        # d/dr (sinh(a) sinhc(w^2/2))^(-1/2) = -coth(a) / (2 sqrt(psi))
+        factors.append(inv * (-0.5 / np.tanh(a)))
+        boundary = 1.0 / (2.0 * math.sqrt(2.0) * np.sinh(0.5 * radii))
+    weights = np.empty((2 * len(factors),) + s.shape)
+    for k, f in enumerate(factors):
+        np.multiply(f, wts.T[:, None, :], out=weights[2 * k:2 * k + 2])
+    return s, weights, boundary
 
 
 def _rho_blocks(n_rho: int, n_nodes: int):
@@ -254,22 +277,29 @@ def _rho_blocks(n_rho: int, n_nodes: int):
     return zip(starts, starts[1:] + [n_rho])
 
 
-def _dirichlet_sums(rhos: np.ndarray, s: np.ndarray, inv: np.ndarray,
-                    inv_wt: np.ndarray, d_inv, wt: np.ndarray):
-    """Quadrature sums of the conical integrand (and of its r-derivative
-    when d_inv is given) for a block of rho."""
-    phase = rhos[:, None] * s[..., None, :]
-    cos_phase = np.cos(phase)
-    p = (cos_phase @ inv_wt)[..., 0]
-    if d_inv is None:
-        return p, None
-    # -rho sin(phase) inv + cos(phase) d_inv, in place of phase and cos_phase
-    deriv = np.sin(phase, out=phase)
-    deriv *= -rhos[:, None]
-    deriv *= inv[..., None, :]
-    cos_phase *= d_inv[..., None, :]
-    deriv += cos_phase
-    return p, (deriv @ wt[..., None])[..., 0]
+def _dirichlet_sums(rhos: np.ndarray, s: np.ndarray, weights: np.ndarray,
+                    boundary, out: np.ndarray):
+    """Quadrature sums against each row of a table's weights for every rho,
+    written to out[row, radius, rho]: cos(rho s) against every row, and for
+    the r-derivative rows also -rho sin(rho s) against the matching
+    1/sqrt(psi) row, plus the boundary term.
+
+    Every sum is a matrix-vector product: one matrix product against all
+    rows is no faster at these sizes, and its first call makes BLAS touch
+    about 0.3 MB more of resident memory for its packing buffers.
+    """
+    for lo, hi in _rho_blocks(rhos.size, s.size):
+        rho = rhos[lo:hi]
+        phase = rho[:, None] * s[:, None, :]
+        cos_phase = np.cos(phase)
+        for row, w in enumerate(weights):
+            out[row, :, lo:hi] = (cos_phase @ w[..., None])[..., 0]
+        if boundary is not None:
+            np.sin(phase, out=phase)
+            for row, w in enumerate(weights[:2]):
+                out[2 + row, :, lo:hi] -= rho * (phase @ w[..., None])[..., 0]
+            out[2:, :, lo:hi] += boundary[:, None]
+        del phase, cos_phase  # before the next block's are built
 
 
 def _conical_series(rhos: np.ndarray, radii: np.ndarray, s: np.ndarray,
@@ -300,63 +330,64 @@ def _conical_series(rhos: np.ndarray, radii: np.ndarray, s: np.ndarray,
             break
     if not need_p1:
         return p, None, 2.0 * tail
-    sinh_r = np.array([math.sinh(x) for x in radii.reshape(-1)]).reshape(s.shape)
-    return p, dp * 0.5 * sinh_r, 2.0 * tail
+    return p, dp * 0.5 * np.sinh(radii)[..., None], 2.0 * tail
 
 
 def _conical_integral(rhos: np.ndarray, radii: np.ndarray, rho_max: float,
-                      budget: ToleranceBudget, need_p1: bool):
-    """Mehler-Dirichlet branch, refined until the largest change over all
-    radii is within budget.abs_tol or the roundoff floor."""
+                      budget: ToleranceBudget, need_p1: bool, tables=None):
+    """Mehler-Dirichlet branch: one K21 pass, accepted once its largest
+    change from the embedded G10 over all radii is within budget.abs_tol or
+    the roundoff floor; otherwise the panels double."""
     n0 = max(4, int(math.ceil(rho_max * float(radii.max()) / 4.0)) + 1)
     # A grid of more than 65536 panels is not doubled again.
     rounds = min(budget.max_quad_depth, (65536 // n0).bit_length())
     (p, p1), diff = refine_until_stable(
-        lambda n: _mehler_dirichlet_eval(rhos, radii, n, need_p1), (n0,), 2,
-        budget.abs_tol, rounds,
+        lambda n: _mehler_dirichlet_eval(rhos, radii, n, need_p1, tables), (n0,),
+        2, budget.abs_tol, rounds,
         # the floor concedes what roundoff already spent
         floor=lambda cur: 64.0 * _EPS * (1.0 + max(
-            float(abs(v).max()) for v in cur if v is not None)))
+            float(abs(v).max()) for v in cur if v is not None)),
+        embedded=True)
     return p, p1, diff
 
 
-def _conical_many(rhos: np.ndarray, r, budget: ToleranceBudget, need_p1: bool):
+def _conical_many(rhos: np.ndarray, r, budget: ToleranceBudget, need_p1: bool,
+                  tables=None):
     """(P, P1, err) for an array of rho at one radius or at an array of radii.
 
     A scalar r gives arrays shaped like rhos; an array of radii gives one row
     per radius.  Each radius takes the series or the integral branch on its
     own, and the integral radii share one refinement, so every radius meets
     the tolerance it would meet alone.  err is the largest series tail or
-    final refinement change met.
+    final K21-G10 change met.  A caller that evaluates the same radii many
+    times passes one dict as `tables` to all its calls, so each integral
+    grid's radius factors are built once (see _mehler_dirichlet_eval).
     """
     rhos = np.asarray(rhos, dtype=float)
     radii = np.asarray(r, dtype=float)
-    rs = radii.reshape(-1).tolist()
-    if not all(0.0 <= x < math.inf for x in rs):
+    if not np.all((radii >= 0.0) & (radii < math.inf)):
         raise DomainError("radius must be finite and nonnegative")
     rho_max = float(abs(rhos).max()) if rhos.size else 0.0
     # The series needs fast initial decay (small s rho^2) AND to sit well
     # inside its |s| < 1 convergence disk; at small rho the first condition
     # alone would admit s up to 1.2, where the tail diverges.
-    s_half = [math.sinh(0.5 * x) ** 2 for x in rs]
-    series = [s <= 0.5 and s * (0.25 + rho_max * rho_max) <= 0.3 for s in s_half]
-    if all(series):
-        return _conical_series(rhos, radii, np.reshape(s_half, radii.shape),
-                               need_p1)
-    if not any(series):
-        return _conical_integral(rhos, radii, rho_max, budget, need_p1)
+    s_half = np.sinh(0.5 * radii) ** 2
+    series = (s_half <= 0.5) & (s_half * (0.25 + rho_max * rho_max) <= 0.3)
+    if series.all():
+        return _conical_series(rhos, radii, s_half, need_p1)
+    if not series.any():
+        return _conical_integral(rhos, radii, rho_max, budget, need_p1, tables)
     # A batch straddling the seam: each side on its own, rows put back.
-    near = np.array(series)
-    sp, sp1, s_err = _conical_series(rhos, radii[near], np.array(s_half)[near],
+    sp, sp1, s_err = _conical_series(rhos, radii[series], s_half[series],
                                      need_p1)
-    fp, fp1, f_err = _conical_integral(rhos, radii[~near], rho_max, budget,
-                                       need_p1)
-    p = np.empty((near.size, rhos.size))
-    p[near], p[~near] = sp, fp
+    fp, fp1, f_err = _conical_integral(rhos, radii[~series], rho_max, budget,
+                                       need_p1, tables)
+    p = np.empty((series.size, rhos.size))
+    p[series], p[~series] = sp, fp
     p1 = None
     if need_p1:
         p1 = np.empty_like(p)
-        p1[near], p1[~near] = sp1, fp1
+        p1[series], p1[~series] = sp1, fp1
     return p, p1, max(s_err, f_err)
 
 
@@ -477,12 +508,14 @@ def _inverse_with_error(fhat, r: float, budget: ToleranceBudget = DEFAULT_BUDGET
         raise DomainError("inverse transform evaluation needs r > 0")
     cb = budget.part(0.05)
     achieved = 0.0
+    tables = {}
 
     def integrand(rhos: np.ndarray) -> np.ndarray:
         nonlocal achieved
         fhat_vals = np.array([float(fhat(p)) for p in rhos])
         weight = rhos * np.tanh(math.pi * rhos) / (0.25 + rhos * rhos)
-        _, e_vals, e_err = _conical_many(rhos, float(r), cb, need_p1=True)
+        _, e_vals, e_err = _conical_many(rhos, float(r), cb, need_p1=True,
+                                         tables=tables)
         achieved = max(achieved, e_err)
         return fhat_vals * weight * e_vals / (2.0 * math.pi)
 

@@ -390,6 +390,30 @@ def test_sphere_k1_err_est_charges_roundoff(d):
     assert v.err_est >= 4.0 * np.finfo(float).eps * np.abs(v.matrix.as_array()).max()
 
 
+@pytest.mark.parametrize("t", [1e-2, 1e-3, 1e-4])
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+def test_sphere_k1_meets_abs_tol_or_raises(t, tol):
+    """From colatitude 0.1 the series tails reach err_est through 1 +
+    |cos d| + sin d frame_scale, which the budget now divides out; only
+    where the sums' roundoff alone exceeds abs_tol (t = 1e-4, 1e-12) does
+    k1 raise, carrying what it achieved."""
+    x = Point("sphere", 0.1, 0.0)
+    for d in np.logspace(-9, -3, 7):
+        y = Point("sphere", 0.1 + d, 0.0)
+        try:
+            v = k1("sphere", x, y, t, ToleranceBudget(abs_tol=tol))
+        except NonconvergenceError as info:
+            assert info.requested == tol and info.achieved > tol
+            continue
+        assert v.err_est <= tol
+        try:
+            ref = k1("sphere", x, y, t, ToleranceBudget(abs_tol=tol / 100))
+        except NonconvergenceError:
+            continue  # roundoff alone exceeds tol / 100 here
+        gap = np.abs(v.matrix.as_array() - ref.matrix.as_array()).max()
+        assert gap <= v.err_est
+
+
 @pytest.mark.parametrize("kind,r", [("hyperbolic", 0.05), ("sphere", 1.0)])
 def test_curved_k1_at_a_tiny_separation_is_finite(kind, r):
     # sinh(d) ** 3 (sin(d) ** 3) underflows here although d itself does not

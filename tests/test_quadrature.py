@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from heatforms.errors import DomainError, NonconvergenceError
-from heatforms.quadrature import (DecayHint, ToleranceBudget,
+from heatforms.quadrature import (DecayHint, ToleranceBudget, _kronrod21,
                                   gaussian_tail_radius, integrate_adaptive,
                                   integrate_semiinfinite, refine_until_stable,
                                   solve_radius)
@@ -130,6 +130,47 @@ def test_refine_until_stable_reports_the_last_change():
     value, _ = refine_until_stable(lambda n: 1.0 / n, (4,), 2, 0.0, 3,
                                    floor=lambda cur: 1.0)
     assert value == 1.0 / 8
+
+
+def test_refine_until_stable_compares_a_pass_with_its_embedded_rule():
+    # each pass returns (value, lower) on n panels, 1/n^2 apart
+    seen = []
+
+    def one_pass(n):
+        seen.append(n)
+        return 1.0 / n, 1.0 / n + 1.0 / n ** 2
+
+    value, diff = refine_until_stable(one_pass, (4,), 2, 0.1, 3, embedded=True)
+    assert seen == [4] and (value, diff) == (0.25, 1.0 / 16)
+    seen.clear()
+    value, diff = refine_until_stable(one_pass, (4,), 2, 1e-3, 5, embedded=True)
+    assert seen == [4, 8, 16, 32] and (value, diff) == (1.0 / 32, 1.0 / 1024)
+    # the round cap counts the grown passes after the first, as without it
+    seen.clear()
+    with pytest.raises(NonconvergenceError) as info:
+        refine_until_stable(one_pass, (4,), 2, 1e-9, 3, embedded=True)
+    assert seen == [4, 8, 16, 32]
+    assert info.value.achieved == 1.0 / 1024 and info.value.requested == 1e-9
+    value, _ = refine_until_stable(one_pass, (4,), 2, 0.0, 3,
+                                   floor=lambda cur: 1.0, embedded=True)
+    assert value == 0.25
+
+
+def test_kronrod21_is_quadpacks_rule():
+    _K21_X, _K21_W = _kronrod21()
+    # exact through degree 3 * 10 + 1 = 31 and not beyond
+    for k in range(33):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        miss = abs(float(_K21_W[:, 0] @ _K21_X ** k) - exact)
+        assert miss <= 1e-15 if k <= 31 else miss > 1e-12
+    # the embedded rule is Gauss-Legendre on 10 of the 21 nodes
+    g_x, g_w = np.polynomial.legendre.leggauss(10)
+    used = _K21_W[:, 1] != 0.0
+    np.testing.assert_allclose(_K21_X[used], g_x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_K21_W[used, 1], g_w, rtol=0, atol=1e-15)
+    assert _K21_X[10] == 0.0
+    assert np.array_equal(_K21_X, -_K21_X[::-1])
+    assert np.array_equal(_K21_W, _K21_W[::-1])
 
 
 def test_refine_until_stable_grows_every_grid_axis_and_skips_none():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatforms.errors import DomainError
+from heatforms import specfun
+from heatforms.errors import DomainError, NonconvergenceError
 from heatforms.quadrature import DecayHint, ToleranceBudget
 from heatforms.specfun import (RadialProfile, SpectralParameter,
                                _conical_many, _erfcx, _forward_with_error,
@@ -213,7 +214,7 @@ def test_conical_rejects_bad_radii():
 
 
 def test_dirichlet_memory_does_not_grow_with_the_rho_count():
-    # 4096 panels: a 22-by-61440 array would take 10.8 MB; rho blocks of
+    # 4096 panels: a 22-by-86016 array would take 15.1 MB; rho blocks of
     # 4 rows keep the peak at that of a 4-rho evaluation
     def peak(rhos):
         tracemalloc.start()
@@ -225,15 +226,16 @@ def test_dirichlet_memory_does_not_grow_with_the_rho_count():
 
     rhos = np.linspace(0.0, 12.0, 22)
     few, _ = peak(rhos[:4])
-    many, (p, p1) = peak(rhos)
+    many, ((p, p1), _) = peak(rhos)
     assert many <= 1.1 * few
     for i in (0, 9, 21):
-        one_p, one_p1 = _mehler_dirichlet_eval(rhos[i:i + 1], np.array(3.0), 4096, True)
+        (one_p, one_p1), _ = _mehler_dirichlet_eval(rhos[i:i + 1], np.array(3.0),
+                                                    4096, True)
         assert abs(p[i] - one_p[0]) <= 1e-14 and abs(p1[i] - one_p1[0]) <= 1e-14
 
 
 def test_dirichlet_memory_does_not_grow_with_the_radius_count():
-    # 32 panels of 15 nodes per radius: radius blocks of 34 keep the peak of
+    # 32 panels of 21 nodes per radius: radius blocks of 24 keep the peak of
     # 300 radii near that of 40
     rhos = np.linspace(0.0, 12.0, 22)
 
@@ -247,12 +249,76 @@ def test_dirichlet_memory_does_not_grow_with_the_radius_count():
 
     radii = np.linspace(0.1, 8.0, 300)
     few, _ = peak(radii[:40])
-    many, (p, p1) = peak(radii)
+    many, ((p, p1), _) = peak(radii)
     assert many <= 1.2 * few
     for i in (0, 150, 299):
-        one_p, one_p1 = _mehler_dirichlet_eval(rhos, radii[i], 32, True)
+        (one_p, one_p1), _ = _mehler_dirichlet_eval(rhos, radii[i], 32, True)
         assert np.abs(p[i] - one_p).max() <= 1e-14
         assert np.abs(p1[i] - one_p1).max() <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# one K21 pass per conical integral
+
+def _count_passes(monkeypatch):
+    """Panel counts of the evaluator calls, one list per conical integral."""
+    calls = []
+    evaluate, integral = specfun._mehler_dirichlet_eval, specfun._conical_integral
+
+    def counted_eval(rhos, radii, n_panels, need_p1, tables=None):
+        calls[-1].append(n_panels)
+        return evaluate(rhos, radii, n_panels, need_p1, tables)
+
+    def counted_integral(*args):
+        calls.append([])
+        return integral(*args)
+
+    monkeypatch.setattr(specfun, "_mehler_dirichlet_eval", counted_eval)
+    monkeypatch.setattr(specfun, "_conical_integral", counted_integral)
+    return calls
+
+
+def test_transform_cycle_evaluates_each_conical_integral_once(monkeypatch):
+    # the benchmark's transform cycle: 8 inverses of heat data and one
+    # forward transform of each profile, at tolerances 1e-6 and 1e-8
+    calls = _count_passes(monkeypatch)
+    rng = np.random.default_rng(1)
+    for _ in range(8):
+        r, s = 0.2 + 2.8 * rng.uniform(), 0.3 + 0.7 * rng.uniform()
+        budget = ToleranceBudget(abs_tol=float(rng.choice([1e-6, 1e-8])))
+        mehler_fock_inverse(lambda rho: (0.25 + rho * rho)
+                            * math.exp(-(0.25 + rho * rho) * s),
+                            r, budget, gaussian_rate=0.5 * s, bound=2.0 / s)
+    for name in ("gaussian", "cubic"):
+        budget = ToleranceBudget(abs_tol=float(rng.choice([1e-6, 1e-8])))
+        mehler_fock_forward(PROFILES[name], 8.0 * rng.uniform(), budget)
+    assert len(calls) > 50
+    assert all(len(panels) == 1 for panels in calls)
+
+
+def test_failed_embedded_check_doubles_the_panels(monkeypatch):
+    # rho r = 20 starts on 6 panels, where G10 misses 1e-14; 12 meet it
+    calls = _count_passes(monkeypatch)
+    budget = ToleranceBudget(abs_tol=1e-14)
+    p, p1, err = _conical_many(np.array([40.0]), 0.5, budget, need_p1=True)
+    assert calls == [[6, 12]] and err <= 1e-14
+    (ref_p, ref_p1), _ = specfun._mehler_dirichlet_eval(
+        np.array([40.0]), np.array(0.5), 96, True)
+    assert abs(p[0] - ref_p[0]) <= 1e-14 and abs(p1[0] - ref_p1[0]) <= 1e-14
+
+
+def test_exhausted_conical_refinement_reports_its_change(monkeypatch):
+    # an embedded rule 1e-6 off never agrees: after max_quad_depth grown
+    # passes the change met is reported against the request
+    panels = specfun._kronrod_panels
+    monkeypatch.setattr(specfun, "_kronrod_panels",
+                        lambda n: (panels(n)[0], panels(n)[1] * [1.0, 1.0 + 1e-6]))
+    calls = _count_passes(monkeypatch)
+    budget = ToleranceBudget(abs_tol=1e-10, max_quad_depth=3)
+    with pytest.raises(NonconvergenceError) as info:
+        _conical_many(np.array([2.0]), 1.5, budget, need_p1=True)
+    assert calls == [[4, 8, 16, 32]]
+    assert info.value.requested == 1e-10 and 1e-7 < info.value.achieved < 1e-5
 
 
 # ---------------------------------------------------------------------------
