@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from .quadrature import (ToleranceBudget, _gauss_rule, gaussian_tail_radius,
-                         integrate_adaptive, refine_until_stable, solve_radius)
+from .quadrature import (ToleranceBudget, _integrate_panels, _kronrod_panels,
+                         gaussian_tail_radius, refine_until_stable, solve_radius)
 from .specfun import _EPS, _conical_many, _erfcx
 
 _FOUR_PI = 4.0 * math.pi
@@ -36,7 +36,7 @@ def _h2_spectral(ds, t: float, budget: ToleranceBudget, generator: bool = False)
     All three are the spectral weight rho tanh(pi rho) e^{-lam t} / 2 pi
     integrated against the conical function (K0; G divides the weight by
     lam) or its radial derivative (G_d), so one adaptive rho integral with
-    one conical evaluation per panel serves every row.  Returns (rows,
+    one conical evaluation per panel batch serves every row.  Returns (rows,
     err_est, radius, evals): rows[0] holds K0 at each distance, rows[1] and
     rows[2] hold G and G_d when `generator` is set, and err_est bounds every
     entry.  With `generator` every distance must be positive.
@@ -78,7 +78,12 @@ def _h2_spectral(ds, t: float, budget: ToleranceBudget, generator: bool = False)
         rows = np.stack([p * w, p * (w / lam), p1 * (w / lam)])
         return rows.reshape(-1, rhos.size) / (2.0 * math.pi)
 
-    value, qerr = integrate_adaptive(integrand, 0.0, radius, qb, vectorized=True)
+    # Start from panels no wider than the conical period 2 pi / max d or the
+    # weight's width 1/sqrt(t): on one wide panel K21 and G10 can agree by
+    # accident.
+    width = min(1.0 / math.sqrt(t), 2.0 * math.pi / max(float(ds.max()), 1e-300))
+    edges = np.linspace(0.0, radius, math.ceil(radius / width) + 1)
+    value, qerr = _integrate_panels(integrand, edges, qb, vectorized=True)
     # The conical share charges the largest change met, which exceeds ctol
     # only where the roundoff floor accepted it.
     err = qerr + tail + radius * max(ctol, achieved) / (2.0 * math.pi)
@@ -238,7 +243,7 @@ def _mckean_tail(limit: float, dmin: float, t: float, generator: bool):
 
 
 def _mckean_grid(limit: float, fine: float, n_split: int):
-    """Composite 15-point Gauss nodes and weights on [0, limit] over panels
+    """QK21 nodes and (K21, G10) weight columns on [0, limit] over panels
     [0, fine], [fine, 2 fine], [2 fine, 4 fine], ..., each split into
     n_split equal parts.  A panel is as wide as its distance from w = 0,
     where every feature sits (widths sqrt d, t^(1/4) and sqrt(t/d)), so
@@ -248,10 +253,7 @@ def _mckean_grid(limit: float, fine: float, n_split: int):
     edges[0] = 0.0
     width = np.diff(edges) / n_split
     lows = (edges[:-1, None] + width[:, None] * np.arange(n_split)).ravel()
-    width = np.repeat(width, n_split)[:, None]
-    x15, w15 = _gauss_rule(15)
-    return ((lows[:, None] + width * (0.5 * (x15 + 1.0))).ravel(),
-            (width * (0.5 * w15)).ravel())
+    return _kronrod_panels(np.append(lows, limit))
 
 
 def _h2_mckean(ds, t: float, budget: ToleranceBudget, generator: bool = False):
@@ -264,14 +266,17 @@ def _h2_mckean(ds, t: float, budget: ToleranceBudget, generator: bool = False):
       G   = int_d^inf F(s) / sqrt(cosh s - cosh d) ds,
       G_d = sinh d int_d^inf (F / sinh s)' / sqrt(cosh s - cosh d) ds,
     where F(s) = c s I(s, t) and I = int_t^inf tau^{-3/2} e^{-tau/4 - s^2/4tau}
-    dtau in closed form through erfcx.  One refinement, doubling every
-    panel, serves every row and distance; the distance-by-node arrays are
-    built in blocks, so memory does not grow with the batch.  Returns
-    (rows, err_est, radius, evals) as _h2_spectral does, with radius the
-    w limit and evals the w nodes of all passes.  With `generator` every
-    distance must be positive, and err_est holds one bound per row: only
-    the G_d bound is amplified by coth d in k1, and K0's roundoff, the
-    largest at small t, need not be.
+    dtau in closed form through erfcx.  Each pass lays QK21 on graded w
+    panels and checks it against its embedded G10 sum on the same nodes;
+    only a failed check doubles every panel.  One refinement serves every
+    row and distance; the distance-by-node arrays are built in blocks, so
+    memory does not grow with the batch.  Returns (rows, err_est, radius,
+    evals) as _h2_spectral does, with radius the w limit and evals the w
+    nodes of all passes.  err_est per row is the largest |K21 - G10| plus
+    8 eps times the largest weighted sum of |integrand| plus the tail.
+    With `generator` every distance must be positive, and err_est holds one
+    bound per row: only the G_d bound is amplified by coth d in k1, and
+    K0's roundoff, the largest at small t, need not be.
     """
     ds = np.asarray(ds, dtype=float).reshape(-1)
     tol = budget.abs_tol
@@ -297,40 +302,28 @@ def _h2_mckean(ds, t: float, budget: ToleranceBudget, generator: bool = False):
     n_rows = 3 if generator else 1
     evals = 0
     scale = np.zeros(n_rows)  # largest sum of |integrand| weights, per row
-    passes = []
-    ahead = {}
+    change = None
 
-    def one_pass(n_split: int) -> np.ndarray:
-        # The first pass also takes the 2-split grid: every call the
-        # benchmark workloads make ends after those two passes, and one
-        # evaluation of both costs less than two.  Later passes take one grid.
-        nonlocal evals, scale
-        if n_split not in ahead:
-            splits = (1, 2) if n_split == 1 else (n_split,)
-            w, wt = zip(*(_mckean_grid(limit, fine, n) for n in splits))
-            rule = np.repeat(np.arange(len(w)), [x.size for x in w])
-            w = np.concatenate(w)
-            wts = np.zeros((w.size, len(splits)))
-            wts[np.arange(w.size), rule] = np.concatenate(wt)
-            evals += w.size
-            rows = np.empty((n_rows, ds.size, len(splits)))
-            per = max(1, _MCKEAN_BLOCK // w.size)
-            for lo in range(0, ds.size, per):
-                rows[:, lo:lo + per], abs_rows = _mckean_block(
-                    ds[lo:lo + per], w, wts, t, generator, di_coefs)
-                scale = np.maximum(scale, abs_rows.max(axis=(1, 2)))
-            ahead.update(zip(splits, np.moveaxis(rows, -1, 0)))
-        rows = ahead.pop(n_split)
-        passes[:] = passes[-1:] + [rows]
-        return rows
+    def one_pass(n_split: int):
+        nonlocal evals, scale, change
+        w, wts = _mckean_grid(limit, fine, n_split)
+        evals += w.size
+        rows = np.empty((n_rows, ds.size, 2))
+        per = max(1, _MCKEAN_BLOCK // w.size)
+        for lo in range(0, ds.size, per):
+            rows[:, lo:lo + per], abs_rows = _mckean_block(
+                ds[lo:lo + per], w, wts, t, generator, di_coefs)
+            scale = np.maximum(scale, abs_rows.max(axis=(1, 2)))
+        change = np.abs(rows[..., 0] - rows[..., 1]).max(axis=1)
+        return rows[..., 0], rows[..., 1]
 
     rows, _ = refine_until_stable(
         one_pass, (1,), 2, 0.5 * tol, _MCKEAN_ROUNDS,
         # the floor concedes what roundoff already spent
-        floor=lambda cur: 64.0 * _EPS * float(scale.max()))
-    # two passes can agree to the last bit, so the roundoff of the sums is
-    # charged as well as their change
-    err = (np.abs(passes[1] - passes[0]).max(axis=1) + 8.0 * _EPS * scale
+        floor=lambda cur: 64.0 * _EPS * float(scale.max()), embedded=True)
+    # K21 and G10 can agree to the last bit, so the roundoff of the sums is
+    # charged as well as their difference
+    err = (change + 8.0 * _EPS * scale
            + np.array(_mckean_tail(limit, dmin, t, generator)))
     return rows, (err if generator else float(err[0])), limit, evals
 

@@ -6,6 +6,10 @@ Gaussian decay bound.  Both return ``(value, err_est)`` with ``err_est`` no
 larger than the requested absolute tolerance, or raise
 :class:`~heatforms.errors.NonconvergenceError`.
 
+Every adaptive integral takes QUADPACK's 21-point Gauss-Kronrod rule, laid
+on a partition by ``_kronrod_panels``; its embedded 10-point Gauss sum on
+the same nodes is the accuracy check.
+
 Two helpers here are the package's only truncation and refinement policy:
 ``solve_radius`` cuts every noncompact integral or sum at the first radius
 where an explicit tail bound falls below its share of the tolerance, and
@@ -98,21 +102,6 @@ class DecayHint:
         return self.bound
 
 
-@lru_cache(maxsize=None)
-def _gauss_rule(n: int):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return nodes, weights
-
-
-def _composite_gauss(limit: float, n_panels: int):
-    """Nodes and weights of a composite 15-point Gauss rule on [0, limit]."""
-    base_x, base_w = _gauss_rule(15)
-    half = 0.5 * limit / n_panels
-    mids = (2.0 * np.arange(n_panels) + 1.0) * half
-    return ((mids[:, None] + half * base_x).ravel(),
-            np.tile(half * base_w, n_panels))
-
-
 # QUADPACK's 21-point Gauss-Kronrod rule QK21 (Piessens, de Doncker-Kapenga,
 # Ueberhuber & Kahaner, QUADPACK, Springer 1983) on [-1, 1].  The rule is
 # symmetric, so only the nonnegative nodes are listed, largest first; those
@@ -160,14 +149,15 @@ def _kronrod21():
             np.concatenate([weights[:-1], weights[::-1]]))
 
 
-def _kronrod_panels(n_panels: int):
-    """Nodes and (K21, G10) weight columns of composite QK21 on [0, 1] over
-    n_panels equal panels."""
+def _kronrod_panels(edges):
+    """Nodes and (K21, G10) weight columns of QK21 laid on every panel
+    [edges[i], edges[i + 1]] of a partition, 21 nodes per panel in order."""
     x, w = _kronrod21()
-    half = 0.5 / n_panels
-    mids = (2.0 * np.arange(n_panels) + 1.0) * half
-    return ((mids[:, None] + half * x).ravel(),
-            (half * w)[None].repeat(n_panels, axis=0).reshape(-1, 2))
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges)
+    mids = edges[:-1] + half
+    return ((mids[:, None] + half[:, None] * x).ravel(),
+            (half[:, None, None] * w).reshape(-1, 2))
 
 
 def solve_radius(tail, tol: float, start: float, grow: float):
@@ -227,41 +217,64 @@ def refine_until_stable(one_pass, size: tuple, grow: float, tol: float,
         f"rounds (requested {tol:.3e})", achieved=diff, requested=tol)
 
 
-def _eval_many(f, xs: np.ndarray, vectorized: bool) -> np.ndarray:
+def _panel_estimates(f, edges, vectorized: bool):
+    """(K21 values, |K21 - G10| errors) of every panel of a partition, from
+    one evaluation of f; a row-valued f gives (panel, row) values and each
+    panel's largest error over its rows."""
+    xs, w = _kronrod_panels(edges)
     if vectorized:
-        out = np.asarray(f(xs), dtype=float)
-        if out.ndim not in (1, 2) or out.shape[-1] != xs.size:
+        ys = np.asarray(f(xs), dtype=float)
+        if ys.ndim not in (1, 2) or ys.shape[-1] != xs.size:
             raise DomainError("vectorized integrand returned a wrong shape")
-        return out
-    return np.array([float(f(x)) for x in xs], dtype=float)
-
-
-def _panel_estimates(f, a: float, b: float, vectorized: bool):
-    """(G15, |G15 - G7|) on one panel; 22 integrand evaluations.
-
-    A row-valued integrand gives an array of G15 values, one per row, and
-    the largest |G15 - G7| over its rows.
-    """
-    x15, w15 = _gauss_rule(15)
-    x7, w7 = _gauss_rule(7)
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    xs = np.concatenate([mid + half * x15, mid + half * x7])
-    ys = _eval_many(f, xs, vectorized)
+    else:
+        ys = np.array([float(f(x)) for x in xs], dtype=float)
     if not np.all(np.isfinite(ys)):
-        raise DomainError(f"integrand returned a non-finite value on [{a}, {b}]")
-    if ys.ndim == 2:
-        coarse = half * (ys[:, 15:] @ w7)
-        fine = half * (ys[:, :15] @ w15)
-        return fine, float(np.abs(fine - coarse).max())
-    coarse = half * float(w7 @ ys[15:])
-    fine = half * float(w15 @ ys[:15])
-    return fine, abs(fine - coarse)
+        raise DomainError(f"integrand returned a non-finite value on "
+                          f"[{edges[0]}, {edges[-1]}]")
+    n = len(edges) - 1
+    w = w.reshape(n, 21, 2)
+    # (row, panel) sums of each rule
+    k21, g10 = ((ys.reshape(-1, n, 21) * w[..., k]).sum(axis=2) for k in (0, 1))
+    return (k21.T if ys.ndim == 2 else k21[0]), np.abs(k21 - g10).max(axis=0)
+
+
+def _integrate_panels(f, edges, budget: ToleranceBudget, vectorized: bool):
+    """integrate_adaptive from a given partition [edges[0], edges[-1]]:
+    every panel is estimated, then the worst one is halved until the summed
+    error is at most budget.abs_tol."""
+    values, errs = _panel_estimates(f, edges, vectorized)
+    # Heap entries: (-err, tiebreak, a, b, value, depth).
+    heap = [(-e, k, a, b, v, 0) for k, (a, b, v, e)
+            in enumerate(zip(edges[:-1], edges[1:], values, errs))]
+    heapq.heapify(heap)
+    counter = len(heap)
+    total_err = float(errs.sum())
+    while total_err > budget.abs_tol:
+        neg_err, _, pa, pb, _, depth = heap[0]
+        if depth >= budget.max_quad_depth or len(heap) >= _MAX_PANELS:
+            raise NonconvergenceError(
+                f"adaptive quadrature stalled at error {total_err:.3e} "
+                f"(requested {budget.abs_tol:.3e})",
+                achieved=total_err, requested=budget.abs_tol)
+        heapq.heappop(heap)
+        mid = 0.5 * (pa + pb)
+        (lv, rv), (le, re) = _panel_estimates(f, [pa, mid, pb], vectorized)
+        total_err += le + re + neg_err
+        heapq.heappush(heap, (-le, counter, pa, mid, lv, depth + 1))
+        heapq.heappush(heap, (-re, counter + 1, mid, pb, rv, depth + 1))
+        counter += 2
+    if values.ndim == 2:
+        rows = np.array([entry[4] for entry in heap]).T
+        return np.array([math.fsum(row) for row in rows]), total_err
+    return math.fsum(entry[4] for entry in heap), total_err
 
 
 def integrate_adaptive(f, a: float, b: float, budget: ToleranceBudget = DEFAULT_BUDGET,
                        vectorized: bool = False):
     """Integrate f on [a, b] to within budget.abs_tol.
+
+    A panel's error is |K21 - G10|; the worst panel is halved until the
+    errors sum to at most abs_tol.
 
     Parameters
     ----------
@@ -291,35 +304,7 @@ def integrate_adaptive(f, a: float, b: float, budget: ToleranceBudget = DEFAULT_
         raise DomainError("integrate_adaptive requires a <= b")
     if a == b:
         return 0.0, 0.0
-
-    value, err = _panel_estimates(f, a, b, vectorized)
-    # Heap entries: (-err, tiebreak, a, b, value, depth).
-    counter = 0
-    heap = [(-err, counter, a, b, value, 0)]
-    total_err = err
-    n_panels = 1
-    while total_err > budget.abs_tol:
-        neg_err, _, pa, pb, pval, depth = heapq.heappop(heap)
-        worst = -neg_err
-        if depth >= budget.max_quad_depth or n_panels >= _MAX_PANELS:
-            heapq.heappush(heap, (neg_err, counter + 1, pa, pb, pval, depth))
-            raise NonconvergenceError(
-                f"adaptive quadrature stalled at error {total_err:.3e} "
-                f"(requested {budget.abs_tol:.3e})",
-                achieved=total_err, requested=budget.abs_tol)
-        mid = 0.5 * (pa + pb)
-        lv, le = _panel_estimates(f, pa, mid, vectorized)
-        rv, re = _panel_estimates(f, mid, pb, vectorized)
-        total_err += le + re - worst
-        counter += 1
-        heapq.heappush(heap, (-le, counter, pa, mid, lv, depth + 1))
-        counter += 1
-        heapq.heappush(heap, (-re, counter, mid, pb, rv, depth + 1))
-        n_panels += 1
-    if isinstance(value, np.ndarray):
-        rows = np.array([entry[4] for entry in heap]).T
-        return np.array([math.fsum(row) for row in rows]), total_err
-    return math.fsum(entry[4] for entry in heap), total_err
+    return _integrate_panels(f, [float(a), float(b)], budget, vectorized)
 
 
 def gaussian_tail_radius(rate: float, tol: float, bound: float = 1.0,

@@ -200,7 +200,7 @@ def _erfcx(x: np.ndarray) -> np.ndarray:
 
 
 def _mehler_dirichlet_eval(rhos: np.ndarray, radii: np.ndarray, n_panels: int,
-                           need_p1: bool, tables=None):
+                           need_p1: bool, tables=None, scale=None):
     """Composite-K21 evaluation of the conical integral and its r-derivative.
 
     The representation is P_{-1/2+i rho}(cosh r) =
@@ -216,7 +216,9 @@ def _mehler_dirichlet_eval(rhos: np.ndarray, radii: np.ndarray, n_panels: int,
     Radius blocks keep a block's table and a 4-row rho block near
     _BLOCK_ELEMS entries however many radii come in.  `tables`, a dict
     that lives for one call of a caller whose radii stay fixed, keeps each
-    block's table for later evaluations at the same panel count.
+    block's table for later evaluations at the same panel count.  `scale`,
+    if given, is a 1-entry array raised to the largest K21 sum of |terms|
+    of any entry, which sets the roundoff.
     """
     flat = radii.reshape(-1)
     step = max(1, _BLOCK_ELEMS // (4 * 21 * n_panels))
@@ -231,7 +233,14 @@ def _mehler_dirichlet_eval(rhos: np.ndarray, radii: np.ndarray, n_panels: int,
         return tables[key]
 
     for lo in range(0, flat.size, step):
-        _dirichlet_sums(rhos, *table(flat[lo:lo + step]), out[:, lo:lo + step])
+        s, weights, boundary = table(flat[lo:lo + step])
+        _dirichlet_sums(rhos, s, weights, boundary, out[:, lo:lo + step])
+        if scale is not None:  # each K21 row's weights share one sign
+            mass = np.abs(weights[0::2].sum(axis=-1))
+            if need_p1:
+                mass[1] += float(abs(rhos).max(initial=0.0)) * mass[0] + boundary
+            scale[0] = max(scale[0], _TWO_SQRT2_OVER_PI * float(mass.max()))
+        del s, weights, boundary  # before the next block's table is built
     out *= _TWO_SQRT2_OVER_PI
     out = out.reshape(out.shape[:1] + radii.shape + rhos.shape)
     if not need_p1:
@@ -246,7 +255,7 @@ def _dirichlet_table(radii: np.ndarray, n_panels: int, need_p1: bool):
     rows, the K21 and G10 weights times 1/sqrt(psi) and, with need_p1, both
     times its r-derivative; boundary (None unless need_p1) is the
     moving-endpoint term 1 / (2 sqrt 2 sinh(r/2)) of the r-derivative."""
-    x, wts = _kronrod_panels(n_panels)
+    x, wts = _kronrod_panels(np.linspace(0.0, 1.0, n_panels + 1))
     r = radii[:, None]
     xsq = x * x
     s = r * (1.0 - xsq)  # w = sqrt(r) x
@@ -321,34 +330,43 @@ def _conical_series(rhos: np.ndarray, radii: np.ndarray, s: np.ndarray,
     dp = np.zeros_like(p)
     rsq = rhos * rhos
     term = np.ones_like(p)
+    # |term_k| grows with rho^2 and s for every k, so the largest entry's
+    # sums of |terms| are the sums of the largest |term_k|.
+    abs_p, abs_dp = 1.0, 0.0
     for k in range(1, 80):
         term = term * neg_s * (((k - 0.5) ** 2 + rsq) / (k * k))
         p = p + term
         dp = dp + k * term / s_div
         tail = float(abs(term).max())
+        abs_p += tail
+        abs_dp += k * tail
         if tail <= 1e-18 * (1.0 + float(abs(p).max())):
             break
+    err = 2.0 * tail + 8.0 * _EPS * abs_p
     if not need_p1:
-        return p, None, 2.0 * tail
-    return p, dp * 0.5 * np.sinh(radii)[..., None], 2.0 * tail
+        return p, None, err
+    abs_dp *= 0.5 * math.sinh(float(radii.max())) / float(s_div.max())
+    return p, dp * 0.5 * np.sinh(radii)[..., None], err + 8.0 * _EPS * abs_dp
 
 
 def _conical_integral(rhos: np.ndarray, radii: np.ndarray, rho_max: float,
                       budget: ToleranceBudget, need_p1: bool, tables=None):
     """Mehler-Dirichlet branch: one K21 pass, accepted once its largest
     change from the embedded G10 over all radii is within budget.abs_tol or
-    the roundoff floor; otherwise the panels double."""
+    the roundoff floor; otherwise the panels double.  err adds 8 eps times
+    the largest sum of |terms| met."""
     n0 = max(4, int(math.ceil(rho_max * float(radii.max()) / 4.0)) + 1)
     # A grid of more than 65536 panels is not doubled again.
     rounds = min(budget.max_quad_depth, (65536 // n0).bit_length())
+    scale = np.zeros(1)
     (p, p1), diff = refine_until_stable(
-        lambda n: _mehler_dirichlet_eval(rhos, radii, n, need_p1, tables), (n0,),
-        2, budget.abs_tol, rounds,
+        lambda n: _mehler_dirichlet_eval(rhos, radii, n, need_p1, tables, scale),
+        (n0,), 2, budget.abs_tol, rounds,
         # the floor concedes what roundoff already spent
         floor=lambda cur: 64.0 * _EPS * (1.0 + max(
             float(abs(v).max()) for v in cur if v is not None)),
         embedded=True)
-    return p, p1, diff
+    return p, p1, diff + 8.0 * _EPS * float(scale[0])
 
 
 def _conical_many(rhos: np.ndarray, r, budget: ToleranceBudget, need_p1: bool,
@@ -359,7 +377,8 @@ def _conical_many(rhos: np.ndarray, r, budget: ToleranceBudget, need_p1: bool,
     per radius.  Each radius takes the series or the integral branch on its
     own, and the integral radii share one refinement, so every radius meets
     the tolerance it would meet alone.  err is the largest series tail or
-    final K21-G10 change met.  A caller that evaluates the same radii many
+    final K21-G10 change met, plus 8 eps times the largest sums of |terms|
+    (the roundoff).  A caller that evaluates the same radii many
     times passes one dict as `tables` to all its calls, so each integral
     grid's radius factors are built once (see _mehler_dirichlet_eval).
     """
@@ -533,7 +552,7 @@ def _inverse_fhat_gain(budget: ToleranceBudget, gaussian_rate: float,
     integrate_semiinfinite cuts the rho integral.
 
     The value is sum_i W_i fhat(rho_i) w(rho_i) E_rho_i(r) / (2 pi) over
-    the accepted Gauss panels, whose weights W_i are positive and sum to R.
+    the accepted Kronrod panels, whose weights W_i are positive and sum to R.
     |w E| <= 1: w = rho tanh(pi rho) / (1/4 + rho^2) <= rho / (1/4 + rho^2),
     and with q = cosh r + sinh r cos phi in Laplace's integral P(cosh r) =
     (1/pi) int_0^pi q^(-1/2 + i rho) dphi, d/dr q^(-1/2 + i rho) = (-1/2 +

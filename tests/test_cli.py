@@ -257,3 +257,37 @@ def test_import_leaves_scipy_unloaded():
                           "import sys, heatforms; print('scipy' in sys.modules)"],
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False"
+
+
+_SERVING_CALLS = """
+import math, sys
+from heatforms import (DecayHint, FormField, OneFormValue, Point, ToleranceBudget,
+                       apply_k0, apply_k1, k0, k1, k2, mehler_fock_forward,
+                       mehler_fock_inverse)
+from heatforms.verify import PROFILES
+b = ToleranceBudget(abs_tol=1e-8)
+for kind in ("plane", "sphere", "hyperbolic"):
+    x, y = Point(kind, 0.3, 0.2), Point(kind, 0.9, 1.1)
+    for kernel in (k0, k1, k2):
+        kernel(kind, x, y, 0.2, b)
+x = Point("hyperbolic", 0.7, 5.9)
+hint = DecayHint("gaussian", 1.0, 1.0)
+apply_k0("hyperbolic", FormField(0, lambda p: math.exp(-p.c1 ** 2), hint),
+         0.5, b).fn(x)
+apply_k1("hyperbolic", FormField(1, lambda p: OneFormValue(
+    math.exp(-p.c1 ** 2) * math.cos(p.c2), -math.exp(-p.c1 ** 2)
+    * math.sin(p.c2)), hint), 0.5, ToleranceBudget(abs_tol=1e-6)).fn(x)
+mehler_fock_forward(PROFILES["gaussian"], 1.5, b)
+mehler_fock_inverse(lambda rho: math.exp(-0.5 * (0.25 + rho * rho)), 1.0, b,
+                    gaussian_rate=0.5, bound=1.0)
+print('numpy.polynomial' in sys.modules)
+"""
+
+
+def test_serving_paths_leave_numpy_polynomial_unloaded():
+    # every adaptive integral runs on the QK21 literals; only the verify
+    # suites' fixed reference rules load numpy.polynomial
+    out = subprocess.run([sys.executable, "-c", _SERVING_CALLS],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -13,7 +13,7 @@ from heatforms.geometry import (OneFormValue, Point, SurfaceKind, distance)
 from heatforms.kernels import (T_MIN, FormField, HeatTime, apply_k0, apply_k1,
                                g1_scalar, heat_residual, k0, k1, k2)
 from heatforms.quadrature import (DecayHint, ToleranceBudget,
-                                  _composite_gauss, integrate_adaptive)
+                                  _kronrod_panels, integrate_adaptive)
 from heatforms.specfun import legendre_p
 
 TIGHT = ToleranceBudget(abs_tol=1e-12)
@@ -102,6 +102,22 @@ def test_h2_dual_routes_agree():
             gap = abs(served.value - rows[0, 0])
             assert gap < 1e-9
             assert gap <= served.err_est + err
+
+
+@pytest.mark.parametrize("d,t,generator", [(1.425, 1e-3, False),
+                                           (3.2, 1e-3, False),
+                                           (4.0, 1e-3, True)])
+def test_h2_spectral_oracle_holds_at_small_time(d, t, generator):
+    """The rho integrand oscillates with period 2 pi / d under a Gaussian of
+    width 1/sqrt(t).  Started from one panel over the whole of [0, 151],
+    two rules on the same nodes can agree by accident: at d = 1.425 the
+    spectral K0 was off by 2.1e4 times its err_est.  Seeded panels no wider
+    than either scale hold every row to McKean's within the summed bounds."""
+    oracle, o_err, _, _ = hyperbolic._h2_spectral(
+        [d], t, ToleranceBudget(abs_tol=1e-6), generator)
+    served, s_err, _, _ = hyperbolic._h2_mckean(
+        [d], t, ToleranceBudget(abs_tol=1e-12), generator)
+    assert np.all(np.abs(oracle - served)[:, 0] <= o_err + s_err)
 
 
 # (d, t, K0, G, G_d) from mpmath quadrature of the defining integrals at
@@ -250,7 +266,8 @@ def test_h2_mass_tail_and_majorant_bound_the_kernel():
         for d, v in zip(ds, vals):
             assert 0.0 < v <= hyperbolic._h2_k0_majorant(d, t)
         for radius in (1.0, 2.0):
-            rs, wts = _composite_gauss(20.0, 40)
+            rs, wts = _kronrod_panels(np.linspace(0.0, 20.0, 41))
+            wts = wts[:, 0]
             kern = hyperbolic._h2_mckean(radius + rs, t, TIGHT)[0][0]
             mass = float(np.sum(kern * 2.0 * math.pi * np.sinh(radius + rs) * wts))
             assert mass <= hyperbolic._h2_mass_tail(radius, t)
@@ -654,11 +671,13 @@ def _frozen_sphere_form(p):
 # H2 entry was refrozen when its radial kernels moved to the batched McKean
 # route, and every entry when the nested sampler replaced the fixed grids:
 # at most 6.1e-16 on the sphere and the plane, and on H2 1.5e-13 for
-# apply_k0 and 3.2e-10 for apply_k1, whose cut now covers G_d's tail.
+# apply_k0 and 3.2e-10 for apply_k1, whose cut now covers G_d's tail.  The
+# H2 apply_k1 entries moved again, by 5.6e-17 and 2.8e-17 against abs_tol
+# 1e-6, when McKean's w integral moved onto QK21 panels.
 _FROZEN_EVOLUTIONS = {
     "sphere": (0.33175495592319043, -0.18480157416075255, 0.027508307704957977),
     "plane": (0.30094821566974006, 0.2625716289363291, 0.12566267318777705),
-    "hyperbolic": (0.2639528497245808, 0.15535624931700306, 0.08336338958357897),
+    "hyperbolic": (0.2639528497245808, 0.15535624931700312, 0.08336338958357899),
 }
 
 
@@ -783,9 +802,10 @@ def test_mckean_refinement_failure_is_in_kernel_units(monkeypatch):
         assert info.value.requested == 0.5 * tol
 
 
-def test_mckean_third_pass_evaluates_one_grid(monkeypatch):
-    """Only the first pass takes the next grid with it: a call that needs a
-    third pass evaluates the 4-split grid alone, not the 8-split one too."""
+def test_mckean_each_pass_evaluates_one_grid(monkeypatch):
+    """A pass evaluates its own grid only: a first pass whose K21 and G10
+    sums disagree is followed by the 2-split grid alone, which is then
+    accepted."""
     splits = []
     grid = hyperbolic._mckean_grid
 
@@ -793,7 +813,7 @@ def test_mckean_third_pass_evaluates_one_grid(monkeypatch):
         splits.append(n_split)
         return grid(limit, fine, n_split)
 
-    values = iter([3.0e-3, 0.0, 0.0])  # one per rule, in pass order
+    values = iter([3.0e-3, 0.0, 0.0, 0.0])  # (K21, G10) per pass
 
     def block(ds, w, wts, t, generator, di_coefs):
         rows = np.empty((1, ds.size, wts.shape[1]))
@@ -804,7 +824,7 @@ def test_mckean_third_pass_evaluates_one_grid(monkeypatch):
     monkeypatch.setattr(hyperbolic, "_mckean_grid", counted_grid)
     monkeypatch.setattr(hyperbolic, "_mckean_block", block)
     hyperbolic._h2_mckean([0.5], 0.01, ToleranceBudget(abs_tol=1e-8))
-    assert splits == [1, 2, 4]
+    assert splits == [1, 2]
 
 
 def test_h2_k1_at_small_time_and_separation_meets_a_tight_request():
