@@ -333,8 +333,8 @@ def _h2_k0_majorant(d: float, t: float) -> float:
     a = 0.5 * _GAMMA_14 * (4.0 * t) ** 0.25
     b = 0.5 * _GAMMA_34 * (4.0 * t) ** 0.75
     lead = math.sqrt(2.0) * math.exp(-0.25 * t) * (_FOUR_PI * t) ** -1.5
-    with np.errstate(over="ignore"):
-        sh = math.sinh(d) if d < 300.0 else 1e130
+    # sinh(300) < 1e130, so the clamp keeps sh non-decreasing in d
+    sh = math.sinh(d) if d < 300.0 else 1e130
     return lead * math.exp(-d * d / (4.0 * t)) / math.sqrt(sh) * (a * d + b)
 
 

@@ -28,7 +28,7 @@ from .errors import (CoincidentPointsError, CutLocusError, DecayHintError,
 from .geometry import (BiTensor1, OneFormValue, Point, SurfaceKind,
                        apply_i_plus_star, distance, _check_finite,
                        _grid_points, _metric_profile, _nested_integral,
-                       _pair_derivatives)
+                       _outer_plus, _pair_derivatives)
 from .hyperbolic import _h2_mass_tail, _h2_mckean
 from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
                          refine_until_stable, solve_radius)
@@ -140,12 +140,12 @@ def _sphere_terms(t: float, tol_raw: float) -> int:
 
 
 def _sphere_k0_raw(x, t: float, tol_raw: float):
-    """(sum_{n<=N} (2n+1) e^{-n(n+1)t} P_n(x), N, tail) without the 1/4pi."""
-    x = np.asarray(x, dtype=float)
+    """(sum_{n<=N} (2n+1) e^{-n(n+1)t} P_n(x), N, tail) without the 1/4pi.
+
+    x is a float or an array of floats, and the sum is of the same type.
+    """
     n_max = _sphere_terms(t, tol_raw)
-    total = np.ones_like(x)
-    p_prev = np.ones_like(x)
-    p_cur = x.copy()
+    total, p_prev, p_cur = 1.0, 1.0, x
     for n in range(1, n_max + 1):
         total = total + (2 * n + 1) * math.exp(-n * (n + 1) * t) * p_cur
         p_prev, p_cur = p_cur, ((2 * n + 1) * x * p_cur - n * p_prev) / (n + 1)
@@ -160,15 +160,12 @@ def _sphere_g1_raw(x, sin_d, t: float, tol: float):
     F(n,t) = (2n+1) e^{-n(n+1)t} / (4 pi n (n+1)).  With |P_n| <= 1 and
     |P1_n| <= n(n+1)/2 both tails are <= e^{-N(N+1)t}/(8 pi t); as
     P1_n(cos d) = -sin d P_n'(cos d), the G_d tail is also sin d times that.
+    x and sin_d are floats or arrays of one shape, and so are the sums.
     """
-    x = np.asarray(x, dtype=float)
     n_max = _sphere_terms(t, tol * 8.0 * math.pi)
-    g = np.zeros_like(x)
-    gd = np.zeros_like(x)
-    p_prev = np.ones_like(x)
-    p_cur = x.copy()
-    q_prev = np.zeros_like(x)
-    q_cur = -np.asarray(sin_d, dtype=float)
+    g, gd = 0.0, 0.0
+    p_prev, p_cur = 1.0, x
+    q_prev, q_cur = 0.0, -sin_d
     for n in range(1, n_max + 1):
         f_n = (2 * n + 1) * math.exp(-n * (n + 1) * t) / (_FOUR_PI * n * (n + 1))
         g = g + f_n * p_cur
@@ -257,7 +254,7 @@ def _k0_dist(kind: SurfaceKind, d: float, t: float,
     if kind is SurfaceKind.SPHERE:
         raw, n_max, tail = _sphere_k0_raw(math.cos(d), t,
                                           budget.abs_tol * _FOUR_PI)
-        return Kernel0Value(float(raw) / _FOUR_PI, tail / _FOUR_PI, n_max, 0.0)
+        return Kernel0Value(raw / _FOUR_PI, tail / _FOUR_PI, n_max, 0.0)
     rows, err, radius, evals = _h2_mckean([d], t, budget)
     return Kernel0Value(float(rows[0, 0]), err, evals, radius)
 
@@ -349,16 +346,15 @@ def _g1_full(kind: SurfaceKind, d: float, t: float, budget: ToleranceBudget,
         return g_val, g_d, g_dd, 8.0 * _EPS * abs(g_d), err2, 1, 0.0
     if kind is SurfaceKind.SPHERE:
         # 0.24 rather than 0.25 of tol per series leaves room for roundoff
-        g_arr, gd_arr, n_max, tail = _sphere_g1_raw(math.cos(d), math.sin(d), t,
-                                                    0.24 * tol)
+        g_val, g_d, n_max, tail = _sphere_g1_raw(math.cos(d), math.sin(d), t,
+                                                 0.24 * tol)
         k0_raw, _, k0_tail = _sphere_k0_raw(math.cos(d), t, 0.24 * tol * _FOUR_PI)
-        kern = float(k0_raw) / _FOUR_PI
-        g_d = float(gd_arr)
+        kern = k0_raw / _FOUR_PI
         g_dd = -g_d / math.tan(d) - kern + 1.0 / _FOUR_PI
         # the series tails, plus the roundoff of the sums as on the plane
         err1 = tail * math.sin(d) + 8.0 * _EPS * abs(g_d)
         err2 = tail * abs(math.cos(d)) + k0_tail / _FOUR_PI + 8.0 * _EPS * abs(g_dd)
-        return float(g_arr), g_d, g_dd, err1, err2, n_max, 0.0
+        return g_val, g_d, g_dd, err1, err2, n_max, 0.0
     rows, err, radius, evals = h2([d], t, budget, generator=True)
     kern, g_val, g_d = (float(v) for v in rows[:, 0])
     g_dd = -g_d / math.tanh(d) - kern
@@ -389,7 +385,7 @@ def _k1_coincidence(kind: SurfaceKind, t: float, budget: ToleranceBudget):
         return 1.0 / (_FOUR_PI * t), 2.0 * _EPS / t, 1, 0.0
     if kind is SurfaceKind.SPHERE:
         raw, n_max, tail = _sphere_k0_raw(1.0, t, budget.abs_tol * _FOUR_PI)
-        return (float(raw) - 1.0) / _FOUR_PI, tail / _FOUR_PI, n_max, 0.0
+        return (raw - 1.0) / _FOUR_PI, tail / _FOUR_PI, n_max, 0.0
     rows, err, radius, evals = _h2_mckean([0.0], t, budget)
     return float(rows[0, 0]), err, evals, radius
 
@@ -412,9 +408,10 @@ def k1(kind, x: Point, y: Point, t,
 
 def _k1_apart(kind: SurfaceKind, x: Point, y: Point, d: float, t: float,
               budget: ToleranceBudget, h2=_h2_mckean) -> Kernel1Value:
-    """k1 at separation d > 0, with the hyperbolic rows from route h2."""
-    data = _pair_derivatives(kind, x, y)
-    frame_scale = float(np.max(np.abs(data.mixed)))
+    """k1 at separation d = distance(kind, x, y) > 0, with the hyperbolic
+    rows from route h2."""
+    data = _pair_derivatives(kind, x, y, d)
+    frame_scale = max(map(abs, data.mixed))
     tol = budget.abs_tol
     if kind is SurfaceKind.HYPERBOLIC:
         # The K0 and G_d rows each come with their own bound within this
@@ -442,9 +439,8 @@ def _k1_apart(kind: SurfaceKind, x: Point, y: Point, d: float, t: float,
                 f"k1 on the sphere: error bound {err:.3e}, of which the "
                 f"roundoff of its sums is {roundoff:.3e} (requested {tol:.3e})",
                 achieved=err, requested=tol)
-    core = g_dd * np.outer(data.grad_x, data.grad_y) + g_d * data.mixed
-    mat = apply_i_plus_star(BiTensor1.from_array(core))
-    return Kernel1Value(mat, err, terms, radius)
+    core = _outer_plus(g_dd, data.grad_x, data.grad_y, g_d, data.mixed)
+    return Kernel1Value(apply_i_plus_star(core), err, terms, radius)
 
 
 def k2(kind, x: Point, y: Point, t,

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import (DomainError, EnumerationOverflowError, KindMismatchError,
                      UnsupportedGroupError)
-from .geometry import BiTensor1, Point, SurfaceKind, distance
+from .geometry import (_TWO_PI, BiTensor1, Point, SurfaceKind, _h2_distance,
+                       distance)
 from .hyperbolic import _h2_k0_majorant, _h2_mckean
 from .kernels import Kernel1Value, _as_time, _k0_dist, k1 as _k1_base
 from .quadrature import DEFAULT_BUDGET, ToleranceBudget, solve_radius
@@ -118,12 +119,21 @@ def _polar(v) -> Point:
 def _axis_translate(p: Point, a: float) -> Point:
     """Translate a hyperbolic point by length a along the theta = 0 geodesic
     (a Lorentz boost of the hyperboloid in the x0-x1 plane)."""
+    return Point(SurfaceKind.HYPERBOLIC, *_boost(_hyperboloid(p), a))
+
+
+def _hyperboloid(p: Point) -> tuple[float, float, float]:
     sh, ch = math.sinh(p.c1), math.cosh(p.c1)
-    x0, x1, x2 = ch, sh * math.cos(p.c2), sh * math.sin(p.c2)
+    return ch, sh * math.cos(p.c2), sh * math.sin(p.c2)
+
+
+def _boost(xs: tuple[float, float, float], a: float) -> tuple[float, float]:
+    """Polar coordinates (r, theta), theta not yet reduced mod 2 pi, of the
+    hyperboloid point xs boosted by a in the x0-x1 plane."""
+    x0, x1, x2 = xs
     ca, sa = math.cosh(a), math.sinh(a)
     y0, y1 = ca * x0 + sa * x1, sa * x0 + ca * x1
-    return Point(SurfaceKind.HYPERBOLIC, math.acosh(max(1.0, y0)),
-                 math.atan2(x2, y1))
+    return math.acosh(max(1.0, y0)), math.atan2(x2, y1)
 
 
 def act(g: GroupElement, p: Point) -> Point:
@@ -198,51 +208,62 @@ class QuotientSurface:
         return _reduce_point(self.group, p)
 
 
-def enumerate_elements(group: CoveringGroupSpec, x: Point, y: Point,
-                       radius: float) -> list[GroupElement]:
-    """All g with distance(x, act(g, y)) <= radius, in a fixed order
-    (by squared integer norm, then lexicographic)."""
-    radius = float(radius)
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise DomainError("enumeration radius must be positive")
-    if x.kind is not group.base or y.kind is not group.base:
-        raise KindMismatchError("group and points live on different surfaces")
+def _images(group: CoveringGroupSpec, x: Point, y: Point, radius: float):
+    """(k1, k2, dist): integer coordinates of every g with
+    d(x, g y) <= radius, and those distances, as arrays in the order of
+    enumerate_elements (by squared integer norm, then lexicographic).
+
+    Flat images are Cartesian translates of y, filtered and ordered with
+    array operations.  On the hyperbolic cylinder one float loop boosts y
+    along the axis and measures each image with the same operations, in the
+    same order, as act and then distance, so it gets their bits.
+    """
     if group.variant == "trivial":
-        e = group.identity()
-        return [e] if distance(group.base, x, y) <= radius else []
+        d = distance(group.base, x, y)
+        keep = np.array([0] if d <= radius else [], dtype=int)
+        return keep, keep, np.full(len(keep), d)
     if group.variant == "hyperbolic_cyclic":
         d0 = distance(group.base, x, y)
         k_max = int(math.ceil((radius + d0) / group.ell)) + 1
         if 2 * k_max + 1 > _MAX_ELEMENTS:
             raise EnumerationOverflowError(
                 f"radius {radius} implies more than {_MAX_ELEMENTS} candidates")
-        out = []
+        ys = _hyperboloid(y)
+        ks, dists = [], []
         for k in sorted(range(-k_max, k_max + 1), key=lambda k: (k * k, k)):
-            g = GroupElement(group, k)
-            if distance(group.base, x, act(g, y)) <= radius:
-                out.append(g)
-        return out
-    diff = _cart(x) - _cart(y)
+            c1, c2 = _boost(ys, k * group.ell)
+            d = _h2_distance(x.c1, c1, x.c2 - c2 % _TWO_PI)
+            if d <= radius:
+                ks.append(k)
+                dists.append(d)
+        return np.array(ks, dtype=int), np.zeros(len(ks), dtype=int), np.array(dists)
+    dx = x.c1 * math.cos(x.c2) - y.c1 * math.cos(y.c2)
+    dy = x.c1 * math.sin(x.c2) - y.c1 * math.sin(y.c2)
     if group.variant == "euclidean_cyclic":
-        v = np.asarray(group.v1)
-        length = float(np.hypot(*v))
-        center = float(diff @ v) / length ** 2
+        vx, vy = group.v1
+        length = math.hypot(vx, vy)
+        center = (dx * vx + dy * vy) / length ** 2
         half = radius / length + 1.0
         k_lo, k_hi = int(math.floor(center - half)), int(math.ceil(center + half))
         if k_hi - k_lo + 1 > _MAX_ELEMENTS:
             raise EnumerationOverflowError(
                 f"radius {radius} implies more than {_MAX_ELEMENTS} candidates")
-        ks = np.arange(k_lo, k_hi + 1)
-        dist = np.hypot(diff[0] - ks * v[0], diff[1] - ks * v[1])
-        keep = sorted((int(k) for k in ks[dist <= radius]),
-                      key=lambda k: (k * k, k))
-        return [GroupElement(group, k) for k in keep]
-    mat = group.matrix
-    inv = np.linalg.inv(mat)
-    center = inv @ diff
-    half = radius * np.linalg.norm(inv, axis=1) + 1e-9
-    lo = np.floor(center - half).astype(int)
-    hi = np.ceil(center + half).astype(int)
+        n1 = np.arange(k_lo, k_hi + 1)
+        dist = np.hypot(dx - n1 * vx, dy - n1 * vy)
+        mask = dist <= radius
+        n1, dist = n1[mask], dist[mask]
+        order = np.lexsort((n1, n1 * n1))
+        return n1[order], np.zeros(len(n1), dtype=int), dist[order]
+    # The box of integer coordinates within radius of the real ones, from
+    # the rows (e, -b) / det and (-c, a) / det of the inverse generator matrix.
+    (a, c), (b, e) = group.v1, group.v2
+    det = a * e - b * c
+    lo, hi = [], []
+    for p, q in ((e, -b), (-c, a)):
+        center = (p * dx + q * dy) / det
+        half = radius * math.hypot(p, q) / abs(det) + 1e-9
+        lo.append(math.floor(center - half))
+        hi.append(math.ceil(center + half))
     count = (hi[0] - lo[0] + 1) * (hi[1] - lo[1] + 1)
     if count > _MAX_ELEMENTS:
         raise EnumerationOverflowError(
@@ -252,52 +273,115 @@ def enumerate_elements(group: CoveringGroupSpec, x: Point, y: Point,
                          np.arange(lo[1], hi[1] + 1), indexing="ij")
     n1 = n1.ravel()
     n2 = n2.ravel()
-    img = mat @ np.vstack([n1, n2])
-    dist = np.hypot(diff[0] - img[0], diff[1] - img[1])
+    img = group.matrix @ np.vstack([n1, n2])
+    dist = np.hypot(dx - img[0], dy - img[1])
     mask = dist <= radius
-    keep = sorted(zip(n1[mask].tolist(), n2[mask].tolist()),
-                  key=lambda k: (k[0] * k[0] + k[1] * k[1], k[0], k[1]))
-    return [GroupElement(group, a, b) for a, b in keep]
+    n1, n2, dist = n1[mask], n2[mask], dist[mask]
+    order = np.lexsort((n2, n1, n1 * n1 + n2 * n2))
+    return n1[order], n2[order], dist[order]
+
+
+def enumerate_elements(group: CoveringGroupSpec, x: Point, y: Point,
+                       radius: float) -> list[GroupElement]:
+    """All g with distance(x, act(g, y)) <= radius, in a fixed order
+    (by squared integer norm, then lexicographic): the index arrays of the
+    image sums, each pair made a GroupElement."""
+    radius = float(radius)
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise DomainError("enumeration radius must be positive")
+    if x.kind is not group.base or y.kind is not group.base:
+        raise KindMismatchError("group and points live on different surfaces")
+    k1, k2, _ = _images(group, x, y, radius)
+    return [GroupElement(group, a, b) for a, b in zip(k1.tolist(), k2.tolist())]
+
+
+def _series_tail(term, j: int, ratio) -> float:
+    """Upper bound on sum_{i >= j} term(i) for positive terms.
+
+    ratio(i) bounds term(k + 1) / term(k) for every k >= i and does not
+    increase with i (math.inf where no such bound holds yet).  The terms are
+    summed until one falls to 1e-8 of the sum with rho = ratio(i) < 1; all
+    later terms are then at most the geometric series term(i) rho^n, and
+    its sum closes the bound.  A further 1e-12 of the whole covers the
+    roundoff of at most 400 terms and their sum.  math.inf if 400 terms do
+    not get there.
+    """
+    total = 0.0
+    for i in range(j, j + 400):
+        cur = term(i)
+        total += cur
+        rho = ratio(i)
+        if cur <= 1e-8 * total and rho < 1.0:
+            return (total + cur * rho / (1.0 - rho)) * (1.0 + 1e-12)
+    return math.inf
+
+
+def _ring(m: int, pad: float) -> float:
+    """Area of the ring m - pad <= |p| < m + 1 + pad: times 1/cell, a bound
+    on the lattice points in the ring m <= |p| < m + 1."""
+    return math.pi * ((m + 1.0 + pad) ** 2 - max(0.0, m - pad) ** 2)
+
+
+def _gaussian_ratio(a: float, pad: float):
+    """ratio for _series_tail of terms c(m) e^{-a m^2} with
+    c(m + 1) / c(m) <= (2m + 3) / (2m + 1) once m >= pad: true of _ring's
+    count, (2m + 1)(2 pad + 1) pi there, and of a constant count (pad = 0)."""
+    def ratio(m: int) -> float:
+        if m < pad:
+            return math.inf
+        return (2 * m + 3) / (2 * m + 1) * math.exp(-a * (2 * m + 1))
+    return ratio
 
 
 def _euclid_tail(group: CoveringGroupSpec, radius: float, t: float) -> float:
     """Bound on the image sum beyond the enumeration radius: ring counting
-    times the kernel value at the inner ring edge."""
+    times the kernel value at the inner ring edge, summed over the rings
+    from floor(radius) out and closed by _series_tail."""
     if group.variant == "euclidean_lattice":
-        v1 = math.hypot(*group.v1)
-        v2 = math.hypot(*group.v2)
-        pad = 0.5 * (v1 + v2)
-        area = abs(float(np.linalg.det(group.matrix)))
+        (a, c), (b, e) = group.v1, group.v2
+        pad = 0.5 * (math.hypot(a, c) + math.hypot(b, e))
+        area = abs(a * e - b * c)
 
         def count(m):
-            outer = (m + 1.0 + pad) ** 2
-            inner = max(0.0, m - pad) ** 2
-            return math.pi * (outer - inner) / area
+            return _ring(m, pad) / area
     else:
+        pad = 0.0
         length = math.hypot(*group.v1)
 
         def count(m):
             return 2.0 * (1.0 + 1.0 / length)
-    total = 0.0
-    m = math.floor(radius)
-    for _ in range(400):
-        term = count(m) * math.exp(-m * m / (4.0 * t)) / (_FOUR_PI * t)
-        total += term
-        m += 1
-        if term <= 1e-8 * total or term == 0.0:
-            break
-    return total
+    return _series_tail(
+        lambda m: count(m) * math.exp(-m * m / (4.0 * t)) / (_FOUR_PI * t),
+        math.floor(radius), _gaussian_ratio(1.0 / (4.0 * t), pad))
 
 
 def _h2_tail(group: CoveringGroupSpec, d0: float, radius: float, t: float) -> float:
-    k_box = int(math.ceil((radius + d0) / group.ell))
-    total = (2 * k_box + 1) * _h2_k0_majorant(max(radius, 1e-6), t)
-    for k in range(k_box + 1, k_box + 400):
-        term = 2.0 * _h2_k0_majorant(max(k * group.ell - d0, 1e-6), t)
-        total += term
-        if term <= 1e-8 * total:
-            break
-    return total
+    """Bound on the image sum beyond the enumeration radius on the
+    hyperbolic cylinder: every image in the box |k| <= k_box counts at the
+    majorant's value at the radius, and the two images at each k beyond it
+    at its value at k ell - d0 <= d(x, g y).
+
+    The majorant is e^{-s^2/4t} (a s + b) over a non-decreasing sqrt(sinh s)
+    (hyperbolic._h2_k0_majorant), so its ratio over one step ell is at most
+    e^{-(2 s ell + ell^2)/4t} (1 + ell/s), which falls with s.
+    """
+    ell = group.ell
+    k_box = int(math.ceil((radius + d0) / ell))
+
+    def ratio(k: int) -> float:
+        s = k * ell - d0
+        return math.exp(-(2.0 * s * ell + ell * ell) / (4.0 * t)) * (1.0 + ell / s)
+    return ((2 * k_box + 1) * _h2_k0_majorant(max(radius, 1e-6), t)
+            + _series_tail(lambda k: 2.0 * _h2_k0_majorant(k * ell - d0, t),
+                           k_box + 1, ratio))
+
+
+def _fourier_tail(pad: float, rate: float, k_rad: float) -> float:
+    """Bound on the dual-lattice Fourier sum beyond |k| >= k_rad: rings of
+    at most _ring * area dual points (the dual cell has area 1/area), each
+    at most e^{-rate |k|^2} / area."""
+    return _series_tail(lambda m: _ring(m, pad) * math.exp(-rate * m * m),
+                        math.floor(k_rad), _gaussian_ratio(rate, pad))
 
 
 def _truncation(group: CoveringGroupSpec, d0: float, t: float,
@@ -313,7 +397,13 @@ def _truncation(group: CoveringGroupSpec, d0: float, t: float,
 
 def _k0_quotient_full(q: QuotientSurface, x: Point, y: Point, t: float,
                       budget: ToleranceBudget):
-    """(value, err_est, terms, radius) behind k0_quotient."""
+    """(value, err_est, terms, radius) behind k0_quotient.
+
+    The image sum is taken straight from the distances _images returns, in
+    enumerate_elements' order: one vectorized Gaussian sum on flat
+    quotients, one McKean pass over every image on the hyperbolic cylinder.
+    No GroupElement or image Point is built.
+    """
     t = _as_time(t)
     if x.kind is not q.base or y.kind is not q.base:
         raise KindMismatchError("points do not live on the quotient's base")
@@ -323,27 +413,15 @@ def _k0_quotient_full(q: QuotientSurface, x: Point, y: Point, t: float,
     tol = budget.abs_tol
     d0 = distance(q.base, x, y)
     radius, tail = _truncation(q.group, d0, t, 0.25 * tol)
-    els = enumerate_elements(q.group, x, y, radius)
+    _, _, dists = _images(q.group, x, y, radius)
+    n = len(dists)
     if q.group.variant == "hyperbolic_cyclic":
-        # One McKean pass over every image (the identity is always among
-        # them, since radius > d0), each held to its own share.
-        rows, err, _, _ = _h2_mckean(
-            [distance(q.base, x, act(g, y)) for g in els], t,
-            budget.part(0.5 / len(els)))
-        return math.fsum(rows[0]), tail + len(els) * err, len(els), radius
-    diff = _cart(x) - _cart(y)
-    if els:
-        if q.group.variant == "euclidean_lattice":
-            shifts = (np.array([[g.k1, g.k2] for g in els], dtype=float)
-                      @ q.group.matrix.T)
-        else:
-            shifts = (np.array([[g.k1] for g in els], dtype=float)
-                      * np.asarray(q.group.v1))
-        dists = np.hypot(diff[0] - shifts[:, 0], diff[1] - shifts[:, 1])
-        total = float(np.sum(np.exp(-dists * dists / (4.0 * t)))) / (_FOUR_PI * t)
-    else:
-        total = 0.0
-    return total, tail, len(els), radius
+        # The identity is always among the images, since radius > d0; each
+        # image is held to its own share.
+        rows, err, _, _ = _h2_mckean(dists, t, budget.part(0.5 / n))
+        return math.fsum(rows[0]), tail + n * err, n, radius
+    total = float(np.sum(np.exp(-dists * dists / (4.0 * t)))) / (_FOUR_PI * t)
+    return total, tail, n, radius
 
 
 def k0_quotient(q: QuotientSurface, x: Point, y: Point, t,
@@ -396,20 +474,8 @@ def torus_fourier_oracle(lattice: CoveringGroupSpec, x: Point, y: Point, t,
     pad = 0.5 * (np.hypot(*dual[:, 0]) + np.hypot(*dual[:, 1]))
     rate = 4.0 * math.pi ** 2 * t
 
-    def tail(k_rad: float) -> float:
-        total = 0.0
-        m = math.floor(k_rad)
-        for _ in range(400):
-            ring = math.pi * ((m + 1.0 + pad) ** 2
-                              - max(0.0, m - pad) ** 2) * area
-            term = ring * math.exp(-rate * m * m)
-            total += term
-            m += 1
-            if term <= 1e-8 * total or term == 0.0:
-                break
-        return total / area
-
-    k_rad, _ = solve_radius(tail, 0.25 * tol, max(1.0, pad), 1.2)
+    k_rad, _ = solve_radius(lambda k: _fourier_tail(pad, rate, k),
+                            0.25 * tol, max(1.0, pad), 1.2)
     half = k_rad * np.hypot(*mat).max() + 1.0
     lim = int(math.ceil(half))
     if (2 * lim + 1) ** 2 > _MAX_ELEMENTS:

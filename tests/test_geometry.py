@@ -98,6 +98,40 @@ def test_sphere_antipodal_distance():
     assert abs(d - math.pi) < 1e-12
 
 
+# Pairs at d = 1e-12, 1e-6, 0.5, pi/2 and pi - 1e-6 from two base points, one
+# near the south pole and the theta = 0 seam; the second point is the
+# destination at that distance rounded to floats, and the reference is the
+# distance between the float points by mpmath 1.3.0 at 50 digits.
+SPHERE_PAIRS = [
+    ((1.1, 0.7), (1.0999999999993786, 0.7000000000008789), 9.999427331462573e-13),
+    ((1.1, 0.7), (1.099999378390188, 0.700000878950503), 9.99999999959827e-07),
+    ((1.1, 0.7), (0.8450928559356203, 1.2259630328139963), 0.49999999999999994),
+    ((1.1, 0.7), (0.9836549834122681, 2.616309168417088), 1.5707963267948968),
+    ((1.1, 0.7), (2.0415920319796688, 3.8415917746398462), 3.1415916535897934),
+    ((2.9, 6.2), (2.900000000000666, 6.200000000003117), 9.998631746193866e-13),
+    ((2.9, 6.2), (2.900000666274893, 6.200003116862359), 1.0000000000550715e-06),
+    ((2.9, 6.2), (2.761201035420347, 1.7608506595374838), 0.5000000000000001),
+    ((2.9, 6.2), (1.7308853490304084, 2.2021979713927644), 1.5707963267948966),
+    ((2.9, 6.2), (0.24159331986694316, 3.058404229564703), 3.141591653589793),
+]
+
+
+@pytest.mark.parametrize("a,b,ref", SPHERE_PAIRS)
+def test_sphere_distance_within_4_ulp_of_mpmath(a, b, ref):
+    x, y = Point("sphere", *a), Point("sphere", *b)
+    assert abs(distance("sphere", x, y) - ref) <= 4 * math.ulp(ref)
+
+
+def test_sphere_distance_is_bitwise_symmetric():
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        x = Point("sphere", rng.uniform(0.0, math.pi), rng.uniform(0.0, 2 * math.pi))
+        scale = 10.0 ** rng.uniform(-12, 0)
+        y = Point("sphere", min(math.pi, abs(x.c1 + scale * rng.normal())),
+                  x.c2 + scale * rng.normal())
+        assert _bits(distance("sphere", x, y)) == _bits(distance("sphere", y, x))
+
+
 @settings(max_examples=60, deadline=None)
 @given(radii, angles, radii, angles, radii, angles)
 def test_distance_metric_properties(r1, t1, r2, t2, r3, t3):

@@ -211,6 +211,23 @@ def test_sigma_parts_agree_with_mpmath_across_the_series_seam():
     assert np.all(np.abs(got_dsig - dsig) <= 2e-15 * np.abs(dsig))
 
 
+@pytest.mark.parametrize("t", [1e-4, 1e-2, 1.0])
+def test_sphere_series_keep_their_bits_for_a_float_and_an_array(t):
+    """One body of code serves both: a float stays a float, and it sums to
+    the same bits as the one entry of an array."""
+    for d in (1e-3, 0.7, 2.5):
+        x, s = math.cos(d), math.sin(d)
+        one, n_one, tail_one = kernels._sphere_k0_raw(x, t, 1e-9)
+        arr, n_arr, tail_arr = kernels._sphere_k0_raw(np.array([x]), t, 1e-9)
+        assert type(one) is float and arr.shape == (1,)
+        assert (one, n_one, tail_one) == (arr[0], n_arr, tail_arr)
+        g, gd, n_g, _ = kernels._sphere_g1_raw(x, s, t, 1e-9)
+        g_arr, gd_arr, n_g_arr, _ = kernels._sphere_g1_raw(
+            np.array([x]), np.array([s]), t, 1e-9)
+        assert type(g) is float and type(gd) is float
+        assert (g, gd, n_g) == (g_arr[0], gd_arr[0], n_g_arr)
+
+
 def test_sphere_generator_keeps_g_d_at_small_separation():
     """G_d/d and G_dd both tend to -c(t)/2, with c(t) the coincidence value
     of k1; rebuilding sin d from cos d used to zero G_d below d ~ 1e-8."""

@@ -6,10 +6,12 @@ import pytest
 from heatforms.errors import (DomainError, EnumerationOverflowError,
                               KindMismatchError, UnsupportedGroupError)
 from heatforms.geometry import Point, SurfaceKind, distance
+from heatforms.hyperbolic import _h2_k0_majorant, _h2_mckean
 from heatforms.kernels import k0, k1
 from heatforms.quadrature import ToleranceBudget
 from heatforms.quotient import (CoveringGroupSpec, GroupElement,
-                                QuotientSurface, act, enumerate_elements,
+                                QuotientSurface, _euclid_tail, _fourier_tail,
+                                _h2_tail, _truncation, act, enumerate_elements,
                                 k0_quotient, k1_quotient_flat,
                                 torus_fourier_oracle)
 
@@ -89,6 +91,92 @@ def test_enumeration_matches_brute_force_hyperbolic():
              if distance(H, x, act(GroupElement(HCYL, k), y)) <= radius]
     assert [g.k1 for g in got] == sorted((g.k1 for g in brute),
                                          key=lambda k: (k * k, k))
+
+
+@pytest.mark.parametrize("group", [UNIT, SKEW, CYL],
+                         ids=["unit", "skew", "cylinder"])
+def test_enumeration_matches_brute_force_flat(group):
+    x = Point(E, 0.4, 0.2)
+    y = Point(E, 0.9, 1.5)
+    radius = 4.3
+    box = [GroupElement(group, a, b) for a in range(-12, 13)
+           for b in (range(-12, 13) if group.v2 else (0,))]
+    dists = [distance(E, x, act(g, y)) for g in box]
+    # no image sits so near the radius that rounding could decide it
+    assert min(abs(d - radius) for d in dists) > 1e-9
+    brute = sorted(((g.k1, g.k2) for g, d in zip(box, dists) if d <= radius),
+                   key=lambda k: (k[0] * k[0] + k[1] * k[1], k[0], k[1]))
+    got = enumerate_elements(group, x, y, radius)
+    assert [(g.k1, g.k2) for g in got] == brute
+
+
+def _written_out_image_sum(group, x, y, t, budget):
+    """k0_quotient's sum, written out over enumerate_elements at the
+    truncation radius k0_quotient chooses."""
+    d0 = distance(group.base, x, y)
+    radius, _ = _truncation(group, d0, t, 0.25 * budget.abs_tol)
+    els = enumerate_elements(group, x, y, radius)
+    if group.base is H:
+        dists = [distance(H, x, act(g, y)) for g in els]
+        rows, _, _, _ = _h2_mckean(dists, t, budget.part(0.5 / len(els)))
+        return math.fsum(rows[0])
+    diff = np.array([x.c1 * math.cos(x.c2) - y.c1 * math.cos(y.c2),
+                     x.c1 * math.sin(x.c2) - y.c1 * math.sin(y.c2)])
+    n1 = np.array([g.k1 for g in els])
+    if group.v2 is None:
+        img = np.vstack([n1 * group.v1[0], n1 * group.v1[1]])
+    else:
+        img = group.matrix @ np.vstack([n1, [g.k2 for g in els]])
+    dists = np.hypot(diff[0] - img[0], diff[1] - img[1])
+    # the Cartesian images are act's, up to the polar round trip
+    for g, d in zip(els, dists):
+        assert abs(d - distance(E, x, act(g, y))) <= 1e-14 * max(1.0, d)
+    return float(np.sum(np.exp(-dists * dists / (4.0 * t)))) / (4.0 * math.pi * t)
+
+
+@pytest.mark.parametrize("group", [UNIT, SKEW, CYL, HCYL],
+                         ids=["unit", "skew", "cylinder", "h-cylinder"])
+def test_k0_quotient_is_the_written_out_image_sum_bit_for_bit(group):
+    q = QuotientSurface.from_group(group)
+    for (xr, xt), (yr, yt) in (((0.3, 0.7), (0.9, 2.1)), ((1.4, 5.9), (0.2, 0.1))):
+        x, y = Point(group.base, xr, xt), Point(group.base, yr, yt)
+        for t in (0.05, 0.7):
+            for tol in (1e-6, 1e-10):
+                budget = ToleranceBudget(abs_tol=tol)
+                got = k0_quotient(q, x, y, t, budget)
+                assert got == _written_out_image_sum(group, x, y, t, budget)
+
+
+def _summed(term, start):
+    """sum_{i >= start} term(i), carried until the terms underflow."""
+    return math.fsum(term(i) for i in range(start, start + 5000))
+
+
+def _ring(m, pad):
+    return math.pi * ((m + 1.0 + pad) ** 2 - max(0.0, m - pad) ** 2)
+
+
+@pytest.mark.parametrize("radius,t", [(1.5, 2.0), (3.2, 5.0), (6.0, 0.4)])
+def test_tails_bound_the_fully_summed_series(radius, t):
+    """Each truncation tail is at least the whole series it bounds, not a
+    partial sum of it."""
+    pad = 0.5 * (math.hypot(*SKEW.v1) + math.hypot(*SKEW.v2))
+    area = abs(float(np.linalg.det(SKEW.matrix)))
+    lattice = _summed(lambda m: _ring(m, pad) / area * math.exp(-m * m / (4 * t))
+                      / (4 * math.pi * t), math.floor(radius))
+    assert _euclid_tail(SKEW, radius, t) >= lattice
+    cyl = _summed(lambda m: 4.0 * math.exp(-m * m / (4 * t)) / (4 * math.pi * t),
+                  math.floor(radius))
+    assert _euclid_tail(CYL, radius, t) >= cyl
+    rate = 4 * math.pi ** 2 * t / 40.0
+    fourier = _summed(lambda m: _ring(m, 0.9) * math.exp(-rate * m * m),
+                      math.floor(radius))
+    assert _fourier_tail(0.9, rate, radius) >= fourier
+    ell, d0 = HCYL.ell, 0.8
+    k_box = math.ceil((radius + d0) / ell)
+    h2 = ((2 * k_box + 1) * _h2_k0_majorant(radius, t)
+          + _summed(lambda k: 2.0 * _h2_k0_majorant(k * ell - d0, t), k_box + 1))
+    assert _h2_tail(HCYL, d0, radius, t) >= h2
 
 
 def test_enumeration_overflow_guard():
