@@ -135,18 +135,8 @@ def _kernel_record(surface: str, kind, degree: int, x: Point, y: Point,
     return row
 
 
-def _run_eval(args) -> int:
-    kind = SurfaceKind.parse(args.surface)
-    budget = ToleranceBudget(abs_tol=args.tol)
-    x = Point(kind, *_parse_floats(args.x, "--x", 2))
-    y = Point(kind, *_parse_floats(args.y, "--y", 2))
-    row = _kernel_record(kind.value, kind, args.degree, x, y, args.t, budget)
-    header = _MATRIX_HEADER if args.degree == 1 else _SCALAR_HEADER
-    _emit([row], header, args)
-    return 0
-
-
 def _run_grid(args) -> int:
+    """grid, and eval as its one-record case: no ranges, fixed --y and --t."""
     kind = SurfaceKind.parse(args.surface)
     budget = ToleranceBudget(abs_tol=args.tol)
     x = Point(kind, *_parse_floats(args.x, "--x", 2))
@@ -355,7 +345,7 @@ def _build_parser() -> _Parser:
                     "point pair and print one record.")
     _add_point_args(p_eval, grid=False)
     _add_common(p_eval)
-    p_eval.set_defaults(func=_run_eval)
+    p_eval.set_defaults(func=_run_grid, y1=None, y2=None, t_range=None)
 
     p_grid = subs.add_parser(
         "grid", help="evaluate a kernel over ranges of y and t",

@@ -24,8 +24,7 @@ import numpy as np
 from .errors import (CoincidentPointsError, CutLocusError, DecayHintError,
                      DomainError, KindMismatchError, NonconvergenceError)
 from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
-                         _h2_envelope_radius, _max_change, refine_until_stable,
-                         solve_radius)
+                         _area_tail, _max_change, refine_until_stable)
 
 __all__ = [
     "SurfaceKind",
@@ -325,33 +324,6 @@ def apply_i_plus_star(m: BiTensor1) -> BiTensor1:
     )
 
 
-def _radial_truncation(kind: SurfaceKind, decay: DecayHint, tol: float) -> float:
-    """Radius beyond which the integral of |f| dA is below tol.
-
-    Uses area growth 2 pi r (plane) or 2 pi sinh r <= pi e^r (hyperbolic)
-    against the declared envelope.
-    """
-    if decay.kind == "bounded":
-        raise DecayHintError("integrals over a noncompact surface need decay")
-    if decay.bound == 0.0:
-        return 1.0
-    a = decay.rate
-    if kind is SurfaceKind.EUCLIDEAN:
-        if decay.kind == "gaussian":
-            # tail <= 2 pi C int_R r e^{-a r^2} = pi C e^{-a R^2} / a
-            val = math.pi * decay.bound / a
-            arg = math.log(max(val / tol, 1.0)) / a
-            return max(1.0, math.sqrt(arg))
-        # exp: tail <= 2 pi C (R + 1/a) e^{-aR} / a
-        return solve_radius(
-            lambda R: _TWO_PI * decay.bound * (R + 1.0 / a) * math.exp(-a * R) / a,
-            tol, max(1.0, 2.0 / a), 1.25)[0]
-    if decay.kind == "exp" and a <= 1.0:
-        raise DecayHintError("exponential decay on the hyperbolic plane must "
-                             "have rate > 1 to beat the area growth")
-    return _h2_envelope_radius(decay, tol)[0]
-
-
 @lru_cache(maxsize=None)
 def _nested_order(n: int) -> np.ndarray:
     """0 .. n - 1 sorted by decreasing power of two dividing them (0 first),
@@ -520,7 +492,8 @@ def integrate_surface(kind, f, budget: ToleranceBudget = DEFAULT_BUDGET,
         Point -> float, or with ``vectorized=True`` a callable taking
         (c1_grid, c2_grid) meshgrid arrays and returning values.
     decay : DecayHint, optional
-        Required on the plane and hyperbolic plane to truncate the domain.
+        Required on the plane and hyperbolic plane, whose domain is cut
+        where the hint's area tail (_area_tail) is a quarter of the budget.
 
     The integral runs on the nested sampler of apply_k0 and apply_k1
     (_nested_integral) without a kernel, from 31 radial nodes by 64
@@ -536,7 +509,8 @@ def integrate_surface(kind, f, budget: ToleranceBudget = DEFAULT_BUDGET,
         raise DecayHintError("integration over a noncompact surface needs "
                              "a decay hint")
     else:
-        edges = (0.0, _radial_truncation(kind, decay, 0.25 * budget.abs_tol))
+        edges = (0.0, _area_tail(decay, 0.25 * budget.abs_tol,
+                                 kind is SurfaceKind.HYPERBOLIC)[0])
 
     def sample(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
         g1, g2 = np.meshgrid(c1, c2, indexing="ij")

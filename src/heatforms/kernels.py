@@ -139,41 +139,37 @@ def _sphere_terms(t: float, tol_raw: float) -> int:
     return max(1, monotone, n_tail)
 
 
-def _sphere_k0_raw(x, t: float, tol_raw: float):
-    """(sum_{n<=N} (2n+1) e^{-n(n+1)t} P_n(x), N, tail) without the 1/4pi.
+def _sphere_series(x, t: float, tol: float, sin_d=None):
+    """One pass of the Legendre recurrence at cos d = x: (sum_{n<=N} (2n+1)
+    e^{-n(n+1)t} P_n(x) without the 1/4pi, N, its tail e^{-N(N+1)t}/t, gen).
 
-    x is a float or an array of floats, and the sum is of the same type.
+    gen is None unless sin d = sin_d is passed (sqrt(1 - x^2) cancels at
+    small d); then it is (G, G_d, N', tail') for the generator sums G =
+    sum F(n,t) P_n and G_d = sum F(n,t) P1_n to N' <= N terms, with F(n,t) =
+    (2n+1) e^{-n(n+1)t} / (4 pi n (n+1)).  With |P_n| <= 1 and |P1_n| <=
+    n(n+1)/2 both of their tails are at most tail' = e^{-N'(N'+1)t}/(8 pi t);
+    as P1_n(cos d) = -sin d P_n'(cos d), G_d's is also sin d times that.
+    Every tail is at most tol, K0's after the 1/4pi.  x and sin_d are floats
+    or arrays of one shape, and so are the sums.
     """
-    n_max = _sphere_terms(t, tol_raw)
+    n_max = _sphere_terms(t, tol * _FOUR_PI)
+    n_gen = 0 if sin_d is None else _sphere_terms(t, tol * 8.0 * math.pi)
     total, p_prev, p_cur = 1.0, 1.0, x
+    g, gd, q_prev, q_cur = 0.0, 0.0, 0.0, None if sin_d is None else -sin_d
     for n in range(1, n_max + 1):
-        total = total + (2 * n + 1) * math.exp(-n * (n + 1) * t) * p_cur
+        weight = (2 * n + 1) * math.exp(-n * (n + 1) * t)
+        total = total + weight * p_cur
+        if n <= n_gen:
+            f_n = weight / (_FOUR_PI * n * (n + 1))
+            g = g + f_n * p_cur
+            gd = gd + f_n * q_cur
+            q_prev, q_cur = q_cur, ((2 * n + 1) * x * q_cur - (n + 1) * q_prev) / n
         p_prev, p_cur = p_cur, ((2 * n + 1) * x * p_cur - n * p_prev) / (n + 1)
     tail = math.exp(-n_max * (n_max + 1) * t) / t
-    return total, n_max, tail
-
-
-def _sphere_g1_raw(x, sin_d, t: float, tol: float):
-    """Generator sums G = sum F(n,t) P_n and G_d = sum F(n,t) P1_n at
-    cos d = x, sin d = sin_d (passed in: sqrt(1 - x^2) cancels at small d).
-
-    F(n,t) = (2n+1) e^{-n(n+1)t} / (4 pi n (n+1)).  With |P_n| <= 1 and
-    |P1_n| <= n(n+1)/2 both tails are <= e^{-N(N+1)t}/(8 pi t); as
-    P1_n(cos d) = -sin d P_n'(cos d), the G_d tail is also sin d times that.
-    x and sin_d are floats or arrays of one shape, and so are the sums.
-    """
-    n_max = _sphere_terms(t, tol * 8.0 * math.pi)
-    g, gd = 0.0, 0.0
-    p_prev, p_cur = 1.0, x
-    q_prev, q_cur = 0.0, -sin_d
-    for n in range(1, n_max + 1):
-        f_n = (2 * n + 1) * math.exp(-n * (n + 1) * t) / (_FOUR_PI * n * (n + 1))
-        g = g + f_n * p_cur
-        gd = gd + f_n * q_cur
-        p_prev, p_cur = p_cur, ((2 * n + 1) * x * p_cur - n * p_prev) / (n + 1)
-        q_prev, q_cur = q_cur, ((2 * n + 1) * x * q_cur - (n + 1) * q_prev) / n
-    tail = math.exp(-n_max * (n_max + 1) * t) / (8.0 * math.pi * t)
-    return g, gd, n_max, tail
+    if sin_d is None:
+        return total, n_max, tail, None
+    gen_tail = math.exp(-n_gen * (n_gen + 1) * t) / (8.0 * math.pi * t)
+    return total, n_max, tail, (g, gd, n_gen, gen_tail)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +185,7 @@ def k0_h2_mckean(d: float, t, budget: ToleranceBudget = DEFAULT_BUDGET) -> float
     d = float(d)
     if d < 0.0 or not math.isfinite(d):
         raise DomainError("distance must be finite and nonnegative")
-    rows, _, _, _ = _h2_mckean([d], t, budget)
-    return float(rows[0, 0])
+    return _k0_dist(SurfaceKind.HYPERBOLIC, d, t, budget)[0]
 
 
 def _mass_tail(kind: SurfaceKind, radius: float, t: float) -> float:
@@ -246,17 +241,25 @@ def _h2_kappa_radius(decay: DecayHint, r_x: float, t: float, tol: float) -> floa
 # ---------------------------------------------------------------------------
 # scalar kernel
 
-def _k0_dist(kind: SurfaceKind, d: float, t: float,
-             budget: ToleranceBudget) -> Kernel0Value:
+def _k0_dist(kind: SurfaceKind, d, t: float, budget: ToleranceBudget):
+    """K0 at a distance d: (value, err_est, terms, radius), with terms and
+    radius as in Kernel0Value.
+
+    d is a float or an array of floats, and the value is of the same type.
+    A float stays on Python floats (math.exp, math.cos); on the sphere and
+    H2 it gets the bits of the one entry of a 1-element array, which runs
+    through numpy.  err_est bounds every entry.
+    """
+    scalar = isinstance(d, float)
     if kind is SurfaceKind.EUCLIDEAN:
-        value = math.exp(-d * d / (4.0 * t)) / (_FOUR_PI * t)
-        return Kernel0Value(value, 8.0 * _EPS / (_FOUR_PI * t), 1, 0.0)
+        value = (math.exp if scalar else np.exp)(-d * d / (4.0 * t)) / (_FOUR_PI * t)
+        return value, 8.0 * _EPS / (_FOUR_PI * t), 1, 0.0
     if kind is SurfaceKind.SPHERE:
-        raw, n_max, tail = _sphere_k0_raw(math.cos(d), t,
-                                          budget.abs_tol * _FOUR_PI)
-        return Kernel0Value(raw / _FOUR_PI, tail / _FOUR_PI, n_max, 0.0)
-    rows, err, radius, evals = _h2_mckean([d], t, budget)
-    return Kernel0Value(float(rows[0, 0]), err, evals, radius)
+        raw, n_max, tail, _ = _sphere_series((math.cos if scalar else np.cos)(d), t,
+                                             budget.abs_tol)
+        return raw / _FOUR_PI, tail / _FOUR_PI, n_max, 0.0
+    rows, err, radius, evals = _h2_mckean(d, t, budget)
+    return (float(rows[0, 0]) if scalar else rows[0]), err, evals, radius
 
 
 def k0(kind, x: Point, y: Point, t,
@@ -265,19 +268,7 @@ def k0(kind, x: Point, y: Point, t,
     kind = SurfaceKind.parse(kind)
     t = _as_time(t)
     d = distance(kind, x, y)
-    return _k0_dist(kind, d, t, budget)
-
-
-def _k0_radial_batch(kind: SurfaceKind, ds: np.ndarray, t: float, tol: float):
-    """Kernel values over an array of distances; (values, err_bound)."""
-    ds = np.asarray(ds, dtype=float)
-    if kind is SurfaceKind.EUCLIDEAN:
-        return np.exp(-ds * ds / (4.0 * t)) / (_FOUR_PI * t), 8.0 * _EPS / (_FOUR_PI * t)
-    if kind is SurfaceKind.SPHERE:
-        raw, _, tail = _sphere_k0_raw(np.cos(ds), t, tol * _FOUR_PI)
-        return raw / _FOUR_PI, tail / _FOUR_PI
-    rows, err, _, _ = _h2_mckean(ds, t, ToleranceBudget(abs_tol=tol))
-    return rows[0], err
+    return Kernel0Value(*_k0_dist(kind, d, t, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +337,8 @@ def _g1_full(kind: SurfaceKind, d: float, t: float, budget: ToleranceBudget,
         return g_val, g_d, g_dd, 8.0 * _EPS * abs(g_d), err2, 1, 0.0
     if kind is SurfaceKind.SPHERE:
         # 0.24 rather than 0.25 of tol per series leaves room for roundoff
-        g_val, g_d, n_max, tail = _sphere_g1_raw(math.cos(d), math.sin(d), t,
-                                                 0.24 * tol)
-        k0_raw, _, k0_tail = _sphere_k0_raw(math.cos(d), t, 0.24 * tol * _FOUR_PI)
+        k0_raw, _, k0_tail, (g_val, g_d, n_max, tail) = _sphere_series(
+            math.cos(d), t, 0.24 * tol, math.sin(d))
         kern = k0_raw / _FOUR_PI
         g_dd = -g_d / math.tan(d) - kern + 1.0 / _FOUR_PI
         # the series tails, plus the roundoff of the sums as on the plane
@@ -384,10 +374,9 @@ def _k1_coincidence(kind: SurfaceKind, t: float, budget: ToleranceBudget):
     if kind is SurfaceKind.EUCLIDEAN:
         return 1.0 / (_FOUR_PI * t), 2.0 * _EPS / t, 1, 0.0
     if kind is SurfaceKind.SPHERE:
-        raw, n_max, tail = _sphere_k0_raw(1.0, t, budget.abs_tol * _FOUR_PI)
+        raw, n_max, tail, _ = _sphere_series(1.0, t, budget.abs_tol)
         return (raw - 1.0) / _FOUR_PI, tail / _FOUR_PI, n_max, 0.0
-    rows, err, radius, evals = _h2_mckean([0.0], t, budget)
-    return float(rows[0, 0]), err, evals, radius
+    return _k0_dist(kind, 0.0, t, budget)
 
 
 def k1(kind, x: Point, y: Point, t,
@@ -619,10 +608,10 @@ def apply_k0(kind, field: FormField, t,
     sup = max(_field_bound(field, kind), 1e-300)
     tol = budget.abs_tol
     edges = _radial_edges(kind, t, 0.25 * tol / sup)
-    ktol = _kernel_tol(kind, edges, tol / sup)
+    kbudget = ToleranceBudget(abs_tol=_kernel_tol(kind, edges, tol / sup))
 
     def kernel(s: np.ndarray) -> np.ndarray:
-        return _k0_radial_batch(kind, s, t, ktol)[0]
+        return _k0_dist(kind, s, t, kbudget)[0]
 
     def evaluate(x: Point) -> float:
         def sample(s: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -648,11 +637,11 @@ def _kappa_batch(kind: SurfaceKind, s_nodes: np.ndarray, t: float, tol: float,
             s_nodes, t, budget.part(max(tol / budget.abs_tol, 0.01)),
             generator=True)
         return -kern - np.tanh(0.5 * s_nodes) * gd
-    kern, _ = _k0_radial_batch(kind, s_nodes, t, tol)
     if kind is SurfaceKind.EUCLIDEAN:
-        return -kern
-    _, gd, _, _ = _sphere_g1_raw(np.cos(s_nodes), np.sin(s_nodes), t, tol)
-    return -kern + 1.0 / _FOUR_PI + np.tan(0.5 * s_nodes) * gd
+        return -_k0_dist(kind, s_nodes, t, budget)[0]
+    raw, _, _, (_, gd, _, _) = _sphere_series(np.cos(s_nodes), t, tol,
+                                              np.sin(s_nodes))
+    return -(raw / _FOUR_PI) + 1.0 / _FOUR_PI + np.tan(0.5 * s_nodes) * gd
 
 
 def apply_k1(kind, field: FormField, t,
@@ -753,8 +742,9 @@ def heat_residual(kind, fields, x: Point, h_t: float = 1e-3,
     vals = [mid.fn(p) for p in stencil]
     b = [v.a for v in vals]
     c = [v.b for v in vals]
-    b_t = (after.fn(stencil[0]).a - before.fn(stencil[0]).a) / (2.0 * h_t)
-    c_t = (after.fn(stencil[0]).b - before.fn(stencil[0]).b) / (2.0 * h_t)
+    late, early = after.fn(stencil[0]), before.fn(stencil[0])
+    b_t = (late.a - early.a) / (2.0 * h_t)
+    c_t = (late.b - early.b) / (2.0 * h_t)
     b_r = (b[1] - b[2]) / (2.0 * h_space)
     c_r = (c[1] - c[2]) / (2.0 * h_space)
     b_rr = (b[1] - 2.0 * b[0] + b[2]) / h_space ** 2

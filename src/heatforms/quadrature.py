@@ -17,19 +17,23 @@ where an explicit tail bound falls below its share of the tolerance, and
 until one pass agrees with the lower-order rule embedded in it.
 Every radius search and every "refine until two passes agree" loop in the
 package calls them, so each failure reports the tail or the change it
-achieved against the tolerance it was asked for.
+achieved against the tolerance it was asked for.  The area tail of a
+decay hint on the plane or the hyperbolic plane, which cuts both
+``integrate_surface`` and the forward Mehler-Fock transform, is solved
+here too, by ``_area_tail``.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NonconvergenceError
+from .errors import DecayHintError, DomainError, NonconvergenceError
 
 __all__ = [
     "ToleranceBudget",
@@ -62,8 +66,9 @@ class ToleranceBudget:
     def __post_init__(self):
         if not (self.abs_tol > 0.0) or not math.isfinite(self.abs_tol):
             raise DomainError("abs_tol must be positive and finite")
-        if self.max_quad_depth < 1:
-            raise DomainError("max_quad_depth must be at least 1")
+        if not (isinstance(self.max_quad_depth, numbers.Integral)
+                and self.max_quad_depth >= 1):
+            raise DomainError("max_quad_depth must be an integer of at least 1")
 
     def part(self, fraction: float) -> "ToleranceBudget":
         """A budget carrying `fraction` of this budget's error allowance."""
@@ -89,10 +94,10 @@ class DecayHint:
     def __post_init__(self):
         if self.kind not in ("bounded", "exp", "gaussian"):
             raise DomainError(f"unknown decay kind {self.kind!r}")
-        if self.kind != "bounded" and not self.rate > 0.0:
-            raise DomainError("decaying hints need a positive rate")
-        if not self.bound >= 0.0:
-            raise DomainError("bound must be nonnegative")
+        if self.kind != "bounded" and not 0.0 < self.rate < math.inf:
+            raise DomainError("decaying hints need a positive finite rate")
+        if not 0.0 <= self.bound < math.inf:
+            raise DomainError("bound must be finite and nonnegative")
 
     def envelope(self, r: float) -> float:
         if self.kind == "gaussian":
@@ -100,6 +105,45 @@ class DecayHint:
         if self.kind == "exp":
             return self.bound * math.exp(-self.rate * r)
         return self.bound
+
+
+def _area_tail(decay: DecayHint, tol: float, hyperbolic: bool, scale: float = 1.0):
+    """(R, tail) with tail = scale * int_{r > R} envelope(r) dA <= tol.
+
+    The area element is 2 pi r dr on the plane and 2 pi sinh r dr <= pi e^r
+    dr on the hyperbolic plane.  On the plane a Gaussian envelope leaves
+    the tail pi C e^{-a R^2} / a, solved in closed form, and an exponential
+    one 2 pi C (R + 1/a) e^{-a R} / a.  On H2 a Gaussian envelope leaves
+    pi C exp(R - a R^2) / (2 a R - 1), an exponential one pi C exp((1 - a)
+    R) / (a - 1).  C is the hint's bound times scale.  A bounded hint, or
+    exponential decay at a rate the hyperbolic area growth defeats (a <= 1),
+    raises DecayHintError.
+    """
+    if decay.kind == "bounded":
+        raise DecayHintError("integrals over a noncompact surface need decay")
+    if decay.bound == 0.0:
+        return 1.0, 0.0
+    a = decay.rate
+    c = math.pi * decay.bound * scale
+    if not hyperbolic:
+        if decay.kind == "gaussian":
+            R = max(1.0, math.sqrt(math.log(max(c / a / tol, 1.0)) / a))
+            return R, c * math.exp(-a * R * R) / a
+        return solve_radius(
+            lambda R: 2.0 * c * (R + 1.0 / a) * math.exp(-a * R) / a,
+            tol, max(1.0, 2.0 / a), 1.25)
+    if decay.kind == "exp":
+        if a <= 1.0:
+            raise DecayHintError("exponential decay on the hyperbolic plane must "
+                                 "have rate > 1 to beat the area growth")
+        return solve_radius(lambda R: c * math.exp((1.0 - a) * R) / (a - 1.0),
+                            tol, 2.0, 1.25)
+
+    def tail(R: float) -> float:
+        slope = 2.0 * a * R - 1.0
+        return c * math.exp(R - a * R * R) / slope if slope > 0.0 else math.inf
+
+    return solve_radius(tail, tol, max(2.0, 1.0 / a), 1.25)
 
 
 # QUADPACK's 21-point Gauss-Kronrod rule QK21 (Piessens, de Doncker-Kapenga,
@@ -330,27 +374,6 @@ def gaussian_tail_radius(rate: float, tol: float, bound: float = 1.0,
         return math.exp(min(log_val, 700.0))
 
     return solve_radius(tail, tol, max(1.0, math.sqrt(max(p, 1.0) / rate)), 1.25)
-
-
-def _h2_envelope_radius(decay: DecayHint, tol: float, scale: float = 1.0):
-    """(R, tail) with tail = scale * int_R^inf envelope(r) pi e^r dr <= tol.
-
-    pi e^r majorizes the hyperbolic area growth 2 pi sinh r.  A Gaussian
-    envelope leaves the tail exp(R - rate R^2) / (2 rate R - 1), an
-    exponential one exp((1 - rate) R) / (rate - 1); callers reject decay
-    that area growth defeats.
-    """
-    a = decay.rate
-    c = math.pi * decay.bound * scale
-
-    def tail(R: float) -> float:
-        if decay.kind == "exp":
-            return c * math.exp((1.0 - a) * R) / (a - 1.0)
-        slope = 2.0 * a * R - 1.0
-        return c * math.exp(R - a * R * R) / slope if slope > 0.0 else math.inf
-
-    start = max(2.0, 1.0 / a) if decay.kind == "gaussian" else 2.0
-    return solve_radius(tail, tol, start, 1.25)
 
 
 def integrate_semiinfinite(f, gaussian_rate: float, budget: ToleranceBudget = DEFAULT_BUDGET,

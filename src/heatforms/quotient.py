@@ -57,6 +57,8 @@ class CoveringGroupSpec:
     def euclidean_lattice(cls, v1, v2) -> "CoveringGroupSpec":
         v1 = (float(v1[0]), float(v1[1]))
         v2 = (float(v2[0]), float(v2[1]))
+        if not all(map(math.isfinite, v1 + v2)):
+            raise DomainError("lattice generators must be finite")
         det = v1[0] * v2[1] - v1[1] * v2[0]
         scale = math.hypot(*v1) * math.hypot(*v2)
         if scale == 0.0 or abs(det) <= 1e-12 * scale:
@@ -66,6 +68,8 @@ class CoveringGroupSpec:
     @classmethod
     def euclidean_cyclic(cls, v) -> "CoveringGroupSpec":
         v = (float(v[0]), float(v[1]))
+        if not all(map(math.isfinite, v)):
+            raise DomainError("cyclic generator must be finite")
         if math.hypot(*v) <= 0.0:
             raise DomainError("cyclic generator must displace by a positive length")
         return cls("euclidean_cyclic", SurfaceKind.EUCLIDEAN, v)
@@ -408,8 +412,8 @@ def _k0_quotient_full(q: QuotientSurface, x: Point, y: Point, t: float,
     if x.kind is not q.base or y.kind is not q.base:
         raise KindMismatchError("points do not live on the quotient's base")
     if q.group.variant == "trivial":
-        val = _k0_dist(q.base, distance(q.base, x, y), t, budget)
-        return val.value, val.err_est, 1, 0.0
+        value, err, _, _ = _k0_dist(q.base, distance(q.base, x, y), t, budget)
+        return value, err, 1, 0.0
     tol = budget.abs_tol
     d0 = distance(q.base, x, y)
     radius, tail = _truncation(q.group, d0, t, 0.25 * tol)

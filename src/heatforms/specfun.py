@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError
 from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
-                         _h2_envelope_radius, _kronrod_panels,
+                         _area_tail, _kronrod_panels,
                          gaussian_tail_radius, integrate_adaptive,
                          integrate_semiinfinite, refine_until_stable)
 
@@ -424,23 +424,6 @@ def conical_p1(rho, r: float, budget: ToleranceBudget = DEFAULT_BUDGET) -> float
     return float(p1[0])
 
 
-def _forward_truncation_radius(decay: DecayHint, c_e: float, tol: float):
-    """(R, tail) with the forward-transform integrand envelope tail <= tol.
-
-    The integrand is 2 pi * E_rho(r) f(r) sinh(r); sinh(r) <= exp(r)/2 and the
-    eigenfunction magnitude is bounded by c_e, so the tail is c_e times the
-    hint's tail against the hyperbolic area growth.
-    """
-    if decay.bound == 0.0:
-        return 1.0, 0.0
-    if decay.kind == "exp" and decay.rate <= 1.0:
-        raise DomainError("exponential decay rate must exceed 1 on the "
-                          "hyperbolic plane (area growth eats the rest)")
-    if decay.kind == "bounded":
-        raise DomainError("forward transform needs a decaying profile")
-    return _h2_envelope_radius(decay, tol, scale=c_e)
-
-
 def _area_mass(decay: DecayHint) -> float:
     """Bound on int_0^inf envelope(r) 2 pi sinh(r) dr for a forward profile.
 
@@ -459,17 +442,17 @@ def _forward_with_error(profile: RadialProfile, rho,
                         budget: ToleranceBudget = DEFAULT_BUDGET):
     """(value, err_est) of mehler_fock_forward.
 
-    err_est adds the quadrature error, the envelope tail cut off beyond the
-    truncation radius, and the largest conical change met, spread over the
-    profile's area-weighted mass.
+    The r integral is cut where c_e times the hint's area tail on H2 is a
+    quarter of the budget (quadrature._area_tail), c_e bounding |E_rho|.
+    err_est adds the quadrature error, that tail, and the largest conical
+    change met, spread over the profile's area-weighted mass.
     """
     rho_val = _as_rho(rho)
     if not isinstance(profile, RadialProfile):
         raise DomainError("profile must be a RadialProfile with a decay hint")
     lam = 0.25 + rho_val * rho_val
     c_e = 1.0 + lam  # coarse sup bound for |E_rho|; only the log enters R
-    radius, tail = _forward_truncation_radius(profile.decay, c_e,
-                                              0.25 * budget.abs_tol)
+    radius, tail = _area_tail(profile.decay, 0.25 * budget.abs_tol, True, c_e)
 
     # Runaway profiles (violating their own hint) would silently corrupt the
     # truncation, so sample the envelope beyond the cut.
@@ -504,7 +487,8 @@ def mehler_fock_forward(profile: RadialProfile, rho,
     """Order-one Mehler-Fock transform 2 pi * int_0^inf E_rho(r) f(r) sinh(r) dr.
 
     E_rho(r) is the derivative eigenfunction conical_p1(rho, r).  The profile
-    must carry a decay hint strong enough to beat the sinh(r) area factor.
+    must carry a decay hint strong enough to beat the sinh(r) area factor:
+    Gaussian, or exponential at a rate above 1; otherwise DecayHintError.
 
     The profile is the radial component of the 1-form f(r) dr, and the
     transform behaves accordingly: profiles with f(0) != 0 (a 1-form with a

@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import OneFormValue, Point, SurfaceKind, distance
 from .hyperbolic import _h2_mckean, _h2_spectral
-from .kernels import (FormField, _k0_radial_batch, _k1_apart, _mass_radius,
+from .kernels import (FormField, _k0_dist, _k1_apart, _mass_radius,
                       apply_k0, apply_k1, heat_residual, k0, k1)
 from .quadrature import DecayHint, ToleranceBudget
 from .quotient import (CoveringGroupSpec, GroupElement, QuotientSurface, act,
@@ -69,7 +69,7 @@ def _suite_normalization(tol=None):
             nodes, weights = np.polynomial.legendre.leggauss(60)
             r = 0.5 * radius * (nodes + 1.0)
             w = 0.5 * radius * weights
-            vals, _ = _k0_radial_batch(kind, r, t, 1e-12)
+            vals = _k0_dist(kind, r, t, ToleranceBudget(abs_tol=1e-12))[0]
             if kind is SurfaceKind.EUCLIDEAN:
                 area = r
             elif kind is SurfaceKind.SPHERE:
@@ -93,18 +93,19 @@ def _sphere_pair_distances(x, u, th):
 def _suite_semigroup(tol=None):
     out = []
     s, t = 0.2, 0.3
+    budget = ToleranceBudget(abs_tol=1e-12)
     u, w = np.polynomial.legendre.leggauss(64)
     th = 2.0 * math.pi * np.arange(128) / 128.0
     dth = 2.0 * math.pi / 128.0
     for x, y in [(Point("sphere", 0.4, 0.0), Point("sphere", 1.1, 0.8)),
                  (Point("sphere", 0.9, 2.0), Point("sphere", 2.3, 5.0)),
                  (Point("sphere", 1.6, 0.3), Point("sphere", 2.9, 3.3))]:
-        kxz, _ = _k0_radial_batch(SurfaceKind.SPHERE,
-                                  _sphere_pair_distances(x, u, th), s, 1e-12)
-        kzy, _ = _k0_radial_batch(SurfaceKind.SPHERE,
-                                  _sphere_pair_distances(y, u, th), t, 1e-12)
+        kxz = _k0_dist(SurfaceKind.SPHERE, _sphere_pair_distances(x, u, th), s,
+                       budget)[0]
+        kzy = _k0_dist(SurfaceKind.SPHERE, _sphere_pair_distances(y, u, th), t,
+                       budget)[0]
         composed = float(np.sum(w[:, None] * kxz * kzy)) * dth
-        direct = k0("sphere", x, y, s + t, ToleranceBudget(abs_tol=1e-12)).value
+        direct = k0("sphere", x, y, s + t, budget).value
         out.append(CheckResult(
             f"semigroup[sphere,x=({x.c1},{x.c2}),y=({y.c1},{y.c2})]",
             abs(composed - direct), _tol(1e-4, tol)))

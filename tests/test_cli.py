@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from heatforms.cli import main
 from heatforms.geometry import Point
 from heatforms.kernels import k1
 from heatforms.quadrature import ToleranceBudget
@@ -58,6 +59,22 @@ def test_eval_matches_library_bit_for_bit():
     assert float(row["err_est"]) == val.err_est
     assert int(row["terms"]) == val.terms
     assert float(row["radius"]) == val.radius
+
+
+@pytest.mark.parametrize("surface,x,y", [("plane", "0.3,0.2", "1.1,2.0"),
+                                         ("sphere", "0.5,0.2", "2.0,1.0"),
+                                         ("hyperbolic", "0.4,0.3", "1.2,1.1")])
+@pytest.mark.parametrize("degree", ["0", "1", "2"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_eval_prints_the_one_record_grid(capsys, surface, x, y, degree, fmt):
+    args = ["--surface", surface, "--degree", degree, "--x", x, "--y", y,
+            "--t", "0.7", "--format", fmt]
+    printed = []
+    for command in ("eval", "grid"):
+        assert main([command, *args]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert len(printed[0].splitlines()) == (2 if fmt == "csv" else 1)
 
 
 def test_json_records_carry_the_same_keys():

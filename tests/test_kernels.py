@@ -213,19 +213,41 @@ def test_sigma_parts_agree_with_mpmath_across_the_series_seam():
 
 @pytest.mark.parametrize("t", [1e-4, 1e-2, 1.0])
 def test_sphere_series_keep_their_bits_for_a_float_and_an_array(t):
-    """One body of code serves both: a float stays a float, and it sums to
-    the same bits as the one entry of an array."""
+    """One pass of code serves both: a float stays a float, and it sums to
+    the same bits as the one entry of an array.  Adding the generator sums
+    to the pass leaves K0's sum, count and tail as they are without them."""
     for d in (1e-3, 0.7, 2.5):
         x, s = math.cos(d), math.sin(d)
-        one, n_one, tail_one = kernels._sphere_k0_raw(x, t, 1e-9)
-        arr, n_arr, tail_arr = kernels._sphere_k0_raw(np.array([x]), t, 1e-9)
+        one, n_one, tail_one, gen = kernels._sphere_series(x, t, 1e-9)
+        arr, n_arr, tail_arr, _ = kernels._sphere_series(np.array([x]), t, 1e-9)
+        assert gen is None
         assert type(one) is float and arr.shape == (1,)
         assert (one, n_one, tail_one) == (arr[0], n_arr, tail_arr)
-        g, gd, n_g, _ = kernels._sphere_g1_raw(x, s, t, 1e-9)
-        g_arr, gd_arr, n_g_arr, _ = kernels._sphere_g1_raw(
-            np.array([x]), np.array([s]), t, 1e-9)
+        *k0_part, (g, gd, n_g, _) = kernels._sphere_series(x, t, 1e-9, s)
+        *k0_arr, (g_arr, gd_arr, n_g_arr, _) = kernels._sphere_series(
+            np.array([x]), t, 1e-9, np.array([s]))
+        assert tuple(k0_part) == (one, n_one, tail_one)
+        assert np.array_equal(k0_arr[0], arr) and k0_arr[1:] == [n_arr, tail_arr]
         assert type(g) is float and type(gd) is float
         assert (g, gd, n_g) == (g_arr[0], gd_arr[0], n_g_arr)
+
+
+@pytest.mark.parametrize("kind", list(SurfaceKind))
+def test_k0_at_a_distance_takes_a_float_or_an_array(kind):
+    """A float distance gives float results; on the sphere and H2 they are
+    the bits of the one entry of a 1-element array.  The plane's float
+    path uses math.exp, which may differ from np.exp by an ulp."""
+    budget = ToleranceBudget(abs_tol=1e-10)
+    for t in (1e-3, 0.3, 2.0):
+        for d in (0.0, 1e-7, 0.7, 2.5):
+            one = kernels._k0_dist(kind, d, t, budget)
+            arr = kernels._k0_dist(kind, np.array([d]), t, budget)
+            assert type(one[0]) is float and type(one[1]) is float
+            assert arr[0].shape == (1,) and arr[1:] == one[1:]
+            if kind is SurfaceKind.EUCLIDEAN:
+                assert abs(one[0] - arr[0][0]) <= one[1]
+            else:
+                assert one[0] == arr[0][0]
 
 
 def test_sphere_generator_keeps_g_d_at_small_separation():
@@ -776,6 +798,20 @@ def test_heat_residual_of_the_kernels():
     fields1 = [FormField(1, lambda p, T=T: omega(p, T))
                for T in (t - 1e-3, t, t + 1e-3)]
     assert heat_residual(kind, fields1, xp, 1e-3, 1e-2) < 1e-3
+
+
+def test_heat_residual_samples_each_time_neighbour_once():
+    calls = {"before": 0, "mid": 0, "after": 0}
+
+    def snapshot(name):
+        def fn(p):
+            calls[name] += 1
+            return OneFormValue(math.cos(p.c1), math.sin(p.c1) * math.cos(p.c2))
+        return FormField(1, fn)
+
+    fields = [snapshot(name) for name in ("before", "mid", "after")]
+    heat_residual("sphere", fields, Point("sphere", 1.0, 0.5))
+    assert calls == {"before": 1, "mid": 5, "after": 1}
 
 
 def _pole_jump(p):

@@ -96,6 +96,24 @@ def test_budget_validation():
     assert part.abs_tol == 0.25e-6
 
 
+@pytest.mark.parametrize("depth", [1.5, 2.0, math.inf, math.nan, "3"])
+def test_budget_depth_must_be_an_integer(depth):
+    """A fractional or non-finite depth used to be accepted and failed
+    later inside a quadrature with an untyped TypeError."""
+    with pytest.raises(DomainError):
+        ToleranceBudget(max_quad_depth=depth)
+
+
+@pytest.mark.parametrize("kind,rate,bound", [
+    ("gaussian", 1.0, math.inf), ("gaussian", math.inf, 1.0),
+    ("exp", math.inf, 1.0), ("exp", 2.0, math.inf), ("bounded", 0.0, math.inf)])
+def test_decay_hint_rejects_non_finite_numbers(kind, rate, bound):
+    """An infinite bound or rate used to be accepted, and the truncations
+    then failed with unrelated errors (inf/inf is NaN)."""
+    with pytest.raises(DomainError):
+        DecayHint(kind, rate, bound)
+
+
 def test_decay_hint_validation_and_envelope():
     with pytest.raises(DomainError):
         DecayHint("cubic", 1.0, 1.0)

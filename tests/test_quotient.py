@@ -35,6 +35,21 @@ def test_group_spec_validation():
         CoveringGroupSpec.hyperbolic_cyclic(-1.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: CoveringGroupSpec.euclidean_cyclic((math.nan, 1.0)),
+    lambda: CoveringGroupSpec.euclidean_cyclic((math.inf, 1.0)),
+    lambda: CoveringGroupSpec.euclidean_cyclic((1.0, -math.inf)),
+    lambda: CoveringGroupSpec.euclidean_lattice((math.nan, 0.0), (0.0, 1.0)),
+    lambda: CoveringGroupSpec.euclidean_lattice((1.0, 0.0), (math.inf, 1.0))],
+    ids=["cyclic-nan", "cyclic-inf", "cyclic-minus-inf", "lattice-nan",
+         "lattice-inf"])
+def test_flat_generators_must_be_finite(make):
+    """Non-finite generators used to pass, and the image sum then failed
+    with NonconvergenceError (a tail bound of inf)."""
+    with pytest.raises(DomainError):
+        make()
+
+
 def test_group_elements_compose():
     g = GroupElement(UNIT, 2, -1)
     h = GroupElement(UNIT, -1, 3)

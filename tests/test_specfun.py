@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatforms import specfun
-from heatforms.errors import DomainError, NonconvergenceError
+from heatforms.errors import DecayHintError, DomainError, NonconvergenceError
 from heatforms.quadrature import DecayHint, ToleranceBudget
 from heatforms.specfun import (RadialProfile, SpectralParameter,
                                _conical_many, _erfcx, _forward_with_error,
@@ -361,6 +361,16 @@ def test_forward_err_est_bounds_the_error(name, rho, ref, tol):
     assert abs(value - ref) <= err
     public = mehler_fock_forward(PROFILES[name], rho, budget)
     assert type(public) is float and public == value
+
+
+@pytest.mark.parametrize("decay", [DecayHint("bounded", 0.0, 1.0),
+                                   DecayHint("exp", 1.0, 1.0),
+                                   DecayHint("exp", 0.5, 2.0)])
+def test_forward_rejects_hints_the_area_growth_defeats(decay):
+    """The cut needs the hint's area tail on H2 to be finite."""
+    profile = RadialProfile(fn=lambda r: 0.0, decay=decay, name="weak")
+    with pytest.raises(DecayHintError):
+        mehler_fock_forward(profile, 1.0)
 
 
 @pytest.mark.parametrize("tol", [1e-5, 1e-7])
