@@ -28,14 +28,13 @@ import json
 import math
 import sys
 
-from .errors import (DomainError, EnumerationOverflowError, HeatformsError,
-                     NonconvergenceError)
+from .errors import EnumerationOverflowError, HeatformsError, NonconvergenceError
 from .geometry import Point, SurfaceKind
-from .kernels import k0, k1, k2
+from .kernels import Kernel0Value, k0, k1, k2
 from .quadrature import ToleranceBudget
 from .quotient import (CoveringGroupSpec, QuotientSurface, _k0_quotient_full,
                        k1_quotient_flat)
-from .specfun import _forward_with_error, _inverse_fhat_gain, _inverse_with_error
+from .specfun import _forward_with_error, _roundtrip
 from .verify import PROFILES, SUITE_NAMES, run_suite
 
 _MAX_RECORDS = 10 ** 6
@@ -106,30 +105,32 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
+def _write(text: str, out) -> None:
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(rows, header, args) -> None:
     if args.format == "csv":
         lines = [",".join(header)]
         lines += [",".join(_fmt_cell(row[h]) for h in header) for row in rows]
     else:
         lines = [json.dumps({h: row[h] for h in header}) for row in rows]
-    text = "\n".join(lines) + "\n" if lines else ""
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n" if lines else "", args.out)
 
 
-def _kernel_record(surface: str, kind, degree: int, x: Point, y: Point,
-                   t: float, budget: ToleranceBudget) -> dict:
+def _kernel_record(surface: str, degree: int, x: Point, y: Point, t: float,
+                   val) -> dict:
+    """One record of a computed Kernel0Value or Kernel1Value."""
     row = {"surface": surface, "degree": degree,
            "x1": x.c1, "x2": x.c2, "y1": y.c1, "y2": y.c2, "t": float(t)}
     if degree == 1:
-        val = k1(kind, x, y, t, budget)
         m = val.matrix
         row.update(m11=m.m11, m12=m.m12, m21=m.m21, m22=m.m22)
     else:
-        val = (k0 if degree == 0 else k2)(kind, x, y, t, budget)
         row["value"] = val.value
     row.update(err_est=val.err_est, terms=val.terms, radius=val.radius)
     return row
@@ -156,13 +157,14 @@ def _run_grid(args) -> int:
     if total > _MAX_RECORDS:
         raise _UsageError(f"grid of {total} records exceeds the "
                           f"{_MAX_RECORDS}-record guard")
+    kernel = (k0, k1, k2)[args.degree]
     rows = []
     for a in y1s:
         for b in y2s:
             y = Point(kind, a, b)
             for t in ts:
-                rows.append(_kernel_record(kind.value, kind, args.degree,
-                                           x, y, t, budget))
+                rows.append(_kernel_record(kind.value, args.degree, x, y, t,
+                                           kernel(kind, x, y, t, budget)))
     header = _MATRIX_HEADER if args.degree == 1 else _SCALAR_HEADER
     _emit(rows, header, args)
     return 0
@@ -171,46 +173,24 @@ def _run_grid(args) -> int:
 def _run_transform(args) -> int:
     budget = ToleranceBudget(abs_tol=args.tol)
     profile = PROFILES[args.profile]
-    rows = []
     if args.direction == "forward":
+        rows = []
         for rho in _parse_range(args.rho_range, "--rho-range"):
             val, err = _forward_with_error(profile, rho, budget)
             rows.append({"direction": "forward", "profile": profile.name,
                          "arg": rho, "value": val, "err_est": err})
     else:
-        # fhat is computed, not exact: each inverse row also charges the
-        # largest forward err_est among the rho it sampled, times the gain
-        # _inverse_fhat_gain proves.
-        cache = {}
-        worst = [0.0]
-
-        def fhat(rho):
-            key = float(rho)
-            if key not in cache:
-                cache[key] = _forward_with_error(profile, key, budget)
-            worst[0] = max(worst[0], cache[key][1])
-            return cache[key][0]
-
-        radii = _parse_range(args.r_range, "--r-range")
-        gain = _inverse_fhat_gain(budget, 0.2, 10.0)
-        num = den = 0.0
-        for r in radii:
-            worst[0] = 0.0
-            back, err = _inverse_with_error(fhat, r, budget,
-                                            gaussian_rate=0.2, bound=10.0)
-            err += worst[0] * gain
-            if args.direction == "inverse":
-                rows.append({"direction": "inverse", "profile": profile.name,
-                             "arg": r, "value": back, "err_est": err})
-            num += (back - profile(r)) ** 2
-            den += profile(r) ** 2
-        if args.direction == "roundtrip":
-            if den == 0.0:
-                raise _UsageError("--r-range must contain at least one "
-                                  "radius with a nonzero profile value")
-            rows.append({"direction": "roundtrip", "profile": profile.name,
-                         "arg": None, "value": math.sqrt(num / den),
-                         "err_est": None})
+        inverse, rel_err = _roundtrip(profile, _parse_range(args.r_range, "--r-range"),
+                                      budget, 0.2, 10.0)
+        if args.direction == "inverse":
+            rows = [{"direction": "inverse", "profile": profile.name, "arg": r,
+                     "value": back, "err_est": err} for r, back, err in inverse]
+        elif rel_err is None:
+            raise _UsageError("--r-range must contain at least one "
+                              "radius with a nonzero profile value")
+        else:
+            rows = [{"direction": "roundtrip", "profile": profile.name,
+                     "arg": None, "value": rel_err, "err_est": None}]
     _emit(rows, _TRANSFORM_HEADER, args)
     return 0
 
@@ -254,19 +234,12 @@ def _run_quotient(args) -> int:
     # coordinates.
     x = q.reduce(Point(group.base, *_parse_floats(args.x, "--x", 2)))
     y = q.reduce(Point(group.base, *_parse_floats(args.y, "--y", 2)))
-    row = {"surface": surface, "degree": args.degree,
-           "x1": x.c1, "x2": x.c2, "y1": y.c1, "y2": y.c2,
-           "t": float(args.t)}
     if args.degree == 0:
-        value, err, terms, radius = _k0_quotient_full(q, x, y, args.t, budget)
-        row.update(value=value, err_est=err, terms=terms, radius=radius)
-        _emit([row], _SCALAR_HEADER, args)
+        val = Kernel0Value(*_k0_quotient_full(q, x, y, args.t, budget))
     else:
         val = k1_quotient_flat(q, x, y, args.t, budget)
-        m = val.matrix
-        row.update(m11=m.m11, m12=m.m12, m21=m.m21, m22=m.m22,
-                   err_est=val.err_est, terms=val.terms, radius=val.radius)
-        _emit([row], _MATRIX_HEADER, args)
+    _emit([_kernel_record(surface, args.degree, x, y, args.t, val)],
+          _MATRIX_HEADER if args.degree == 1 else _SCALAR_HEADER, args)
     return 0
 
 
@@ -281,12 +254,7 @@ def _run_verify(args) -> int:
              for row in rows]
     lines.append(f"{len(rows)} checks: {len(rows) - failed} passed, "
                  f"{failed} failed")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0 if failed == 0 else 1
 
 
@@ -431,16 +399,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (NonconvergenceError, EnumerationOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except HeatformsError as exc:
+    except (_UsageError, HeatformsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

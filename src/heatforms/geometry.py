@@ -1,14 +1,18 @@
-"""Points, distances, distance derivatives, and the Hodge star on the three
-simply connected surfaces of constant curvature.
+"""The three simply connected surfaces of constant curvature: points,
+distances, distance derivatives, the Hodge star, and their embeddings.
 
-All three surfaces use geodesic polar coordinates (c1, c2) = (r, theta) about
-a base point (colatitude phi on the sphere).  Frame-dependent quantities are
-expressed against the orthonormal coframe (dr, L(r) dtheta) with L = r,
-sin, sinh; at a coordinate pole they are defined by continuous extension
-along the theta = const ray, which the closed forms below produce naturally.
+Each model surface is the profile curve (C(r), S(r)) turned about the first
+axis of R^3 (_MODELS): (1, r) for the plane, (cos r, sin r) for the sphere
+and (cosh r, sinh r) for the hyperboloid, of curvature kappa = 0, +1, -1.
+In geodesic polar coordinates (c1, c2) = (r, theta) about a base point
+(colatitude on the sphere) the metric is dr^2 + S(r)^2 dtheta^2.
+Frame-dependent quantities are expressed against the orthonormal coframe
+(dr, S(r) dtheta); at a coordinate pole they are defined by continuous
+extension along the theta = const ray, which the closed forms below
+produce naturally.
 
-Orientation fixes the Hodge star: the area form is dr wedge L dtheta, so
-star dr = L dtheta and star (L dtheta) = -dr.
+Orientation fixes the Hodge star: the area form is dr wedge S dtheta, so
+star dr = S dtheta and star (S dtheta) = -dr.
 """
 
 from __future__ import annotations
@@ -67,13 +71,23 @@ class SurfaceKind(enum.Enum):
         return aliases[key]
 
 
-def _metric_profile(kind: SurfaceKind):
-    """(L, L') for the metric dr^2 + L(r)^2 dtheta^2."""
-    if kind is SurfaceKind.EUCLIDEAN:
-        return lambda r: r, lambda r: 1.0
-    if kind is SurfaceKind.SPHERE:
-        return math.sin, math.cos
-    return math.sinh, math.cosh
+class _Model(NamedTuple):
+    """A model surface: curvature kappa and profile curve (C, S), with S' = C
+    and C' = -kappa S; S and C take floats, S_arr and C_arr arrays."""
+
+    kappa: float
+    S: object
+    C: object
+    S_arr: object
+    C_arr: object
+
+
+_MODELS = {
+    SurfaceKind.EUCLIDEAN: _Model(0.0, lambda r: r, lambda r: 1.0, lambda r: r,
+                                  np.ones_like),
+    SurfaceKind.SPHERE: _Model(1.0, math.sin, math.cos, np.sin, np.cos),
+    SurfaceKind.HYPERBOLIC: _Model(-1.0, math.sinh, math.cosh, np.sinh, np.cosh),
+}
 
 
 @dataclass(frozen=True)
@@ -224,65 +238,51 @@ def _pair_derivatives(kind, x: Point, y: Point, d: float) -> _PairDerivatives:
     """Distance derivatives, first and mixed second, in unit coframes at the
     separation d = distance(kind, x, y), which the caller has in hand.
 
-    The generating functions are Q = d^2/2 (plane), C = cosh d (hyperbolic),
-    and C = cos d (sphere); each row below writes the gradient/mixed data of
-    the generator with half-angle identities so that no term suffers
-    cancellation near coincidence, then applies the chain rule.  The mixed
-    term is formed from the gradients and divided by the distance factor
-    once, so no cube of a tiny separation underflows.  Every operation is
-    on floats, entry by entry.
+    The generating functions are Q = d^2/2 on the plane and C(d) (cos d,
+    cosh d) on the curved surfaces.  Each row writes the gradient/mixed
+    data of the generator with half-angle identities so that no term
+    suffers cancellation near coincidence, then applies the chain rule.
+    On the sphere d = acos(cos d) flips the sign of every chain-rule
+    factor, which leaves the hyperbolic rows with sin and cos for sinh and
+    cosh, so one body serves both; the plane keeps its own rows, whose m11
+    rounds -cos(dtheta) as written.  The mixed term is formed from the
+    gradients and divided by the distance factor once, so no cube of a
+    tiny separation underflows.  Every operation is on floats, entry by
+    entry.
     """
     kind = _check_pair(kind, x, y)
     if d == 0.0:
         raise CoincidentPointsError("distance derivatives need distinct points")
+    if kind is SurfaceKind.SPHERE and math.pi - d < CUT_LOCUS_TOL:
+        raise CutLocusError(
+            f"pair at distance {d:.6f} lies within {CUT_LOCUS_TOL} of the cut locus")
     dtheta = x.c2 - y.c2
     sin_dt = math.sin(dtheta)
     two_sh2 = 2.0 * math.sin(0.5 * dtheta) ** 2  # = 1 - cos(dtheta)
     cos_dt = math.cos(dtheta)
+    r1, r2 = x.c1, y.c1
 
     if kind is SurfaceKind.EUCLIDEAN:
-        r1, r2 = x.c1, y.c1
         gx0, gx1 = ((r1 - r2) + r2 * two_sh2) / d, r2 * sin_dt / d
         gy0, gy1 = ((r2 - r1) + r1 * two_sh2) / d, -r1 * sin_dt / d
         mixed = ((-cos_dt - gx0 * gy0) / d, (-sin_dt - gx0 * gy1) / d,
                  (sin_dt - gx1 * gy0) / d, (-cos_dt - gx1 * gy1) / d)
         return _PairDerivatives((gx0, gx1), (gy0, gy1), mixed)
 
-    if kind is SurfaceKind.HYPERBOLIC:
-        r1, r2 = x.c1, y.c1
-        sh1, ch1 = math.sinh(r1), math.cosh(r1)
-        sh2, ch2 = math.sinh(r2), math.cosh(r2)
-        sd = math.sinh(d)
-        cd = math.cosh(d)
-        gx0 = (math.sinh(r1 - r2) + ch1 * sh2 * two_sh2) / sd
-        gx1 = sh2 * sin_dt / sd
-        gy0 = (math.sinh(r2 - r1) + sh1 * ch2 * two_sh2) / sd
-        gy1 = -sh1 * sin_dt / sd
-        w11 = -math.cosh(r1 - r2) + ch1 * ch2 * two_sh2
-        mixed = ((w11 - cd * (gx0 * gy0)) / sd,
-                 (-ch1 * sin_dt - cd * (gx0 * gy1)) / sd,
-                 (ch2 * sin_dt - cd * (gx1 * gy0)) / sd,
-                 (-cos_dt - cd * (gx1 * gy1)) / sd)
-        return _PairDerivatives((gx0, gx1), (gy0, gy1), mixed)
-
-    if math.pi - d < CUT_LOCUS_TOL:
-        raise CutLocusError(
-            f"pair at distance {d:.6f} lies within {CUT_LOCUS_TOL} of the cut locus")
-    p1, p2 = x.c1, y.c1
-    s1, c1 = math.sin(p1), math.cos(p1)
-    s2, c2 = math.sin(p2), math.cos(p2)
-    sd = math.sin(d)
-    cd = math.cos(d)
-    # d = acos(C) flips the sign of every chain-rule factor.
-    gx0 = -(math.sin(p2 - p1) - c1 * s2 * two_sh2) / sd
-    gx1 = -(-s2 * sin_dt) / sd
-    gy0 = -(math.sin(p1 - p2) - s1 * c2 * two_sh2) / sd
-    gy1 = -(s1 * sin_dt) / sd
-    w11 = math.cos(p1 - p2) - c1 * c2 * two_sh2
-    mixed = (-(w11 + cd * (gx0 * gy0)) / sd,
-             -(c1 * sin_dt + cd * (gx0 * gy1)) / sd,
-             -(-c2 * sin_dt + cd * (gx1 * gy0)) / sd,
-             -(cos_dt + cd * (gx1 * gy1)) / sd)
+    S, C = _MODELS[kind].S, _MODELS[kind].C
+    s1, c1 = S(r1), C(r1)
+    s2, c2 = S(r2), C(r2)
+    sd = S(d)
+    cd = C(d)
+    gx0 = (S(r1 - r2) + c1 * s2 * two_sh2) / sd
+    gx1 = s2 * sin_dt / sd
+    gy0 = (S(r2 - r1) + s1 * c2 * two_sh2) / sd
+    gy1 = -s1 * sin_dt / sd
+    w11 = -C(r1 - r2) + c1 * c2 * two_sh2
+    mixed = ((w11 - cd * (gx0 * gy0)) / sd,
+             (-c1 * sin_dt - cd * (gx0 * gy1)) / sd,
+             (c2 * sin_dt - cd * (gx1 * gy0)) / sd,
+             (-cos_dt - cd * (gx1 * gy1)) / sd)
     return _PairDerivatives((gx0, gx1), (gy0, gy1), mixed)
 
 
@@ -324,6 +324,61 @@ def apply_i_plus_star(m: BiTensor1) -> BiTensor1:
     )
 
 
+def _embed(p: Point) -> tuple[float, float, float]:
+    """p in R^3 at (C(r), S(r) cos theta, S(r) sin theta): the plane in the
+    slice x0 = 1, H2 as the upper sheet of x0^2 - x1^2 - x2^2 = 1."""
+    model = _MODELS[p.kind]
+    s = model.S(p.c1)
+    return model.C(p.c1), s * math.cos(p.c2), s * math.sin(p.c2)
+
+
+def _chart_points(kind: SurfaceKind, x: Point, s_grid: np.ndarray,
+                  psi_grid: np.ndarray, need_frames: bool):
+    """Map the geodesic polar chart at x to global coordinates.
+
+    The chart point (s, psi) lies on the geodesic that leaves x = _embed(x)
+    with unit velocity w = cos(psi) e1 + sin(psi) e2, for the polar frame
+    e1 = (-kappa S(r), C(r) cos theta, C(r) sin theta), e2 = (0, -sin theta,
+    cos theta) at x: at x + s w on the plane, and at C(s) x + S(s) w, with
+    velocity -kappa S(s) x + C(s) w, on the curved surfaces.  Returns
+    (c1, c2) meshes over (s, psi) and, when requested, the components
+    (p, q) of the velocity, the outgoing geodesic covector at the target,
+    in the target's polar coframe.
+    """
+    model = _MODELS[kind]
+    c, s = math.cos(x.c2), math.sin(x.c2)
+    cx = model.C(x.c1)
+    pos = np.array(_embed(x))
+    e1 = np.array([-model.kappa * model.S(x.c1), cx * c, cx * s])
+    e2 = np.array([0.0, -s, c])
+    ss = s_grid[:, None, None]
+    w_vec = e1 * np.cos(psi_grid)[:, None] + e2 * np.sin(psi_grid)[:, None]
+    if kind is SurfaceKind.EUCLIDEAN:
+        y_vec = pos + ss * w_vec
+        c1 = np.hypot(y_vec[..., 1], y_vec[..., 2])
+    else:
+        y_vec = model.C_arr(ss) * pos + model.S_arr(ss) * w_vec
+        c1 = (np.arccos(np.clip(y_vec[..., 0], -1.0, 1.0)) if kind is SurfaceKind.SPHERE
+              else np.arccosh(np.maximum(1.0, y_vec[..., 0])))
+    c2 = np.arctan2(y_vec[..., 2], y_vec[..., 1])
+    if not need_frames:
+        return c1, c2, None, None
+    ct, st = np.cos(c2), np.sin(c2)
+    if kind is SurfaceKind.EUCLIDEAN:
+        t0, t1, t2 = np.moveaxis(w_vec, -1, 0)
+        p = t1 * ct + t2 * st
+    else:
+        t0, t1, t2 = np.moveaxis(-model.kappa * model.S_arr(ss) * pos
+                                 + model.C_arr(ss) * w_vec, -1, 0)
+        sr, cr = model.S_arr(c1), model.C_arr(c1)
+        # The radial frame vector at the target is (-kappa S, C ct, C st): p
+        # pairs the velocity with it in R^3 on the sphere, and in the Lorentz
+        # pairing <A, B> = -A0 B0 + A1 B1 + A2 B2 on H2.
+        p = (t1 * cr * ct + t2 * cr * st - t0 * sr if kind is SurfaceKind.SPHERE
+             else -t0 * sr + t1 * cr * ct + t2 * cr * st)
+    return c1, c2, p, -t1 * st + t2 * ct
+
+
 @lru_cache(maxsize=None)
 def _nested_order(n: int) -> np.ndarray:
     """0 .. n - 1 sorted by decreasing power of two dividing them (0 first),
@@ -351,9 +406,9 @@ def _radial_panel(kind: SurfaceKind, lo: float, hi: float, n_int: int):
     """Radial nodes s in [lo, hi] (nested order) and their area weights.
 
     Fejer's second rule runs in v = 1 - cos s on the sphere, whose measure
-    dv = sin s ds absorbs the area factor, and in s weighted by s or sinh s
-    on the planes.  No node falls on a panel edge, so none on the chart
-    centre or the sphere's antipode.
+    dv = sin s ds absorbs the area factor, and in s weighted by the area
+    factor S(s), s or sinh s, on the planes.  No node falls on a panel
+    edge, so none on the chart centre or the sphere's antipode.
     """
     x, w = _fejer2(n_int)
     if kind is SurfaceKind.SPHERE:
@@ -361,8 +416,7 @@ def _radial_panel(kind: SurfaceKind, lo: float, hi: float, n_int: int):
         v = 0.5 * (a + b) + 0.5 * (b - a) * x
         return 2.0 * np.arcsin(np.sqrt(0.5 * v)), 0.5 * (b - a) * w
     s = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
-    area = s if kind is SurfaceKind.EUCLIDEAN else np.sinh(s)
-    return s, 0.5 * (hi - lo) * w * area
+    return s, 0.5 * (hi - lo) * w * _MODELS[kind].S_arr(s)
 
 
 def _nested_integral(kind: SurfaceKind, edges, sample, tol: float, start: tuple,

@@ -25,10 +25,10 @@ import numpy as np
 
 from .errors import (CoincidentPointsError, CutLocusError, DecayHintError,
                      DomainError, NonconvergenceError)
-from .geometry import (BiTensor1, OneFormValue, Point, SurfaceKind,
-                       apply_i_plus_star, distance, _check_finite,
-                       _grid_points, _metric_profile, _nested_integral,
-                       _outer_plus, _pair_derivatives)
+from .geometry import (_MODELS, BiTensor1, OneFormValue, Point, SurfaceKind,
+                       apply_i_plus_star, distance, _chart_points, _check_finite,
+                       _grid_points, _nested_integral, _outer_plus,
+                       _pair_derivatives)
 from .hyperbolic import _h2_mass_tail, _h2_mckean
 from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
                          refine_until_stable, solve_radius)
@@ -322,7 +322,9 @@ def _g1_full(kind: SurfaceKind, d: float, t: float, budget: ToleranceBudget,
              h2=_h2_mckean):
     """(G, G_d, G_dd, err_d1, err_d2, terms, radius) behind g1_scalar and k1;
     h2 is the hyperbolic route (_h2_spectral when checking the oracle)."""
-    if not math.isfinite(d) or d <= 0.0:
+    if not (math.isfinite(d) and d >= 0.0):
+        raise DomainError("distance must be finite and nonnegative")
+    if d == 0.0:
         raise CoincidentPointsError(
             "the 1-form generator is singular at zero separation; use the "
             "kernel's coincidence form instead")
@@ -445,84 +447,6 @@ def k2(kind, x: Point, y: Point, t,
 # ---------------------------------------------------------------------------
 # geodesic-chart quadrature for applying the kernels
 
-def _base_frames(kind: SurfaceKind, x: Point):
-    """Embedded position and polar frame vectors at x (3-vectors; the plane
-    embeds in the z = 0 slice)."""
-    c, s = math.cos(x.c2), math.sin(x.c2)
-    if kind is SurfaceKind.EUCLIDEAN:
-        pos = np.array([x.c1 * c, x.c1 * s, 0.0])
-        e1 = np.array([c, s, 0.0])
-        e2 = np.array([-s, c, 0.0])
-    elif kind is SurfaceKind.SPHERE:
-        sp, cp = math.sin(x.c1), math.cos(x.c1)
-        pos = np.array([sp * c, sp * s, cp])
-        e1 = np.array([cp * c, cp * s, -sp])
-        e2 = np.array([-s, c, 0.0])
-    else:
-        sh, ch = math.sinh(x.c1), math.cosh(x.c1)
-        pos = np.array([ch, sh * c, sh * s])
-        e1 = np.array([sh, ch * c, ch * s])
-        e2 = np.array([0.0, -s, c])
-    return pos, e1, e2
-
-
-def _chart_points(kind: SurfaceKind, x: Point, s_grid: np.ndarray,
-                  psi_grid: np.ndarray, need_frames: bool):
-    """Map the geodesic polar chart at x to global coordinates.
-
-    Returns (c1, c2) meshes over (s, psi) and, when requested, the components
-    (p, q) of the outgoing geodesic covector at the target in the target's
-    polar coframe.
-    """
-    pos, e1, e2 = _base_frames(kind, x)
-    ss = s_grid[:, None]
-    cpsi = np.cos(psi_grid)[None, :]
-    spsi = np.sin(psi_grid)[None, :]
-    w_vec = (e1[None, None, :] * cpsi[..., None]
-             + e2[None, None, :] * spsi[..., None])
-    if kind is SurfaceKind.EUCLIDEAN:
-        y_vec = pos[None, None, :] + ss[..., None] * w_vec
-        c1 = np.hypot(y_vec[..., 0], y_vec[..., 1])
-        c2 = np.arctan2(y_vec[..., 1], y_vec[..., 0])
-        if not need_frames:
-            return c1, c2, None, None
-        ct, st = np.cos(c2), np.sin(c2)
-        p = w_vec[..., 0] * ct + w_vec[..., 1] * st
-        q = -w_vec[..., 0] * st + w_vec[..., 1] * ct
-        return c1, c2, p, q
-    if kind is SurfaceKind.SPHERE:
-        y_vec = (np.cos(ss)[..., None] * pos[None, None, :]
-                 + np.sin(ss)[..., None] * w_vec)
-        c1 = np.arccos(np.clip(y_vec[..., 2], -1.0, 1.0))
-        c2 = np.arctan2(y_vec[..., 1], y_vec[..., 0])
-        if not need_frames:
-            return c1, c2, None, None
-        t_vec = (-np.sin(ss)[..., None] * pos[None, None, :]
-                 + np.cos(ss)[..., None] * w_vec)
-        ct, st = np.cos(c2), np.sin(c2)
-        cp, sp = np.cos(c1), np.sin(c1)
-        p = (t_vec[..., 0] * cp * ct + t_vec[..., 1] * cp * st
-             - t_vec[..., 2] * sp)
-        q = -t_vec[..., 0] * st + t_vec[..., 1] * ct
-        return c1, c2, p, q
-    y_vec = (np.cosh(ss)[..., None] * pos[None, None, :]
-             + np.sinh(ss)[..., None] * w_vec)
-    c1 = np.arccosh(np.maximum(1.0, y_vec[..., 0]))
-    c2 = np.arctan2(y_vec[..., 2], y_vec[..., 1])
-    if not need_frames:
-        return c1, c2, None, None
-    t_vec = (np.sinh(ss)[..., None] * pos[None, None, :]
-             + np.cosh(ss)[..., None] * w_vec)
-    ct, st = np.cos(c2), np.sin(c2)
-    sh, ch = np.sinh(c1), np.cosh(c1)
-    # Lorentz pairing <A, B> = -A0 B0 + A1 B1 + A2 B2 against the unit
-    # radial and angular frame vectors at the target.
-    p = (-t_vec[..., 0] * sh + t_vec[..., 1] * ch * ct
-         + t_vec[..., 2] * ch * st)
-    q = -t_vec[..., 1] * st + t_vec[..., 2] * ct
-    return c1, c2, p, q
-
-
 def _field_bound(field: FormField, kind: SurfaceKind) -> float:
     if kind is SurfaceKind.SPHERE:
         return 1.0
@@ -549,15 +473,21 @@ def _one_form_parts(values, kind: SurfaceKind):
 def _evolved_hint(decay: DecayHint | None, t: float) -> DecayHint | None:
     """Decay hint for an evolved field: heat flow widens a Gaussian envelope
     (variance grows by 4t), scales an exponential one, and preserves sup
-    bounds by the maximum principle."""
+    bounds by the maximum principle.  An exponential bound scaled past the
+    float range leaves the evolved field without a hint."""
     if decay is None:
         return None
     if decay.kind == "gaussian":
         return DecayHint("gaussian", rate=decay.rate / (1.0 + 4.0 * decay.rate * t),
                          bound=decay.bound)
     if decay.kind == "exp":
-        return DecayHint("exp", rate=decay.rate,
-                         bound=2.0 * decay.bound * math.exp(decay.rate ** 2 * t))
+        try:
+            bound = 2.0 * decay.bound * math.exp(decay.rate ** 2 * t)
+        except OverflowError:
+            bound = math.inf
+        if bound == math.inf:
+            return None
+        return DecayHint("exp", rate=decay.rate, bound=bound)
     return decay
 
 
@@ -708,55 +638,51 @@ def heat_residual(kind, fields, x: Point, h_t: float = 1e-3,
 
     fields is a (before, at, after) triple of FormField snapshots at times
     (t - h_t, t, t + h_t).  The spatial part uses the componentwise operator
-    in geodesic polar coordinates: scalar rows -u_rr - (L'/L) u_r - u_tt/L^2,
-    and for 1-forms the coupled rows that additionally carry the zeroth-order
-    term u/L^2 and the cross terms +-2 (L'/L^2) partial_theta of the other
-    component.  Returns the largest component magnitude.
+    in geodesic polar coordinates, with L = S(r) of geometry._MODELS: scalar
+    rows -u_rr - (L'/L) u_r - u_tt/L^2, and for 1-forms the coupled rows that
+    additionally carry the zeroth-order term u/L^2 and the cross terms
+    +-2 (L'/L^2) partial_theta of the other component.  Each component's
+    derivatives come from the same five-point stencil in (r, theta) and the
+    central difference in time.  Returns the largest component magnitude.
     """
     kind = SurfaceKind.parse(kind)
     before, mid, after = fields
     if not (before.degree == mid.degree == after.degree):
         raise DomainError("field history must have a single degree")
-    if h_t <= 0.0 or h_space <= 0.0:
-        raise DomainError("step sizes must be positive")
+    if not (0.0 < h_t < math.inf and 0.0 < h_space < math.inf):
+        raise DomainError("step sizes must be finite and positive")
     r, th = x.c1, x.c2
     top = math.pi if kind is SurfaceKind.SPHERE else math.inf
     if r - h_space <= 0.0 or r + h_space >= top:
         raise DomainError("stencil too close to a coordinate pole")
-    metric, metric_d = _metric_profile(kind)
-    lam = metric(r)
-    lam_ratio = metric_d(r) / lam
+    lam, lam_d = _MODELS[kind].S(r), _MODELS[kind].C(r)
+    lam_ratio = lam_d / lam
 
     stencil = [Point(kind, r, th), Point(kind, r + h_space, th),
                Point(kind, r - h_space, th), Point(kind, r, th + h_space),
                Point(kind, r, th - h_space)]
+    vals = [mid.fn(p) for p in stencil]
+    late, early = after.fn(stencil[0]), before.fn(stencil[0])
+
+    def differences(part):
+        """(u, u_t, u_r, u_rr, u_th, u_thth) at x of one component part(value)."""
+        u = [part(v) for v in vals]
+        return (u[0], (part(late) - part(early)) / (2.0 * h_t),
+                (u[1] - u[2]) / (2.0 * h_space),
+                (u[1] - 2.0 * u[0] + u[2]) / h_space ** 2,
+                (u[3] - u[4]) / (2.0 * h_space),
+                (u[3] - 2.0 * u[0] + u[4]) / h_space ** 2)
 
     if mid.degree != 1:
-        u = [float(mid.fn(p)) for p in stencil]
-        u_t = (float(after.fn(stencil[0])) - float(before.fn(stencil[0]))) / (2.0 * h_t)
-        u_r = (u[1] - u[2]) / (2.0 * h_space)
-        u_rr = (u[1] - 2.0 * u[0] + u[2]) / h_space ** 2
-        u_tt = (u[3] - 2.0 * u[0] + u[4]) / h_space ** 2
+        _, u_t, u_r, u_rr, _, u_tt = differences(float)
         return abs(u_t - u_rr - lam_ratio * u_r - u_tt / lam ** 2)
 
-    vals = [mid.fn(p) for p in stencil]
-    b = [v.a for v in vals]
-    c = [v.b for v in vals]
-    late, early = after.fn(stencil[0]), before.fn(stencil[0])
-    b_t = (late.a - early.a) / (2.0 * h_t)
-    c_t = (late.b - early.b) / (2.0 * h_t)
-    b_r = (b[1] - b[2]) / (2.0 * h_space)
-    c_r = (c[1] - c[2]) / (2.0 * h_space)
-    b_rr = (b[1] - 2.0 * b[0] + b[2]) / h_space ** 2
-    c_rr = (c[1] - 2.0 * c[0] + c[2]) / h_space ** 2
-    b_th = (b[3] - b[4]) / (2.0 * h_space)
-    c_th = (c[3] - c[4]) / (2.0 * h_space)
-    b_tt = (b[3] - 2.0 * b[0] + b[4]) / h_space ** 2
-    c_tt = (c[3] - 2.0 * c[0] + c[4]) / h_space ** 2
+    b0, b_t, b_r, b_rr, b_th, b_tt = differences(lambda v: v.a)
+    c0, c_t, c_r, c_rr, c_th, c_tt = differences(lambda v: v.b)
     inv2 = 1.0 / lam ** 2
-    coup = 2.0 * metric_d(r) * inv2
-    row_b = (b_t - b_rr - lam_ratio * b_r + b[0] * inv2 - b_tt * inv2
+    coup = 2.0 * lam_d * inv2
+    row_b = (b_t - b_rr - lam_ratio * b_r + b0 * inv2 - b_tt * inv2
              + coup * c_th)
-    row_c = (c_t - c_rr - lam_ratio * c_r + c[0] * inv2 - c_tt * inv2
+    row_c = (c_t - c_rr - lam_ratio * c_r + c0 * inv2 - c_tt * inv2
              - coup * b_th)
     return max(abs(row_b), abs(row_c))

@@ -358,12 +358,17 @@ def gaussian_tail_radius(rate: float, tol: float, bound: float = 1.0,
     Returns (R, tail_bound_at_R).  The bound used is the first-derivative
     majorant exp(-g(R))/g'(R) for g(x) = rate*x^2 - p*log(1+x) - log(bound),
     valid once g' > 0, so the reported tail is rigorous for integrands obeying
-    the declared envelope.
+    the declared envelope.  A bound of 0 gives (0, 0); a negative or
+    non-finite one raises DomainError.
     """
     if not rate > 0.0:
         raise DomainError("gaussian_rate must be positive")
     if not tol > 0.0:
         raise DomainError("tolerance must be positive")
+    if not (math.isfinite(bound) and bound >= 0.0):
+        raise DomainError("tail bound must be finite and nonnegative")
+    if bound == 0.0:
+        return 0.0, 0.0
     p = float(poly_degree)
 
     def tail(R: float) -> float:

@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import (DomainError, EnumerationOverflowError, KindMismatchError,
                      UnsupportedGroupError)
-from .geometry import (_TWO_PI, BiTensor1, Point, SurfaceKind, _h2_distance,
-                       distance)
-from .hyperbolic import _h2_k0_majorant, _h2_mckean
+from .geometry import (_TWO_PI, BiTensor1, Point, SurfaceKind, _embed,
+                       _h2_distance, distance)
+from .hyperbolic import _h2_k0_majorant
 from .kernels import Kernel1Value, _as_time, _k0_dist, k1 as _k1_base
 from .quadrature import DEFAULT_BUDGET, ToleranceBudget, solve_radius
 
@@ -123,12 +123,7 @@ def _polar(v) -> Point:
 def _axis_translate(p: Point, a: float) -> Point:
     """Translate a hyperbolic point by length a along the theta = 0 geodesic
     (a Lorentz boost of the hyperboloid in the x0-x1 plane)."""
-    return Point(SurfaceKind.HYPERBOLIC, *_boost(_hyperboloid(p), a))
-
-
-def _hyperboloid(p: Point) -> tuple[float, float, float]:
-    sh, ch = math.sinh(p.c1), math.cosh(p.c1)
-    return ch, sh * math.cos(p.c2), sh * math.sin(p.c2)
+    return Point(SurfaceKind.HYPERBOLIC, *_boost(_embed(p), a))
 
 
 def _boost(xs: tuple[float, float, float], a: float) -> tuple[float, float]:
@@ -232,7 +227,7 @@ def _images(group: CoveringGroupSpec, x: Point, y: Point, radius: float):
         if 2 * k_max + 1 > _MAX_ELEMENTS:
             raise EnumerationOverflowError(
                 f"radius {radius} implies more than {_MAX_ELEMENTS} candidates")
-        ys = _hyperboloid(y)
+        ys = _embed(y)
         ks, dists = [], []
         for k in sorted(range(-k_max, k_max + 1), key=lambda k: (k * k, k)):
             c1, c2 = _boost(ys, k * group.ell)
@@ -405,8 +400,8 @@ def _k0_quotient_full(q: QuotientSurface, x: Point, y: Point, t: float,
 
     The image sum is taken straight from the distances _images returns, in
     enumerate_elements' order: one vectorized Gaussian sum on flat
-    quotients, one McKean pass over every image on the hyperbolic cylinder.
-    No GroupElement or image Point is built.
+    quotients, one McKean pass (_k0_dist) over every image on the
+    hyperbolic cylinder.  No GroupElement or image Point is built.
     """
     t = _as_time(t)
     if x.kind is not q.base or y.kind is not q.base:
@@ -422,8 +417,8 @@ def _k0_quotient_full(q: QuotientSurface, x: Point, y: Point, t: float,
     if q.group.variant == "hyperbolic_cyclic":
         # The identity is always among the images, since radius > d0; each
         # image is held to its own share.
-        rows, err, _, _ = _h2_mckean(dists, t, budget.part(0.5 / n))
-        return math.fsum(rows[0]), tail + n * err, n, radius
+        values, err, _, _ = _k0_dist(q.base, dists, t, budget.part(0.5 / n))
+        return math.fsum(values), tail + n * err, n, radius
     total = float(np.sum(np.exp(-dists * dists / (4.0 * t)))) / (_FOUR_PI * t)
     return total, tail, n, radius
 

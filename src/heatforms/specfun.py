@@ -552,6 +552,38 @@ def _inverse_fhat_gain(budget: ToleranceBudget, gaussian_rate: float,
     return radius / (2.0 * math.pi)
 
 
+def _roundtrip(profile: RadialProfile, radii, budget: ToleranceBudget,
+               gaussian_rate: float, bound: float):
+    """The inverse transform of profile's computed forward transform at
+    radii: the rows [(r, value, err_est)] and the relative L2 error
+    against the profile over radii (None if it vanishes at every radius).
+
+    fhat is computed, not exact: each row's err_est also charges the
+    largest forward err_est among the rho it sampled, times the gain
+    _inverse_fhat_gain proves.  Each rho is transformed once.
+    """
+    cache = {}
+    worst = 0.0
+
+    def fhat(rho):
+        nonlocal worst
+        key = float(rho)
+        if key not in cache:
+            cache[key] = _forward_with_error(profile, key, budget)
+        worst = max(worst, cache[key][1])
+        return cache[key][0]
+
+    gain = _inverse_fhat_gain(budget, gaussian_rate, bound)
+    rows, num, den = [], 0.0, 0.0
+    for r in radii:
+        worst = 0.0
+        back, err = _inverse_with_error(fhat, r, budget, gaussian_rate, bound)
+        rows.append((r, back, err + worst * gain))
+        num += (back - profile(r)) ** 2
+        den += profile(r) ** 2
+    return rows, (math.sqrt(num / den) if den else None)
+
+
 def mehler_fock_inverse(fhat, r: float, budget: ToleranceBudget = DEFAULT_BUDGET,
                         gaussian_rate: float = 0.25, bound: float = 10.0) -> float:
     """Inverse transform (1/2 pi) int_0^inf fhat(rho) w(rho) E_rho(r) drho.

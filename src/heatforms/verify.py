@@ -20,7 +20,7 @@ from .kernels import (FormField, _k0_dist, _k1_apart, _mass_radius,
 from .quadrature import DecayHint, ToleranceBudget
 from .quotient import (CoveringGroupSpec, GroupElement, QuotientSurface, act,
                        k0_quotient, torus_fourier_oracle)
-from .specfun import RadialProfile, mehler_fock_forward, mehler_fock_inverse
+from .specfun import RadialProfile, _roundtrip
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "PROFILES"]
 
@@ -249,29 +249,12 @@ def _suite_tiling(tol=None):
 
 
 def _suite_mehler_fock(tol=None):
-    out = []
     budget = ToleranceBudget(abs_tol=1e-7)
     radii = (0.3, 0.7, 1.1, 1.5, 2.0, 2.4)
-    for name in ("gaussian", "cubic"):
-        profile = PROFILES[name]
-        cache = {}
-
-        def fhat(rho, _p=profile, _c=cache):
-            key = float(rho)
-            if key not in _c:
-                _c[key] = mehler_fock_forward(_p, key, budget)
-            return _c[key]
-
-        num = 0.0
-        den = 0.0
-        for r in radii:
-            back = mehler_fock_inverse(fhat, r, budget,
-                                       gaussian_rate=0.2, bound=10.0)
-            num += (back - profile(r)) ** 2
-            den += profile(r) ** 2
-        out.append(CheckResult(f"mehler-fock-roundtrip[{name}]",
-                               math.sqrt(num / den), _tol(1e-4, tol)))
-    return out
+    return [CheckResult(f"mehler-fock-roundtrip[{name}]",
+                        _roundtrip(PROFILES[name], radii, budget, 0.2, 10.0)[1],
+                        _tol(1e-4, tol))
+            for name in ("gaussian", "cubic")]
 
 
 _SUITES = {

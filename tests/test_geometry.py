@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatforms.errors import DecayHintError, DomainError, NonconvergenceError
-from heatforms.geometry import (BiTensor1, OneFormValue, Point, SurfaceKind,
-                                _fejer2, _grid_points, apply_i_plus_star, distance,
+from heatforms.errors import (CutLocusError, DecayHintError, DomainError,
+                              NonconvergenceError)
+from heatforms.geometry import (CUT_LOCUS_TOL, BiTensor1, OneFormValue, Point,
+                                SurfaceKind, _chart_points, _fejer2, _grid_points,
+                                _pair_derivatives, apply_i_plus_star, distance,
                                 distance_gradient, hodge_star_1,
                                 integrate_surface, mixed_distance_hessian)
 from heatforms.quadrature import DecayHint, ToleranceBudget
@@ -337,6 +339,92 @@ def test_pair_derivatives_at_random_pairs(kind):
         got = mixed_distance_hessian(kind, x, y, f1, f2).as_array()
         assert np.abs(got - ref).max() < 1e-4
     assert checked >= 20
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+def test_chart_map_lands_at_distance_s_along_the_distance_gradient(kind):
+    """The chart point (s, psi) about x lies at distance s from x, and its
+    frame components (p, q) are the gradient of the distance at the target:
+    two routes, distance and _pair_derivatives, independent of the chart."""
+    rng = np.random.default_rng(14)
+    top = math.pi - 2e-3 if kind is SurfaceKind.SPHERE else 3.0
+    worst_d = worst_g = 0.0
+    for _ in range(40):
+        x = Point(kind, rng.uniform(0.0, 2.5), rng.uniform(0.0, 2.0 * math.pi))
+        s = rng.uniform(0.05, top, size=4)
+        psi = rng.uniform(0.0, 2.0 * math.pi, size=5)
+        c1, c2, p, q = _chart_points(kind, x, s, psi, True)
+        for i, j in np.ndindex(c1.shape):
+            y = Point(kind, c1[i, j], c2[i, j])
+            d = distance(kind, x, y)
+            worst_d = max(worst_d, abs(d - s[i]) / max(1.0, s[i]))
+            grad = _pair_derivatives(kind, x, y, d).grad_y
+            worst_g = max(worst_g, abs(p[i, j] - grad[0]), abs(q[i, j] - grad[1]))
+    assert worst_d <= 1e-12
+    assert worst_g <= 1e-10
+
+
+def _written_out_sphere_derivatives(x, y, d):
+    """Sphere rows as the sphere's own branch wrote them, with each
+    chain-rule factor's sign flip from d = acos(cos d) spelled out."""
+    if math.pi - d < CUT_LOCUS_TOL:
+        raise CutLocusError("cut locus")
+    dtheta = x.c2 - y.c2
+    sin_dt = math.sin(dtheta)
+    two_sh2 = 2.0 * math.sin(0.5 * dtheta) ** 2
+    cos_dt = math.cos(dtheta)
+    p1, p2 = x.c1, y.c1
+    s1, c1 = math.sin(p1), math.cos(p1)
+    s2, c2 = math.sin(p2), math.cos(p2)
+    sd = math.sin(d)
+    cd = math.cos(d)
+    gx0 = -(math.sin(p2 - p1) - c1 * s2 * two_sh2) / sd
+    gx1 = -(-s2 * sin_dt) / sd
+    gy0 = -(math.sin(p1 - p2) - s1 * c2 * two_sh2) / sd
+    gy1 = -(s1 * sin_dt) / sd
+    w11 = math.cos(p1 - p2) - c1 * c2 * two_sh2
+    mixed = (-(w11 + cd * (gx0 * gy0)) / sd,
+             -(c1 * sin_dt + cd * (gx0 * gy1)) / sd,
+             -(-c2 * sin_dt + cd * (gx1 * gy0)) / sd,
+             -(cos_dt + cd * (gx1 * gy1)) / sd)
+    return (gx0, gx1), (gy0, gy1), mixed
+
+
+def test_sphere_pair_derivatives_equal_the_written_out_rows():
+    """The body the sphere shares with H2 gives every entry of the sphere's
+    own rows, at general pairs, pairs on one meridian, pairs 1e-9 apart and
+    pairs within 2e-3 of the cut locus.  An exactly zero mixed entry may
+    differ in sign only, which == allows."""
+    rng = np.random.default_rng(1414)
+    compared = 0
+    for i in range(300):
+        p1, a1 = rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)
+        kind = i % 4
+        if kind == 0:
+            p2, a2 = rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)
+        elif kind == 1:
+            p2, a2 = rng.uniform(0.0, math.pi), a1
+        elif kind == 2:
+            p2 = min(math.pi, max(0.0, p1 + rng.uniform(-1e-9, 1e-9)))
+            a2 = a1 + rng.uniform(-1e-9, 1e-9)
+        else:
+            step, turn = rng.uniform(0.0, 2e-3), rng.uniform(0.0, 2.0 * math.pi)
+            p2 = min(math.pi, max(0.0, math.pi - p1 + step * math.cos(turn)))
+            a2 = a1 + math.pi + step * math.sin(turn)
+        x, y = Point("sphere", p1, a1), Point("sphere", p2, a2)
+        d = distance("sphere", x, y)
+        if d == 0.0:
+            continue
+        try:
+            want = _written_out_sphere_derivatives(x, y, d)
+        except CutLocusError:
+            with pytest.raises(CutLocusError):
+                _pair_derivatives("sphere", x, y, d)
+            continue
+        got = _pair_derivatives("sphere", x, y, d)
+        assert (got.grad_x, got.grad_y, got.mixed) == want
+        compared += 1
+    assert compared >= 250
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)

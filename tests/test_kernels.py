@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from heatforms import hyperbolic, kernels
 from heatforms.errors import (CoincidentPointsError, CutLocusError,
-                              DomainError, NonconvergenceError)
+                              DecayHintError, DomainError, NonconvergenceError)
 from heatforms.geometry import (OneFormValue, Point, SurfaceKind, distance)
 from heatforms.kernels import (T_MIN, FormField, HeatTime, apply_k0, apply_k1,
                                g1_scalar, heat_residual, k0, k1, k2)
@@ -490,6 +490,14 @@ def test_coincident_and_cut_locus_rejection():
            0.3)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("d", [math.inf, math.nan, -1.0])
+def test_generator_refuses_distances_off_the_half_line(kind, d):
+    with pytest.raises(DomainError, match="finite and nonnegative") as info:
+        g1_scalar(kind, d, 0.3)
+    assert not isinstance(info.value, CoincidentPointsError)
+
+
 def test_apply_k0_sphere_eigenfunctions():
     t = 0.3
     for n in (1, 2, 3):
@@ -798,6 +806,29 @@ def test_heat_residual_of_the_kernels():
     fields1 = [FormField(1, lambda p, T=T: omega(p, T))
                for T in (t - 1e-3, t, t + 1e-3)]
     assert heat_residual(kind, fields1, xp, 1e-3, 1e-2) < 1e-3
+
+
+@pytest.mark.parametrize("steps", [(math.nan, 1e-2), (math.inf, 1e-2),
+                                   (1e-3, math.nan), (1e-3, math.inf)])
+def test_heat_residual_needs_finite_steps(steps):
+    fields = [FormField(0, lambda p: math.cos(p.c1))] * 3
+    with pytest.raises(DomainError, match="step sizes must be finite"):
+        heat_residual("plane", fields, Point("plane", 0.5, 0.1), *steps)
+
+
+@pytest.mark.parametrize("evolve,kind,degree,rate,t", [
+    (apply_k0, "plane", 0, 10.0, 10.0), (apply_k1, "hyperbolic", 1, 30.0, 1.0)])
+def test_an_exp_hint_past_the_float_range_leaves_the_evolved_field_without_one(
+        evolve, kind, degree, rate, t):
+    """The evolved bound 2 C e^{a^2 t} overflows a float, so the evolved
+    field carries no hint, and evolving it again on a noncompact surface
+    asks for one."""
+    value = 0.0 if degree == 0 else OneFormValue(0.0, 0.0)
+    evolved = evolve(kind, FormField(degree, lambda p: value,
+                                     DecayHint("exp", rate, 1.0)), t)
+    assert evolved.decay is None
+    with pytest.raises(DecayHintError):
+        evolve(kind, evolved, t)
 
 
 def test_heat_residual_samples_each_time_neighbour_once():

@@ -201,3 +201,16 @@ def test_refine_until_stable_grows_every_grid_axis_and_skips_none():
     (vals, extra), diff = refine_until_stable(one_pass, (90, 96), 1.5, 2e-3, 3)
     assert seen == [(90, 96), (135, 144), (202, 216), (303, 324)]
     assert extra is None and diff == pytest.approx(1.0 / 202 - 1.0 / 303)
+
+
+@pytest.mark.parametrize("bound", [-1.0, math.nan, math.inf])
+def test_tail_radius_refuses_negative_or_non_finite_bounds(bound):
+    with pytest.raises(DomainError, match="tail bound"):
+        gaussian_tail_radius(1.0, 1e-9, bound=bound)
+    with pytest.raises(DomainError, match="tail bound"):
+        integrate_semiinfinite(lambda x: 0.0, 1.0, bound=bound)
+
+
+def test_a_zero_bound_leaves_no_tail_and_nothing_to_integrate():
+    assert gaussian_tail_radius(1.0, 1e-9, bound=0.0) == (0.0, 0.0)
+    assert integrate_semiinfinite(lambda x: 1.0, 1.0, bound=0.0) == (0.0, 0.0)

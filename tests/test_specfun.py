@@ -393,6 +393,11 @@ def test_inverse_err_est_bounds_the_error(tol):
                                    bound=10.0) == value
 
 
+def test_inverse_of_an_fhat_bounded_by_zero_is_zero():
+    assert _inverse_with_error(lambda rho: 0.0, 1.0, bound=0.0) == (0.0, 0.0)
+    assert mehler_fock_inverse(lambda rho: 0.0, 1.0, bound=0.0) == 0.0
+
+
 def test_erfcx_is_pinned_to_the_scaled_erfc():
     # exp(x^2) erfc(x) loses relative accuracy to erfc's underflow only
     # past x ~ 26; below that it is a faithful reference.
