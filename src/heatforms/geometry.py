@@ -72,21 +72,26 @@ class SurfaceKind(enum.Enum):
 
 
 class _Model(NamedTuple):
-    """A model surface: curvature kappa and profile curve (C, S), with S' = C
-    and C' = -kappa S; S and C take floats, S_arr and C_arr arrays."""
+    """A model surface: curvature kappa, profile curve (C, S) with S' = C and
+    C' = -kappa S, and T = S/C, its own entry as S(r)/C(r) rounds apart from
+    tan r and tanh r; S, C and T take floats, S_arr, C_arr and T_arr arrays."""
 
     kappa: float
     S: object
     C: object
+    T: object
     S_arr: object
     C_arr: object
+    T_arr: object
 
 
 _MODELS = {
     SurfaceKind.EUCLIDEAN: _Model(0.0, lambda r: r, lambda r: 1.0, lambda r: r,
-                                  np.ones_like),
-    SurfaceKind.SPHERE: _Model(1.0, math.sin, math.cos, np.sin, np.cos),
-    SurfaceKind.HYPERBOLIC: _Model(-1.0, math.sinh, math.cosh, np.sinh, np.cosh),
+                                  lambda r: r, np.ones_like, lambda r: r),
+    SurfaceKind.SPHERE: _Model(1.0, math.sin, math.cos, math.tan,
+                               np.sin, np.cos, np.tan),
+    SurfaceKind.HYPERBOLIC: _Model(-1.0, math.sinh, math.cosh, math.tanh,
+                                   np.sinh, np.cosh, np.tanh),
 }
 
 
@@ -171,14 +176,6 @@ class BiTensor1:
     def as_array(self) -> np.ndarray:
         return np.array([[self.m11, self.m12], [self.m21, self.m22]], dtype=float)
 
-    @classmethod
-    def from_array(cls, m) -> "BiTensor1":
-        m = np.asarray(m, dtype=float)
-        return cls(float(m[0, 0]), float(m[0, 1]), float(m[1, 0]), float(m[1, 1]))
-
-    def transpose(self) -> "BiTensor1":
-        return BiTensor1(self.m11, self.m21, self.m12, self.m22)
-
 
 def _check_pair(kind, x: Point, y: Point) -> SurfaceKind:
     kind = SurfaceKind.parse(kind)
@@ -219,13 +216,31 @@ def distance(kind, x: Point, y: Point) -> float:
         math.hypot(math.cos(half_diff) * ch, cos_sum * sh))
 
 
+def _log_sinh(r: float) -> float:
+    """log sinh r for r >= 0 (-inf at 0), with no overflow."""
+    return r - math.log(2.0) + math.log(-math.expm1(-2.0 * r)) if r > 0.0 else -math.inf
+
+
 def _h2_distance(r1: float, r2: float, dtheta: float) -> float:
     """Hyperbolic distance between polar points (r1, .) and (r2, .) whose
-    angles differ by dtheta."""
-    # cosh d - 1 = 2 sinh^2((r1-r2)/2) + 2 sinh r1 sinh r2 sin^2(dtheta/2)
-    q = (2.0 * math.sinh(0.5 * (r1 - r2)) ** 2
-         + 2.0 * math.sinh(r1) * math.sinh(r2) * math.sin(0.5 * dtheta) ** 2)
-    return 2.0 * math.asinh(math.sqrt(0.5 * q))
+    angles differ by dtheta: 2 asinh(sqrt(q/2)) for q = cosh d - 1 =
+    2 sinh^2((r1-r2)/2) + 2 sinh r1 sinh r2 sin^2(dtheta/2).  Where q is past
+    the float range (from radii near 355), L = log(q/2) is summed from the
+    logs of its terms, and d = 2 asinh(e^{L/2}), L + 2 log 2 once L > 40."""
+    sin_half = math.sin(0.5 * dtheta)
+    try:
+        # the second term is skipped where it is zero, as sinh r may overflow
+        q = 2.0 * math.sinh(0.5 * (r1 - r2)) ** 2 + (
+            2.0 * math.sinh(r1) * math.sinh(r2) * sin_half ** 2 if sin_half else 0.0)
+        if q < math.inf:
+            return 2.0 * math.asinh(math.sqrt(0.5 * q))
+    except OverflowError:
+        pass
+    logs = (2.0 * _log_sinh(0.5 * abs(r1 - r2)), _log_sinh(r1) + _log_sinh(r2)
+            + (2.0 * math.log(abs(sin_half)) if sin_half else -math.inf))
+    top = max(logs)
+    big = top + math.log1p(math.exp(min(logs) - top))
+    return big + math.log(4.0) if big > 40.0 else 2.0 * math.asinh(math.exp(0.5 * big))
 
 
 class _PairDerivatives(NamedTuple):
@@ -270,20 +285,26 @@ def _pair_derivatives(kind, x: Point, y: Point, d: float) -> _PairDerivatives:
         return _PairDerivatives((gx0, gx1), (gy0, gy1), mixed)
 
     S, C = _MODELS[kind].S, _MODELS[kind].C
-    s1, c1 = S(r1), C(r1)
-    s2, c2 = S(r2), C(r2)
-    sd = S(d)
-    cd = C(d)
-    gx0 = (S(r1 - r2) + c1 * s2 * two_sh2) / sd
-    gx1 = s2 * sin_dt / sd
-    gy0 = (S(r2 - r1) + s1 * c2 * two_sh2) / sd
-    gy1 = -s1 * sin_dt / sd
-    w11 = -C(r1 - r2) + c1 * c2 * two_sh2
-    mixed = ((w11 - cd * (gx0 * gy0)) / sd,
-             (-c1 * sin_dt - cd * (gx0 * gy1)) / sd,
-             (c2 * sin_dt - cd * (gx1 * gy0)) / sd,
-             (-cos_dt - cd * (gx1 * gy1)) / sd)
-    return _PairDerivatives((gx0, gx1), (gy0, gy1), mixed)
+    try:
+        s1, c1 = S(r1), C(r1)
+        s2, c2 = S(r2), C(r2)
+        sd = S(d)
+        cd = C(d)
+        gx0 = (S(r1 - r2) + c1 * s2 * two_sh2) / sd
+        gx1 = s2 * sin_dt / sd
+        gy0 = (S(r2 - r1) + s1 * c2 * two_sh2) / sd
+        gy1 = -s1 * sin_dt / sd
+        w11 = -C(r1 - r2) + c1 * c2 * two_sh2
+        mixed = ((w11 - cd * (gx0 * gy0)) / sd,
+                 (-c1 * sin_dt - cd * (gx0 * gy1)) / sd,
+                 (c2 * sin_dt - cd * (gx1 * gy0)) / sd,
+                 (-cos_dt - cd * (gx1 * gy1)) / sd)
+        # one check: a NaN or an infinity in any entry stays in the sum
+        if math.isfinite(sum(mixed, gx0 + gx1 + gy0 + gy1)):
+            return _PairDerivatives((gx0, gx1), (gy0, gy1), mixed)
+    except OverflowError:
+        pass
+    raise DomainError(f"distance derivatives overflow at radii {r1!r} and {r2!r}")
 
 
 def _outer_plus(a: float, gx, gy, b: float, mixed) -> BiTensor1:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .quadrature import (ToleranceBudget, _integrate_panels, _kronrod_panels,
                          gaussian_tail_radius, refine_until_stable, solve_radius)
-from .specfun import _EPS, _conical_many, _erfcx
+from .specfun import _EPS, _conical_many, _erfcx, _expint_cf
 
 _FOUR_PI = 4.0 * math.pi
 _GAMMA_14 = math.gamma(0.25)
@@ -113,32 +113,18 @@ def _expint_table(z: float, n: int) -> np.ndarray:
 
     Up to z = 3 the upward recurrence p E_{p+1} = e^{-z} - z E_p, started
     from E_{1/2}(z) = sqrt(pi/z) erfc(sqrt z), keeps 1e-14 relative.  Beyond
-    it, where the recurrence amplifies its errors, every order takes the
-    even contraction of its continued fraction (DLMF 8.19.17), as _e1 does
-    for p = 1.
+    it, where the recurrence amplifies its errors, every order takes its
+    own continued fraction (specfun._expint_cf).
     """
-    if z <= 3.0:
-        ez = math.exp(-z)
-        e_p = _SQRT_PI * math.erfc(math.sqrt(z)) / math.sqrt(z)
-        out = []
-        for k in range(n + 1):
-            e_p = (ez - z * e_p) / (0.5 + k)  # E_{k + 3/2}
-            out.append(e_p)
-        return np.array(out[1:])
-    ps = 2.5 + np.arange(n)
-    b = z + ps
-    c = np.full(n, math.inf)
-    d = 1.0 / b
-    frac = d.copy()
-    for k in range(1, 200):
-        b = b + 2.0
-        a = k * (ps + (k - 1))
-        d = 1.0 / (b - a * d)
-        c = b - a / c
-        frac *= c * d
-        if np.all(np.abs(c * d - 1.0) <= _EPS):
-            break
-    return frac * math.exp(-z)
+    if z > 3.0:
+        return np.array([_expint_cf(z, 2.5 + k) for k in range(n)])
+    ez = math.exp(-z)
+    e_p = _SQRT_PI * math.erfc(math.sqrt(z)) / math.sqrt(z)
+    out = []
+    for k in range(n + 1):
+        e_p = (ez - z * e_p) / (0.5 + k)  # E_{k + 3/2}
+        out.append(e_p)
+    return np.array(out[1:])
 
 
 def _sigma_parts(s: np.ndarray):

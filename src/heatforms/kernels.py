@@ -1,19 +1,17 @@
 """Heat kernels for 0-, 1-, and 2-forms on the three model surfaces.
 
-The scalar kernel K0 is a closed form on the plane, a Legendre series on the
-sphere, and McKean's single integral on the hyperbolic plane.  There the
-batched route hyperbolic._h2_mckean gives K0, and the 1-form generator G
-with its radial derivative G_d, at any number of distances from one shared
-w grid; the spectral integral (hyperbolic._h2_spectral) gives the same three
-rows by an independent route and is the oracle the verification suite holds
-the served values against.
-
-The 1-form kernel is assembled from the scalar generator
-G(d, t) = int_t^inf K0(d, tau) dtau (mean-zero part on the sphere): its radial
-derivatives feed the mixed distance Hessian and the (I + star star)
-symmetrizer.  On each surface G satisfies the radial identity
-G_dd = -(L'/L)(d) G_d - K0 + 1/area, which supplies G_dd without a third
-series or quadrature and is exact in the same sense the other two are.
+Each surface has one radial route, _k0_dist: the closed form on the plane,
+a Legendre series on the sphere, and McKean's single integral on the
+hyperbolic plane (hyperbolic._h2_mckean, at any number of distances from
+one shared w grid; the spectral integral hyperbolic._h2_spectral is the
+independent route the verification suite holds it against).  In its
+generator mode the route also gives the scalar generator G(d, t) =
+int_t^inf K0(d, tau) dtau (mean-zero part on the sphere) and G_d, whose
+radial derivatives feed the mixed distance Hessian and the (I + star star)
+symmetrizer of the 1-form kernel.  The radial identity G_dd = -G_d / T(d)
+- K0 + max(kappa, 0) / 4 pi, with T = S/C and kappa of geometry._MODELS,
+supplies G_dd without a third series or quadrature and is exact in the
+same sense the other two are.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from .geometry import (_MODELS, BiTensor1, OneFormValue, Point, SurfaceKind,
 from .hyperbolic import _h2_mass_tail, _h2_mckean
 from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
                          refine_until_stable, solve_radius)
-from .specfun import _EPS
+from .specfun import _EPS, _expint_cf
 
 __all__ = [
     "T_MIN",
@@ -241,25 +239,57 @@ def _h2_kappa_radius(decay: DecayHint, r_x: float, t: float, tol: float) -> floa
 # ---------------------------------------------------------------------------
 # scalar kernel
 
-def _k0_dist(kind: SurfaceKind, d, t: float, budget: ToleranceBudget):
-    """K0 at a distance d: (value, err_est, terms, radius), with terms and
-    radius as in Kernel0Value.
+def _k0_dist(kind: SurfaceKind, d, t: float, budget: ToleranceBudget,
+             generator: bool = False, h2=_h2_mckean):
+    """Each surface's one radial route at a distance d: the closed form on
+    the plane, _sphere_series on the sphere, and h2 on H2 (McKean's
+    integral; _h2_spectral when checking the oracle).  Returns (K0, err_est,
+    terms, radius), with terms and radius as in Kernel0Value.  d is a float
+    or an array, and K0 of the same type: a float stays on Python floats and,
+    on the sphere and H2, gets the bits of the one entry of a 1-element
+    array.  Each bound covers every entry.
 
-    d is a float or an array of floats, and the value is of the same type.
-    A float stays on Python floats (math.exp, math.cos); on the sphere and
-    H2 it gets the bits of the one entry of a 1-element array, which runs
-    through numpy.  err_est bounds every entry.
+    With `generator`, at d > 0 (below pi on the sphere), it returns ((K0, G,
+    G_d), err_gd, err_dd, terms, radius) as _h2_mckean does: err_gd bounds
+    G_d, and err_dd what K0 and G_d carry into G_dd (_g1_full).  The plane's
+    G is None for an array.
     """
     scalar = isinstance(d, float)
+    lib = math if scalar else np
     if kind is SurfaceKind.EUCLIDEAN:
-        value = (math.exp if scalar else np.exp)(-d * d / (4.0 * t)) / (_FOUR_PI * t)
-        return value, 8.0 * _EPS / (_FOUR_PI * t), 1, 0.0
-    if kind is SurfaceKind.SPHERE:
-        raw, n_max, tail, _ = _sphere_series((math.cos if scalar else np.cos)(d), t,
-                                             budget.abs_tol)
-        return raw / _FOUR_PI, tail / _FOUR_PI, n_max, 0.0
-    rows, err, radius, evals = _h2_mckean(d, t, budget)
-    return (float(rows[0, 0]) if scalar else rows[0]), err, evals, radius
+        z = d * d / (4.0 * t)
+        value = lib.exp(-z) / (_FOUR_PI * t)
+        if not generator:
+            return value, 8.0 * _EPS / (_FOUR_PI * t), 1, 0.0
+        g_d = lib.expm1(-z) / (2.0 * math.pi * d)
+        peak = abs(g_d) if scalar else float(np.abs(g_d).max())
+        rows = value, (_euclid_g(d, t) if scalar else None), g_d
+        # expm1 keeps G_d within a few ulps relative at any d, and
+        # |G_dd| <= |G_d| / d + K0 <= 3 / (8 pi t).
+        errs = 8.0 * _EPS * peak, 8.0 * _EPS * (peak + 1.0 / (_FOUR_PI * t))
+        terms, radius = 1, 0.0
+    elif kind is SurfaceKind.SPHERE:
+        if generator and (d if scalar else d.max()) >= math.pi:
+            raise CutLocusError("generator derivatives are undefined at the cut locus")
+        cos_d, sin_d = lib.cos(d), (lib.sin(d) if generator else None)
+        raw, n_max, tail, gen = _sphere_series(cos_d, t, budget.abs_tol, sin_d)
+        if not generator:
+            return raw / _FOUR_PI, tail / _FOUR_PI, n_max, 0.0
+        g_val, g_d, terms, gen_tail = gen
+        rows, radius = (raw / _FOUR_PI, g_val, g_d), 0.0
+        # the series tails, plus the roundoff of G_d's sum as on the plane
+        errs = (gen_tail * sin_d + 8.0 * _EPS * abs(g_d),
+                gen_tail * abs(cos_d) + tail / _FOUR_PI)
+        if not scalar:
+            errs = tuple(float(e.max()) for e in errs)
+    else:
+        rows, err, radius, terms = h2(d, t, budget, generator=generator)
+        rows = tuple(float(r[0]) for r in rows) if scalar else tuple(rows)
+        if not generator:
+            return rows[0], err, terms, radius
+        err_k0, _, err_gd = (float(e) for e in np.broadcast_to(err, 3))
+        errs = err_gd, err_gd / math.tanh(d if scalar else float(d.min())) + err_k0
+    return rows, *errs, terms, radius
 
 
 def k0(kind, x: Point, y: Point, t,
@@ -274,84 +304,35 @@ def k0(kind, x: Point, y: Point, t,
 # ---------------------------------------------------------------------------
 # 1-form generator
 
-def _ein(z: float) -> float:
-    """Ein(z) = int_0^z (1 - e^-s)/s ds = E1(z) + gamma + ln z, for 0 <= z <= 1,
-    by its power series sum_k (-1)^(k+1) z^k / (k k!) (DLMF §6.6)."""
-    total, term = 0.0, -1.0
+def _euclid_g(d: float, t: float) -> float:
+    """The plane's G = -(2 ln d + E1(z)) / 4 pi at z = d^2 / 4t.  Below
+    z = 1, E1 = Ein - gamma - ln z cancels the logarithm of d, so a d whose
+    z underflows keeps a finite G; Ein(z) = int_0^z (1 - e^-s)/s ds is
+    summed as sum_k (-1)^(k+1) z^k / (k k!) (DLMF §6.6)."""
+    z = d * d / (4.0 * t)
+    if z > 1.0:
+        return -(2.0 * math.log(d) + _expint_cf(z, 1.0)) / _FOUR_PI
+    ein, term = 0.0, -1.0
     for k in range(1, 25):
         term *= -z / k
-        total += term / k
-    return total
-
-
-def _e1(z: float) -> float:
-    """Exponential integral E1(z) for z > 1 by the even contraction of its
-    continued fraction (DLMF §6.9), e^-z / (z + 1 - 1/(z + 3 - 4/(z + 5 -
-    ...))), summed with the modified Lentz method."""
-    scale = math.exp(-z)
-    if scale == 0.0:
-        return 0.0  # E1(z) < e^-z / z has underflowed
-    b = z + 1.0
-    c, d = math.inf, 1.0 / b
-    frac = d
-    for k in range(1, 200):
-        b += 2.0
-        d = 1.0 / (b - k * k * d)
-        c = b - k * k / c
-        frac *= c * d
-        if abs(c * d - 1.0) <= _EPS:
-            break
-    return frac * scale
-
-
-def _euclid_g1(d: float, t: float):
-    z = d * d / (4.0 * t)
-    kern = math.exp(-z) / (_FOUR_PI * t)
-    # G = -(2 ln d + E1(z)) / 4 pi.  Below z = 1, E1 = Ein - gamma - ln z
-    # cancels the logarithm of d, so a d whose z underflows keeps a finite G.
-    if z <= 1.0:
-        g_val = (_EULER_GAMMA - math.log(4.0 * t) - _ein(z)) / _FOUR_PI
-    else:
-        g_val = -(2.0 * math.log(d) + _e1(z)) / _FOUR_PI
-    g_d = math.expm1(-z) / (2.0 * math.pi * d)
-    g_dd = -g_d / d - kern
-    return g_val, g_d, g_dd
+        ein += term / k
+    return (_EULER_GAMMA - math.log(4.0 * t) - ein) / _FOUR_PI
 
 
 def _g1_full(kind: SurfaceKind, d: float, t: float, budget: ToleranceBudget,
              h2=_h2_mckean):
-    """(G, G_d, G_dd, err_d1, err_d2, terms, radius) behind g1_scalar and k1;
-    h2 is the hyperbolic route (_h2_spectral when checking the oracle)."""
+    """(G, G_d, G_dd, err_d1, err_d2, terms, radius) behind g1_scalar and k1,
+    from _k0_dist's generator rows and the radial identity; h2 is the
+    hyperbolic route (_h2_spectral when checking the oracle)."""
     if not (math.isfinite(d) and d >= 0.0):
         raise DomainError("distance must be finite and nonnegative")
     if d == 0.0:
         raise CoincidentPointsError(
             "the 1-form generator is singular at zero separation; use the "
             "kernel's coincidence form instead")
-    if kind is SurfaceKind.SPHERE and d >= math.pi:
-        raise CutLocusError("generator derivatives are undefined at the cut locus")
-    tol = budget.abs_tol
-    if kind is SurfaceKind.EUCLIDEAN:
-        g_val, g_d, g_dd = _euclid_g1(d, t)
-        # expm1 keeps G_d within a few ulps relative at any d, and
-        # |G_dd| <= |G_d| / d + K0 <= 3 / (8 pi t).
-        err2 = 8.0 * _EPS * (abs(g_d) + 1.0 / (_FOUR_PI * t))
-        return g_val, g_d, g_dd, 8.0 * _EPS * abs(g_d), err2, 1, 0.0
-    if kind is SurfaceKind.SPHERE:
-        # 0.24 rather than 0.25 of tol per series leaves room for roundoff
-        k0_raw, _, k0_tail, (g_val, g_d, n_max, tail) = _sphere_series(
-            math.cos(d), t, 0.24 * tol, math.sin(d))
-        kern = k0_raw / _FOUR_PI
-        g_dd = -g_d / math.tan(d) - kern + 1.0 / _FOUR_PI
-        # the series tails, plus the roundoff of the sums as on the plane
-        err1 = tail * math.sin(d) + 8.0 * _EPS * abs(g_d)
-        err2 = tail * abs(math.cos(d)) + k0_tail / _FOUR_PI + 8.0 * _EPS * abs(g_dd)
-        return g_val, g_d, g_dd, err1, err2, n_max, 0.0
-    rows, err, radius, evals = h2([d], t, budget, generator=True)
-    kern, g_val, g_d = (float(v) for v in rows[:, 0])
-    g_dd = -g_d / math.tanh(d) - kern
-    err_k0, _, err_gd = (float(e) for e in np.broadcast_to(err, 3))
-    return g_val, g_d, g_dd, err_gd, err_gd / math.tanh(d) + err_k0, evals, radius
+    (kern, g_val, g_d), *rest = _k0_dist(kind, d, t, budget, True, h2)
+    g_dd = -g_d / _MODELS[kind].T(d) - kern + max(_MODELS[kind].kappa, 0.0) / _FOUR_PI
+    return g_val, g_d, g_dd, *rest
 
 
 def g1_scalar(kind, d: float, t, budget: ToleranceBudget = DEFAULT_BUDGET):
@@ -365,7 +346,8 @@ def g1_scalar(kind, d: float, t, budget: ToleranceBudget = DEFAULT_BUDGET):
     """
     kind = SurfaceKind.parse(kind)
     t = _as_time(t)
-    g_val, g_d, g_dd, _, _, _, _ = _g1_full(kind, float(d), t, budget)
+    # 0.24, not 0.25, of abs_tol per sphere series leaves room for roundoff
+    g_val, g_d, g_dd, _, _, _, _ = _g1_full(kind, float(d), t, budget.part(0.24))
     return g_val, g_d, g_dd
 
 
@@ -410,12 +392,14 @@ def _k1_apart(kind: SurfaceKind, x: Point, y: Point, d: float, t: float,
         # so 2 (1 + coth d + frame_scale) parts cover it.
         budget = budget.part(0.5 / (1.0 + 1.0 / math.tanh(d) + frame_scale))
     elif kind is SurfaceKind.SPHERE:
-        # Each series tail is at most 0.24 of the part; G's reaches the
-        # error below through |cos d| + sin d frame_scale and K0's once, so
-        # the tails take at most 0.24 abs_tol and roundoff the rest.
-        budget = budget.part(0.5 / (1.0 + abs(math.cos(d))
-                                    + math.sin(d) * frame_scale))
+        # Each series tail is at most the part; G's reaches the error below
+        # through |cos d| + sin d frame_scale and K0's once, so the tails
+        # take at most 0.24 abs_tol and roundoff the rest.
+        budget = budget.part(0.12 / (1.0 + abs(math.cos(d))
+                                     + math.sin(d) * frame_scale))
     _, g_d, g_dd, err1, err2, terms, radius = _g1_full(kind, d, t, budget, h2)
+    if kind is SurfaceKind.SPHERE:
+        err2 += 8.0 * _EPS * abs(g_dd)  # the roundoff of G_dd's sum
     err = 2.0 * (err2 + err1 * frame_scale)
     if kind is SurfaceKind.SPHERE and err > tol:
         # The roundoff of the sums took more than 0.76 abs_tol: shrink the
@@ -424,7 +408,7 @@ def _k1_apart(kind: SurfaceKind, x: Point, y: Point, d: float, t: float,
         if roundoff < tol:
             _, g_d, g_dd, err1, err2, terms, radius = _g1_full(
                 kind, d, t, budget.part(3.0 * (1.0 - roundoff / tol)), h2)
-            err = 2.0 * (err2 + err1 * frame_scale)
+            err = 2.0 * (err2 + 8.0 * _EPS * abs(g_dd) + err1 * frame_scale)
         if err > tol:
             raise NonconvergenceError(
                 f"k1 on the sphere: error bound {err:.3e}, of which the "
@@ -560,18 +544,14 @@ def apply_k0(kind, field: FormField, t,
 def _kappa_batch(kind: SurfaceKind, s_nodes: np.ndarray, t: float, tol: float,
                  budget: ToleranceBudget) -> np.ndarray:
     """Radial profile kappa(s) with K1 = kappa(d) I in geodesic-adapted
-    frames at both points; kappa = G_dd + G_d / L(d), reduced through the
-    radial identity so only K0 and G_d are needed."""
-    if kind is SurfaceKind.HYPERBOLIC:
-        (kern, _, gd), _, _, _ = _h2_mckean(
-            s_nodes, t, budget.part(max(tol / budget.abs_tol, 0.01)),
-            generator=True)
-        return -kern - np.tanh(0.5 * s_nodes) * gd
-    if kind is SurfaceKind.EUCLIDEAN:
-        return -_k0_dist(kind, s_nodes, t, budget)[0]
-    raw, _, _, (_, gd, _, _) = _sphere_series(np.cos(s_nodes), t, tol,
-                                              np.sin(s_nodes))
-    return -(raw / _FOUR_PI) + 1.0 / _FOUR_PI + np.tan(0.5 * s_nodes) * gd
+    frames at both points; kappa = G_dd + G_d / S(d), reduced through the
+    radial identity to -K0 + max(kappa, 0) / 4 pi + kappa T(s/2) G_d, with
+    the curvature kappa and T = S/C of geometry._MODELS."""
+    model = _MODELS[kind]
+    (kern, _, g_d), *_ = _k0_dist(
+        kind, s_nodes, t, budget.part(max(tol / budget.abs_tol, 0.01)), True)
+    return (-kern + max(model.kappa, 0.0) / _FOUR_PI
+            + model.kappa * model.T_arr(0.5 * s_nodes) * g_d)
 
 
 def apply_k1(kind, field: FormField, t,

@@ -199,6 +199,27 @@ def _erfcx(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _expint_cf(z: float, p: float) -> float:
+    """E_p(z) = int_1^inf e^{-zx} x^{-p} dx for z > 1 by the even contraction
+    of its continued fraction (DLMF 8.19.17), e^-z / (z + p - 1 p/(z + p + 2
+    - 2 (p + 1)/(z + p + 4 - ...))), summed with the modified Lentz method."""
+    scale = math.exp(-z)
+    if scale == 0.0:
+        return 0.0  # E_p(z) < e^-z / z has underflowed
+    b = z + p
+    c, d = math.inf, 1.0 / b
+    frac = d
+    for k in range(1, 200):
+        b += 2.0
+        a = k * (p + (k - 1))
+        d = 1.0 / (b - a * d)
+        c = b - a / c
+        frac *= c * d
+        if abs(c * d - 1.0) <= _EPS:
+            break
+    return frac * scale
+
+
 def _mehler_dirichlet_eval(rhos: np.ndarray, radii: np.ndarray, n_panels: int,
                            need_p1: bool, tables=None, scale=None):
     """Composite-K21 evaluation of the conical integral and its r-derivative.

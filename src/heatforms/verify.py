@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import OneFormValue, Point, SurfaceKind, distance
+from .geometry import _MODELS, OneFormValue, Point, SurfaceKind, distance
 from .hyperbolic import _h2_mckean, _h2_spectral
-from .kernels import (FormField, _k0_dist, _k1_apart, _mass_radius,
+from .kernels import (FormField, _k0_dist, _k1_apart, _radial_edges,
                       apply_k0, apply_k1, heat_residual, k0, k1)
 from .quadrature import DecayHint, ToleranceBudget
 from .quotient import (CoveringGroupSpec, GroupElement, QuotientSurface, act,
@@ -62,20 +62,12 @@ def _suite_normalization(tol=None):
     out = []
     for kind in _SURFACES:
         for t in (0.1, 1.0):
-            if kind is SurfaceKind.SPHERE:
-                radius = math.pi
-            else:
-                radius = _mass_radius(kind, t, 1e-12)
+            radius = _radial_edges(kind, t, 1e-12)[-1]
             nodes, weights = np.polynomial.legendre.leggauss(60)
             r = 0.5 * radius * (nodes + 1.0)
             w = 0.5 * radius * weights
             vals = _k0_dist(kind, r, t, ToleranceBudget(abs_tol=1e-12))[0]
-            if kind is SurfaceKind.EUCLIDEAN:
-                area = r
-            elif kind is SurfaceKind.SPHERE:
-                area = np.sin(r)
-            else:
-                area = np.sinh(r)
+            area = _MODELS[kind].S_arr(r)
             mass = 2.0 * math.pi * float(np.sum(w * vals * area))
             out.append(CheckResult(f"normalization[{kind.value},t={t}]",
                                    abs(mass - 1.0), _tol(1e-6, tol)))

@@ -1,3 +1,4 @@
+import decimal
 import math
 import re
 import struct
@@ -449,3 +450,33 @@ def test_nan_field_raises_on_the_first_integration_pass(kind):
         integrate_surface(kind, field, ToleranceBudget(abs_tol=1e-8), decay)
     # the first pass asks for a 32 x 64 grid
     assert 0 < len(calls) <= 32 * 64
+
+
+def _h2_distance_reference(r1: float, r2: float, dtheta: float) -> float:
+    """2 asinh(sqrt(q/2)), q/2 = sinh^2((r1-r2)/2) + sinh r1 sinh r2
+    sin^2(dtheta/2), in 50-digit decimals, whose exponents reach far past
+    e^20000; sin(dtheta/2) is taken in floats, as distance takes it."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        D = decimal.Decimal
+
+        def sinh(x):
+            e = D(x).exp()
+            return (e - 1 / e) / 2
+
+        half_q = (sinh(D(r1 - r2) / 2) ** 2
+                  + sinh(r1) * sinh(r2) * D(math.sin(0.5 * dtheta)) ** 2)
+        root = half_q.sqrt()
+        return float(2 * (root + (half_q + 1).sqrt()).ln())
+
+
+def test_far_out_h2_distances_are_finite_and_accurate():
+    """Past radius 355, sinh r1 sinh r2 and sinh r itself leave the float
+    range; the distance then comes from the logarithms of its terms."""
+    for r in (355.0, 400.0, 700.0, 711.0, 1500.0, 1e4):
+        x = Point("hyperbolic", r, 0.0)
+        for y in (Point("hyperbolic", 0.0, 0.0), Point("hyperbolic", r + 0.5, 0.0),
+                  Point("hyperbolic", r, 0.1)):
+            d = distance("hyperbolic", x, y)
+            ref = _h2_distance_reference(x.c1, y.c1, x.c2 - y.c2)
+            assert math.isfinite(d) and abs(d - ref) <= 4e-16 * ref, (r, y, d, ref)

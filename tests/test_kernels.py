@@ -236,7 +236,11 @@ def test_sphere_series_keep_their_bits_for_a_float_and_an_array(t):
 def test_k0_at_a_distance_takes_a_float_or_an_array(kind):
     """A float distance gives float results; on the sphere and H2 they are
     the bits of the one entry of a 1-element array.  The plane's float
-    path uses math.exp, which may differ from np.exp by an ulp."""
+    path uses math.exp and math.expm1, which may differ from numpy's by an
+    ulp.  The generator mode keeps both rules for its rows (K0, G, G_d) and
+    its two bounds, except that the plane forms G for a float only; its K0
+    is the plain mode's on the plane and the sphere, and within err_est of
+    it on H2, whose generator pass takes its own w limit."""
     budget = ToleranceBudget(abs_tol=1e-10)
     for t in (1e-3, 0.3, 2.0):
         for d in (0.0, 1e-7, 0.7, 2.5):
@@ -248,6 +252,24 @@ def test_k0_at_a_distance_takes_a_float_or_an_array(kind):
                 assert abs(one[0] - arr[0][0]) <= one[1]
             else:
                 assert one[0] == arr[0][0]
+            if d == 0.0:
+                continue
+            rows, *rest = kernels._k0_dist(kind, d, t, budget, generator=True)
+            rows_arr, *rest_arr = kernels._k0_dist(kind, np.array([d]), t, budget,
+                                                   generator=True)
+            assert all(type(v) is float for v in rows + tuple(rest[:2]))
+            assert all(r.shape == (1,) for r in rows_arr if r is not None)
+            assert rest[2:] == rest_arr[2:]
+            if kind is SurfaceKind.EUCLIDEAN:
+                assert rows_arr[1] is None
+                assert abs(rows[2] - rows_arr[2][0]) <= rest[0]
+                assert np.allclose(rest, rest_arr, rtol=1e-15, atol=0.0)
+            else:
+                assert rows == tuple(r[0] for r in rows_arr) and rest == rest_arr
+            if kind is SurfaceKind.HYPERBOLIC:
+                assert abs(rows[0] - one[0]) <= one[1] + rest[1]
+            else:
+                assert rows[0] == one[0]
 
 
 def test_sphere_generator_keeps_g_d_at_small_separation():
@@ -496,6 +518,29 @@ def test_generator_refuses_distances_off_the_half_line(kind, d):
     with pytest.raises(DomainError, match="finite and nonnegative") as info:
         g1_scalar(kind, d, 0.3)
     assert not isinstance(info.value, CoincidentPointsError)
+
+
+# (radius, pair): a far-out point on H2 against the origin, a point 0.5
+# further out on its ray, and a point at its radius 0.1 round.
+_FAR_H2 = [(r, (Point("hyperbolic", r, 0.0), y))
+           for r in (355.0, 400.0, 700.0, 711.0, 1500.0, 1e4)
+           for y in (Point("hyperbolic", 0.0, 0.0), Point("hyperbolic", r + 0.5, 0.0),
+                     Point("hyperbolic", r, 0.1))]
+
+
+def test_far_out_h2_kernels_are_finite_or_refuse_with_a_domain_error():
+    """The distance stays finite at any radius, so k0 and k2 are; k1 is
+    finite, or its distance derivatives overflow and it says so."""
+    for r, (x, y) in _FAR_H2:
+        for kernel in (k0, k2):
+            out = kernel("hyperbolic", x, y, 0.3)
+            assert math.isfinite(out.value) and math.isfinite(out.err_est)
+        try:
+            out = k1("hyperbolic", x, y, 0.3)
+        except DomainError as exc:
+            assert f"radii {x.c1!r} and {y.c1!r}" in str(exc), (r, exc)
+        else:
+            assert np.isfinite(out.matrix.as_array()).all() and math.isfinite(out.err_est)
 
 
 def test_apply_k0_sphere_eigenfunctions():

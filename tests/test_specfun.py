@@ -412,3 +412,19 @@ def test_erfcx_is_pinned_to_the_scaled_erfc():
     asym = (1.0 - 0.5 * inv_sq + 0.75 * inv_sq ** 2) / (math.sqrt(math.pi) * big)
     assert np.all(np.abs(_erfcx(big) - asym) <= 1e-15 * asym)
     assert _erfcx(np.array([0.0]))[0] == 1.0
+
+
+# (z, p, E_p(z)) from mpmath.expint at 40 digits; E_1(750) is below the
+# smallest subnormal.
+_EXPINT_CF_FROZEN = (
+    (1.5, 1.0, 0.10001958240663265), (4.0, 1.0, 0.0037793524098489067),
+    (50.0, 1.0, 3.783264029550459e-24), (700.0, 1.0, 1.406518766234033e-307),
+    (750.0, 1.0, 0.0), (3.5, 2.5, 0.005342418956289635),
+    (12.0, 7.5, 3.2104203820841606e-07), (40.0, 14.5, 7.83238192291991e-20),
+)
+
+
+@pytest.mark.parametrize("z,p,ref", _EXPINT_CF_FROZEN)
+def test_expint_continued_fraction_matches_mpmath(z, p, ref):
+    assert abs(specfun._expint_cf(z, p) - ref) <= 2e-15 * ref
+
