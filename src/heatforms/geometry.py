@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -221,26 +221,72 @@ def _log_sinh(r: float) -> float:
     return r - math.log(2.0) + math.log(-math.expm1(-2.0 * r)) if r > 0.0 else -math.inf
 
 
-def _h2_distance(r1: float, r2: float, dtheta: float) -> float:
-    """Hyperbolic distance between polar points (r1, .) and (r2, .) whose
-    angles differ by dtheta: 2 asinh(sqrt(q/2)) for q = cosh d - 1 =
-    2 sinh^2((r1-r2)/2) + 2 sinh r1 sinh r2 sin^2(dtheta/2).  Where q is past
-    the float range (from radii near 355), L = log(q/2) is summed from the
-    logs of its terms, and d = 2 asinh(e^{L/2}), L + 2 log 2 once L > 40."""
-    sin_half = math.sin(0.5 * dtheta)
+def _log_cosh(r: float) -> float:
+    """log cosh r, with no overflow."""
+    return abs(r) - math.log(2.0) + math.log1p(math.exp(-2.0 * abs(r)))
+
+
+def _asinh_exp(big: float) -> float:
+    """asinh(e^big), with no overflow: past big = 20 the rest is below an ulp."""
+    return big + math.log(2.0) if big > 20.0 else math.asinh(math.exp(big))
+
+
+# (F, log F, G, log |G|) of _h2_distance: (sinh, sin) in polar coordinates,
+# (cosh, sinh) in the Fermi coordinates of _axis_chart.
+_POLAR = (math.sinh, _log_sinh, math.sin, lambda a: math.log(abs(math.sin(a))))
+_FERMI = (math.cosh, _log_cosh, math.sinh, lambda a: _log_sinh(abs(a)))
+
+
+def _h2_distance(r1: float, r2: float, dtheta: float, form=_POLAR) -> float:
+    """Hyperbolic distance of (r1, .) and (r2, .) at angles dtheta apart (w1,
+    w2 and u1 - u2 in Fermi coordinates): 2 asinh(sqrt(q/2)), q = cosh d - 1
+    = 2 sinh^2((r1-r2)/2) + 2 F(r1) F(r2) G(dtheta/2)^2 with (F, G) of form.
+    Where q is past the float range (from radii near 355), L = log(q/2) is
+    summed from the logs of its terms, and d = 2 asinh(e^{L/2})."""
+    F, log_F, G, log_G = form
+    half = 0.5 * dtheta
     try:
-        # the second term is skipped where it is zero, as sinh r may overflow
+        g = G(half)
+        # the second term is skipped where it is zero, as F may overflow
         q = 2.0 * math.sinh(0.5 * (r1 - r2)) ** 2 + (
-            2.0 * math.sinh(r1) * math.sinh(r2) * sin_half ** 2 if sin_half else 0.0)
+            2.0 * F(r1) * F(r2) * g ** 2 if g else 0.0)
         if q < math.inf:
             return 2.0 * math.asinh(math.sqrt(0.5 * q))
     except OverflowError:
         pass
-    logs = (2.0 * _log_sinh(0.5 * abs(r1 - r2)), _log_sinh(r1) + _log_sinh(r2)
-            + (2.0 * math.log(abs(sin_half)) if sin_half else -math.inf))
+    logs = (2.0 * _log_sinh(0.5 * abs(r1 - r2)),
+            log_F(r1) + log_F(r2) + (2.0 * log_G(half) if half else -math.inf))
     top = max(logs)
     big = top + math.log1p(math.exp(min(logs) - top))
-    return big + math.log(4.0) if big > 40.0 else 2.0 * math.asinh(math.exp(0.5 * big))
+    return 2.0 * _asinh_exp(0.5 * big)
+
+
+def _axis_chart(p: Point) -> tuple[float, float]:
+    """The chart the covering groups translate: Cartesian (X, Y) on the plane,
+    Fermi (u, w) about the theta = 0 geodesic on H2, sinh w = sinh r sin theta
+    and sinh u cosh w = sinh r cos theta (in logs past sinh r's float range)."""
+    r, c, s = p.c1, math.cos(p.c2), math.sin(p.c2)
+    if p.kind is SurfaceKind.EUCLIDEAN:
+        return r * c, r * s
+    if r <= 710.0:
+        x1, x2 = math.sinh(r) * c, math.sinh(r) * s
+        return math.asinh(x1 / math.hypot(1.0, x2)), math.asinh(x2)
+    # cos never vanishes at a float angle; sin does at theta = 0
+    w = math.copysign(_asinh_exp(_log_sinh(r) + math.log(abs(s))), s) if s else 0.0
+    return math.copysign(_asinh_exp(_log_sinh(r) + math.log(abs(c)) - _log_cosh(w)), c), w
+
+
+# _axis_distance(w1, w2, u1 - u2): H2 distance of Fermi points (u1, w1), (u2, w2)
+_axis_distance = partial(_h2_distance, form=_FERMI)
+
+
+def _axis_point(kind: SurfaceKind, a: float, b: float) -> Point:
+    """The point at chart coordinates (a, b) of _axis_chart: on H2 at the distance
+    from (0, 0), angle atan2(tanh w, sinh u) with |u| <= 710 (past it, < 1e-308)."""
+    if kind is SurfaceKind.EUCLIDEAN:
+        return Point(kind, math.hypot(a, b), math.atan2(b, a))
+    return Point(kind, _axis_distance(0.0, b, a),
+                 math.atan2(math.tanh(b), math.sinh(max(-710.0, min(a, 710.0)))))
 
 
 class _PairDerivatives(NamedTuple):
@@ -367,6 +413,10 @@ def _chart_points(kind: SurfaceKind, x: Point, s_grid: np.ndarray,
     in the target's polar coframe.
     """
     model = _MODELS[kind]
+    try:  # the coordinates grow like C(r + s), the frame products like C^2
+        model.C(x.c1 + float(s_grid.max())) ** (2 if need_frames else 1)
+    except OverflowError:
+        raise DomainError(f"the chart at radius {x.c1!r} overflows") from None
     c, s = math.cos(x.c2), math.sin(x.c2)
     cx = model.C(x.c1)
     pos = np.array(_embed(x))

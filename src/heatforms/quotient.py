@@ -2,10 +2,10 @@
 
 A quotient M = U/G of a model surface U by a discrete group G of
 orientation-preserving isometries inherits its heat kernel as the sum of the
-base kernel over one orbit: K_M(x, y) = sum_g K_U(x, g y).  Implemented
-covering groups are the abelian ones with computable orbits: rank-2 lattices
-and cyclic translation groups on the plane (torus, flat cylinder) and cyclic
-translation along a geodesic on the hyperbolic plane (hyperbolic cylinder).
+base kernel over one orbit: K_M(x, y) = sum_g K_U(x, g y).  Each implemented
+group translates one chart of its cover, geometry._axis_chart: Cartesian on
+the plane (torus, flat cylinder), Fermi coordinates about a geodesic on the
+hyperbolic plane (hyperbolic cylinder); act, reduce and image sums use it.
 
 Truncation is by distance: elements with d(x, g y) <= R enter the sum and the
 remainder is bounded by counting estimates times a pointwise kernel majorant,
@@ -15,14 +15,14 @@ Gaussian in the distance on both surfaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (DomainError, EnumerationOverflowError, KindMismatchError,
                      UnsupportedGroupError)
-from .geometry import (_TWO_PI, BiTensor1, Point, SurfaceKind, _embed,
-                       _h2_distance, distance)
+from .geometry import (BiTensor1, Point, SurfaceKind, _axis_chart,
+                       _axis_distance, _axis_point, distance)
 from .hyperbolic import _h2_k0_majorant
 from .kernels import Kernel1Value, _as_time, _k0_dist, k1 as _k1_base
 from .quadrature import DEFAULT_BUDGET, ToleranceBudget, solve_radius
@@ -52,6 +52,13 @@ class CoveringGroupSpec:
     v1: tuple[float, float] | None = None
     v2: tuple[float, float] | None = None
     ell: float | None = None
+    # the generators as translations of geometry._axis_chart: v1 (and v2) on
+    # the plane, (ell, 0) on H2, none for the trivial group
+    _shifts: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        shifts = ((self.ell, 0.0),) if self.ell is not None else (self.v1, self.v2)
+        object.__setattr__(self, "_shifts", tuple(v for v in shifts if v is not None))
 
     @classmethod
     def euclidean_lattice(cls, v1, v2) -> "CoveringGroupSpec":
@@ -111,73 +118,41 @@ class GroupElement:
         return GroupElement(self.group, -self.k1, -self.k2)
 
 
-def _cart(p: Point) -> np.ndarray:
-    return np.array([p.c1 * math.cos(p.c2), p.c1 * math.sin(p.c2)])
-
-
-def _polar(v) -> Point:
-    return Point(SurfaceKind.EUCLIDEAN, math.hypot(v[0], v[1]),
-                 math.atan2(v[1], v[0]))
-
-
-def _axis_translate(p: Point, a: float) -> Point:
-    """Translate a hyperbolic point by length a along the theta = 0 geodesic
-    (a Lorentz boost of the hyperboloid in the x0-x1 plane)."""
-    return Point(SurfaceKind.HYPERBOLIC, *_boost(_embed(p), a))
-
-
-def _boost(xs: tuple[float, float, float], a: float) -> tuple[float, float]:
-    """Polar coordinates (r, theta), theta not yet reduced mod 2 pi, of the
-    hyperboloid point xs boosted by a in the x0-x1 plane."""
-    x0, x1, x2 = xs
-    ca, sa = math.cosh(a), math.sinh(a)
-    y0, y1 = ca * x0 + sa * x1, sa * x0 + ca * x1
-    return math.acosh(max(1.0, y0)), math.atan2(x2, y1)
-
-
 def act(g: GroupElement, p: Point) -> Point:
-    """Apply a covering transformation to a point."""
+    """Apply a covering transformation: add k1 s1 + k2 s2 to the chart point."""
     group = g.group
     if p.kind is not group.base:
         raise KindMismatchError("group and point live on different surfaces")
-    if group.variant == "trivial":
+    if not group._shifts:
         return p
-    if group.variant == "euclidean_lattice":
-        shift = g.k1 * np.asarray(group.v1) + g.k2 * np.asarray(group.v2)
-        return _polar(_cart(p) + shift)
-    if group.variant == "euclidean_cyclic":
-        return _polar(_cart(p) + g.k1 * np.asarray(group.v1))
-    return _axis_translate(p, g.k1 * group.ell)
+    a, b = _axis_chart(p)
+    da = db = -0.0  # x + -0.0 is x, so a lone shift keeps its bits
+    for k, (sa, sb) in zip((g.k1, g.k2), group._shifts):
+        da, db = da + k * sa, db + k * sb
+    return _axis_point(group.base, a + da, b + db)
 
 
 def _reduce_point(group: CoveringGroupSpec, p: Point) -> Point:
-    if group.variant == "trivial":
+    """The orbit's point with chart coefficients in [0, 1), 0 within _SNAP of 1."""
+    shifts = group._shifts
+    if not shifts:
         return p
-    if group.variant == "euclidean_lattice":
-        coef = np.linalg.solve(group.matrix, _cart(p))
+    chart = _axis_chart(p)
+    if len(shifts) == 2:
+        coef = np.linalg.solve(group.matrix, chart)
         frac = coef - np.floor(coef)
         frac = np.where(frac > 1.0 - _SNAP, 0.0, frac)
-        return _polar(group.matrix @ frac)
-    if group.variant == "euclidean_cyclic":
-        v = np.asarray(group.v1)
-        length = float(np.hypot(*v))
-        unit = v / length
-        x = _cart(p)
-        along = float(x @ unit) % length
-        if along > length * (1.0 - _SNAP):
-            along = 0.0
-        perp = x - float(x @ unit) * unit
-        return _polar(along * unit + perp)
-    sh = math.sinh(p.c1)
-    x1, x2 = sh * math.cos(p.c2), sh * math.sin(p.c2)
-    cw = math.sqrt(1.0 + x2 * x2)
-    u = math.asinh(x1 / cw)
-    u_red = u % group.ell
-    if u_red > group.ell * (1.0 - _SNAP):
-        u_red = 0.0
-    y0, y1 = math.cosh(u_red) * cw, math.sinh(u_red) * cw
-    return Point(SurfaceKind.HYPERBOLIC, math.acosh(max(1.0, y0)),
-                 math.atan2(x2, y1))
+        return _axis_point(group.base, *(group.matrix @ frac))
+    # u mod ell on H2; numpy rounds as the flat cylinder's reduce always has
+    (va, vb), = shifts
+    length = float(np.hypot(va, vb))
+    ua, ub = va / length, vb / length
+    along = float(np.dot(chart, (ua, ub)))
+    red = along % length
+    if red > length * (1.0 - _SNAP):
+        red = 0.0
+    return _axis_point(group.base, red * ua + (chart[0] - along * ua),
+                       red * ub + (chart[1] - along * ub))
 
 
 @dataclass(frozen=True)
@@ -208,74 +183,52 @@ class QuotientSurface:
 
 
 def _images(group: CoveringGroupSpec, x: Point, y: Point, radius: float):
-    """(k1, k2, dist): integer coordinates of every g with
+    """(k1, k2, dist): integer coordinates of every g of a nontrivial group with
     d(x, g y) <= radius, and those distances, as arrays in the order of
     enumerate_elements (by squared integer norm, then lexicographic).
 
-    Flat images are Cartesian translates of y, filtered and ordered with
-    array operations.  On the hyperbolic cylinder one float loop boosts y
-    along the axis and measures each image with the same operations, in the
-    same order, as act and then distance, so it gets their bits.
+    The candidates are the integers within radius |rho_i| of rho_i . D, for
+    the chart difference D and the rows rho_i of the inverse generator matrix
+    (v / |v|^2 at rank 1); on H2 as d >= |du - k ell|, the foot point on the
+    axis being 1-Lipschitz.  Arrays measure them on the plane, a loop on H2.
     """
-    if group.variant == "trivial":
-        d = distance(group.base, x, y)
-        keep = np.array([0] if d <= radius else [], dtype=int)
-        return keep, keep, np.full(len(keep), d)
-    if group.variant == "hyperbolic_cyclic":
-        d0 = distance(group.base, x, y)
-        k_max = int(math.ceil((radius + d0) / group.ell)) + 1
-        if 2 * k_max + 1 > _MAX_ELEMENTS:
-            raise EnumerationOverflowError(
-                f"radius {radius} implies more than {_MAX_ELEMENTS} candidates")
-        ys = _embed(y)
-        ks, dists = [], []
-        for k in sorted(range(-k_max, k_max + 1), key=lambda k: (k * k, k)):
-            c1, c2 = _boost(ys, k * group.ell)
-            d = _h2_distance(x.c1, c1, x.c2 - c2 % _TWO_PI)
-            if d <= radius:
-                ks.append(k)
-                dists.append(d)
-        return np.array(ks, dtype=int), np.zeros(len(ks), dtype=int), np.array(dists)
-    dx = x.c1 * math.cos(x.c2) - y.c1 * math.cos(y.c2)
-    dy = x.c1 * math.sin(x.c2) - y.c1 * math.sin(y.c2)
-    if group.variant == "euclidean_cyclic":
-        vx, vy = group.v1
-        length = math.hypot(vx, vy)
-        center = (dx * vx + dy * vy) / length ** 2
-        half = radius / length + 1.0
-        k_lo, k_hi = int(math.floor(center - half)), int(math.ceil(center + half))
-        if k_hi - k_lo + 1 > _MAX_ELEMENTS:
-            raise EnumerationOverflowError(
-                f"radius {radius} implies more than {_MAX_ELEMENTS} candidates")
-        n1 = np.arange(k_lo, k_hi + 1)
-        dist = np.hypot(dx - n1 * vx, dy - n1 * vy)
-        mask = dist <= radius
-        n1, dist = n1[mask], dist[mask]
-        order = np.lexsort((n1, n1 * n1))
-        return n1[order], np.zeros(len(n1), dtype=int), dist[order]
-    # The box of integer coordinates within radius of the real ones, from
-    # the rows (e, -b) / det and (-c, a) / det of the inverse generator matrix.
-    (a, c), (b, e) = group.v1, group.v2
-    det = a * e - b * c
-    lo, hi = [], []
-    for p, q in ((e, -b), (-c, a)):
-        center = (p * dx + q * dy) / det
-        half = radius * math.hypot(p, q) / abs(det) + 1e-9
+    shifts = group._shifts
+    (xa, xb), (ya, yb) = _axis_chart(x), _axis_chart(y)
+    da, db = xa - ya, xb - yb
+    # the rows of the inverse matrix, as (p, q) / div
+    if len(shifts) == 2:
+        (a, c), (b, e) = shifts
+        div, rows = a * e - b * c, ((e, -b), (-c, a))
+    else:
+        (a, c), = shifts
+        div, rows = a * a + c * c, ((a, c),)
+    lo, hi, count = [], [], 1
+    for p, q in rows:
+        center = (p * da + q * db) / div
+        half = radius * math.hypot(p, q) / abs(div) + 1e-9
         lo.append(math.floor(center - half))
         hi.append(math.ceil(center + half))
-    count = (hi[0] - lo[0] + 1) * (hi[1] - lo[1] + 1)
+        count *= hi[-1] - lo[-1] + 1
     if count > _MAX_ELEMENTS:
         raise EnumerationOverflowError(
             f"radius {radius} implies {count} candidates, over the "
             f"{_MAX_ELEMENTS} guard")
-    n1, n2 = np.meshgrid(np.arange(lo[0], hi[0] + 1),
-                         np.arange(lo[1], hi[1] + 1), indexing="ij")
-    n1 = n1.ravel()
-    n2 = n2.ravel()
-    img = group.matrix @ np.vstack([n1, n2])
-    dist = np.hypot(dx - img[0], dy - img[1])
+    if len(shifts) == 1:
+        n1 = np.arange(lo[0], hi[0] + 1)
+        n1 = n1[np.lexsort((n1, n1 * n1))]  # the final order, which the mask keeps
+        if group.base is SurfaceKind.EUCLIDEAN:
+            dist = np.hypot(da - n1 * a, db - n1 * c)
+        else:
+            dist = np.array([_axis_distance(xb, yb, da - k * a) for k in n1.tolist()])
+        keep = dist <= radius
+        n1 = n1[keep]
+        return n1, np.zeros(len(n1), dtype=int), dist[keep]
+    ks = np.indices((hi[0] - lo[0] + 1, hi[1] - lo[1] + 1)).reshape(2, -1)
+    ks += np.array(lo)[:, None]
+    img = group.matrix @ ks
+    dist = np.hypot(da - img[0], db - img[1])
     mask = dist <= radius
-    n1, n2, dist = n1[mask], n2[mask], dist[mask]
+    n1, n2, dist = ks[0][mask], ks[1][mask], dist[mask]
     order = np.lexsort((n2, n1, n1 * n1 + n2 * n2))
     return n1[order], n2[order], dist[order]
 
@@ -290,6 +243,8 @@ def enumerate_elements(group: CoveringGroupSpec, x: Point, y: Point,
         raise DomainError("enumeration radius must be positive")
     if x.kind is not group.base or y.kind is not group.base:
         raise KindMismatchError("group and points live on different surfaces")
+    if not group._shifts:
+        return [group.identity()] if distance(group.base, x, y) <= radius else []
     k1, k2, _ = _images(group, x, y, radius)
     return [GroupElement(group, a, b) for a, b in zip(k1.tolist(), k2.tolist())]
 
@@ -336,8 +291,8 @@ def _euclid_tail(group: CoveringGroupSpec, radius: float, t: float) -> float:
     """Bound on the image sum beyond the enumeration radius: ring counting
     times the kernel value at the inner ring edge, summed over the rings
     from floor(radius) out and closed by _series_tail."""
-    if group.variant == "euclidean_lattice":
-        (a, c), (b, e) = group.v1, group.v2
+    if len(group._shifts) == 2:
+        (a, c), (b, e) = group._shifts
         pad = 0.5 * (math.hypot(a, c) + math.hypot(b, e))
         area = abs(a * e - b * c)
 
@@ -386,12 +341,10 @@ def _fourier_tail(pad: float, rate: float, k_rad: float) -> float:
 def _truncation(group: CoveringGroupSpec, d0: float, t: float,
                 target: float) -> tuple[float, float]:
     """(radius, tail bound) with the tail at most target."""
-    def tail(radius: float) -> float:
-        if group.variant == "hyperbolic_cyclic":
-            return _h2_tail(group, d0, radius, t)
-        return _euclid_tail(group, radius, t)
-
-    return solve_radius(tail, target, max(1.0, d0 + 4.0 * math.sqrt(t)), 1.2)
+    start = max(1.0, d0 + 4.0 * math.sqrt(t))
+    if group.base is SurfaceKind.HYPERBOLIC:
+        return solve_radius(lambda r: _h2_tail(group, d0, r, t), target, start, 1.2)
+    return solve_radius(lambda r: _euclid_tail(group, r, t), target, start, 1.2)
 
 
 def _k0_quotient_full(q: QuotientSurface, x: Point, y: Point, t: float,
@@ -406,17 +359,20 @@ def _k0_quotient_full(q: QuotientSurface, x: Point, y: Point, t: float,
     t = _as_time(t)
     if x.kind is not q.base or y.kind is not q.base:
         raise KindMismatchError("points do not live on the quotient's base")
-    if q.group.variant == "trivial":
+    if not q.group._shifts:
         value, err, _, _ = _k0_dist(q.base, distance(q.base, x, y), t, budget)
         return value, err, 1, 0.0
     tol = budget.abs_tol
-    d0 = distance(q.base, x, y)
+    if q.base is SurfaceKind.EUCLIDEAN:
+        d0 = distance(q.base, x, y)
+    else:  # _images' own distance of the identity, which radius > d0 enumerates
+        (xu, xw), (yu, yw) = _axis_chart(x), _axis_chart(y)
+        d0 = _axis_distance(xw, yw, xu - yu)
     radius, tail = _truncation(q.group, d0, t, 0.25 * tol)
     _, _, dists = _images(q.group, x, y, radius)
     n = len(dists)
-    if q.group.variant == "hyperbolic_cyclic":
-        # The identity is always among the images, since radius > d0; each
-        # image is held to its own share.
+    if q.base is SurfaceKind.HYPERBOLIC:
+        # each image is held to its own share
         values, err, _, _ = _k0_dist(q.base, dists, t, budget.part(0.5 / n))
         return math.fsum(values), tail + n * err, n, radius
     total = float(np.sum(np.exp(-dists * dists / (4.0 * t)))) / (_FOUR_PI * t)
@@ -446,7 +402,7 @@ def k1_quotient_flat(q: QuotientSurface, x: Point, y: Point, t,
             "transformations, which is only the identity for euclidean "
             "translations; non-euclidean quotients are not implemented")
     t = _as_time(t)
-    if q.group.variant == "trivial":
+    if not q.group._shifts:
         return _k1_base(q.base, x, y, t, budget)
     value, err, terms, radius = _k0_quotient_full(q, x, y, t, budget)
     dth = x.c2 - y.c2
@@ -463,7 +419,7 @@ def torus_fourier_oracle(lattice: CoveringGroupSpec, x: Point, y: Point, t,
     Fully independent of the image sum; the two are equal by the theta
     identity whenever both converge.
     """
-    if lattice.variant != "euclidean_lattice":
+    if len(lattice._shifts) != 2:
         raise DomainError("the Fourier oracle needs a rank-2 lattice")
     t = _as_time(t)
     tol = budget.abs_tol
@@ -481,14 +437,12 @@ def torus_fourier_oracle(lattice: CoveringGroupSpec, x: Point, y: Point, t,
         raise EnumerationOverflowError(
             f"dual sum would need {(2 * lim + 1) ** 2} candidates, over the "
             f"{_MAX_ELEMENTS} guard")
-    m1, m2 = np.meshgrid(np.arange(-lim, lim + 1), np.arange(-lim, lim + 1),
-                         indexing="ij")
-    ks = dual @ np.vstack([m1.ravel(), m2.ravel()])
+    ms = np.indices((2 * lim + 1, 2 * lim + 1)).reshape(2, -1) - lim
+    ks = dual @ ms
     norm2 = ks[0] ** 2 + ks[1] ** 2
     mask = norm2 <= k_rad * k_rad
-    order = np.lexsort((m2.ravel()[mask], m1.ravel()[mask],
-                        norm2[mask]))
-    diff = _cart(x) - _cart(y)
-    phase = 2.0 * math.pi * (ks[0][mask] * diff[0] + ks[1][mask] * diff[1])
+    order = np.lexsort((ms[1][mask], ms[0][mask], norm2[mask]))
+    (xa, xb), (ya, yb) = _axis_chart(x), _axis_chart(y)
+    phase = 2.0 * math.pi * (ks[0][mask] * (xa - ya) + ks[1][mask] * (xb - yb))
     terms = np.exp(-rate * norm2[mask]) * np.cos(phase)
     return float(np.sum(terms[order])) / area

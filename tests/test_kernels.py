@@ -543,6 +543,28 @@ def test_far_out_h2_kernels_are_finite_or_refuse_with_a_domain_error():
             assert np.isfinite(out.matrix.as_array()).all() and math.isfinite(out.err_est)
 
 
+@pytest.mark.parametrize("r", [345.0, 350.0, 704.0, 705.0, 709.0, 711.0, 1500.0])
+def test_far_out_h2_evolved_fields_are_finite_or_name_the_radius(r):
+    """Where the geodesic chart at x leaves the float range the evolved
+    fields say so, naming x's radius, instead of a NaN, an OverflowError or
+    a DomainError about coordinates; nearer in they keep their values."""
+    budget, hint = ToleranceBudget(abs_tol=1e-6), DecayHint("bounded", 0.0, 1.0)
+    x = Point("hyperbolic", r, 0.3)
+    one_form = apply_k1("hyperbolic", FormField(1, lambda p: OneFormValue(0.0, 0.0), hint),
+                        0.5, budget)
+    scalar = apply_k0("hyperbolic", FormField(0, lambda p: 1.0, hint), 0.5, budget)
+    if r < 350.0:
+        assert one_form.fn(x) == OneFormValue(0.0, 0.0)
+    else:
+        with pytest.raises(DomainError, match=f"radius {r!r}"):
+            one_form.fn(x)
+    if r < 705.0:
+        assert abs(scalar.fn(x) - 1.0) < 1e-6
+    else:
+        with pytest.raises(DomainError, match=f"radius {r!r}"):
+            scalar.fn(x)
+
+
 def test_apply_k0_sphere_eigenfunctions():
     t = 0.3
     for n in (1, 2, 3):

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from heatforms.errors import (DomainError, EnumerationOverflowError,
-                              KindMismatchError, UnsupportedGroupError)
-from heatforms.geometry import Point, SurfaceKind, distance
+                              HeatformsError, KindMismatchError,
+                              UnsupportedGroupError)
+from heatforms.geometry import (Point, SurfaceKind, _axis_chart, _axis_distance,
+                                _axis_point, distance)
 from heatforms.hyperbolic import _h2_k0_majorant, _h2_mckean
 from heatforms.kernels import k0, k1
 from heatforms.quadrature import ToleranceBudget
 from heatforms.quotient import (CoveringGroupSpec, GroupElement,
                                 QuotientSurface, _euclid_tail, _fourier_tail,
-                                _h2_tail, _truncation, act, enumerate_elements,
-                                k0_quotient, k1_quotient_flat,
-                                torus_fourier_oracle)
+                                _h2_tail, _k0_quotient_full, _truncation, act,
+                                enumerate_elements, k0_quotient,
+                                k1_quotient_flat, torus_fourier_oracle)
 
 TIGHT = ToleranceBudget(abs_tol=1e-12)
 
@@ -131,21 +133,23 @@ def _written_out_image_sum(group, x, y, t, budget):
     d0 = distance(group.base, x, y)
     radius, _ = _truncation(group, d0, t, 0.25 * budget.abs_tol)
     els = enumerate_elements(group, x, y, radius)
+    (xu, xw), (yu, yw) = _axis_chart(x), _axis_chart(y)
     if group.base is H:
-        dists = [distance(H, x, act(g, y)) for g in els]
+        # Fermi coordinates: each image moves u by k ell
+        dists = [_axis_distance(xw, yw, xu - yu - g.k1 * group.ell) for g in els]
+    else:
+        n1 = np.array([g.k1 for g in els])
+        if group.v2 is None:
+            img = np.vstack([n1 * group.v1[0], n1 * group.v1[1]])
+        else:
+            img = group.matrix @ np.vstack([n1, [g.k2 for g in els]])
+        dists = np.hypot(xu - yu - img[0], xw - yw - img[1])
+    # the chart images are act's, up to the round trip through polar points
+    for g, d in zip(els, dists):
+        assert abs(d - distance(group.base, x, act(g, y))) <= 1e-14 * max(1.0, d)
+    if group.base is H:
         rows, _, _, _ = _h2_mckean(dists, t, budget.part(0.5 / len(els)))
         return math.fsum(rows[0])
-    diff = np.array([x.c1 * math.cos(x.c2) - y.c1 * math.cos(y.c2),
-                     x.c1 * math.sin(x.c2) - y.c1 * math.sin(y.c2)])
-    n1 = np.array([g.k1 for g in els])
-    if group.v2 is None:
-        img = np.vstack([n1 * group.v1[0], n1 * group.v1[1]])
-    else:
-        img = group.matrix @ np.vstack([n1, [g.k2 for g in els]])
-    dists = np.hypot(diff[0] - img[0], diff[1] - img[1])
-    # the Cartesian images are act's, up to the polar round trip
-    for g, d in zip(els, dists):
-        assert abs(d - distance(E, x, act(g, y))) <= 1e-14 * max(1.0, d)
     return float(np.sum(np.exp(-dists * dists / (4.0 * t)))) / (4.0 * math.pi * t)
 
 
@@ -194,10 +198,12 @@ def test_tails_bound_the_fully_summed_series(radius, t):
     assert _h2_tail(HCYL, d0, radius, t) >= h2
 
 
-def test_enumeration_overflow_guard():
-    origin = Point(E, 0.0, 0.0)
+@pytest.mark.parametrize("group,radius", [(UNIT, 4000.0), (CYL, 1e7), (HCYL, 3e7)],
+                         ids=["unit", "cylinder", "h-cylinder"])
+def test_enumeration_overflow_guard(group, radius):
+    origin = Point(group.base, 0.0, 0.0)
     with pytest.raises(EnumerationOverflowError):
-        enumerate_elements(UNIT, origin, origin, 4000.0)
+        enumerate_elements(group, origin, origin, radius)
 
 
 @pytest.mark.parametrize("group", [UNIT, SKEW, CYL, HCYL],
@@ -377,14 +383,20 @@ def test_reduce_stays_in_the_orbit():
             assert gap < 1e-10
 
 
+def _along_axis(p, delta):
+    """p translated by delta along the theta = 0 geodesic: u + delta in
+    Fermi coordinates."""
+    u, w = _axis_chart(p)
+    return _axis_point(H, u + delta, w)
+
+
 def test_hyperbolic_cylinder_is_invariant_along_its_axis():
-    from heatforms.quotient import _axis_translate
     q = QuotientSurface.from_group(HCYL)
     x, y = Point(H, 0.5, 0.9), Point(H, 0.8, 2.4)
     base = k0_quotient(q, x, y, 0.4, TIGHT)
     for delta in (0.3, -0.7, 1.1):
-        moved = k0_quotient(q, _axis_translate(x, delta),
-                            _axis_translate(y, delta), 0.4, TIGHT)
+        moved = k0_quotient(q, _along_axis(x, delta), _along_axis(y, delta),
+                            0.4, TIGHT)
         assert abs(moved - base) < 1e-10
     # every image adds a positive kernel value
     assert base > k0("hyperbolic", x, y, 0.4, TIGHT).value
@@ -422,3 +434,55 @@ def test_torus_k1_semigroup():
               for z in _torus_cells(n)) / n ** 2
     direct = k1_quotient_flat(q, x, y, 2 * s).matrix.as_array()
     assert np.abs(acc - direct).max() < 1e-4
+
+
+def _far_out_calls(group, x, y):
+    """act, reduce, enumerate_elements and k0_quotient at (x, y): each
+    returns finite numbers (a Point holds no other) or raises a
+    HeatformsError, never an OverflowError, a ZeroDivisionError or a
+    ValueError.  Returns k0_quotient's (value, err_est), None if it refused."""
+    q = QuotientSurface.from_group(group)
+    for call in (lambda: act(GroupElement(group, 3), x), lambda: q.reduce(y),
+                 lambda: enumerate_elements(group, x, y, 3.0)):
+        try:
+            call()
+        except HeatformsError:
+            pass
+    try:
+        value, err, _, _ = _k0_quotient_full(q, x, y, 0.5, ToleranceBudget(abs_tol=1e-8))
+    except HeatformsError:
+        return None
+    assert math.isfinite(value) and math.isfinite(err)
+    return value, err
+
+
+@pytest.mark.parametrize("r", [200.0, 355.0, 360.0, 400.0, 711.0, 1500.0, 1e4])
+def test_far_out_hyperbolic_cylinder_points(r):
+    """Fermi coordinates go to logs past the float range, so far-out points
+    act, reduce and sum finitely.  On the axis nothing is lost: x and y 0.5
+    apart along it give the value at the origin.  Off the axis only typing
+    and finiteness are asserted: past |w| = 37 one ulp of u moves a point
+    by more than 1, as past r = 37 one ulp of theta does."""
+    group = CoveringGroupSpec.hyperbolic_cyclic(1.5)
+    near = _far_out_calls(group, Point(H, 0.0, 0.0), Point(H, 0.5, 0.0))
+    for theta in (0.0, 0.3, math.pi / 2, 3.0):
+        x = Point(H, r, theta)
+        _far_out_calls(group, x, Point(H, 0.5, 1.0))
+        out = _far_out_calls(group, x, Point(H, r + 0.5, theta))
+        if theta == 0.0:
+            assert abs(out[0] - near[0]) <= out[1] + near[1]
+
+
+def test_far_out_hyperbolic_cylinder_sweep():
+    """300 seeded far-out points (r in [300, 2000]) with three partners each,
+    900 calls per function: near the origin, on the point's own ray, and far
+    out at random."""
+    rng = np.random.default_rng(20261019)
+    for i in range(300):
+        group = CoveringGroupSpec.hyperbolic_cyclic((0.5, 1.5)[i % 2])
+        r, theta = rng.uniform(300.0, 2000.0), rng.uniform(0.0, 2 * math.pi)
+        x = Point(H, r, theta)
+        for y in (Point(H, rng.uniform(0.0, 2.0), rng.uniform(0.0, 2 * math.pi)),
+                  Point(H, r + rng.uniform(-1.0, 1.0), theta),
+                  Point(H, rng.uniform(300.0, 2000.0), rng.uniform(0.0, 2 * math.pi))):
+            _far_out_calls(group, x, y)
