@@ -26,7 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (CoincidentPointsError, CutLocusError, DecayHintError,
-                     DomainError, KindMismatchError, NonconvergenceError)
+                     DomainError, HeatformsError, KindMismatchError,
+                     NonconvergenceError)
 from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
                          _area_tail, _max_change, refine_until_stable)
 
@@ -406,11 +407,11 @@ def _chart_points(kind: SurfaceKind, x: Point, s_grid: np.ndarray,
     The chart point (s, psi) lies on the geodesic that leaves x = _embed(x)
     with unit velocity w = cos(psi) e1 + sin(psi) e2, for the polar frame
     e1 = (-kappa S(r), C(r) cos theta, C(r) sin theta), e2 = (0, -sin theta,
-    cos theta) at x: at x + s w on the plane, and at C(s) x + S(s) w, with
-    velocity -kappa S(s) x + C(s) w, on the curved surfaces.  Returns
-    (c1, c2) meshes over (s, psi) and, when requested, the components
-    (p, q) of the velocity, the outgoing geodesic covector at the target,
-    in the target's polar coframe.
+    cos theta) at x: at C(s) x + S(s) w, with velocity -kappa S(s) x + C(s)
+    w, on all three surfaces (on the plane x + s w bit for bit, with
+    velocity w up to signed zeros).  Returns (c1, c2) meshes over (s, psi)
+    and, when requested, the components (p, q) of the velocity, the
+    outgoing geodesic covector at the target, in the target's polar coframe.
     """
     model = _MODELS[kind]
     try:  # the coordinates grow like C(r + s), the frame products like C^2
@@ -424,29 +425,22 @@ def _chart_points(kind: SurfaceKind, x: Point, s_grid: np.ndarray,
     e2 = np.array([0.0, -s, c])
     ss = s_grid[:, None, None]
     w_vec = e1 * np.cos(psi_grid)[:, None] + e2 * np.sin(psi_grid)[:, None]
-    if kind is SurfaceKind.EUCLIDEAN:
-        y_vec = pos + ss * w_vec
-        c1 = np.hypot(y_vec[..., 1], y_vec[..., 2])
-    else:
-        y_vec = model.C_arr(ss) * pos + model.S_arr(ss) * w_vec
-        c1 = (np.arccos(np.clip(y_vec[..., 0], -1.0, 1.0)) if kind is SurfaceKind.SPHERE
-              else np.arccosh(np.maximum(1.0, y_vec[..., 0])))
+    y_vec = model.C_arr(ss) * pos + model.S_arr(ss) * w_vec
+    c1 = (np.hypot(y_vec[..., 1], y_vec[..., 2]) if kind is SurfaceKind.EUCLIDEAN
+          else np.arccos(np.clip(y_vec[..., 0], -1.0, 1.0)) if kind is SurfaceKind.SPHERE
+          else np.arccosh(np.maximum(1.0, y_vec[..., 0])))
     c2 = np.arctan2(y_vec[..., 2], y_vec[..., 1])
     if not need_frames:
         return c1, c2, None, None
     ct, st = np.cos(c2), np.sin(c2)
-    if kind is SurfaceKind.EUCLIDEAN:
-        t0, t1, t2 = np.moveaxis(w_vec, -1, 0)
-        p = t1 * ct + t2 * st
-    else:
-        t0, t1, t2 = np.moveaxis(-model.kappa * model.S_arr(ss) * pos
-                                 + model.C_arr(ss) * w_vec, -1, 0)
-        sr, cr = model.S_arr(c1), model.C_arr(c1)
-        # The radial frame vector at the target is (-kappa S, C ct, C st): p
-        # pairs the velocity with it in R^3 on the sphere, and in the Lorentz
-        # pairing <A, B> = -A0 B0 + A1 B1 + A2 B2 on H2.
-        p = (t1 * cr * ct + t2 * cr * st - t0 * sr if kind is SurfaceKind.SPHERE
-             else -t0 * sr + t1 * cr * ct + t2 * cr * st)
+    t0, t1, t2 = np.moveaxis(-model.kappa * model.S_arr(ss) * pos
+                             + model.C_arr(ss) * w_vec, -1, 0)
+    sr, cr = model.S_arr(c1), model.C_arr(c1)
+    # The radial frame vector at the target is (-kappa S, C ct, C st): p
+    # pairs the velocity with it in R^3 on the planar slice and the sphere,
+    # and in the Lorentz pairing <A, B> = -A0 B0 + A1 B1 + A2 B2 on H2.
+    p = (-t0 * sr + t1 * cr * ct + t2 * cr * st if kind is SurfaceKind.HYPERBOLIC
+         else t1 * cr * ct + t2 * cr * st - t0 * sr)
     return c1, c2, p, -t1 * st + t2 * ct
 
 
@@ -601,10 +595,51 @@ def _nested_integral(kind: SurfaceKind, edges, sample, tol: float, start: tuple,
     return refine_until_stable(one_pass, (1,), 2, tol, sum(room) + 1)[0]
 
 
-def _check_finite(vals: np.ndarray, degree: int, kind: SurfaceKind):
+def _components(values, kind: SurfaceKind):
+    """a, then b, of each degree-1 field value, in order (flat floats fill
+    an array faster than pairs do)."""
+    for v in values:
+        try:
+            a, b = v.a, v.b
+        except AttributeError:
+            raise DomainError(
+                f"the degree-1 field returned {type(v).__name__!r}, not a value "
+                f"with components .a and .b, on the {kind.value} surface") from None
+        yield a
+        yield b
+
+
+def _field_values(fn, kind: SurfaceKind, degree: int, c1: np.ndarray, c2: np.ndarray,
+                  vectorized: bool = False) -> np.ndarray:
+    """The values of a field fn at the chart arrays (c1, c2): floats shaped
+    as c1, with a last axis (a, b) for degree 1.
+
+    fn takes a Point, streamed row by row from _grid_points, or with
+    vectorized the arrays (c1, c2); np.fromiter converts as float() does
+    (None to NaN).  A value it cannot take, one without components .a and
+    .b, a wrong shape or a non-finite value raises DomainError.  An error
+    of fn, raised a frame deeper than a conversion error, propagates.
+    """
+    shape = c1.shape + (2,) * (degree == 1)
+    try:
+        if vectorized:
+            vals = np.asarray(fn(c1, c2), dtype=float)
+        else:
+            values = map(fn, _grid_points(kind, c1, c2))
+            vals = np.fromiter(_components(values, kind) if degree == 1 else values,
+                               float, count=math.prod(shape)).reshape(shape)
+    except (TypeError, ValueError) as exc:
+        if isinstance(exc, HeatformsError) or exc.__traceback__.tb_next is not None:
+            raise
+        raise DomainError(f"the degree-{degree} field returned a value that is not "
+                          f"a float on the {kind.value} surface: {exc}") from None
+    if vals.shape != shape:
+        raise DomainError(f"the vectorized field returned shape {vals.shape}, not "
+                          f"{shape}, on the {kind.value} surface")
     if not np.isfinite(vals).all():
         raise DomainError(f"the degree-{degree} field returned a non-finite value "
                           f"on the {kind.value} surface")
+    return vals
 
 
 def integrate_surface(kind, f, budget: ToleranceBudget = DEFAULT_BUDGET,
@@ -614,8 +649,9 @@ def integrate_surface(kind, f, budget: ToleranceBudget = DEFAULT_BUDGET,
     Parameters
     ----------
     f : callable
-        Point -> float, or with ``vectorized=True`` a callable taking
-        (c1_grid, c2_grid) meshgrid arrays and returning values.
+        Point -> a value float() takes, or with ``vectorized=True`` a
+        callable taking (c1_grid, c2_grid) meshgrid arrays and returning an
+        array of their shape.
     decay : DecayHint, optional
         Required on the plane and hyperbolic plane, whose domain is cut
         where the hint's area tail (_area_tail) is a quarter of the budget.
@@ -624,8 +660,9 @@ def integrate_surface(kind, f, budget: ToleranceBudget = DEFAULT_BUDGET,
     (_nested_integral) without a kernel, from 31 radial nodes by 64
     angles: refinement keeps every value it has and samples f only at new
     nodes, so each node once, until two passes agree to within the budget.
-    The sphere needs no decay hint.  A non-finite value of f raises
-    DomainError on the first pass.
+    The sphere needs no decay hint.  A value _field_values rejects (not a
+    float, the wrong shape or non-finite) raises DomainError on the first
+    pass.
     """
     kind = SurfaceKind.parse(kind)
     if kind is SurfaceKind.SPHERE:
@@ -638,14 +675,7 @@ def integrate_surface(kind, f, budget: ToleranceBudget = DEFAULT_BUDGET,
                                  kind is SurfaceKind.HYPERBOLIC)[0])
 
     def sample(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-        g1, g2 = np.meshgrid(c1, c2, indexing="ij")
-        if vectorized:
-            vals = np.asarray(f(g1, g2), dtype=float)
-        else:
-            vals = np.fromiter(map(float, map(f, _grid_points(kind, g1, g2))),
-                               float, count=g1.size).reshape(g1.shape)
-        _check_finite(vals, 0, kind)
-        return vals
+        return _field_values(f, kind, 0, *np.meshgrid(c1, c2, indexing="ij"), vectorized)
 
     # max(2, max_quad_depth // 4) rounds of growth by 1.5 from 32 x 64 bound
     # the grid; this many doublings reach at least as far.

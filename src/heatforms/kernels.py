@@ -24,9 +24,8 @@ import numpy as np
 from .errors import (CoincidentPointsError, CutLocusError, DecayHintError,
                      DomainError, NonconvergenceError)
 from .geometry import (_MODELS, BiTensor1, OneFormValue, Point, SurfaceKind,
-                       apply_i_plus_star, distance, _chart_points, _check_finite,
-                       _grid_points, _nested_integral, _outer_plus,
-                       _pair_derivatives)
+                       apply_i_plus_star, distance, _chart_points, _field_values,
+                       _nested_integral, _outer_plus, _pair_derivatives)
 from .hyperbolic import _h2_mass_tail, _h2_mckean
 from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
                          refine_until_stable, solve_radius)
@@ -107,8 +106,10 @@ class Kernel1Value:
 
 @dataclass(frozen=True)
 class FormField:
-    """A sampled form: degree 0/2 map Points to floats, degree 1 to
-    OneFormValue.  Noncompact-surface integrations require the decay hint."""
+    """A sampled form: the callable fn maps a Point to a value float() takes
+    (degree 0/2) or with components .a and .b, as OneFormValue (degree 1).
+    Noncompact-surface integrations require the decay hint, whose bound on
+    |f| sizes their tolerances; the sphere assumes |f| <= 1 without one."""
 
     degree: int
     fn: object
@@ -117,6 +118,8 @@ class FormField:
     def __post_init__(self):
         if self.degree not in (0, 1, 2):
             raise DomainError("form degree must be 0, 1, or 2")
+        if not callable(self.fn):
+            raise DomainError(f"fn must be callable, not {type(self.fn).__name__!r}")
 
     def __call__(self, p: Point):
         return self.fn(p)
@@ -432,26 +435,13 @@ def k2(kind, x: Point, y: Point, t,
 # geodesic-chart quadrature for applying the kernels
 
 def _field_bound(field: FormField, kind: SurfaceKind) -> float:
-    if kind is SurfaceKind.SPHERE:
-        return 1.0
-    if field.decay is None:
+    """The bound on |f| of the field's hint; on the sphere, 1 without one."""
+    if field.decay is not None:
+        return field.decay.bound
+    if kind is not SurfaceKind.SPHERE:
         raise DecayHintError("applying the kernel on a noncompact surface "
                              "needs the field's decay hint")
-    return field.decay.bound
-
-
-def _one_form_parts(values, kind: SurfaceKind):
-    """a, then b, of each degree-1 field value, in order (flat floats fill
-    an array faster than pairs do)."""
-    for v in values:
-        try:
-            a, b = v.a, v.b
-        except AttributeError:
-            raise DomainError(
-                f"the degree-1 field returned {type(v).__name__!r}, not a value "
-                f"with components .a and .b, on the {kind.value} surface") from None
-        yield a
-        yield b
+    return 1.0
 
 
 def _evolved_hint(decay: DecayHint | None, t: float) -> DecayHint | None:
@@ -513,7 +503,8 @@ def apply_k0(kind, field: FormField, t,
     at 32 nodes.  Each pass doubles the rule whose halving moves the
     result most (or both) until two passes agree, and keeps the values it
     has: one evaluation samples the field once at each node.  The returned
-    field evaluates lazily, and a non-finite value raises DomainError.
+    field evaluates lazily; a value geometry._field_values rejects raises
+    DomainError, and on the sphere a field without a hint needs |f| <= 1.
     """
     kind = SurfaceKind.parse(kind)
     t = _as_time(t)
@@ -530,10 +521,7 @@ def apply_k0(kind, field: FormField, t,
     def evaluate(x: Point) -> float:
         def sample(s: np.ndarray, psi: np.ndarray) -> np.ndarray:
             c1, c2, _, _ = _chart_points(kind, x, s, psi, False)
-            vals = np.fromiter(map(float, map(field.fn, _grid_points(kind, c1, c2))),
-                               float, count=c1.size).reshape(c1.shape)
-            _check_finite(vals, 0, kind)
-            return vals
+            return _field_values(field.fn, kind, 0, c1, c2)
 
         return float(_nested_integral(kind, edges, sample, 0.5 * tol, _APPLY_START,
                                       _APPLY_LIMIT, kernel, 0.25 * tol / sup))
@@ -561,12 +549,12 @@ def apply_k1(kind, field: FormField, t,
     In frames adapted to the geodesic between the points the kernel matrix is
     kappa(d) I, so the integrand needs only the radial profile kappa, the
     direction of departure at x, and the direction of arrival at y.  The
-    field is sampled as in apply_k0, once per node of a grid whose radial
-    start comes from kappa; a value without finite components .a and .b
-    raises DomainError.  On H2 a Gaussian or exponential hint sets the cut
-    by a bound on kappa's tail at each x (_h2_kappa_radius).  A bounded
-    hint keeps the cut at K0's mass radius, where G_d's tail, which decays
-    only like 1/sinh s, is not counted.
+    field is sampled and checked as in apply_k0 (|f| <= 1 on the sphere
+    without a hint), once per node of a grid whose radial start comes from
+    kappa.  On H2 a Gaussian or exponential hint sets the cut by a bound on
+    kappa's tail at each x (_h2_kappa_radius).  A bounded hint keeps the
+    cut at K0's mass radius, where G_d's tail, which decays only like
+    1/sinh s, is not counted.
     """
     kind = SurfaceKind.parse(kind)
     t = _as_time(t)
@@ -588,11 +576,7 @@ def apply_k1(kind, field: FormField, t,
 
         def sample(s: np.ndarray, psi: np.ndarray) -> np.ndarray:
             c1, c2, p, q = _chart_points(kind, x, s, psi, True)
-            values = map(field.fn, _grid_points(kind, c1, c2))
-            nu = np.fromiter(_one_form_parts(values, kind), float,
-                             count=2 * c1.size).reshape(c1.shape + (2,))
-            _check_finite(nu, 1, kind)
-            na, nb = nu[..., 0], nu[..., 1]
+            na, nb = np.moveaxis(_field_values(field.fn, kind, 1, c1, c2), -1, 0)
             # Adapted components of nu at the target; the arrival coframe is
             # (p, q) and its star is (-q, p).
             nu1 = na * p + nb * q
@@ -638,31 +622,19 @@ def heat_residual(kind, fields, x: Point, h_t: float = 1e-3,
     lam, lam_d = _MODELS[kind].S(r), _MODELS[kind].C(r)
     lam_ratio = lam_d / lam
 
-    stencil = [Point(kind, r, th), Point(kind, r + h_space, th),
-               Point(kind, r - h_space, th), Point(kind, r, th + h_space),
-               Point(kind, r, th - h_space)]
-    vals = [mid.fn(p) for p in stencil]
-    late, early = after.fn(stencil[0]), before.fn(stencil[0])
-
-    def differences(part):
-        """(u, u_t, u_r, u_rr, u_th, u_thth) at x of one component part(value)."""
-        u = [part(v) for v in vals]
-        return (u[0], (part(late) - part(early)) / (2.0 * h_t),
-                (u[1] - u[2]) / (2.0 * h_space),
-                (u[1] - 2.0 * u[0] + u[2]) / h_space ** 2,
-                (u[3] - u[4]) / (2.0 * h_space),
-                (u[3] - 2.0 * u[0] + u[4]) / h_space ** 2)
-
+    # the five stencil points, (r, th) first, as one row of chart arrays
+    c1 = np.array([[r, r + h_space, r - h_space, r, r]])
+    c2 = np.array([[th, th, th, th + h_space, th - h_space]])
+    u = _field_values(mid.fn, kind, mid.degree, c1, c2)[0]
+    late, early = (_field_values(f.fn, kind, mid.degree, c1[:, :1], c2[:, :1])[0, 0]
+                   for f in (after, before))
+    u_t = (late - early) / (2.0 * h_t)
+    u_r, u_rr = (u[1] - u[2]) / (2.0 * h_space), (u[1] - 2.0 * u[0] + u[2]) / h_space ** 2
+    u_th, u_tt = (u[3] - u[4]) / (2.0 * h_space), (u[3] - 2.0 * u[0] + u[4]) / h_space ** 2
     if mid.degree != 1:
-        _, u_t, u_r, u_rr, _, u_tt = differences(float)
-        return abs(u_t - u_rr - lam_ratio * u_r - u_tt / lam ** 2)
-
-    b0, b_t, b_r, b_rr, b_th, b_tt = differences(lambda v: v.a)
-    c0, c_t, c_r, c_rr, c_th, c_tt = differences(lambda v: v.b)
+        return float(abs(u_t - u_rr - lam_ratio * u_r - u_tt / lam ** 2))
     inv2 = 1.0 / lam ** 2
     coup = 2.0 * lam_d * inv2
-    row_b = (b_t - b_rr - lam_ratio * b_r + b0 * inv2 - b_tt * inv2
-             + coup * c_th)
-    row_c = (c_t - c_rr - lam_ratio * c_r + c0 * inv2 - c_tt * inv2
-             - coup * b_th)
-    return max(abs(row_b), abs(row_c))
+    rows = (u_t - u_rr - lam_ratio * u_r + u[0] * inv2 - u_tt * inv2
+            + coup * u_th[::-1] * np.array([1.0, -1.0]))
+    return float(np.abs(rows).max())

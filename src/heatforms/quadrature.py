@@ -261,6 +261,14 @@ def refine_until_stable(one_pass, size: tuple, grow: float, tol: float,
         f"rounds (requested {tol:.3e})", achieved=diff, requested=tol)
 
 
+def _as_float(value, what: str) -> float:
+    """float(value), or a DomainError naming what returned the value."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} returned {type(value).__name__!r}, not a float") from None
+
+
 def _panel_estimates(f, edges, vectorized: bool):
     """(K21 values, |K21 - G10| errors) of every panel of a partition, from
     one evaluation of f; a row-valued f gives (panel, row) values and each
@@ -271,7 +279,7 @@ def _panel_estimates(f, edges, vectorized: bool):
         if ys.ndim not in (1, 2) or ys.shape[-1] != xs.size:
             raise DomainError("vectorized integrand returned a wrong shape")
     else:
-        ys = np.array([float(f(x)) for x in xs], dtype=float)
+        ys = np.array([_as_float(f(x), "the integrand") for x in xs], dtype=float)
     if not np.all(np.isfinite(ys)):
         raise DomainError(f"integrand returned a non-finite value on "
                           f"[{edges[0]}, {edges[-1]}]")

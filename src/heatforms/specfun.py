@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError
 from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
-                         _area_tail, _kronrod_panels,
+                         _area_tail, _as_float, _kronrod_panels,
                          gaussian_tail_radius, integrate_adaptive,
                          integrate_semiinfinite, refine_until_stable)
 
@@ -115,7 +115,7 @@ class RadialProfile:
     name: str = ""
 
     def __call__(self, r: float) -> float:
-        return float(self.fn(r))
+        return _as_float(self.fn(r), "the radial profile")
 
 
 def _check_legendre_args(n: int, x):
@@ -536,7 +536,7 @@ def _inverse_with_error(fhat, r: float, budget: ToleranceBudget = DEFAULT_BUDGET
 
     def integrand(rhos: np.ndarray) -> np.ndarray:
         nonlocal achieved
-        fhat_vals = np.array([float(fhat(p)) for p in rhos])
+        fhat_vals = np.array([_as_float(fhat(p), "fhat") for p in rhos])
         weight = rhos * np.tanh(math.pi * rhos) / (0.25 + rhos * rhos)
         _, e_vals, e_err = _conical_many(rhos, float(r), cb, need_p1=True,
                                          tables=tables)

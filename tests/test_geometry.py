@@ -440,16 +440,42 @@ def test_mixed_hessian_is_finite_near_coincidence(kind):
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
 def test_nan_field_raises_on_the_first_integration_pass(kind):
     calls = []
-
-    def field(p):
-        calls.append(p)
-        return math.nan
-
+    budget = ToleranceBudget(abs_tol=1e-8)
     decay = None if kind is SurfaceKind.SPHERE else DecayHint("gaussian", 1.0, 1.0)
-    with pytest.raises(DomainError, match="non-finite"):
-        integrate_surface(kind, field, ToleranceBudget(abs_tol=1e-8), decay)
-    # the first pass asks for a 32 x 64 grid
-    assert 0 < len(calls) <= 32 * 64
+
+    def counted(value):
+        def field(p):
+            calls.append(p)
+            return value
+        return field
+
+    # np.fromiter reads None as NaN, which the finite check then rejects
+    for value in (math.nan, None):
+        calls.clear()
+        with pytest.raises(DomainError, match="non-finite"):
+            integrate_surface(kind, counted(value), budget, decay)
+        # the first pass asks for a 32 x 64 grid
+        assert 0 < len(calls) <= 32 * 64
+    calls.clear()
+    with pytest.raises(DomainError, match="not a float"):
+        integrate_surface(kind, counted("x"), budget, decay)
+    assert len(calls) == 1
+    # a vectorized field must return c1's shape: not a scalar, nor the
+    # transposed grid (unchecked, exp(-r^2) on the plane integrated to 8.739,
+    # not pi)
+    for fn in (lambda c1, c2: 1.0, lambda c1, c2: np.exp(-c1.T ** 2),
+               lambda c1, c2: np.full(c1.shape, np.nan)):
+        with pytest.raises(DomainError, match="shape|non-finite"):
+            integrate_surface(kind, fn, budget, decay, vectorized=True)
+    # an error raised inside the field propagates unchanged
+    error = ValueError("a user's own error")
+
+    def raising(*args):
+        raise error
+    for vectorized in (False, True):
+        with pytest.raises(ValueError) as got:
+            integrate_surface(kind, raising, budget, decay, vectorized=vectorized)
+        assert got.value is error
 
 
 def _h2_distance_reference(r1: float, r2: float, dtheta: float) -> float:

@@ -814,6 +814,7 @@ def test_evolved_fields_keep_their_bits(kind):
 def test_bad_field_values_raise_on_the_first_pass(kind):
     hint = DecayHint("bounded", 0.0, 1.0)
     calls = []
+    x = Point(kind, 0.7, 0.2)
 
     def counted(value):
         def fn(p):
@@ -821,21 +822,63 @@ def test_bad_field_values_raise_on_the_first_pass(kind):
             return value
         return fn
 
+    # np.fromiter reads None as NaN, which the finite check then rejects
     for evolve, field, degree in ((apply_k0, FormField(0, counted(math.nan), hint), 0),
                                   (apply_k0, FormField(0, counted(-math.inf), hint), 0),
+                                  (apply_k0, FormField(0, counted(None), hint), 0),
                                   (apply_k1, FormField(1, counted(OneFormValue(0.0, math.nan)),
                                                        hint), 1)):
         calls.clear()
         with pytest.raises(DomainError, match=f"degree-{degree} field .*non-finite"
                                               f".* {SurfaceKind.parse(kind).value} "):
-            evolve(kind, field, 0.5).fn(Point(kind, 0.7, 0.2))
+            evolve(kind, field, 0.5).fn(x)
         # the first pass: the kernel-sized radial rule (7 nodes on the
         # sphere at t = 0.5, 31 on the planes) by 32 angles
         assert len(calls) == (7 if kind == "sphere" else 31) * 32
-    calls.clear()
-    with pytest.raises(DomainError, match="degree-1 field returned 'float'"):
-        apply_k1(kind, FormField(1, counted(1.0), hint), 0.5).fn(Point(kind, 0.7, 0.2))
-    assert len(calls) == 1
+    # a value float() cannot take, or no components, stops at the first call
+    for evolve, degree, value, match in (
+            (apply_k1, 1, 1.0, "degree-1 field returned 'float'"),
+            (apply_k0, 0, 1j, "degree-0 field returned a value that is not a float"),
+            (apply_k0, 0, np.ones(2), "degree-0 field returned a value that is not a float"),
+            (apply_k0, 0, "x", "degree-0 field returned a value that is not a float"),
+            (apply_k1, 1, OneFormValue("x", 0.0),
+             "degree-1 field returned a value that is not a float")):
+        calls.clear()
+        with pytest.raises(DomainError, match=match):
+            evolve(kind, FormField(degree, counted(value), hint), 0.5).fn(x)
+        assert len(calls) == 1
+    # heat_residual reads its stencil through the same checks
+    stencil_x = Point(kind, 1.2, 4.0)
+    for degree, value in ((0, None), (0, math.nan), (1, 1.0), (0, "x")):
+        with pytest.raises(DomainError, match=f"degree-{degree} field"):
+            heat_residual(kind, [FormField(degree, counted(value))] * 3, stencil_x)
+    # an error raised inside fn, the package's own or a user's, propagates
+    for error in (ValueError("a user's own error"), NonconvergenceError("a nested field")):
+        def raising(p, error=error):
+            raise error
+        for evolve, degree in ((apply_k0, 0), (apply_k1, 1)):
+            with pytest.raises(type(error)) as got:
+                evolve(kind, FormField(degree, raising, hint), 0.5).fn(x)
+            assert got.value is error
+        with pytest.raises(type(error)) as got:
+            heat_residual(kind, [FormField(0, raising)] * 3, stencil_x)
+        assert got.value is error
+    with pytest.raises(DomainError, match="must be callable"):
+        FormField(0, 1.0, hint)
+
+
+def test_sphere_apply_k0_takes_the_bound_of_a_hint():
+    """A sphere field with a hint is sized by the hint's bound: with f =
+    1e4 P2 sized as |f| <= 1 instead, the result at t = 0.01 misses the
+    exact 1e4 e^{-6t} P2 by 3.6 abs_tol."""
+    def p2(c):
+        return 0.5 * (3.0 * c * c - 1.0)
+
+    field = FormField(0, lambda p: 1e4 * p2(math.cos(p.c1)), DecayHint("bounded", 0.0, 1e4))
+    for t in (0.003, 0.01):
+        got = apply_k0("sphere", field, t, ToleranceBudget(abs_tol=1e-6)).fn(
+            Point("sphere", 0.7, 0.3))
+        assert abs(got - 1e4 * math.exp(-6.0 * t) * p2(math.cos(0.7))) < 1e-6
 
 
 def test_sphere_apply_k0_streams_its_samples():

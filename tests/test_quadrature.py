@@ -56,6 +56,16 @@ def test_degenerate_and_invalid_intervals():
 def test_nonfinite_integrand_rejected():
     with pytest.raises(DomainError):
         integrate_adaptive(lambda x: math.inf if x > 0.4 else 1.0, 0.0, 1.0)
+    with pytest.raises(DomainError, match="integrand returned 'NoneType'"):
+        integrate_adaptive(lambda x: None, 0.0, 1.0)
+    # an error raised inside the integrand propagates unchanged
+    error = ValueError("a user's own error")
+
+    def raising(x):
+        raise error
+    with pytest.raises(ValueError) as got:
+        integrate_adaptive(raising, 0.0, 1.0)
+    assert got.value is error
 
 
 def test_nonconvergence_reports_achieved_estimate():

@@ -128,6 +128,24 @@ def test_forward_rejects_lying_profiles():
         mehler_fock_forward(bad, 1.0)
 
 
+def test_radial_callbacks_float_cannot_take_raise_a_domain_error():
+    hint = DecayHint("gaussian", rate=1.0, bound=1.0)
+    with pytest.raises(DomainError, match="radial profile returned 'NoneType'"):
+        mehler_fock_forward(RadialProfile(lambda r: None, hint), 1.0)
+    with pytest.raises(DomainError, match="fhat returned 'str'"):
+        mehler_fock_inverse(lambda rho: "x", 1.0)
+    # an error raised inside a callback propagates unchanged
+    error = ValueError("a user's own error")
+
+    def raising(x):
+        raise error
+    for call in (lambda: mehler_fock_forward(RadialProfile(raising, hint), 1.0),
+                 lambda: mehler_fock_inverse(raising, 1.0)):
+        with pytest.raises(ValueError) as got:
+            call()
+        assert got.value is error
+
+
 def test_inverse_needs_positive_radius():
     with pytest.raises(DomainError):
         mehler_fock_inverse(lambda rho: 0.0, 0.0)
