@@ -25,6 +25,7 @@ import struct
 from pathlib import Path
 
 import numpy as np
+from golden import moved, read, write
 
 from heatforms import (DecayHint, FormField, HeatformsError, OneFormValue, Point,
                        ToleranceBudget, apply_k0, apply_k1, heat_residual,
@@ -158,36 +159,13 @@ def record(key: str, thunk) -> str:
     return f"{key} -> {text}"
 
 
-def _golden() -> dict:
-    lines = GOLDEN.read_text().splitlines()
-    return dict(line.split(" -> ", 1) for line in lines)
-
-
-def _same_token(u: str, v: str) -> bool:
-    try:
-        return float(u) == float(v)
-    except ValueError:  # "raises", an exception type or a point hash
-        return u == v
-
-
-def _same(got: str, want: str) -> bool:
-    """Equal records: the same exception or point hash, and floats equal
-    under ==."""
-    a, b = got.split(), want.split()
-    return len(a) == len(b) and all(map(_same_token, a, b))
-
-
 def test_golden_file_lists_exactly_these_records():
-    assert list(_golden()) == [key for key, _ in _cases()]
+    assert list(read(GOLDEN)) == [key for key, _ in _cases()]
 
 
 def test_field_sampling_keeps_every_float_and_every_point():
-    golden = _golden()
-    moved = [line for line in (record(key, thunk) for key, thunk in _cases())
-             if not _same(line.split(" -> ", 1)[1], golden[line.split(" -> ", 1)[0]])]
-    assert moved == []
+    assert moved(GOLDEN, [record(key, thunk) for key, thunk in _cases()]) == []
 
 
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text("".join(record(key, thunk) + "\n" for key, thunk in _cases()))
+    write(GOLDEN, [record(key, thunk) for key, thunk in _cases()])

@@ -18,6 +18,7 @@ records in its description.
 from pathlib import Path
 
 import pytest
+from golden import moved, read, write
 
 from heatforms import (T_MIN, HeatformsError, Point, ToleranceBudget, g1_scalar,
                        k0, k1, k2)
@@ -59,36 +60,19 @@ def records(kernel: str, surface: str) -> list:
             for t in TIMES for tol in TOLS for d in SEPARATIONS]
 
 
-def _golden() -> dict:
-    lines = GOLDEN.read_text().splitlines()
-    return dict(line.split(" -> ", 1) for line in lines)
-
-
-def _same(got: str, want: str) -> bool:
-    """Equal records: the same exception, or floats equal under ==."""
-    if got.startswith("raises") or want.startswith("raises"):
-        return got == want
-    a, b = got.split(), want.split()
-    return len(a) == len(b) and all(float(u) == float(v) for u, v in zip(a, b))
-
-
 def test_golden_file_lists_exactly_these_records():
     expected = [f"{kernel} {surface} t={t!r} tol={tol!r} d={d!r}"
                 for kernel in KERNELS for surface in SURFACES
                 for t in TIMES for tol in TOLS for d in SEPARATIONS]
-    assert list(_golden()) == expected
+    assert list(read(GOLDEN)) == expected
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("surface", SURFACES)
 def test_kernel_values_keep_every_float(kernel, surface):
-    golden = _golden()
-    moved = [line for line in records(kernel, surface)
-             if not _same(line.split(" -> ", 1)[1], golden[line.split(" -> ", 1)[0]])]
-    assert moved == []
+    assert moved(GOLDEN, records(kernel, surface)) == []
 
 
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text("".join(line + "\n" for kernel in KERNELS for surface in SURFACES
-                              for line in records(kernel, surface)))
+    write(GOLDEN, [line for kernel in KERNELS for surface in SURFACES
+                   for line in records(kernel, surface)])

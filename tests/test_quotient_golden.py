@@ -20,6 +20,7 @@ the changed records in its description.
 from pathlib import Path
 
 import pytest
+from golden import moved, read, write
 
 from heatforms import (CoveringGroupSpec, GroupElement, HeatformsError, Point,
                        QuotientSurface, ToleranceBudget, act, enumerate_elements,
@@ -93,32 +94,15 @@ def record(function: str, name: str, i: int, t=None, tol=None) -> str:
     return f"{key} -> {values}"
 
 
-def _golden() -> dict:
-    lines = GOLDEN.read_text().splitlines()
-    return dict(line.split(" -> ", 1) for line in lines)
-
-
-def _same(got: str, want: str) -> bool:
-    """Equal records: the same exception, or numbers equal under ==."""
-    if got.startswith("raises") or want.startswith("raises"):
-        return got == want
-    a, b = got.split(), want.split()
-    return len(a) == len(b) and all(float(u) == float(v) for u, v in zip(a, b))
-
-
 def test_golden_file_lists_exactly_these_records():
-    assert list(_golden()) == [_key(*key) for key in _keys()]
+    assert list(read(GOLDEN)) == [_key(*key) for key in _keys()]
 
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_quotient_values_keep_every_float(name):
-    golden = _golden()
     lines = [record(*key) for key in _keys() if key[1] == name]
-    moved = [line for line in lines
-             if not _same(line.split(" -> ", 1)[1], golden[line.split(" -> ", 1)[0]])]
-    assert moved == []
+    assert moved(GOLDEN, lines) == []
 
 
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text("".join(record(*key) + "\n" for key in _keys()))
+    write(GOLDEN, [record(*key) for key in _keys()])

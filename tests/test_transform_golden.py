@@ -1,0 +1,105 @@
+"""Every float of the Mehler-Fock transform layer on a fixed grid, against a
+stored copy.
+
+Each record is one call, written as one line of
+tests/data/transform_golden.txt:
+
+    forward <profile> rho=<rho> tol=<abs_tol> -> <value> <err_est>
+    conical_p rho=<rho> r=<r> -> <value>
+    conical_p1 rho=<rho> r=<r> -> <value>
+    inverse r=<r> s=<s> tol=<abs_tol> -> <value> <err_est>
+    h2_spectral t=<t> tol=<abs_tol> generator=<bool> -> <rows...> <err_est>
+    ... -> raises <exception type>
+
+forward is _forward_with_error on a named profile; the conical records
+take (rho, r) on both branches of the evaluator, the series near the
+origin and the integral beyond it; inverse is _inverse_with_error of the
+transform workload's heat data lam e^{-lam s}, with its decay hint
+(rate s/2, bound 2/s); h2_spectral gives every row of the spectral oracle
+at the distances DISTANCES, row by row.  Floats compare with ==.  A
+change that is meant to move a value regenerates the file with
+``PYTHONPATH=src python tests/test_transform_golden.py`` and names the
+changed records in its description.
+"""
+
+import math
+from pathlib import Path
+
+import numpy as np
+from golden import moved, read, write
+
+from heatforms import HeatformsError, ToleranceBudget, conical_p, conical_p1
+from heatforms.hyperbolic import _h2_spectral
+from heatforms.specfun import _forward_with_error, _inverse_with_error
+from heatforms.verify import PROFILES
+
+GOLDEN = Path(__file__).parent / "data" / "transform_golden.txt"
+
+TOLS = (1e-6, 1e-8)
+FORWARD_RHOS = (0.0, 0.5, 2.0, 6.0)
+# series branch at r = 0.1 and 0.4 (rho small enough), integral beyond
+CONICAL = ((0.5, 0.1), (3.0, 0.1), (0.0, 0.4), (0.5, 1.5), (5.0, 1.5),
+           (2.0, 4.0), (20.0, 3.0))
+INVERSE_RADII = (0.3, 1.5, 3.0)
+HEAT_TIMES = (0.3, 1.0)
+DISTANCES = (0.1, 1.0, 2.5)
+SPECTRAL = ((0.1, 1e-6), (0.1, 1e-9), (1.0, 1e-6), (1.0, 1e-9))
+
+
+def _heat_data(s: float):
+    def fhat(rho):
+        lam = 0.25 + rho * rho
+        return lam * math.exp(-lam * s)
+    return fhat
+
+
+def _cases():
+    """(key, thunk) of every record, in file order; a thunk returns floats."""
+    out = []
+    for name in PROFILES:
+        for rho in FORWARD_RHOS:
+            for tol in TOLS:
+                out.append((f"forward {name} rho={rho!r} tol={tol!r}",
+                            lambda n=name, rho=rho, tol=tol: _forward_with_error(
+                                PROFILES[n], rho, ToleranceBudget(abs_tol=tol))))
+    for fn in (conical_p, conical_p1):
+        for rho, r in CONICAL:
+            out.append((f"{fn.__name__} rho={rho!r} r={r!r}",
+                        lambda fn=fn, rho=rho, r=r: [fn(rho, r)]))
+    for r in INVERSE_RADII:
+        for s in HEAT_TIMES:
+            for tol in TOLS:
+                out.append((f"inverse r={r!r} s={s!r} tol={tol!r}",
+                            lambda r=r, s=s, tol=tol: _inverse_with_error(
+                                _heat_data(s), r, ToleranceBudget(abs_tol=tol),
+                                gaussian_rate=0.5 * s, bound=2.0 / s)[:2]))
+    for t, tol in SPECTRAL:
+        for generator in (False, True):
+            def spectral(t=t, tol=tol, generator=generator):
+                rows, err, _, _ = _h2_spectral(np.array(DISTANCES), t,
+                                               ToleranceBudget(abs_tol=tol), generator)
+                return [*np.ravel(rows), err]
+            out.append((f"h2_spectral t={t!r} tol={tol!r} generator={generator}",
+                        spectral))
+    return out
+
+
+def record(key: str, thunk) -> str:
+    """One line of the golden file, without its newline."""
+    try:
+        text = " ".join(repr(float(v)) for v in thunk())
+    except HeatformsError as exc:
+        text = f"raises {type(exc).__name__}"
+    return f"{key} -> {text}"
+
+
+def test_golden_file_lists_exactly_these_records():
+    assert list(read(GOLDEN)) == [key for key, _ in _cases()]
+
+
+def test_transform_values_keep_every_float():
+    assert moved(GOLDEN, [record(key, thunk) for key, thunk in _cases()]) == []
+
+
+if __name__ == "__main__":
+    write(GOLDEN, [record(key, thunk) for key, thunk in _cases()])
