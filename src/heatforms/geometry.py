@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -616,19 +617,24 @@ def _field_values(fn, kind: SurfaceKind, degree: int, c1: np.ndarray, c2: np.nda
 
     fn takes a Point, streamed row by row from _grid_points, or with
     vectorized the arrays (c1, c2); np.fromiter converts as float() does
-    (None to NaN).  A value it cannot take, one without components .a and
-    .b, a wrong shape or a non-finite value raises DomainError.  An error
-    of fn, raised a frame deeper than a conversion error, propagates.
+    (None to NaN).  A value it cannot take, a complex one (numpy's
+    ComplexWarning is an error here, fn's own included), one without
+    components .a and .b, a wrong shape or a non-finite value raises
+    DomainError.  An error of fn, raised a frame deeper than a conversion
+    error, propagates.
     """
     shape = c1.shape + (2,) * (degree == 1)
     try:
-        if vectorized:
-            vals = np.asarray(fn(c1, c2), dtype=float)
-        else:
-            values = map(fn, _grid_points(kind, c1, c2))
-            vals = np.fromiter(_components(values, kind) if degree == 1 else values,
-                               float, count=math.prod(shape)).reshape(shape)
-    except (TypeError, ValueError) as exc:
+        with warnings.catch_warnings():
+            # the casts would cut a complex value to its real part
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            if vectorized:
+                vals = np.asarray(fn(c1, c2), dtype=float)
+            else:
+                values = map(fn, _grid_points(kind, c1, c2))
+                vals = np.fromiter(_components(values, kind) if degree == 1 else values,
+                                   float, count=math.prod(shape)).reshape(shape)
+    except (TypeError, ValueError, np.exceptions.ComplexWarning) as exc:
         if isinstance(exc, HeatformsError) or exc.__traceback__.tb_next is not None:
             raise
         raise DomainError(f"the degree-{degree} field returned a value that is not "

@@ -3,10 +3,11 @@
 Two independent routes give the scalar kernel K0, the 1-form generator
 G(d, t) = int_t^inf K0(d, tau) dtau and its radial derivative G_d at any
 number of distances.  _h2_mckean, McKean's single integral on one shared w
-grid, serves every kernel in the package; _h2_spectral, the spectral
-integral over conical functions, is the oracle the verification suite and
-the tests hold it against.  Both return (rows, err_est, radius, evals).
-The pointwise majorant and mass tail below bound K0 for truncations.
+grid, serves every kernel in the package; _h2_spectral, the inverse
+Mehler-Fock synthesis of heat data (specfun._synthesis), is the oracle the
+verification suite and the tests hold it against.  Both return (rows,
+err_est, radius, evals).  The pointwise majorant and mass tail below bound
+K0 for truncations.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import math
 
 import numpy as np
 
-from .quadrature import (ToleranceBudget, _integrate_panels, _kronrod_panels,
-                         gaussian_tail_radius, refine_until_stable, solve_radius)
-from .specfun import _EPS, _conical_many, _erfcx, _expint_cf
+from .quadrature import (ToleranceBudget, _kronrod_panels, refine_until_stable,
+                         solve_radius)
+from .specfun import _EPS, _erfcx, _expint_cf, _synthesis
 
 _FOUR_PI = 4.0 * math.pi
 _GAMMA_14 = math.gamma(0.25)
@@ -33,61 +34,22 @@ def _h2_spectral(ds, t: float, budget: ToleranceBudget, generator: bool = False)
     No kernel serves from this route; the verification suite and the tests
     hold _h2_mckean against it.
 
-    All three are the spectral weight rho tanh(pi rho) e^{-lam t} / 2 pi
-    integrated against the conical function (K0; G divides the weight by
-    lam) or its radial derivative (G_d), so one adaptive rho integral with
-    one conical evaluation per panel batch serves every row.  Returns (rows,
+    Each row is the inverse Mehler-Fock synthesis of heat data
+    (specfun._synthesis): e^{-lam t} against the conical function for K0,
+    e^{-lam t} / lam for G, and e^{-lam t} against P1 / lam for G_d, all in
+    one rho integral.  Every datum is at most 4 e^{-t/4} e^{-t rho^2}, since
+    1/lam <= 4; K0's alone at most e^{-t/4} e^{-t rho^2}.  Returns (rows,
     err_est, radius, evals): rows[0] holds K0 at each distance, rows[1] and
     rows[2] hold G and G_d when `generator` is set, and err_est bounds every
-    entry.  With `generator` every distance must be positive.
+    entry.
     """
-    ds = np.asarray(ds, dtype=float)
-    tol = budget.abs_tol
-    amp = 1.0
-    if generator:
-        # |P1| grows at most linearly in rho with an O(1/sinh(d/2)) constant
-        # from the boundary term of its integral representation; the G_d
-        # envelope dominates the K0 and G ones.
-        amp = 2.0 + float(ds.max()) + 1.0 / math.sinh(0.5 * float(ds.min()))
-    bound = math.exp(-0.25 * t) * amp / (2.0 * math.pi)
-    radius, tail = gaussian_tail_radius(t, 0.25 * tol, bound=bound,
-                                        poly_degree=1)
-    radius = max(radius, 2.0 / math.sqrt(t))
-    ctol = max(1e-13, 0.05 * tol / max(radius, 1.0))
-    cb = ToleranceBudget(abs_tol=ctol, max_quad_depth=budget.max_quad_depth)
-    # The quadrature is asked for half the budget, but never for less than
-    # the conical share charged below: where the 1e-13 floor on ctol binds
-    # (tight requests, or G_d amplified by coth d in k1), err_est cannot
-    # fall under that share anyway.
-    qb = ToleranceBudget(abs_tol=max(0.5 * tol, radius * ctol / (2.0 * math.pi)),
-                         max_quad_depth=budget.max_quad_depth)
-    evals = 0
-    achieved = 0.0
-    tables = {}  # the distances stay fixed, so every panel shares their tables
-
-    def integrand(rhos: np.ndarray) -> np.ndarray:
-        nonlocal evals, achieved
-        evals += rhos.size
-        p, p1, c_err = _conical_many(rhos, ds, cb, need_p1=generator,
-                                     tables=tables)
-        achieved = max(achieved, c_err)
+    def heat(rhos: np.ndarray) -> np.ndarray:
         lam = 0.25 + rhos * rhos
-        w = rhos * np.tanh(np.pi * rhos) * np.exp(-lam * t)
-        if not generator:
-            return p * w / (2.0 * math.pi)
-        rows = np.stack([p * w, p * (w / lam), p1 * (w / lam)])
-        return rows.reshape(-1, rhos.size) / (2.0 * math.pi)
+        decay = np.exp(-lam * t)
+        return np.stack([decay, decay / lam, decay]) if generator else decay[None]
 
-    # Start from panels no wider than the conical period 2 pi / max d or the
-    # weight's width 1/sqrt(t): on one wide panel K21 and G10 can agree by
-    # accident.
-    width = min(1.0 / math.sqrt(t), 2.0 * math.pi / max(float(ds.max()), 1e-300))
-    edges = np.linspace(0.0, radius, math.ceil(radius / width) + 1)
-    value, qerr = _integrate_panels(integrand, edges, qb, vectorized=True)
-    # The conical share charges the largest change met, which exceeds ctol
-    # only where the roundoff floor accepted it.
-    err = qerr + tail + radius * max(ctol, achieved) / (2.0 * math.pi)
-    return np.reshape(value, (-1, ds.size)), err, radius, evals
+    return _synthesis(heat, (0, 0, 1) if generator else (0,), ds, t,
+                      (4.0 if generator else 1.0) * math.exp(-0.25 * t), budget)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Two engines are provided: ``integrate_adaptive`` for finite intervals and
 ``integrate_semiinfinite`` for integrals over [0, inf) whose integrand obeys a
-Gaussian decay bound.  Both return ``(value, err_est)`` with ``err_est`` no
-larger than the requested absolute tolerance, or raise
-:class:`~heatforms.errors.NonconvergenceError`.
+Gaussian decay bound; the package's own rho integral (``specfun._synthesis``)
+starts ``_integrate_panels`` from seeded panels instead.  Both return
+``(value, err_est)`` with ``err_est`` no larger than the requested absolute
+tolerance, or raise :class:`~heatforms.errors.NonconvergenceError`.
 
 Every adaptive integral takes QUADPACK's 21-point Gauss-Kronrod rule, laid
 on a partition by ``_kronrod_panels``; its embedded 10-point Gauss sum on
@@ -262,11 +263,15 @@ def refine_until_stable(one_pass, size: tuple, grow: float, tol: float,
 
 
 def _as_float(value, what: str) -> float:
-    """float(value), or a DomainError naming what returned the value."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{what} returned {type(value).__name__!r}, not a float") from None
+    """float(value), or a DomainError naming what returned the value.  A
+    numpy complex scalar, which float() would cut to its real part, is
+    refused like a Python complex."""
+    if not isinstance(value, (complex, np.complexfloating)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise DomainError(f"{what} returned {type(value).__name__!r}, not a float")
 
 
 def _panel_estimates(f, edges, vectorized: bool):
@@ -275,7 +280,10 @@ def _panel_estimates(f, edges, vectorized: bool):
     panel's largest error over its rows."""
     xs, w = _kronrod_panels(edges)
     if vectorized:
-        ys = np.asarray(f(xs), dtype=float)
+        ys = np.asarray(f(xs))
+        if ys.dtype.kind == "c":  # the cast below would drop the imaginary part
+            raise DomainError("vectorized integrand returned complex values")
+        ys = ys.astype(float, copy=False)
         if ys.ndim not in (1, 2) or ys.shape[-1] != xs.size:
             raise DomainError("vectorized integrand returned a wrong shape")
     else:

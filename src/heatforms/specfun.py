@@ -8,20 +8,23 @@ Conventions
 cosh(r), which is the radial eigenfunction pairing used by the transform.
 
 One conical evaluator, ``_conical_many``, serves both axes: an array of rho
-at one radius (``conical_p``, ``conical_p1``, the inverse transform and the
-hyperbolic spectral kernels) and an array of radii at fixed rho (each
-adaptive panel of the forward transform in one call).  Near the origin it
-sums the hypergeometric series, elsewhere it evaluates the Mehler-Dirichlet
+at one radius or several (``conical_p``, ``conical_p1`` and the synthesis
+below) and an array of radii at fixed rho (each adaptive panel of the
+forward transform in one call).  Near the origin it sums the
+hypergeometric series, elsewhere it evaluates the Mehler-Dirichlet
 integral (DLMF 14.20; Gil, Segura & Temme, Numerical Methods for Special
 Functions, SIAM 2007) in one pass of composite 21-point Gauss-Kronrod
 panels, whose embedded 10-point Gauss sum is the accuracy check; only a
 failed check doubles the panels.  The radius-only factors of that integral
 (nodes, weights times 1/sqrt(psi) and its r-derivative) form a table built
-from a unit rule scaled by sqrt(r).  Callers whose radii stay fixed across
-many rho panels, the inverse transform and the spectral kernels, keep one
-set of tables for the length of a call, so each panel costs a cos and a
-sin of a rho-by-node phase and matrix-vector products against the
-table.
+from a unit rule scaled by sqrt(r).  The synthesis, whose radii stay fixed
+across its rho panels, keeps one set of tables for the length of a call,
+so each panel costs a cos and a sin of a rho-by-node phase and
+matrix-vector products against the table.
+
+One rho integral, ``_synthesis``, serves the inverse transform (a row of
+fhat) and the spectral oracle on H2 (rows of heat data), and alone decides
+where that integral is cut and what its error bar charges.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ import numpy as np
 
 from .errors import DomainError
 from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
-                         _area_tail, _as_float, _kronrod_panels,
-                         gaussian_tail_radius, integrate_adaptive,
-                         integrate_semiinfinite, refine_until_stable)
+                         _area_tail, _as_float, _integrate_panels,
+                         _kronrod_panels, gaussian_tail_radius,
+                         integrate_adaptive, refine_until_stable)
 
 __all__ = [
     "SpectralParameter",
@@ -520,57 +523,73 @@ def mehler_fock_forward(profile: RadialProfile, rho,
     return _forward_with_error(profile, rho, budget)[0]
 
 
-def _inverse_with_error(fhat, r: float, budget: ToleranceBudget = DEFAULT_BUDGET,
-                        gaussian_rate: float = 0.25, bound: float = 10.0):
-    """(value, err_est) of mehler_fock_inverse, taking fhat as exact.
+def _synthesis(data, orders, radii, rate: float, bound: float,
+               budget: ToleranceBudget):
+    """(1/2 pi) int_0^inf data_k(rho) rho tanh(pi rho) E_k(rho, r) drho for
+    each row k of data(rhos) at every radius r, with E = P for order 0 and
+    P1 / lam for order 1 (lam = 1/4 + rho^2): the one rho integral of the
+    inverse transform and of the spectral oracle on H2.
 
-    err_est adds the semi-infinite quadrature error (tail included) and the
-    largest conical change met: |w| <= 1, so a change delta in E moves the
-    integral by at most delta * int bound exp(-rate rho^2) drho / (2 pi).
+    The caller asserts |data_k(rho)| <= bound exp(-rate rho^2).  With q =
+    cosh r + sinh r cos phi in Laplace's integral P(cosh r) = (1/pi)
+    int_0^pi q^(-1/2 + i rho) dphi, |P| <= (1/pi) int_0^pi q^(-1/2) dphi <=
+    ((1/pi) int_0^pi q^(-1) dphi)^(1/2) = 1 by Cauchy-Schwarz; and d/dr
+    q^(-1/2 + i rho) = (-1/2 + i rho) q^(-3/2 + i rho) (sinh r + cosh r cos
+    phi) with (sinh r + cosh r cos phi)^2 = q^2 - sin^2 phi <= q^2, so |P1|
+    <= sqrt(lam) and |rho tanh(pi rho) P1 / lam| < 1.  Every integrand is
+    thus at most env = bound (1 + rho)^n exp(-rate rho^2) / 2 pi, n = 1 with
+    an order-0 row and 0 without.  A quarter of abs_tol goes to the tail
+    beyond the cut (at least 2 / sqrt(rate)), a half to the panels' K21-G10
+    error and a quarter to the conical error: a change delta in E moves a
+    row by at most delta int env, which is charged for the largest change
+    met.  The panels start no wider than 1/sqrt(rate) or the conical period
+    2 pi / max r, as on one wide panel K21 and G10 can agree by accident,
+    and share one set of conical tables.  Returns (rows, err_est, radius,
+    evals): rows[k, i] at radii[i], one bound for every entry, the cut and
+    the rho nodes evaluated.
     """
-    if float(r) <= 0.0:
-        raise DomainError("inverse transform evaluation needs r > 0")
-    cb = budget.part(0.05)
-    achieved = 0.0
+    radii = np.asarray(radii, dtype=float).reshape(-1)
+    n = int(0 in orders)
+    scale = bound / (2.0 * math.pi)
+    radius, tail = gaussian_tail_radius(rate, 0.25 * budget.abs_tol, scale, n)
+    if bound == 0.0:
+        return np.zeros((len(orders), radii.size)), 0.0, radius, 0
+    radius = max(radius, 2.0 / math.sqrt(rate))
+    mass = scale * (0.5 * math.sqrt(math.pi / rate) + 0.5 * n / rate)  # int env
+    cb = budget.part(0.25 / mass)
+    evals, achieved = 0, 0.0
     tables = {}
 
     def integrand(rhos: np.ndarray) -> np.ndarray:
-        nonlocal achieved
-        fhat_vals = np.array([_as_float(fhat(p), "fhat") for p in rhos])
-        weight = rhos * np.tanh(math.pi * rhos) / (0.25 + rhos * rhos)
-        _, e_vals, e_err = _conical_many(rhos, float(r), cb, need_p1=True,
-                                         tables=tables)
-        achieved = max(achieved, e_err)
-        return fhat_vals * weight * e_vals / (2.0 * math.pi)
+        nonlocal evals, achieved
+        evals += rhos.size
+        p, p1, c_err = _conical_many(rhos, radii, cb, 1 in orders, tables)
+        achieved = max(achieved, c_err)
+        weight = rhos * np.tanh(math.pi * rhos) / (2.0 * math.pi)
+        rows = [d * weight * (p1 / (0.25 + rhos * rhos) if k else p)
+                for d, k in zip(data(rhos), orders)]
+        return np.reshape(rows, (-1, rhos.size))
 
-    value, err = integrate_semiinfinite(integrand, gaussian_rate, budget.part(0.9),
-                                        bound=bound, poly_degree=2, vectorized=True)
-    conical = (max(cb.abs_tol, achieved) * bound * math.sqrt(math.pi / gaussian_rate)
-               / (4.0 * math.pi))
-    return value, err + conical
+    width = min(1.0 / math.sqrt(rate), 2.0 * math.pi / max(float(radii.max()), 1e-300))
+    edges = np.linspace(0.0, radius, math.ceil(radius / width) + 1)
+    values, qerr = _integrate_panels(integrand, edges, budget.part(0.5), vectorized=True)
+    err = qerr + tail + achieved * mass
+    return np.reshape(values, (len(orders), radii.size)), err, radius, evals
 
 
-def _inverse_fhat_gain(budget: ToleranceBudget, gaussian_rate: float,
-                       bound: float) -> float:
-    """Largest change of _inverse_with_error's value per unit of a uniform
-    error in the fhat values it samples: R / (2 pi), R the radius where
-    integrate_semiinfinite cuts the rho integral.
+def _inverse_with_error(fhat, r: float, budget: ToleranceBudget = DEFAULT_BUDGET,
+                        gaussian_rate: float = 0.25, bound: float = 10.0):
+    """(value, err_est, radius) of mehler_fock_inverse, taking fhat as exact:
+    the one order-one row of _synthesis, fhat read through _as_float, and
+    the radius where it cut the rho integral."""
+    if float(r) <= 0.0:
+        raise DomainError("inverse transform evaluation needs r > 0")
 
-    The value is sum_i W_i fhat(rho_i) w(rho_i) E_rho_i(r) / (2 pi) over
-    the accepted Kronrod panels, whose weights W_i are positive and sum to R.
-    |w E| <= 1: w = rho tanh(pi rho) / (1/4 + rho^2) <= rho / (1/4 + rho^2),
-    and with q = cosh r + sinh r cos phi in Laplace's integral P(cosh r) =
-    (1/pi) int_0^pi q^(-1/2 + i rho) dphi, d/dr q^(-1/2 + i rho) = (-1/2 +
-    i rho) q^(-3/2 + i rho) (sinh r + cosh r cos phi), where (sinh r +
-    cosh r cos phi)^2 = q^2 - sin^2 phi <= q^2.  So |E_rho(r)| <=
-    sqrt(1/4 + rho^2) (1/pi) int_0^pi q^(-1/2) dphi, and by Cauchy-Schwarz
-    the last integral is at most ((1/pi) int_0^pi q^(-1) dphi)^(1/2) = 1.
-    Hence |w E| <= rho / sqrt(1/4 + rho^2) < 1, and errors of at most eps
-    in fhat move the value by at most eps sum_i W_i / (2 pi) = eps R / (2 pi).
-    """
-    radius, _ = gaussian_tail_radius(gaussian_rate, 0.5 * budget.part(0.9).abs_tol,
-                                     bound=bound, poly_degree=2)
-    return radius / (2.0 * math.pi)
+    def data(rhos: np.ndarray) -> np.ndarray:
+        return np.array([[_as_float(fhat(p), "fhat") for p in rhos]])
+
+    rows, err, radius, _ = _synthesis(data, (1,), r, gaussian_rate, bound, budget)
+    return float(rows[0, 0]), err, radius
 
 
 def _roundtrip(profile: RadialProfile, radii, budget: ToleranceBudget,
@@ -580,8 +599,9 @@ def _roundtrip(profile: RadialProfile, radii, budget: ToleranceBudget,
     against the profile over radii (None if it vanishes at every radius).
 
     fhat is computed, not exact: each row's err_est also charges the
-    largest forward err_est among the rho it sampled, times the gain
-    _inverse_fhat_gain proves.  Each rho is transformed once.
+    largest forward err_est among the rho it sampled times R / (2 pi), R the
+    cut, as the K21 weights are positive and sum to R and each fhat sample
+    enters times a factor below 1 (_synthesis).  Each rho is transformed once.
     """
     cache = {}
     worst = 0.0
@@ -594,12 +614,11 @@ def _roundtrip(profile: RadialProfile, radii, budget: ToleranceBudget,
         worst = max(worst, cache[key][1])
         return cache[key][0]
 
-    gain = _inverse_fhat_gain(budget, gaussian_rate, bound)
     rows, num, den = [], 0.0, 0.0
     for r in radii:
         worst = 0.0
-        back, err = _inverse_with_error(fhat, r, budget, gaussian_rate, bound)
-        rows.append((r, back, err + worst * gain))
+        back, err, radius = _inverse_with_error(fhat, r, budget, gaussian_rate, bound)
+        rows.append((r, back, err + worst * radius / (2.0 * math.pi)))
         num += (back - profile(r)) ** 2
         den += profile(r) ** 2
     return rows, (math.sqrt(num / den) if den else None)

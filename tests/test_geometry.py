@@ -456,10 +456,15 @@ def test_nan_field_raises_on_the_first_integration_pass(kind):
             integrate_surface(kind, counted(value), budget, decay)
         # the first pass asks for a 32 x 64 grid
         assert 0 < len(calls) <= 32 * 64
-    calls.clear()
-    with pytest.raises(DomainError, match="not a float"):
-        integrate_surface(kind, counted("x"), budget, decay)
-    assert len(calls) == 1
+    # a numpy complex, which a cast to float cuts to its real part
+    for value in ("x", np.complex128(1 + 1j)):
+        calls.clear()
+        with pytest.raises(DomainError, match="not a float"):
+            integrate_surface(kind, counted(value), budget, decay)
+        assert len(calls) == 1
+    with pytest.raises(DomainError, match="not a float.*complex"):
+        integrate_surface(kind, lambda c1, c2: np.exp(-c1 * c1) + 1j, budget, decay,
+                          vectorized=True)
     # a vectorized field must return c1's shape: not a scalar, nor the
     # transposed grid (unchecked, exp(-r^2) on the plane integrated to 8.739,
     # not pi)

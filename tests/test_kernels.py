@@ -839,6 +839,11 @@ def test_bad_field_values_raise_on_the_first_pass(kind):
     for evolve, degree, value, match in (
             (apply_k1, 1, 1.0, "degree-1 field returned 'float'"),
             (apply_k0, 0, 1j, "degree-0 field returned a value that is not a float"),
+            # np.fromiter would cut a numpy complex to its real part
+            (apply_k0, 0, np.complex128(1 + 1j),
+             "degree-0 field returned a value that is not a float"),
+            (apply_k1, 1, OneFormValue(np.complex128(1 + 1j), 0.0),
+             "degree-1 field returned a value that is not a float"),
             (apply_k0, 0, np.ones(2), "degree-0 field returned a value that is not a float"),
             (apply_k0, 0, "x", "degree-0 field returned a value that is not a float"),
             (apply_k1, 1, OneFormValue("x", 0.0),

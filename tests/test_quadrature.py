@@ -58,6 +58,11 @@ def test_nonfinite_integrand_rejected():
         integrate_adaptive(lambda x: math.inf if x > 0.4 else 1.0, 0.0, 1.0)
     with pytest.raises(DomainError, match="integrand returned 'NoneType'"):
         integrate_adaptive(lambda x: None, 0.0, 1.0)
+    # x is an np.float64, so x + 1j is a numpy complex, which float() and
+    # the array cast would cut to its real part
+    for vectorized in (False, True):
+        with pytest.raises(DomainError, match="complex"):
+            integrate_adaptive(lambda x: x + 1j, 0.0, 1.0, vectorized=vectorized)
     # an error raised inside the integrand propagates unchanged
     error = ValueError("a user's own error")
 

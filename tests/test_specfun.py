@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from heatforms import specfun
 from heatforms.errors import DecayHintError, DomainError, NonconvergenceError
+from heatforms.hyperbolic import _h2_mckean
 from heatforms.quadrature import DecayHint, ToleranceBudget
 from heatforms.specfun import (RadialProfile, SpectralParameter,
                                _conical_many, _erfcx, _forward_with_error,
@@ -134,6 +135,11 @@ def test_radial_callbacks_float_cannot_take_raise_a_domain_error():
         mehler_fock_forward(RadialProfile(lambda r: None, hint), 1.0)
     with pytest.raises(DomainError, match="fhat returned 'str'"):
         mehler_fock_inverse(lambda rho: "x", 1.0)
+    # float() would cut a numpy complex to its real part
+    with pytest.raises(DomainError, match="radial profile returned 'complex128'"):
+        mehler_fock_forward(RadialProfile(lambda r: np.complex128(r * 1j), hint), 1.0)
+    with pytest.raises(DomainError, match="fhat returned 'complex128'"):
+        mehler_fock_inverse(lambda rho: np.complex128(math.exp(-rho * rho) + 1j), 1.0)
     # an error raised inside a callback propagates unchanged
     error = ValueError("a user's own error")
 
@@ -298,8 +304,18 @@ def _count_passes(monkeypatch):
 
 def test_transform_cycle_evaluates_each_conical_integral_once(monkeypatch):
     # the benchmark's transform cycle: 8 inverses of heat data and one
-    # forward transform of each profile, at tolerances 1e-6 and 1e-8
+    # forward transform of each profile, at tolerances 1e-6 and 1e-8.  Each
+    # integrand call evaluates the conical functions once (one
+    # _conical_many batch), and each batch is one conical integral
+    # accepted at its first K21 pass.
     calls = _count_passes(monkeypatch)
+    many, batches = specfun._conical_many, []
+
+    def counted_many(*args, **kwargs):
+        batches.append(len(calls))
+        return many(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_conical_many", counted_many)
     rng = np.random.default_rng(1)
     for _ in range(8):
         r, s = 0.2 + 2.8 * rng.uniform(), 0.3 + 0.7 * rng.uniform()
@@ -310,7 +326,7 @@ def test_transform_cycle_evaluates_each_conical_integral_once(monkeypatch):
     for name in ("gaussian", "cubic"):
         budget = ToleranceBudget(abs_tol=float(rng.choice([1e-6, 1e-8])))
         mehler_fock_forward(PROFILES[name], 8.0 * rng.uniform(), budget)
-    assert len(calls) >= 27
+    assert calls and batches == list(range(len(calls)))
     assert all(len(panels) == 1 for panels in calls)
 
 
@@ -404,15 +420,32 @@ def test_inverse_err_est_bounds_the_error(tol):
 
     budget = ToleranceBudget(abs_tol=tol)
     for r in (0.4, 1.3):
-        value, err = _inverse_with_error(fhat, r, budget, gaussian_rate=0.2,
-                                         bound=10.0)
+        value, err, _ = _inverse_with_error(fhat, r, budget, gaussian_rate=0.2,
+                                            bound=10.0)
         assert abs(value - profile(r)) <= err
         assert mehler_fock_inverse(fhat, r, budget, gaussian_rate=0.2,
                                    bound=10.0) == value
 
 
+def test_public_inverse_meets_its_error_bar():
+    """Heat data e^{-lam t} at t = 1e-3 inverts to McKean's G_d; started from
+    one panel the rho integral was 6.7 times its err_est off at r = 1.425.
+    e^{-rho^2} at r = 50 is -7.9e-23 (30-digit mpmath); the inverse returned
+    1.04e-12 there against an err_est of 3.7e-13."""
+    t, d = 1e-3, 1.425
+    rows, _, _, _ = _h2_mckean([d], t, ToleranceBudget(abs_tol=1e-13), generator=True)
+    for fhat, r, rate, bound, tol, ref in (
+            (lambda rho: math.exp(-(0.25 + rho * rho) * t), d, t,
+             math.exp(-0.25 * t), 1e-6, rows[2, 0]),
+            (lambda rho: math.exp(-rho * rho), 50.0, 1.0, 1.0, 1e-12, -7.9e-23)):
+        budget = ToleranceBudget(abs_tol=tol)
+        value = mehler_fock_inverse(fhat, r, budget, gaussian_rate=rate, bound=bound)
+        _, err, _ = _inverse_with_error(fhat, r, budget, gaussian_rate=rate, bound=bound)
+        assert abs(value - ref) <= err <= tol
+
+
 def test_inverse_of_an_fhat_bounded_by_zero_is_zero():
-    assert _inverse_with_error(lambda rho: 0.0, 1.0, bound=0.0) == (0.0, 0.0)
+    assert _inverse_with_error(lambda rho: 0.0, 1.0, bound=0.0)[:2] == (0.0, 0.0)
     assert mehler_fock_inverse(lambda rho: 0.0, 1.0, bound=0.0) == 0.0
 
 
