@@ -3,7 +3,8 @@
 Two engines are provided: ``integrate_adaptive`` for finite intervals and
 ``integrate_semiinfinite`` for integrals over [0, inf) whose integrand obeys a
 Gaussian decay bound; the package's own rho integral (``specfun._synthesis``)
-starts ``_integrate_panels`` from seeded panels instead.  Both return
+and the forward transform's r integral start ``_integrate_panels`` from
+seeded panels instead.  Both return
 ``(value, err_est)`` with ``err_est`` no larger than the requested absolute
 tolerance, or raise :class:`~heatforms.errors.NonconvergenceError`.
 

@@ -10,13 +10,25 @@ cosh(r), which is the radial eigenfunction pairing used by the transform.
 One conical evaluator, ``_conical_many``, serves both axes: an array of rho
 at one radius or several (``conical_p``, ``conical_p1`` and the synthesis
 below) and an array of radii at fixed rho (each adaptive panel of the
-forward transform in one call).  Near the origin it sums the
-hypergeometric series, elsewhere it evaluates the Mehler-Dirichlet
-integral (DLMF 14.20; Gil, Segura & Temme, Numerical Methods for Special
-Functions, SIAM 2007) in one pass of composite 21-point Gauss-Kronrod
-panels, whose embedded 10-point Gauss sum is the accuracy check; only a
-failed check doubles the panels.  The radius-only factors of that integral
-(nodes, weights times 1/sqrt(psi) and its r-derivative) form a table built
+forward transform in one call).  Each radius takes one of three branches:
+
+- near the origin (sinh^2(r/2) <= 1/2 and sinh^2(r/2) (1/4 + rho^2) <=
+  0.3) the hypergeometric series in sinh^2(r/2);
+- from r = ln2 / 2 on, for rho >= 1e-3, the convergent series in x =
+  e^{-2r} <= 1/2 (_conical_far), whose term ratios are below x in modulus:
+  its tail after the last term t_K is at most |t_K| x / (1 - x), and its
+  error bar adds 8 eps times the sum of |terms| for roundoff and eps (|ln
+  c| + |nu| r) times it for the phase, so about 57 terms reach 1e-17
+  whatever rho is;
+- elsewhere, in the band between the two and for rho < 1e-3, the
+  Mehler-Dirichlet integral (DLMF 14.20; Gil, Segura & Temme, Numerical
+  Methods for Special Functions, SIAM 2007) in one pass of composite
+  21-point Gauss-Kronrod panels, whose embedded 10-point Gauss sum is the
+  accuracy check; only a failed check doubles the panels.
+
+The integral is also the tests' independent check on the e^{-2r} series.
+Its radius-only factors (nodes, weights times 1/sqrt(psi) and its
+r-derivative, in log space so that no sinh overflows) form a table built
 from a unit rule scaled by sqrt(r).  The synthesis, whose radii stay fixed
 across its rho panels, keeps one set of tables for the length of a call,
 so each panel costs a cos and a sin of a rho-by-node phase and
@@ -38,7 +50,7 @@ from .errors import DomainError
 from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
                          _area_tail, _as_float, _integrate_panels,
                          _kronrod_panels, gaussian_tail_radius,
-                         integrate_adaptive, refine_until_stable)
+                         refine_until_stable)
 
 __all__ = [
     "SpectralParameter",
@@ -77,6 +89,16 @@ _ERFCX_Q = (2.56852019228982242e00, 1.87295284992346725e00,
             2.33520497626869185e-3)
 # Entries of one rho-by-node array in the Mehler-Dirichlet evaluator (512 KB).
 _BLOCK_ELEMS = 1 << 16
+# The e^{-2r} series serves radii from ln2 / 2, where x = e^{-2r} <= 1/2, and
+# rho from _RHO_MIN: below it the 1/rho cancellation in 2 Re[c ...] costs
+# more than 1e-13 (1.8e-13 at rho = 1e-3 against 30-digit values).
+_FAR_RADIUS = 0.5 * math.log(2.0)
+_RHO_MIN = 1e-3
+# B_2k / (2k (2k - 1)), k = 1..8: Stirling's series for ln Gamma.
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
+             1.0 / 1188.0, -691.0 / 360360.0, 1.0 / 156.0, -3617.0 / 122400.0)
+# (-1)^(n+1) / n, n = 2..16: the series of (z log1p(v) - 1/2) / (z v) in v.
+_LOG1P_REST = tuple((1.0 if n % 2 else -1.0) / n for n in range(2, 17))
 
 
 @dataclass(frozen=True)
@@ -157,11 +179,6 @@ def legendre_p1(n: int, x):
     for k in range(1, int(n)):
         p_prev, p_cur = p_cur, ((2 * k + 1) * xs * p_cur - (k + 1) * p_prev) / k
     return p_cur if p_cur.ndim else float(p_cur)
-
-
-def _sinhc(x: np.ndarray) -> np.ndarray:
-    safe = np.where(x == 0.0, 1.0, x)
-    return np.where(x == 0.0, 1.0, np.sinh(safe) / safe)
 
 
 def _erfcx(x: np.ndarray) -> np.ndarray:
@@ -278,20 +295,25 @@ def _dirichlet_table(radii: np.ndarray, n_panels: int, need_p1: bool):
     boundary).  s holds the nodes s = r - w^2; weights holds radius-by-node
     rows, the K21 and G10 weights times 1/sqrt(psi) and, with need_p1, both
     times its r-derivative; boundary (None unless need_p1) is the
-    moving-endpoint term 1 / (2 sqrt 2 sinh(r/2)) of the r-derivative."""
+    moving-endpoint term 1 / (2 sqrt 2 sinh(r/2)) of the r-derivative.
+
+    With h = w^2 / 2 and a = r - h, 1/sqrt(psi) = 2 sqrt(h) e^{-r/2} /
+    sqrt(expm1(-2a) expm1(-2h)), so nothing overflows at any finite r."""
     x, wts = _kronrod_panels(np.linspace(0.0, 1.0, n_panels + 1))
     r = radii[:, None]
     xsq = x * x
     s = r * (1.0 - xsq)  # w = sqrt(r) x
     half_wsq = r * (0.5 * xsq)
     a = r - half_wsq
-    inv = np.sqrt(r) / np.sqrt(np.sinh(a) * _sinhc(half_wsq))
+    # sqrt(r) (from dw = sqrt(r) dx) times 2 sqrt(h) is sqrt(2) r x
+    inv = (math.sqrt(2.0) * r * x * np.exp(-0.5 * r)
+           / np.sqrt(np.expm1(-2.0 * a) * np.expm1(-2.0 * half_wsq)))
     factors = [inv]
     boundary = None
     if need_p1:
         # d/dr (sinh(a) sinhc(w^2/2))^(-1/2) = -coth(a) / (2 sqrt(psi))
         factors.append(inv * (-0.5 / np.tanh(a)))
-        boundary = 1.0 / (2.0 * math.sqrt(2.0) * np.sinh(0.5 * radii))
+        boundary = np.exp(-0.5 * radii) / (-math.sqrt(2.0) * np.expm1(-radii))
     weights = np.empty((2 * len(factors),) + s.shape)
     for k, f in enumerate(factors):
         np.multiply(f, wts.T[:, None, :], out=weights[2 * k:2 * k + 2])
@@ -373,6 +395,119 @@ def _conical_series(rhos: np.ndarray, radii: np.ndarray, s: np.ndarray,
     return p, dp * 0.5 * np.sinh(radii)[..., None], err + 8.0 * _EPS * abs_dp
 
 
+def _power_sum(u: np.ndarray, coefs) -> np.ndarray:
+    """sum_k coefs[k] u^(k + 1) at each entry of a 1-d array u."""
+    powers = np.cumprod(np.repeat(u[:, None], len(coefs), axis=1), axis=1)
+    return powers @ np.asarray(coefs)
+
+
+def _log_c(rhos: np.ndarray) -> np.ndarray:
+    """ln c(rho), c = Gamma(i rho) / (sqrt(pi) Gamma(1/2 + i rho)), rho > 0.
+
+    ln c = ln Gamma(w + 1/2) - ln Gamma(w) - ln(i rho) - ln(pi) / 2 with w =
+    1/2 + i rho.  The Gamma difference is taken at z = w + 10, less the log
+    of the product of the ten ratios (w + j + 1/2) / (w + j), whose argument
+    stays within (-pi/2, 0], so its branch never wraps.  At z it is ln(z) / 2
+    + (z log1p(v) - 1/2) + S(z + 1/2) - S(z), v = 1 / (2z), S Stirling's
+    series: the bracket is summed as (1/2) sum_{n>=2} (-1)^(n+1) v^(n-1) /
+    n, |v| <= 1/21, so nothing of size rho cancels.
+    """
+    w = 0.5 + 1j * rhos
+    j = np.arange(10.0)
+    shift = np.prod((w[:, None] + (j + 0.5)) / (w[:, None] + j), axis=1)
+    z = w + 10.0
+    stirling = [t * _power_sum(1.0 / (t * t), _STIRLING) for t in (z + 0.5, z)]
+    return (0.5 * np.log(z) + 0.5 * _power_sum(0.5 / z, _LOG1P_REST)
+            + (stirling[0] - stirling[1]) - np.log(shift) - np.log(rhos)
+            - 0.5j * math.pi - 0.5 * math.log(math.pi))
+
+
+def _matvecs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b as matrix-vector products, one per column of b or per row of a,
+    whichever are fewer: a matrix product's first call makes BLAS touch
+    about 0.3 MB more of resident memory for its packing buffers."""
+    b = np.ascontiguousarray(b)
+    if b.shape[1] <= a.shape[0]:
+        return np.stack([a @ col for col in b.T], axis=1)
+    return np.stack([row @ b for row in a])
+
+
+def _far_products(rhos: np.ndarray, n_terms: int) -> np.ndarray:
+    """Q_k(rho) = prod_{j<k} (j + 1/2)(j + 1/2 - i rho) / ((j + 1)(j + 1 -
+    i rho)) for k < n_terms, a row per k: the e^{-2r} series' terms without
+    their x^k."""
+    a = np.arange(n_terms - 1.0)[:, None] + 0.5
+    b = a + 0.5
+    q = np.empty((n_terms, rhos.size), dtype=complex)
+    q[0] = 1.0
+    # (a - i rho) / (b - i rho) = (ab + rho^2 - i rho / 2) / (b^2 + rho^2)
+    scale = (a / b) / (b * b + rhos * rhos)
+    q[1:].real = scale * (a * b + rhos * rhos)
+    q[1:].imag = scale * (-0.5 * rhos)
+    return np.cumprod(q, axis=0, out=q)
+
+
+def _conical_far(rhos: np.ndarray, radii: np.ndarray, need_p1: bool):
+    """The e^{-2r} branch: P_{-1/2+i rho}(cosh r) = 2 Re[c(rho) e^{nu r}
+    F(1/2, 1/2 - i rho; 1 - i rho; x)] with nu = -1/2 + i rho, x = e^{-2r}
+    and c from _log_c, for rho > 0 and a 1-d array of radii; P1 = 2 Re[c
+    e^{nu r} sum_k (nu - 2k) t_k] term by term.  Returns (P, P1, err) with
+    a row per radius.
+
+    The term ratio t_{k+1} / t_k = x (k + 1/2)(k + 1/2 - i rho) / ((k + 1)(k
+    + 1 - i rho)) has modulus below x, so |t_k| <= x^k, the tail beyond the
+    last term t_K is at most |t_K| x / (1 - x) (and |t_K| ((|nu| + 2K) x /
+    (1 - x) + 2x / (1 - x)^2) for P1), and the sums of |terms| are at most
+    1 / (1 - x) and |nu| / (1 - x) + 2x / (1 - x)^2.  K is set by the
+    batch's largest x so that x^K <= 1e-17: 57 terms at x = 1/2.  err is
+    the largest over entries of 2 |c| e^{-r/2} times the tail plus (8 eps +
+    eps (|ln c| + |nu| r)) times the sum of |terms|: the sums' roundoff and
+    the rounding of the phase.  The terms are sum_k Q_k(rho) x^k with Q_k
+    the running product of the ratios without x, so each block of radii
+    and rho is a few matrix-vector products; blocks keep the (radius, rho,
+    term) count near _BLOCK_ELEMS.
+    """
+    rhos = np.abs(rhos)
+    x_max = math.exp(-2.0 * float(radii.min()))
+    n_terms = 1 if x_max == 0.0 else 1 + math.ceil(math.log(1e-17) / math.log(x_max))
+    out = np.empty((2 if need_p1 else 1, radii.size, rhos.size))
+    err = 0.0
+    r_step = min(radii.size, max(1, _BLOCK_ELEMS // n_terms))
+    rho_step = max(1, _BLOCK_ELEMS // (2 * n_terms * r_step))  # complex terms
+    for r_lo in range(0, radii.size, r_step):
+        rows = slice(r_lo, r_lo + r_step)
+        r = radii[rows, None]
+        x = np.exp(-2.0 * r)
+        powers = np.repeat(x, n_terms, axis=1)
+        powers[:, 0] = 1.0
+        np.cumprod(powers, axis=1, out=powers)
+        # a row of x^k per radius, and with P1 a row of -2k x^k below it
+        weights = (np.concatenate([powers, powers * (-2.0 * np.arange(n_terms))])
+                   if need_p1 else powers)
+        last = powers[:, -1:]  # bounds |t_K|
+        mass = 1.0 / (1.0 - x)
+        tail, slope = last * x * mass, 2.0 * x * mass * mass
+        for lo in range(0, rhos.size, rho_step):
+            cols = slice(lo, lo + rho_step)
+            rho = rhos[cols]
+            log_c, nu = _log_c(rho), -0.5 + 1j * rho
+            q = _far_products(rho, n_terms)
+            sums = _matvecs(weights, q.real) + 1j * _matvecs(weights, q.imag)
+            amp = 2.0 * np.exp(log_c + nu * r)
+            f = sums[:r.size]
+            out[0, rows, cols] = (amp * f).real
+            abs_nu = np.abs(nu)
+            rounding = _EPS * (8.0 + np.abs(log_c) + abs_nu * r)
+            bound = tail + rounding * mass
+            if need_p1:
+                out[1, rows, cols] = (amp * (nu * f + sums[r.size:])).real
+                bound = np.maximum(bound, (abs_nu + 2.0 * (n_terms - 1)) * tail
+                                   + slope * last + rounding * (abs_nu * mass + slope))
+            err = max(err, float((np.abs(amp) * bound).max()))
+        del powers, weights, last, q, sums  # before the next block's are built
+    return out[0], (out[1] if need_p1 else None), err
+
+
 def _conical_integral(rhos: np.ndarray, radii: np.ndarray, rho_max: float,
                       budget: ToleranceBudget, need_p1: bool, tables=None):
     """Mehler-Dirichlet branch: one K21 pass, accepted once its largest
@@ -398,40 +533,57 @@ def _conical_many(rhos: np.ndarray, r, budget: ToleranceBudget, need_p1: bool,
     """(P, P1, err) for an array of rho at one radius or at an array of radii.
 
     A scalar r gives arrays shaped like rhos; an array of radii gives one row
-    per radius.  Each radius takes the series or the integral branch on its
-    own, and the integral radii share one refinement, so every radius meets
-    the tolerance it would meet alone.  err is the largest series tail or
-    final K21-G10 change met, plus 8 eps times the largest sums of |terms|
-    (the roundoff).  A caller that evaluates the same radii many
-    times passes one dict as `tables` to all its calls, so each integral
-    grid's radius factors are built once (see _mehler_dirichlet_eval).
+    per radius.  Each radius takes one branch on its own: the series about
+    the origin; from r = ln2 / 2 (_FAR_RADIUS) on, the e^{-2r} series,
+    except in the columns with rho < _RHO_MIN; the integral everywhere
+    else.  The integral entries share one refinement, so every radius
+    meets the tolerance it would meet alone.  err is the largest series
+    tail, e^{-2r} tail or final K21-G10 change met, plus the roundoff each
+    branch charges.  A caller that evaluates the same radii many times
+    passes one dict as `tables` to all its calls, so each integral grid's
+    radius factors are built once (see _mehler_dirichlet_eval).
     """
     rhos = np.asarray(rhos, dtype=float)
     radii = np.asarray(r, dtype=float)
     if not np.all((radii >= 0.0) & (radii < math.inf)):
         raise DomainError("radius must be finite and nonnegative")
+    flat = radii.reshape(-1)
     rho_max = float(abs(rhos).max()) if rhos.size else 0.0
     # The series needs fast initial decay (small s rho^2) AND to sit well
     # inside its |s| < 1 convergence disk; at small rho the first condition
-    # alone would admit s up to 1.2, where the tail diverges.
-    s_half = np.sinh(0.5 * radii) ** 2
+    # alone would admit s up to 1.2, where the tail diverges.  Clipping r at
+    # 2 leaves that choice alone and keeps sinh finite.
+    s_half = np.sinh(0.5 * np.minimum(flat, 2.0)) ** 2
     series = (s_half <= 0.5) & (s_half * (0.25 + rho_max * rho_max) <= 0.3)
-    if series.all():
-        return _conical_series(rhos, radii, s_half, need_p1)
-    if not series.any():
-        return _conical_integral(rhos, radii, rho_max, budget, need_p1, tables)
-    # A batch straddling the seam: each side on its own, rows put back.
-    sp, sp1, s_err = _conical_series(rhos, radii[series], s_half[series],
-                                     need_p1)
-    fp, fp1, f_err = _conical_integral(rhos, radii[~series], rho_max, budget,
-                                       need_p1, tables)
-    p = np.empty((series.size, rhos.size))
-    p[series], p[~series] = sp, fp
-    p1 = None
-    if need_p1:
-        p1 = np.empty_like(p)
-        p1[series], p1[~series] = sp1, fp1
-    return p, p1, max(s_err, f_err)
+    far = ~series & (flat >= _FAR_RADIUS)
+    small = np.abs(rhos) < _RHO_MIN
+    every = np.ones(rhos.shape, dtype=bool)
+
+    def integral(rows, cols):
+        return _conical_integral(rhos[cols], flat[rows], float(abs(rhos[cols]).max()),
+                                 budget, need_p1, tables)
+
+    # (rows, columns, evaluator) rectangles that tile the batch
+    parts = [(series, every, lambda rows, cols: _conical_series(
+                  rhos, flat[rows], s_half[rows], need_p1)),
+             (far, ~small, lambda rows, cols: _conical_far(
+                  rhos[cols], flat[rows], need_p1))]
+    if small.all() or not far.any():
+        parts.append((~series, every, integral))
+    else:
+        parts += [(~series & ~far, every, integral), (far, small, integral)]
+    parts = [(rows, cols, fn(rows, cols)) for rows, cols, fn in parts
+             if rows.any() and cols.any()]
+    err = max((part[2][2] for part in parts), default=0.0)
+    shape = radii.shape + rhos.shape
+    if len(parts) == 1 and parts[0][0].all() and parts[0][1].all():
+        p, p1, _ = parts[0][2]
+        return p.reshape(shape), (p1.reshape(shape) if need_p1 else None), err
+    out = np.zeros((2 if need_p1 else 1, flat.size, rhos.size))
+    for rows, cols, values in parts:
+        for row, v in zip(out, values[:2]):
+            row[np.ix_(rows, cols)] = v
+    return out[0].reshape(shape), (out[1].reshape(shape) if need_p1 else None), err
 
 
 def conical_p(rho, r: float, budget: ToleranceBudget = DEFAULT_BUDGET) -> float:
@@ -468,8 +620,12 @@ def _forward_with_error(profile: RadialProfile, rho,
 
     The r integral is cut where c_e times the hint's area tail on H2 is a
     quarter of the budget (quadrature._area_tail), c_e bounding |E_rho|.
-    err_est adds the quadrature error, that tail, and the largest conical
-    change met, spread over the profile's area-weighted mass.
+    Its panels start no wider than the hint's scale (1/sqrt(rate) for a
+    Gaussian, 1/rate for an exponential) or the period 2 pi / rho of E_rho,
+    so all of them cost one conical batch and K21 and G10 cannot agree by
+    accident on one wide panel.  err_est adds the quadrature error, that
+    tail, and the largest conical change met, spread over the profile's
+    area-weighted mass.
     """
     rho_val = _as_rho(rho)
     if not isinstance(profile, RadialProfile):
@@ -500,8 +656,12 @@ def _forward_with_error(profile: RadialProfile, rho,
         f_vals = np.array([profile(r) for r in rs])
         return 2.0 * math.pi * e_vals[:, 0] * f_vals * np.sinh(rs)
 
-    value, qerr = integrate_adaptive(integrand, 0.0, radius, budget.part(0.5),
-                                     vectorized=True)
+    decay = profile.decay
+    width = 1.0 / (math.sqrt(decay.rate) if decay.kind == "gaussian" else decay.rate)
+    if rho_val > 0.0:
+        width = min(width, 2.0 * math.pi / rho_val)
+    edges = np.linspace(0.0, radius, math.ceil(radius / width) + 1)
+    value, qerr = _integrate_panels(integrand, edges, budget.part(0.5), vectorized=True)
     conical = max(cb.abs_tol, achieved) * _area_mass(profile.decay)
     return value, qerr + tail + conical
 

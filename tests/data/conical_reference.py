@@ -1,0 +1,38 @@
+"""Print the frozen conical values that tests/test_specfun.py compares the
+e^{-2r} branch and the large-radius integral against.
+
+Each line is (rho, r, P, P1) with P = P_{-1/2+i rho}(cosh r) and P1 its
+r-derivative, the order-one Legendre function of the same degree (mpmath
+legenp, type 3), evaluated at 40 digits and rounded to a double.  Needs
+mpmath (1.3.0 was used), which the package does not depend on:
+
+    python tests/data/conical_reference.py
+"""
+
+import mpmath as mp
+
+mp.mp.dps = 40
+
+# the e^{-2r} branch on both sides of rho_min = 1e-3 and r = ln2 / 2
+FAR_RHOS = ("1e-3", "0.01", "0.5", "2", "8", "15", "40")
+FAR_RADII = ("0.4", "0.5", "1", "3", "8", "30")
+# radii where sinh(r) overflows a double
+HUGE_RHOS = ("0", "1", "30")
+HUGE_RADII = ("711", "1000", "1400")
+
+
+def conical(rho: str, r: str):
+    nu = mp.mpf(-0.5) + 1j * mp.mpf(rho)
+    z = mp.cosh(mp.mpf(r))
+    return (float(mp.re(mp.legenp(nu, 0, z, type=3))),
+            float(mp.re(mp.legenp(nu, 1, z, type=3))))
+
+
+for name, rhos, radii in (("FAR", FAR_RHOS, FAR_RADII),
+                          ("HUGE", HUGE_RHOS, HUGE_RADII)):
+    print(f"{name}_CASES = [")
+    for r in radii:
+        for rho in rhos:
+            p, p1 = conical(rho, r)
+            print(f"    ({float(rho)!r}, {float(r)!r}, {p!r}, {p1!r}),")
+    print("]")

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -306,16 +307,25 @@ def test_transform_cycle_evaluates_each_conical_integral_once(monkeypatch):
     # the benchmark's transform cycle: 8 inverses of heat data and one
     # forward transform of each profile, at tolerances 1e-6 and 1e-8.  Each
     # integrand call evaluates the conical functions once (one
-    # _conical_many batch), and each batch is one conical integral
-    # accepted at its first K21 pass.
+    # _conical_many batch); radii from ln2 / 2 on take the e^{-2r} series,
+    # and a batch with radii below it runs one conical integral, accepted
+    # at its first K21 pass.
     calls = _count_passes(monkeypatch)
-    many, batches = specfun._conical_many, []
+    many, integrals = specfun._conical_many, []
+    far, far_calls = specfun._conical_far, []
 
     def counted_many(*args, **kwargs):
-        batches.append(len(calls))
-        return many(*args, **kwargs)
+        before = len(calls)
+        out = many(*args, **kwargs)
+        integrals.append(len(calls) - before)
+        return out
+
+    def counted_far(*args):
+        far_calls.append(args)
+        return far(*args)
 
     monkeypatch.setattr(specfun, "_conical_many", counted_many)
+    monkeypatch.setattr(specfun, "_conical_far", counted_far)
     rng = np.random.default_rng(1)
     for _ in range(8):
         r, s = 0.2 + 2.8 * rng.uniform(), 0.3 + 0.7 * rng.uniform()
@@ -326,16 +336,20 @@ def test_transform_cycle_evaluates_each_conical_integral_once(monkeypatch):
     for name in ("gaussian", "cubic"):
         budget = ToleranceBudget(abs_tol=float(rng.choice([1e-6, 1e-8])))
         mehler_fock_forward(PROFILES[name], 8.0 * rng.uniform(), budget)
-    assert calls and batches == list(range(len(calls)))
+    assert calls and far_calls and max(integrals) == 1
+    assert sum(integrals) == len(calls)
     assert all(len(panels) == 1 for panels in calls)
 
 
 def test_failed_embedded_check_doubles_the_panels(monkeypatch):
     # rho r = 20 starts on 6 panels, where G10 misses 1e-14; 12 meet it.
-    # err adds the sums' roundoff, 8 eps times |P1 terms| (about 44 here)
+    # err adds the sums' roundoff, 8 eps times |P1 terms| (about 44 here).
+    # _conical_many serves r = 0.5 from the e^{-2r} series, so the integral
+    # is called on its own
     calls = _count_passes(monkeypatch)
     budget = ToleranceBudget(abs_tol=1e-14)
-    p, p1, err = _conical_many(np.array([40.0]), 0.5, budget, need_p1=True)
+    p, p1, err = specfun._conical_integral(np.array([40.0]), np.array(0.5), 40.0,
+                                           budget, True)
     assert calls == [[6, 12]] and err <= 1e-14 + 8.0 * specfun._EPS * 50.0
     (ref_p, ref_p1), _ = specfun._mehler_dirichlet_eval(
         np.array([40.0]), np.array(0.5), 96, True)
@@ -368,10 +382,165 @@ def test_exhausted_conical_refinement_reports_its_change(monkeypatch):
                         lambda n: (panels(n)[0], panels(n)[1] * [1.0, 1.0 + 1e-6]))
     calls = _count_passes(monkeypatch)
     budget = ToleranceBudget(abs_tol=1e-10, max_quad_depth=3)
-    with pytest.raises(NonconvergenceError) as info:
-        _conical_many(np.array([2.0]), 1.5, budget, need_p1=True)
+    with pytest.raises(NonconvergenceError) as info:  # on its own, as above
+        specfun._conical_integral(np.array([2.0]), np.array(1.5), 2.0, budget, True)
     assert calls == [[4, 8, 16, 32]]
     assert info.value.requested == 1e-10 and 1e-7 < info.value.achieved < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the e^{-2r} series from r = ln2 / 2 on
+
+# (rho, r, P, P1) from 40-digit mpmath, rounded to doubles; regenerate with
+# tests/data/conical_reference.py.  FAR straddles rho_min = 1e-3 and the
+# seam r = ln2 / 2 ~ 0.3466; at the HUGE radii sinh(r) overflows a double.
+FAR_CASES = [
+    (0.001, 0.4, 0.9900906772483389, -0.049097721494188236),
+    (0.01, 0.4, 0.9900867629673319, -0.04911706670143319),
+    (0.5, 0.4, 0.9802308291799412, -0.0977040848821142),
+    (2.0, 0.4, 0.8381491674059639, -0.7695363181806825),
+    (8.0, 0.4, -0.3154336771730291, -2.047612389976731),
+    (15.0, 0.4, 0.14835965834100825, 4.088247027911483),
+    (40.0, 0.4, -0.1725578699918884, -3.5597104026212154),
+    (0.001, 0.5, 0.9845951343165904, -0.06075281436234994),
+    (0.01, 0.5, 0.9845890577810429, -0.06077668386885133),
+    (0.5, 0.5, 0.9693101702769384, -0.12055592495691919),
+    (2.0, 0.5, 0.7539907784597134, -0.908651260071994),
+    (8.0, 0.5, -0.38918874781149515, 0.5414764379399379),
+    (15.0, 0.5, 0.2610730286030995, -2.003297125445888),
+    (40.0, 0.5, 0.1636423957011856, -2.6287169087562847),
+    (0.001, 1.0, 0.9408619263503087, -0.11195914635566401),
+    (0.01, 1.0, 0.9408388694888745, -0.11200208222192876),
+    (0.5, 1.0, 0.8835378988482238, -0.21692422417246038),
+    (2.0, 1.0, 0.2171932078065785, -1.090382304927569),
+    (8.0, 1.0, 0.15939311503332954, -1.7503195824274729),
+    (15.0, 1.0, -0.012627340802937164, -2.8365369040395625),
+    (40.0, 1.0, 0.00690933603466309, -4.65139317155323),
+    (0.001, 3.0, 0.6233662064614933, -0.17014476548003485),
+    (0.01, 3.0, 0.623236111511799, -0.17019195068167134),
+    (0.5, 3.0, 0.3373256896885149, -0.24774747132162908),
+    (2.0, 3.0, 0.07571421473835796, 0.2847541823053184),
+    (8.0, 3.0, -0.03165135484989134, 0.6824460160406522),
+    (15.0, 3.0, 0.06346357956173479, -0.24869597762684517),
+    (40.0, 3.0, 0.03929035794419057, 0.24851450004051337),
+    (0.001, 8.0, 0.10944365848369819, -0.04306223101454427),
+    (0.01, 8.0, 0.10929966111409024, -0.043039152458019314),
+    (0.5, 8.0, -0.02987556937613591, 0.011820718119073122),
+    (2.0, 8.0, -0.012408135642728226, -0.009236374463492307),
+    (8.0, 8.0, 0.006820005424060913, -0.024390859422701274),
+    (15.0, 8.0, 0.0052553825748753915, 0.011249614129886579),
+    (40.0, 8.0, 0.001089201174450875, 0.12269012877303347),
+    (0.001, 30.0, 6.111281838455381e-06, -2.860993046355214e-06),
+    (0.01, 30.0, 6.013359872182648e-06, -2.8214194607443506e-06),
+    (0.5, 30.0, 1.0191135728267765e-07, -3.006700411430161e-07),
+    (2.0, 30.0, -2.094869883913573e-07, -1.457607591707426e-07),
+    (8.0, 30.0, 1.1052113764517561e-07, -4.692710146369206e-07),
+    (15.0, 30.0, -8.904682260081235e-08, -1.0916672166184086e-08),
+    (40.0, 30.0, 3.490317463152269e-08, 1.6608295823593427e-06),
+]
+HUGE_CASES = [
+    (0.0, 711.0, 1.8403793932526243e-152, -9.176062957273615e-153),
+    (1.0, 711.0, 4.571865069566055e-155, -2.6645741633126154e-155),
+    (30.0, 711.0, -4.944726888617369e-156, 2.0469823084406595e-154),
+    (0.0, 1000.0, 4.541933951040417e-215, -2.2664313293099334e-215),
+    (1.0, 1000.0, 8.041576272511463e-218, -4.472452799754574e-218),
+    (30.0, 1000.0, -1.452943018092515e-218, 6.966215598483957e-218),
+    (0.0, 1400.0, 8.796312634275031e-302, -4.391879452100609e-302),
+    (1.0, 1400.0, -5.313997102462304e-305, 1.2454973126720914e-304),
+    (30.0, 1400.0, -1.4975922434460303e-305, -4.041875497737838e-304),
+]
+
+
+@pytest.mark.parametrize("rho,r,p_ref,p1_ref", FAR_CASES)
+def test_far_series_meets_frozen_values_within_its_err(rho, r, p_ref, p1_ref):
+    p, p1, err = specfun._conical_far(np.array([rho]), np.array([r]), True)
+    assert abs(p[0, 0] - p_ref) <= err and abs(p1[0, 0] - p1_ref) <= err
+    assert err <= 1e-11
+
+
+def test_far_series_agrees_with_the_integral_across_the_seam():
+    rhos = np.array([specfun._RHO_MIN, 0.01, 0.5, 2.0, 8.0, 15.0, 40.0])
+    seam = specfun._FAR_RADIUS
+    for r in (seam * (1.0 - 1e-6), seam * (1.0 + 1e-6), 0.5, 1.0, 3.0, 8.0, 30.0):
+        p, p1, err = specfun._conical_far(rhos, np.array([r]), True)
+        ip, ip1, ierr = specfun._conical_integral(rhos, np.array([r]), 40.0,
+                                                  ToleranceBudget(abs_tol=1e-14), True)
+        assert np.all(np.abs(p - ip) <= err + ierr)
+        assert np.all(np.abs(p1 - ip1) <= err + ierr)
+
+
+def test_log_c_has_its_closed_form_modulus():
+    # |Gamma(i rho) / (sqrt(pi) Gamma(1/2 + i rho))|^2 = coth(pi rho) / (pi rho)
+    rhos = np.array([1e-3, 0.01, 0.5, 2.0, 8.0, 15.0, 40.0, 500.0, 1e4])
+    got = np.exp(2.0 * specfun._log_c(rhos).real)
+    want = 1.0 / (np.tanh(np.pi * rhos) * np.pi * rhos)
+    assert np.all(np.abs(got / want - 1.0) <= 16.0 * specfun._EPS)
+
+
+def test_routing_sends_far_radii_and_small_rho_to_their_branches(monkeypatch):
+    # radii from ln2 / 2 take the e^{-2r} series except in the columns with
+    # rho < rho_min, whose entries take the integral like the band below
+    seen = []
+
+    def spy(name):
+        real = getattr(specfun, name)
+
+        def call(rhos, radii, *args):
+            seen.append((name, list(rhos), list(radii)))
+            return real(rhos, radii, *args)
+        return call
+
+    for name in ("_conical_series", "_conical_integral", "_conical_far"):
+        monkeypatch.setattr(specfun, name, spy(name))
+    rhos = np.array([0.0, 5e-4, 0.5, 6.0])
+    radii = np.array([0.05, 0.3, 1.0, 40.0])
+    p, p1, _ = _conical_many(rhos, radii, TIGHT, need_p1=True)
+    assert seen == [("_conical_series", list(rhos), [0.05]),
+                    ("_conical_far", [0.5, 6.0], [1.0, 40.0]),
+                    ("_conical_integral", list(rhos), [0.3]),
+                    ("_conical_integral", [0.0, 5e-4], [1.0, 40.0])]
+    for i, r in enumerate(radii):
+        for j, rho in enumerate(rhos):
+            assert abs(p[i, j] - conical_p(rho, r, TIGHT)) <= 1e-12
+            assert abs(p1[i, j] - conical_p1(rho, r, TIGHT)) <= 1e-12
+
+
+@pytest.mark.parametrize("rho,r,p_ref,p1_ref", HUGE_CASES)
+def test_conical_values_hold_where_sinh_overflows(rho, r, p_ref, p1_ref):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p, p1 = conical_p(rho, r, TIGHT), conical_p1(rho, r, TIGHT)
+    assert abs(p - p_ref) <= 1e-10 * abs(p_ref)
+    assert abs(p1 - p1_ref) <= 1e-10 * abs(p1_ref)
+
+
+def test_far_series_memory_does_not_grow_with_the_batch():
+    # blocks of about 1150 radii (57 terms at r = 0.4), or 575 rho at one
+    # radius, keep the peak beyond the returned arrays of 6000 radii or rho
+    # near that of 1200
+    def peak(rhos, radii):
+        tracemalloc.start()
+        try:
+            out = specfun._conical_far(rhos, radii, True)
+            return tracemalloc.get_traced_memory()[1] - 2 * out[0].nbytes, out
+        finally:
+            tracemalloc.stop()
+
+    rhos, radii = np.linspace(0.01, 12.0, 22), np.linspace(0.4, 8.0, 6000)
+    few, _ = peak(rhos, radii[:1200])
+    many, (p, p1, _) = peak(rhos, radii)
+    assert many <= 1.2 * few
+    wide = 3.0 * radii  # 6000 rho at one radius
+    few, _ = peak(wide[:1200], radii[:1])
+    many, (q, q1, _) = peak(wide, radii[:1])
+    assert many <= 1.2 * few
+    for i in (0, 3000, 5999):
+        one_p, one_p1, _ = specfun._conical_far(rhos, radii[i:i + 1], True)
+        assert np.abs(p[i] - one_p[0]).max() <= 1e-15
+        assert np.abs(p1[i] - one_p1[0]).max() <= 1e-14
+        one_p, one_p1, _ = specfun._conical_far(wide[i:i + 1], radii[:1], True)
+        assert abs(q[0, i] - one_p[0, 0]) <= 1e-15
+        assert abs(q1[0, i] - one_p1[0, 0]) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -427,19 +596,36 @@ def test_inverse_err_est_bounds_the_error(tol):
                                    bound=10.0) == value
 
 
-def test_public_inverse_meets_its_error_bar():
+def test_public_inverse_meets_its_error_bar(monkeypatch):
     """Heat data e^{-lam t} at t = 1e-3 inverts to McKean's G_d; started from
     one panel the rho integral was 6.7 times its err_est off at r = 1.425.
     e^{-rho^2} at r = 50 is -7.9e-23 (30-digit mpmath); the inverse returned
-    1.04e-12 there against an err_est of 3.7e-13."""
+    1.04e-12 there against an err_est of 3.7e-13.  At r = 6 the rho nodes
+    reach 150, where the Mehler-Dirichlet integral needs 200-odd panels
+    per rho; the e^{-2r} series serves them all."""
     t, d = 1e-3, 1.425
-    rows, _, _, _ = _h2_mckean([d], t, ToleranceBudget(abs_tol=1e-13), generator=True)
+    rows, _, _, _ = _h2_mckean([d, 6.0], t, ToleranceBudget(abs_tol=1e-13),
+                               generator=True)
+    evaluate, integral_calls = specfun._mehler_dirichlet_eval, []
+
+    def counted_eval(*args):
+        integral_calls.append(args[2])
+        return evaluate(*args)
+
+    monkeypatch.setattr(specfun, "_mehler_dirichlet_eval", counted_eval)
+
+    def heat(rho):
+        return math.exp(-(0.25 + rho * rho) * t)
+
     for fhat, r, rate, bound, tol, ref in (
-            (lambda rho: math.exp(-(0.25 + rho * rho) * t), d, t,
-             math.exp(-0.25 * t), 1e-6, rows[2, 0]),
+            (heat, d, t, math.exp(-0.25 * t), 1e-6, rows[2, 0]),
+            (heat, 6.0, t, math.exp(-0.25 * t), 1e-6, rows[2, 1]),
             (lambda rho: math.exp(-rho * rho), 50.0, 1.0, 1.0, 1e-12, -7.9e-23)):
         budget = ToleranceBudget(abs_tol=tol)
+        integral_calls.clear()
         value = mehler_fock_inverse(fhat, r, budget, gaussian_rate=rate, bound=bound)
+        if r == 6.0:
+            assert integral_calls == []
         _, err, _ = _inverse_with_error(fhat, r, budget, gaussian_rate=rate, bound=bound)
         assert abs(value - ref) <= err <= tol
 
