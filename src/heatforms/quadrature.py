@@ -4,9 +4,11 @@ Two engines are provided: ``integrate_adaptive`` for finite intervals and
 ``integrate_semiinfinite`` for integrals over [0, inf) whose integrand obeys a
 Gaussian decay bound; the package's own rho integral (``specfun._synthesis``)
 and the forward transform's r integral start ``_integrate_panels`` from
-seeded panels instead.  Both return
-``(value, err_est)`` with ``err_est`` no larger than the requested absolute
-tolerance, or raise :class:`~heatforms.errors.NonconvergenceError`.
+equal seeded panels (``_seeded_edges``) instead, and a seeding of more than
+20,000 panels is refused with a DomainError before any array is built.
+Both return ``(value, err_est)``, a float ``err_est`` no larger than the
+requested absolute tolerance, or raise
+:class:`~heatforms.errors.NonconvergenceError`.
 
 Every adaptive integral takes QUADPACK's 21-point Gauss-Kronrod rule, laid
 on a partition by ``_kronrod_panels``; its embedded 10-point Gauss sum on
@@ -46,8 +48,8 @@ __all__ = [
     "gaussian_tail_radius",
 ]
 
-# Hard cap on accepted panels, independent of the depth limit, so a hostile
-# integrand cannot allocate unboundedly.
+# Hard cap on seeded and accepted panels, independent of the depth limit, so
+# a hostile integrand or a tiny panel width cannot allocate unboundedly.
 _MAX_PANELS = 20000
 # Radii a truncation search tries before giving up; even at the smallest
 # growth factor in use (1.2) this spans 31 decades beyond the start radius.
@@ -299,6 +301,16 @@ def _panel_estimates(f, edges, vectorized: bool):
     return (k21.T if ys.ndim == 2 else k21[0]), np.abs(k21 - g10).max(axis=0)
 
 
+def _seeded_edges(cut: float, width: float) -> np.ndarray:
+    """Edges of the fewest equal panels no wider than width on [0, cut].
+    More than _MAX_PANELS of them raise DomainError before any is built."""
+    count = cut / width
+    if not count <= _MAX_PANELS:
+        raise DomainError(f"panels of width {width:.3g} on [0, {cut:.3g}] would "
+                          f"number {count:.3g}, above the {_MAX_PANELS} allowed")
+    return np.linspace(0.0, cut, math.ceil(count) + 1)
+
+
 def _integrate_panels(f, edges, budget: ToleranceBudget, vectorized: bool):
     """integrate_adaptive from a given partition [edges[0], edges[-1]]:
     every panel is estimated, then the worst one is halved until the summed
@@ -326,8 +338,8 @@ def _integrate_panels(f, edges, budget: ToleranceBudget, vectorized: bool):
         counter += 2
     if values.ndim == 2:
         rows = np.array([entry[4] for entry in heap]).T
-        return np.array([math.fsum(row) for row in rows]), total_err
-    return math.fsum(entry[4] for entry in heap), total_err
+        return np.array([math.fsum(row) for row in rows]), float(total_err)
+    return math.fsum(entry[4] for entry in heap), float(total_err)
 
 
 def integrate_adaptive(f, a: float, b: float, budget: ToleranceBudget = DEFAULT_BUDGET,
@@ -378,8 +390,8 @@ def gaussian_tail_radius(rate: float, tol: float, bound: float = 1.0,
     the declared envelope.  A bound of 0 gives (0, 0); a negative or
     non-finite one raises DomainError.
     """
-    if not rate > 0.0:
-        raise DomainError("gaussian_rate must be positive")
+    if not 0.0 < rate < math.inf:
+        raise DomainError("gaussian_rate must be positive and finite")
     if not tol > 0.0:
         raise DomainError("tolerance must be positive")
     if not (math.isfinite(bound) and bound >= 0.0):

@@ -29,10 +29,10 @@ forward transform in one call).  Each radius takes one of three branches:
 The integral is also the tests' independent check on the e^{-2r} series.
 Its radius-only factors (nodes, weights times 1/sqrt(psi) and its
 r-derivative, in log space so that no sinh overflows) form a table built
-from a unit rule scaled by sqrt(r).  The synthesis, whose radii stay fixed
-across its rho panels, keeps one set of tables for the length of a call,
-so each panel costs a cos and a sin of a rho-by-node phase and
-matrix-vector products against the table.
+from a unit rule scaled by sqrt(r), and each evaluation costs a cos and a
+sin of a rho-by-node phase and matrix-vector products against it.  Its
+first grid holds at most 65536 panels and its last at most 131072, whatever
+rho and r are.
 
 One rho integral, ``_synthesis``, serves the inverse transform (a row of
 fhat) and the spectral oracle on H2 (rows of heat data), and alone decides
@@ -49,7 +49,7 @@ import numpy as np
 from .errors import DomainError
 from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
                          _area_tail, _as_float, _integrate_panels,
-                         _kronrod_panels, gaussian_tail_radius,
+                         _kronrod_panels, _seeded_edges, gaussian_tail_radius,
                          refine_until_stable)
 
 __all__ = [
@@ -241,7 +241,7 @@ def _expint_cf(z: float, p: float) -> float:
 
 
 def _mehler_dirichlet_eval(rhos: np.ndarray, radii: np.ndarray, n_panels: int,
-                           need_p1: bool, tables=None, scale=None):
+                           need_p1: bool, scale=None):
     """Composite-K21 evaluation of the conical integral and its r-derivative.
 
     The representation is P_{-1/2+i rho}(cosh r) =
@@ -255,26 +255,15 @@ def _mehler_dirichlet_eval(rhos: np.ndarray, radii: np.ndarray, n_panels: int,
     A 0-d radii gives values shaped like rhos, a 1-d one a row per radius.
 
     Radius blocks keep a block's table and a 4-row rho block near
-    _BLOCK_ELEMS entries however many radii come in.  `tables`, a dict
-    that lives for one call of a caller whose radii stay fixed, keeps each
-    block's table for later evaluations at the same panel count.  `scale`,
-    if given, is a 1-entry array raised to the largest K21 sum of |terms|
-    of any entry, which sets the roundoff.
+    _BLOCK_ELEMS entries however many radii come in.  `scale`, if given,
+    is a 1-entry array raised to the largest K21 sum of |terms| of any
+    entry, which sets the roundoff.
     """
     flat = radii.reshape(-1)
     step = max(1, _BLOCK_ELEMS // (4 * 21 * n_panels))
     out = np.empty((4 if need_p1 else 2, flat.size, rhos.size))
-
-    def table(block):
-        if tables is None:
-            return _dirichlet_table(block, n_panels, need_p1)
-        key = (n_panels, need_p1, block.tobytes())
-        if key not in tables:
-            tables[key] = _dirichlet_table(block, n_panels, need_p1)
-        return tables[key]
-
     for lo in range(0, flat.size, step):
-        s, weights, boundary = table(flat[lo:lo + step])
+        s, weights, boundary = _dirichlet_table(flat[lo:lo + step], n_panels, need_p1)
         _dirichlet_sums(rhos, s, weights, boundary, out[:, lo:lo + step])
         if scale is not None:  # each K21 row's weights share one sign
             mass = np.abs(weights[0::2].sum(axis=-1))
@@ -508,18 +497,20 @@ def _conical_far(rhos: np.ndarray, radii: np.ndarray, need_p1: bool):
     return out[0], (out[1] if need_p1 else None), err
 
 
-def _conical_integral(rhos: np.ndarray, radii: np.ndarray, rho_max: float,
-                      budget: ToleranceBudget, need_p1: bool, tables=None):
+def _conical_integral(rhos: np.ndarray, radii: np.ndarray,
+                      budget: ToleranceBudget, need_p1: bool):
     """Mehler-Dirichlet branch: one K21 pass, accepted once its largest
     change from the embedded G10 over all radii is within budget.abs_tol or
-    the roundoff floor; otherwise the panels double.  err adds 8 eps times
-    the largest sum of |terms| met."""
-    n0 = max(4, int(math.ceil(rho_max * float(radii.max()) / 4.0)) + 1)
-    # A grid of more than 65536 panels is not doubled again.
+    the roundoff floor; otherwise the panels double.  The first grid takes
+    max|rho| r_max / 4 + 1 panels, at most 65536, and a grid of more than
+    65536 is not doubled again.  err adds 8 eps times the largest sum of
+    |terms| met."""
+    rho_max = float(np.abs(rhos).max(initial=0.0))
+    n0 = min(65536, max(4, int(math.ceil(rho_max * float(radii.max()) / 4.0)) + 1))
     rounds = min(budget.max_quad_depth, (65536 // n0).bit_length())
     scale = np.zeros(1)
     (p, p1), diff = refine_until_stable(
-        lambda n: _mehler_dirichlet_eval(rhos, radii, n, need_p1, tables, scale),
+        lambda n: _mehler_dirichlet_eval(rhos, radii, n, need_p1, scale),
         (n0,), 2, budget.abs_tol, rounds,
         # the floor concedes what roundoff already spent
         floor=lambda cur: 64.0 * _EPS * (1.0 + max(
@@ -528,8 +519,7 @@ def _conical_integral(rhos: np.ndarray, radii: np.ndarray, rho_max: float,
     return p, p1, diff + 8.0 * _EPS * float(scale[0])
 
 
-def _conical_many(rhos: np.ndarray, r, budget: ToleranceBudget, need_p1: bool,
-                  tables=None):
+def _conical_many(rhos: np.ndarray, r, budget: ToleranceBudget, need_p1: bool):
     """(P, P1, err) for an array of rho at one radius or at an array of radii.
 
     A scalar r gives arrays shaped like rhos; an array of radii gives one row
@@ -539,9 +529,7 @@ def _conical_many(rhos: np.ndarray, r, budget: ToleranceBudget, need_p1: bool,
     else.  The integral entries share one refinement, so every radius
     meets the tolerance it would meet alone.  err is the largest series
     tail, e^{-2r} tail or final K21-G10 change met, plus the roundoff each
-    branch charges.  A caller that evaluates the same radii many times
-    passes one dict as `tables` to all its calls, so each integral grid's
-    radius factors are built once (see _mehler_dirichlet_eval).
+    branch charges.
     """
     rhos = np.asarray(rhos, dtype=float)
     radii = np.asarray(r, dtype=float)
@@ -560,8 +548,7 @@ def _conical_many(rhos: np.ndarray, r, budget: ToleranceBudget, need_p1: bool,
     every = np.ones(rhos.shape, dtype=bool)
 
     def integral(rows, cols):
-        return _conical_integral(rhos[cols], flat[rows], float(abs(rhos[cols]).max()),
-                                 budget, need_p1, tables)
+        return _conical_integral(rhos[cols], flat[rows], budget, need_p1)
 
     # (rows, columns, evaluator) rectangles that tile the batch
     parts = [(series, every, lambda rows, cols: _conical_series(
@@ -660,8 +647,8 @@ def _forward_with_error(profile: RadialProfile, rho,
     width = 1.0 / (math.sqrt(decay.rate) if decay.kind == "gaussian" else decay.rate)
     if rho_val > 0.0:
         width = min(width, 2.0 * math.pi / rho_val)
-    edges = np.linspace(0.0, radius, math.ceil(radius / width) + 1)
-    value, qerr = _integrate_panels(integrand, edges, budget.part(0.5), vectorized=True)
+    value, qerr = _integrate_panels(integrand, _seeded_edges(radius, width),
+                                    budget.part(0.5), vectorized=True)
     conical = max(cb.abs_tol, achieved) * _area_mass(profile.decay)
     return value, qerr + tail + conical
 
@@ -703,10 +690,9 @@ def _synthesis(data, orders, radii, rate: float, bound: float,
     error and a quarter to the conical error: a change delta in E moves a
     row by at most delta int env, which is charged for the largest change
     met.  The panels start no wider than 1/sqrt(rate) or the conical period
-    2 pi / max r, as on one wide panel K21 and G10 can agree by accident,
-    and share one set of conical tables.  Returns (rows, err_est, radius,
-    evals): rows[k, i] at radii[i], one bound for every entry, the cut and
-    the rho nodes evaluated.
+    2 pi / max r, as on one wide panel K21 and G10 can agree by accident.
+    Returns (rows, err_est, radius, evals): rows[k, i] at radii[i], one
+    bound for every entry, the cut and the rho nodes evaluated.
     """
     radii = np.asarray(radii, dtype=float).reshape(-1)
     n = int(0 in orders)
@@ -718,12 +704,11 @@ def _synthesis(data, orders, radii, rate: float, bound: float,
     mass = scale * (0.5 * math.sqrt(math.pi / rate) + 0.5 * n / rate)  # int env
     cb = budget.part(0.25 / mass)
     evals, achieved = 0, 0.0
-    tables = {}
 
     def integrand(rhos: np.ndarray) -> np.ndarray:
         nonlocal evals, achieved
         evals += rhos.size
-        p, p1, c_err = _conical_many(rhos, radii, cb, 1 in orders, tables)
+        p, p1, c_err = _conical_many(rhos, radii, cb, 1 in orders)
         achieved = max(achieved, c_err)
         weight = rhos * np.tanh(math.pi * rhos) / (2.0 * math.pi)
         rows = [d * weight * (p1 / (0.25 + rhos * rhos) if k else p)
@@ -731,8 +716,8 @@ def _synthesis(data, orders, radii, rate: float, bound: float,
         return np.reshape(rows, (-1, rhos.size))
 
     width = min(1.0 / math.sqrt(rate), 2.0 * math.pi / max(float(radii.max()), 1e-300))
-    edges = np.linspace(0.0, radius, math.ceil(radius / width) + 1)
-    values, qerr = _integrate_panels(integrand, edges, budget.part(0.5), vectorized=True)
+    values, qerr = _integrate_panels(integrand, _seeded_edges(radius, width),
+                                     budget.part(0.5), vectorized=True)
     err = qerr + tail + achieved * mass
     return np.reshape(values, (len(orders), radii.size)), err, radius, evals
 
@@ -742,8 +727,8 @@ def _inverse_with_error(fhat, r: float, budget: ToleranceBudget = DEFAULT_BUDGET
     """(value, err_est, radius) of mehler_fock_inverse, taking fhat as exact:
     the one order-one row of _synthesis, fhat read through _as_float, and
     the radius where it cut the rho integral."""
-    if float(r) <= 0.0:
-        raise DomainError("inverse transform evaluation needs r > 0")
+    if not 0.0 < float(r) < math.inf:
+        raise DomainError("inverse transform evaluation needs 0 < r < inf")
 
     def data(rhos: np.ndarray) -> np.ndarray:
         return np.array([[_as_float(fhat(p), "fhat") for p in rhos]])

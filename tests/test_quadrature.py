@@ -5,9 +5,9 @@ import pytest
 
 from heatforms.errors import DomainError, NonconvergenceError
 from heatforms.quadrature import (DecayHint, ToleranceBudget, _kronrod21,
-                                  gaussian_tail_radius, integrate_adaptive,
-                                  integrate_semiinfinite, refine_until_stable,
-                                  solve_radius)
+                                  _seeded_edges, gaussian_tail_radius,
+                                  integrate_adaptive, integrate_semiinfinite,
+                                  refine_until_stable, solve_radius)
 
 
 def test_gaussian_on_finite_interval():
@@ -229,3 +229,33 @@ def test_tail_radius_refuses_negative_or_non_finite_bounds(bound):
 def test_a_zero_bound_leaves_no_tail_and_nothing_to_integrate():
     assert gaussian_tail_radius(1.0, 1e-9, bound=0.0) == (0.0, 0.0)
     assert integrate_semiinfinite(lambda x: 1.0, 1.0, bound=0.0) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+def test_tail_radius_refuses_rates_outside_zero_to_inf(rate):
+    with pytest.raises(DomainError, match="gaussian_rate"):
+        gaussian_tail_radius(rate, 1e-9)
+    with pytest.raises(DomainError, match="gaussian_rate"):
+        integrate_semiinfinite(lambda x: 0.0, rate)
+
+
+def test_err_est_is_a_float_with_or_without_a_bisection():
+    # the first call is accepted on its one panel; the others bisect, and
+    # their panel errors are numpy scalars
+    results = [
+        integrate_adaptive(lambda x: x * x, 0.0, 1.0),
+        integrate_adaptive(lambda x: math.sin(30 * x) ** 2, 0.0, 3.0,
+                           ToleranceBudget(1e-10)),
+        integrate_semiinfinite(lambda x: math.cos(5 * x) * math.exp(-x * x), 1.0,
+                               ToleranceBudget(1e-12))]
+    assert [type(err) for _, err in results] == [float] * 3
+
+
+def test_seeded_partition_is_refused_above_the_panel_cap():
+    edges = _seeded_edges(2.0, 1e-4)
+    assert edges.size == 20001 and edges[0] == 0.0 and edges[-1] == 2.0
+    assert np.diff(edges).max() <= 1e-4 * (1.0 + 1e-9)
+    # 2e300 panels would not fit in memory: the count is checked first
+    for width in (0.99e-4, 1e-300):
+        with pytest.raises(DomainError, match="above the 20000 allowed"):
+            _seeded_edges(2.0, width)

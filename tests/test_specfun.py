@@ -158,6 +158,25 @@ def test_inverse_needs_positive_radius():
         mehler_fock_inverse(lambda rho: 0.0, 0.0)
 
 
+@pytest.mark.parametrize("r,rate", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf)])
+def test_inverse_needs_finite_radius_and_rate(r, rate):
+    with pytest.raises(DomainError):
+        mehler_fock_inverse(lambda rho: math.exp(-rho * rho), r, gaussian_rate=rate)
+
+
+def test_inverse_refuses_a_seeding_above_the_panel_cap():
+    # at r = 1e9 the rho panels would be 2 pi / r wide: 7.6e8 of them
+    with pytest.raises(DomainError, match="allowed"):
+        mehler_fock_inverse(lambda rho: math.exp(-rho * rho), 1e9, gaussian_rate=1.0,
+                            bound=1.0)
+
+
+def test_inverse_err_est_is_a_float_after_a_bisection():
+    _, err, _ = _inverse_with_error(lambda rho: math.exp(-rho * rho), 1.0,
+                                    ToleranceBudget(1e-12), 1.0, 1.0)
+    assert type(err) is float
+
+
 @pytest.mark.parametrize("name", ["gaussian", "cubic"])
 def test_roundtrip_reproduces_profile(name):
     """Forward then inverse on profiles regular at the origin.
@@ -290,9 +309,9 @@ def _count_passes(monkeypatch):
     calls = []
     evaluate, integral = specfun._mehler_dirichlet_eval, specfun._conical_integral
 
-    def counted_eval(rhos, radii, n_panels, need_p1, tables=None, scale=None):
+    def counted_eval(rhos, radii, n_panels, need_p1, scale=None):
         calls[-1].append(n_panels)
-        return evaluate(rhos, radii, n_panels, need_p1, tables, scale)
+        return evaluate(rhos, radii, n_panels, need_p1, scale)
 
     def counted_integral(*args):
         calls.append([])
@@ -348,7 +367,7 @@ def test_failed_embedded_check_doubles_the_panels(monkeypatch):
     # is called on its own
     calls = _count_passes(monkeypatch)
     budget = ToleranceBudget(abs_tol=1e-14)
-    p, p1, err = specfun._conical_integral(np.array([40.0]), np.array(0.5), 40.0,
+    p, p1, err = specfun._conical_integral(np.array([40.0]), np.array(0.5),
                                            budget, True)
     assert calls == [[6, 12]] and err <= 1e-14 + 8.0 * specfun._EPS * 50.0
     (ref_p, ref_p1), _ = specfun._mehler_dirichlet_eval(
@@ -368,7 +387,7 @@ def test_conical_branches_agree_within_their_err_at_the_seam():
                 continue
             rhos, radii = np.array([rho]), np.array(r)
             series = specfun._conical_series(rhos, radii, np.array(s_half), True)
-            integral = specfun._conical_integral(rhos, radii, rho, TIGHT, True)
+            integral = specfun._conical_integral(rhos, radii, TIGHT, True)
             err = series[2] + integral[2]
             assert abs(series[0][0] - integral[0][0]) <= err
             assert abs(series[1][0] - integral[1][0]) <= err
@@ -383,9 +402,19 @@ def test_exhausted_conical_refinement_reports_its_change(monkeypatch):
     calls = _count_passes(monkeypatch)
     budget = ToleranceBudget(abs_tol=1e-10, max_quad_depth=3)
     with pytest.raises(NonconvergenceError) as info:  # on its own, as above
-        specfun._conical_integral(np.array([2.0]), np.array(1.5), 2.0, budget, True)
+        specfun._conical_integral(np.array([2.0]), np.array(1.5), budget, True)
     assert calls == [[4, 8, 16, 32]]
     assert info.value.requested == 1e-10 and 1e-7 < info.value.achieved < 1e-5
+
+
+def test_conical_integral_grid_is_capped(monkeypatch):
+    # rho r / 4 + 1 would be 75001 panels; the first grid takes 65536, and
+    # no refinement goes beyond 131072
+    calls = _count_passes(monkeypatch)
+    p, _, _ = specfun._conical_integral(np.array([1e6]), np.array(0.3),
+                                        ToleranceBudget(), False)
+    assert calls[0][0] == 65536 and max(calls[0]) <= 131072
+    assert abs(p[0]) <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +492,7 @@ def test_far_series_agrees_with_the_integral_across_the_seam():
     seam = specfun._FAR_RADIUS
     for r in (seam * (1.0 - 1e-6), seam * (1.0 + 1e-6), 0.5, 1.0, 3.0, 8.0, 30.0):
         p, p1, err = specfun._conical_far(rhos, np.array([r]), True)
-        ip, ip1, ierr = specfun._conical_integral(rhos, np.array([r]), 40.0,
+        ip, ip1, ierr = specfun._conical_integral(rhos, np.array([r]),
                                                   ToleranceBudget(abs_tol=1e-14), True)
         assert np.all(np.abs(p - ip) <= err + ierr)
         assert np.all(np.abs(p1 - ip1) <= err + ierr)

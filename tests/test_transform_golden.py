@@ -18,7 +18,10 @@ between them and at rho = 0, out to r = 711, where sinh(r) overflows;
 inverse is _inverse_with_error of the transform workload's heat data
 lam e^{-lam s}, with its decay hint (rate s/2, bound 2/s); h2_spectral
 gives every row of the spectral oracle at the distances DISTANCES, row by
-row.  Floats compare with ==.  A
+row.  The last records are calls refused before they build a partition:
+a forward transform whose hint or rho would seed more panels than the
+quadrature allows, and inverses at an infinite radius or rate.  Floats
+compare with ==.  A
 change that is meant to move a value regenerates the file with
 ``PYTHONPATH=src python tests/test_transform_golden.py`` and names the
 changed records in its description.
@@ -30,9 +33,10 @@ from pathlib import Path
 import numpy as np
 from golden import moved, read, write
 
-from heatforms import HeatformsError, ToleranceBudget, conical_p, conical_p1
+from heatforms import (DecayHint, HeatformsError, ToleranceBudget, conical_p,
+                       conical_p1)
 from heatforms.hyperbolic import _h2_spectral
-from heatforms.specfun import _forward_with_error, _inverse_with_error
+from heatforms.specfun import RadialProfile, _forward_with_error, _inverse_with_error
 from heatforms.verify import PROFILES
 
 GOLDEN = Path(__file__).parent / "data" / "transform_golden.txt"
@@ -48,6 +52,9 @@ INVERSE_RADII = (0.3, 1.5, 3.0)
 HEAT_TIMES = (0.3, 1.0)
 DISTANCES = (0.1, 1.0, 2.5)
 SPECTRAL = ((0.1, 1e-6), (0.1, 1e-9), (1.0, 1e-6), (1.0, 1e-9))
+# panels of width 1e-150 on the forward cut would number 2e150
+STEEP = RadialProfile(fn=lambda r: math.exp(-1e300 * r * r),
+                      decay=DecayHint("gaussian", rate=1e300, bound=1.0), name="steep")
 
 
 def _heat_data(s: float):
@@ -85,6 +92,17 @@ def _cases():
                 return [*np.ravel(rows), err]
             out.append((f"h2_spectral t={t!r} tol={tol!r} generator={generator}",
                         spectral))
+    budget = ToleranceBudget(abs_tol=1e-6)
+    out += [("forward steep rho=1.0 tol=1e-06",
+             lambda: _forward_with_error(STEEP, 1.0, budget)),
+            ("forward gaussian rho=100000.0 tol=1e-06",
+             lambda: _forward_with_error(PROFILES["gaussian"], 1e5, budget)),
+            ("inverse r=inf s=1.0 tol=1e-06",
+             lambda: _inverse_with_error(_heat_data(1.0), math.inf, budget,
+                                         gaussian_rate=0.5, bound=2.0)[:2]),
+            ("inverse r=1.0 s=1.0 rate=inf tol=1e-06",
+             lambda: _inverse_with_error(_heat_data(1.0), 1.0, budget,
+                                         gaussian_rate=math.inf, bound=2.0)[:2])]
     return out
 
 
