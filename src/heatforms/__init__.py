@@ -21,14 +21,12 @@ from .kernels import (T_MIN, FormField, HeatTime, Kernel0Value, Kernel1Value,
                       apply_k0, apply_k1, g1_scalar, heat_residual, k0,
                       k0_h2_mckean, k1, k2)
 from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
-                         gaussian_tail_radius, integrate_adaptive,
-                         integrate_semiinfinite)
+                         gaussian_tail_radius)
 from .quotient import (CoveringGroupSpec, GroupElement, QuotientSurface, act,
                        enumerate_elements, k0_quotient, k1_quotient_flat,
                        torus_fourier_oracle)
 from .specfun import (RadialProfile, SpectralParameter, conical_p, conical_p1,
-                      legendre_p, legendre_p1, mehler_fock_forward,
-                      mehler_fock_inverse)
+                      mehler_fock_forward, mehler_fock_inverse)
 from .verify import PROFILES, SUITE_NAMES, CheckResult, run_suite
 
 __version__ = "0.1.0"
@@ -41,13 +39,12 @@ __all__ = [
     "SurfaceKind", "Point", "OneFormValue", "BiTensor1", "CUT_LOCUS_TOL",
     "distance", "distance_gradient", "mixed_distance_hessian",
     "hodge_star_1", "apply_i_plus_star", "integrate_surface",
-    "ToleranceBudget", "DEFAULT_BUDGET", "DecayHint", "integrate_adaptive",
-    "integrate_semiinfinite", "gaussian_tail_radius",
+    "ToleranceBudget", "DEFAULT_BUDGET", "DecayHint", "gaussian_tail_radius",
     "T_MIN", "HeatTime", "Kernel0Value", "Kernel1Value", "FormField",
     "k0", "k0_h2_mckean", "g1_scalar", "k1", "k2",
     "apply_k0", "apply_k1", "heat_residual",
-    "SpectralParameter", "RadialProfile", "legendre_p", "legendre_p1",
-    "conical_p", "conical_p1", "mehler_fock_forward", "mehler_fock_inverse",
+    "SpectralParameter", "RadialProfile", "conical_p", "conical_p1",
+    "mehler_fock_forward", "mehler_fock_inverse",
     "CoveringGroupSpec", "GroupElement", "QuotientSurface", "act",
     "enumerate_elements", "k0_quotient", "k1_quotient_flat",
     "torus_fourier_oracle",

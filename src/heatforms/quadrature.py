@@ -1,18 +1,17 @@
-"""Adaptive quadrature engines used by every numerical routine in the package.
+"""Quadrature, truncation and refinement for every numerical routine.
 
-Two engines are provided: ``integrate_adaptive`` for finite intervals and
-``integrate_semiinfinite`` for integrals over [0, inf) whose integrand obeys a
-Gaussian decay bound; the package's own rho integral (``specfun._synthesis``)
-and the forward transform's r integral start ``_integrate_panels`` from
-equal seeded panels (``_seeded_edges``) instead, and a seeding of more than
-20,000 panels is refused with a DomainError before any array is built.
-Both return ``(value, err_est)``, a float ``err_est`` no larger than the
-requested absolute tolerance, or raise
-:class:`~heatforms.errors.NonconvergenceError`.
+The one integrator over an interval is ``_integrate_panels``, which halves
+the worst panel of a given partition until the summed error fits: the
+package's own rho integral (``specfun._synthesis``) and the forward
+transform's r integral start it from equal seeded panels
+(``_seeded_edges``), and a seeding of more than 20,000 panels is refused
+with a DomainError before any array is built.  It returns ``(value,
+err_est)``, a float ``err_est`` no larger than the requested absolute
+tolerance, or raises :class:`~heatforms.errors.NonconvergenceError`.
 
-Every adaptive integral takes QUADPACK's 21-point Gauss-Kronrod rule, laid
-on a partition by ``_kronrod_panels``; its embedded 10-point Gauss sum on
-the same nodes is the accuracy check.
+Each panel takes QUADPACK's 21-point Gauss-Kronrod rule, laid on a
+partition by ``_kronrod_panels``, which McKean's integral on H2 uses too;
+its embedded 10-point Gauss sum on the same nodes is the accuracy check.
 
 Two helpers here are the package's only truncation and refinement policy:
 ``solve_radius`` cuts every noncompact integral or sum at the first radius
@@ -24,7 +23,8 @@ package calls them, so each failure reports the tail or the change it
 achieved against the tolerance it was asked for.  The area tail of a
 decay hint on the plane or the hyperbolic plane, which cuts both
 ``integrate_surface`` and the forward Mehler-Fock transform, is solved
-here too, by ``_area_tail``.
+here too, by ``_area_tail``, and so is the Gaussian tail that cuts the rho
+integral, by ``gaussian_tail_radius``.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ __all__ = [
     "ToleranceBudget",
     "DEFAULT_BUDGET",
     "DecayHint",
-    "integrate_adaptive",
-    "integrate_semiinfinite",
     "gaussian_tail_radius",
 ]
 
@@ -277,20 +275,17 @@ def _as_float(value, what: str) -> float:
     raise DomainError(f"{what} returned {type(value).__name__!r}, not a float")
 
 
-def _panel_estimates(f, edges, vectorized: bool):
+def _panel_estimates(f, edges):
     """(K21 values, |K21 - G10| errors) of every panel of a partition, from
     one evaluation of f; a row-valued f gives (panel, row) values and each
     panel's largest error over its rows."""
     xs, w = _kronrod_panels(edges)
-    if vectorized:
-        ys = np.asarray(f(xs))
-        if ys.dtype.kind == "c":  # the cast below would drop the imaginary part
-            raise DomainError("vectorized integrand returned complex values")
-        ys = ys.astype(float, copy=False)
-        if ys.ndim not in (1, 2) or ys.shape[-1] != xs.size:
-            raise DomainError("vectorized integrand returned a wrong shape")
-    else:
-        ys = np.array([_as_float(f(x), "the integrand") for x in xs], dtype=float)
+    ys = np.asarray(f(xs))
+    if ys.dtype.kind == "c":  # the cast below would drop the imaginary part
+        raise DomainError("integrand returned complex values")
+    ys = ys.astype(float, copy=False)  # a None becomes NaN, refused below
+    if ys.ndim not in (1, 2) or ys.shape[-1] != xs.size:
+        raise DomainError("integrand returned a wrong shape")
     if not np.all(np.isfinite(ys)):
         raise DomainError(f"integrand returned a non-finite value on "
                           f"[{edges[0]}, {edges[-1]}]")
@@ -311,11 +306,16 @@ def _seeded_edges(cut: float, width: float) -> np.ndarray:
     return np.linspace(0.0, cut, math.ceil(count) + 1)
 
 
-def _integrate_panels(f, edges, budget: ToleranceBudget, vectorized: bool):
-    """integrate_adaptive from a given partition [edges[0], edges[-1]]:
-    every panel is estimated, then the worst one is halved until the summed
-    error is at most budget.abs_tol."""
-    values, errs = _panel_estimates(f, edges, vectorized)
+def _integrate_panels(f, edges, budget: ToleranceBudget):
+    """(value, err_est) of f on [edges[0], edges[-1]], starting from the
+    partition edges and halving the worst panel (by |K21 - G10|) until the
+    errors sum to at most budget.abs_tol.  f maps an ndarray of nodes to
+    values, or to a 2-d array of one row per component, giving one value
+    per row and a float err_est of each panel's largest row error summed.
+    A complex, non-finite or misshapen value raises DomainError, and f's
+    own exceptions propagate; NonconvergenceError carries the achieved
+    error past budget.max_quad_depth halvings or _MAX_PANELS panels."""
+    values, errs = _panel_estimates(f, edges)
     # Heap entries: (-err, tiebreak, a, b, value, depth).
     heap = [(-e, k, a, b, v, 0) for k, (a, b, v, e)
             in enumerate(zip(edges[:-1], edges[1:], values, errs))]
@@ -331,7 +331,7 @@ def _integrate_panels(f, edges, budget: ToleranceBudget, vectorized: bool):
                 achieved=total_err, requested=budget.abs_tol)
         heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
-        (lv, rv), (le, re) = _panel_estimates(f, [pa, mid, pb], vectorized)
+        (lv, rv), (le, re) = _panel_estimates(f, [pa, mid, pb])
         total_err += le + re + neg_err
         heapq.heappush(heap, (-le, counter, pa, mid, lv, depth + 1))
         heapq.heappush(heap, (-re, counter + 1, mid, pb, rv, depth + 1))
@@ -340,44 +340,6 @@ def _integrate_panels(f, edges, budget: ToleranceBudget, vectorized: bool):
         rows = np.array([entry[4] for entry in heap]).T
         return np.array([math.fsum(row) for row in rows]), float(total_err)
     return math.fsum(entry[4] for entry in heap), float(total_err)
-
-
-def integrate_adaptive(f, a: float, b: float, budget: ToleranceBudget = DEFAULT_BUDGET,
-                       vectorized: bool = False):
-    """Integrate f on [a, b] to within budget.abs_tol.
-
-    A panel's error is |K21 - G10|; the worst panel is halved until the
-    errors sum to at most abs_tol.
-
-    Parameters
-    ----------
-    f : callable
-        Real integrand.  With ``vectorized=True`` it must map an ndarray of
-        abscissae to an ndarray of values, or to a 2-d array holding one row
-        of values per component of a vector-valued integrand.
-    a, b : float
-        Interval endpoints, a <= b.
-
-    Returns
-    -------
-    (value, err_est)
-        value is a float, or an array with one entry per row for a
-        row-valued integrand.  err_est <= budget.abs_tol on success; for
-        rows it sums each panel's largest row error, so it bounds every row.
-
-    Raises
-    ------
-    NonconvergenceError
-        If the error estimate cannot be pushed below abs_tol within the
-        panel-depth limits.  The exception carries the achieved estimate.
-    """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("integration endpoints must be finite")
-    if a > b:
-        raise DomainError("integrate_adaptive requires a <= b")
-    if a == b:
-        return 0.0, 0.0
-    return _integrate_panels(f, [float(a), float(b)], budget, vectorized)
 
 
 def gaussian_tail_radius(rate: float, tol: float, bound: float = 1.0,
@@ -408,19 +370,3 @@ def gaussian_tail_radius(rate: float, tol: float, bound: float = 1.0,
         return math.exp(min(log_val, 700.0))
 
     return solve_radius(tail, tol, max(1.0, math.sqrt(max(p, 1.0) / rate)), 1.25)
-
-
-def integrate_semiinfinite(f, gaussian_rate: float, budget: ToleranceBudget = DEFAULT_BUDGET,
-                           bound: float = 1.0, poly_degree: int = 2,
-                           vectorized: bool = False):
-    """Integrate f on [0, inf) assuming |f(x)| <= bound*(1+x)^p*exp(-gaussian_rate x^2).
-
-    The interval is truncated at a radius where the analytic tail bound is at
-    most half the tolerance; the finite part receives the other half.  Returns
-    (value, err_est) with the tail bound folded into err_est.
-    """
-    radius, tail = gaussian_tail_radius(gaussian_rate, 0.5 * budget.abs_tol,
-                                        bound=bound, poly_degree=poly_degree)
-    value, err = integrate_adaptive(f, 0.0, radius, budget.part(0.5),
-                                    vectorized=vectorized)
-    return value, err + tail

@@ -1,10 +1,8 @@
-"""Legendre and conical functions plus the order-one Mehler-Fock transform.
+"""Conical functions and the order-one Mehler-Fock transform.
 
 Conventions
 -----------
-``legendre_p1`` carries the Condon-Shortley phase, so that
-``legendre_p1(n, cos(phi)) == d/dphi legendre_p(n, cos(phi))`` holds exactly.
-``conical_p1`` is likewise the r-derivative of ``conical_p`` evaluated at
+``conical_p1`` is the r-derivative of ``conical_p`` evaluated at
 cosh(r), which is the radial eigenfunction pairing used by the transform.
 
 One conical evaluator, ``_conical_many``, serves both axes: an array of rho
@@ -55,8 +53,6 @@ from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
 __all__ = [
     "SpectralParameter",
     "RadialProfile",
-    "legendre_p",
-    "legendre_p1",
     "conical_p",
     "conical_p1",
     "mehler_fock_forward",
@@ -141,44 +137,6 @@ class RadialProfile:
 
     def __call__(self, r: float) -> float:
         return _as_float(self.fn(r), "the radial profile")
-
-
-def _check_legendre_args(n: int, x):
-    if n < 0 or n != int(n):
-        raise DomainError("degree n must be a nonnegative integer")
-    xs = np.asarray(x, dtype=float)
-    if np.any(np.abs(xs) > 1.0 + 1e-12):
-        raise DomainError("legendre argument must lie in [-1, 1]")
-    return np.clip(xs, -1.0, 1.0)
-
-
-def legendre_p(n: int, x):
-    """Legendre polynomial P_n(x) on [-1, 1] by the three-term recurrence."""
-    xs = _check_legendre_args(n, x)
-    p_prev = np.ones_like(xs)
-    if n == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p_cur = xs.copy()
-    for k in range(1, int(n)):
-        p_prev, p_cur = p_cur, ((2 * k + 1) * xs * p_cur - k * p_prev) / (k + 1)
-    return p_cur if p_cur.ndim else float(p_cur)
-
-
-def legendre_p1(n: int, x):
-    """Associated Legendre P^1_n(x) with the Condon-Shortley phase.
-
-    With this phase, P^1_n(cos(phi)) equals d/dphi P_n(cos(phi)).
-    """
-    xs = _check_legendre_args(n, x)
-    zero = np.zeros_like(xs)
-    if n == 0:
-        return zero if zero.ndim else 0.0
-    p_cur = -np.sqrt(np.maximum(0.0, 1.0 - xs * xs))
-    p_prev = zero
-    # n P^1_{n+1} = (2n+1) x P^1_n - (n+1) P^1_{n-1}
-    for k in range(1, int(n)):
-        p_prev, p_cur = p_cur, ((2 * k + 1) * xs * p_cur - (k + 1) * p_prev) / k
-    return p_cur if p_cur.ndim else float(p_cur)
 
 
 def _erfcx(x: np.ndarray) -> np.ndarray:
@@ -648,7 +606,7 @@ def _forward_with_error(profile: RadialProfile, rho,
     if rho_val > 0.0:
         width = min(width, 2.0 * math.pi / rho_val)
     value, qerr = _integrate_panels(integrand, _seeded_edges(radius, width),
-                                    budget.part(0.5), vectorized=True)
+                                    budget.part(0.5))
     conical = max(cb.abs_tol, achieved) * _area_mass(profile.decay)
     return value, qerr + tail + conical
 
@@ -695,6 +653,8 @@ def _synthesis(data, orders, radii, rate: float, bound: float,
     bound for every entry, the cut and the rho nodes evaluated.
     """
     radii = np.asarray(radii, dtype=float).reshape(-1)
+    if not np.all((radii >= 0.0) & (radii < math.inf)):  # max r sizes panels
+        raise DomainError("radius must be finite and nonnegative")
     n = int(0 in orders)
     scale = bound / (2.0 * math.pi)
     radius, tail = gaussian_tail_radius(rate, 0.25 * budget.abs_tol, scale, n)
@@ -717,7 +677,7 @@ def _synthesis(data, orders, radii, rate: float, bound: float,
 
     width = min(1.0 / math.sqrt(rate), 2.0 * math.pi / max(float(radii.max()), 1e-300))
     values, qerr = _integrate_panels(integrand, _seeded_edges(radius, width),
-                                     budget.part(0.5), vectorized=True)
+                                     budget.part(0.5))
     err = qerr + tail + achieved * mass
     return np.reshape(values, (len(orders), radii.size)), err, radius, evals
 

@@ -13,11 +13,15 @@ from heatforms.geometry import (OneFormValue, Point, SurfaceKind, distance)
 from heatforms.kernels import (T_MIN, FormField, HeatTime, apply_k0, apply_k1,
                                g1_scalar, heat_residual, k0, k1, k2)
 from heatforms.quadrature import (DecayHint, ToleranceBudget,
-                                  _kronrod_panels, integrate_adaptive)
-from heatforms.specfun import legendre_p
+                                  _integrate_panels, _kronrod_panels)
 
 TIGHT = ToleranceBudget(abs_tol=1e-12)
 KINDS = ("plane", "sphere", "hyperbolic")
+
+
+def legendre_p(n, x):
+    """P_n(x), numpy's Legendre series with one unit coefficient."""
+    return float(np.polynomial.legendre.legval(x, [0] * n + [1]))
 
 
 def test_plane_coincidence_value():
@@ -304,6 +308,14 @@ def test_h2_spectral_batch_matches_single_distances(ds, t, log_tol, generator):
         assert np.all(np.abs(rows[:, i] - one[:, 0]) <= err + one_err)
 
 
+@pytest.mark.parametrize("ds", [[np.inf], [0.5, np.inf]])
+def test_h2_spectral_refuses_an_infinite_distance(ds):
+    """The synthesis sizes its panels from the largest distance, so it
+    checks the distances first: an infinite one made the width zero."""
+    with pytest.raises(DomainError, match="finite and nonnegative"):
+        hyperbolic._h2_spectral(np.array(ds), 1.0, ToleranceBudget(1e-6))
+
+
 @pytest.mark.parametrize("kind,d", [("sphere", 1.0), ("hyperbolic", 0.8)])
 def test_generator_is_the_time_integral_of_the_kernel(kind, d):
     # G = int_t^inf K0 dtau (mean-zero part on the sphere), cut where the
@@ -313,8 +325,10 @@ def test_generator_is_the_time_integral_of_the_kernel(kind, d):
     mean = 1.0 / (4.0 * math.pi) if kind == "sphere" else 0.0
     horizon = t + (12.0 if kind == "sphere" else 90.0)
     kern = ToleranceBudget(abs_tol=1e-10)
-    val, _ = integrate_adaptive(lambda tau: k0(kind, x, y, tau, kern).value - mean,
-                                t, horizon, ToleranceBudget(abs_tol=1e-9))
+    val, _ = _integrate_panels(
+        lambda taus: np.array([k0(kind, x, y, tau, kern).value - mean
+                               for tau in taus]),
+        [t, horizon], ToleranceBudget(abs_tol=1e-9))
     assert abs(g1_scalar(kind, d, t, TIGHT)[0] - val) < 1e-9
 
 
@@ -568,11 +582,11 @@ def test_far_out_h2_evolved_fields_are_finite_or_name_the_radius(r):
 def test_apply_k0_sphere_eigenfunctions():
     t = 0.3
     for n in (1, 2, 3):
-        field = FormField(0, lambda p, n=n: float(legendre_p(n, math.cos(p.c1))))
+        field = FormField(0, lambda p, n=n: legendre_p(n, math.cos(p.c1)))
         out = apply_k0("sphere", field, t)
         decay = math.exp(-n * (n + 1) * t)
         for phi in (0.5, 1.1, 2.0):
-            want = decay * float(legendre_p(n, math.cos(phi)))
+            want = decay * legendre_p(n, math.cos(phi))
             assert abs(out.fn(Point("sphere", phi, 0.3)) - want) < 1e-6
 
 

@@ -4,90 +4,72 @@ import numpy as np
 import pytest
 
 from heatforms.errors import DomainError, NonconvergenceError
-from heatforms.quadrature import (DecayHint, ToleranceBudget, _kronrod21,
-                                  _seeded_edges, gaussian_tail_radius,
-                                  integrate_adaptive, integrate_semiinfinite,
-                                  refine_until_stable, solve_radius)
+from heatforms.quadrature import (DecayHint, ToleranceBudget, _integrate_panels,
+                                  _kronrod21, _seeded_edges,
+                                  gaussian_tail_radius, refine_until_stable,
+                                  solve_radius)
 
 
 def test_gaussian_on_finite_interval():
-    # int_0^3 exp(-x^2) dx = sqrt(pi)/2 * erf(3)
-    val, err = integrate_adaptive(lambda x: math.exp(-x * x), 0.0, 3.0,
-                                  ToleranceBudget(abs_tol=1e-13))
+    # int_0^3 exp(-x^2) dx = sqrt(pi)/2 * erf(3); one panel is not enough
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.exp(-x * x)
+
+    val, err = _integrate_panels(f, [0.0, 3.0], ToleranceBudget(abs_tol=1e-13))
     ref = 0.5 * math.sqrt(math.pi) * math.erf(3.0)
+    assert len(calls) > 1
     assert err <= 1e-13
     assert abs(val - ref) <= err + 1e-15
     assert abs(val - 0.88620734825952) < 1e-13
 
 
 def test_polynomial_is_near_exact():
-    val, _ = integrate_adaptive(lambda x: x ** 5, 0.0, 1.0)
+    val, _ = _integrate_panels(lambda x: x ** 5, [0.0, 1.0], ToleranceBudget())
     assert abs(val - 1.0 / 6.0) < 1e-14
-
-
-def test_vectorized_matches_scalar():
-    budget = ToleranceBudget(abs_tol=1e-11)
-    f = lambda x: np.sin(3.0 * x) * np.exp(-x)
-    v1, _ = integrate_adaptive(f, 0.0, 2.0, budget)
-    v2, _ = integrate_adaptive(f, 0.0, 2.0, budget, vectorized=True)
-    assert abs(v1 - v2) < 1e-12
 
 
 def test_row_valued_integrand_matches_each_row_integral():
     budget = ToleranceBudget(abs_tol=1e-11)
     rates = np.array([0.5, 1.0, 4.0])
     rows = lambda x: np.sin(3.0 * x) * np.exp(-rates[:, None] * x)
-    vals, err = integrate_adaptive(rows, 0.0, 2.0, budget, vectorized=True)
+    vals, err = _integrate_panels(rows, [0.0, 2.0], budget)
     assert vals.shape == (3,) and err <= budget.abs_tol
     for a, v in zip(rates, vals):
-        ref, _ = integrate_adaptive(lambda x: math.sin(3.0 * x) * math.exp(-a * x),
-                                    0.0, 2.0, budget)
+        ref, _ = _integrate_panels(lambda x: np.sin(3.0 * x) * np.exp(-a * x),
+                                   [0.0, 2.0], budget)
         assert abs(v - ref) <= budget.abs_tol
 
 
-def test_degenerate_and_invalid_intervals():
-    assert integrate_adaptive(lambda x: x, 1.0, 1.0) == (0.0, 0.0)
-    with pytest.raises(DomainError):
-        integrate_adaptive(lambda x: x, 1.0, 0.0)
-    with pytest.raises(DomainError):
-        integrate_adaptive(lambda x: x, 0.0, math.inf)
-
-
 def test_nonfinite_integrand_rejected():
+    budget = ToleranceBudget()
     with pytest.raises(DomainError):
-        integrate_adaptive(lambda x: math.inf if x > 0.4 else 1.0, 0.0, 1.0)
-    with pytest.raises(DomainError, match="integrand returned 'NoneType'"):
-        integrate_adaptive(lambda x: None, 0.0, 1.0)
-    # x is an np.float64, so x + 1j is a numpy complex, which float() and
-    # the array cast would cut to its real part
-    for vectorized in (False, True):
-        with pytest.raises(DomainError, match="complex"):
-            integrate_adaptive(lambda x: x + 1j, 0.0, 1.0, vectorized=vectorized)
+        _integrate_panels(lambda x: np.where(x > 0.4, math.inf, 1.0),
+                          [0.0, 1.0], budget)
+    # None values cast to NaN
+    with pytest.raises(DomainError, match="non-finite"):
+        _integrate_panels(lambda x: [None] * x.size, [0.0, 1.0], budget)
+    # the array cast would cut a complex value to its real part
+    with pytest.raises(DomainError, match="complex"):
+        _integrate_panels(lambda x: x + 1j, [0.0, 1.0], budget)
     # an error raised inside the integrand propagates unchanged
     error = ValueError("a user's own error")
 
     def raising(x):
         raise error
     with pytest.raises(ValueError) as got:
-        integrate_adaptive(raising, 0.0, 1.0)
+        _integrate_panels(raising, [0.0, 1.0], budget)
     assert got.value is error
 
 
 def test_nonconvergence_reports_achieved_estimate():
     budget = ToleranceBudget(abs_tol=1e-15, max_quad_depth=2)
     with pytest.raises(NonconvergenceError) as info:
-        integrate_adaptive(lambda x: math.sin(50.0 * x) ** 2, 0.0, 10.0, budget)
+        _integrate_panels(lambda x: np.sin(50.0 * x) ** 2, [0.0, 10.0], budget)
     assert info.value.achieved is not None
     assert info.value.achieved > 1e-15
-
-
-def test_semiinfinite_gaussian_moments():
-    budget = ToleranceBudget(abs_tol=1e-11)
-    v0, e0 = integrate_semiinfinite(lambda x: math.exp(-x * x), 1.0, budget)
-    assert abs(v0 - 0.5 * math.sqrt(math.pi)) <= e0 + 1e-13
-    v2, e2 = integrate_semiinfinite(lambda x: x * x * math.exp(-x * x), 1.0,
-                                    budget)
-    assert abs(v2 - 0.25 * math.sqrt(math.pi)) <= e2 + 1e-13
 
 
 def test_gaussian_tail_radius_is_rigorous():
@@ -222,33 +204,26 @@ def test_refine_until_stable_grows_every_grid_axis_and_skips_none():
 def test_tail_radius_refuses_negative_or_non_finite_bounds(bound):
     with pytest.raises(DomainError, match="tail bound"):
         gaussian_tail_radius(1.0, 1e-9, bound=bound)
-    with pytest.raises(DomainError, match="tail bound"):
-        integrate_semiinfinite(lambda x: 0.0, 1.0, bound=bound)
 
 
-def test_a_zero_bound_leaves_no_tail_and_nothing_to_integrate():
+def test_a_zero_bound_leaves_no_tail():
     assert gaussian_tail_radius(1.0, 1e-9, bound=0.0) == (0.0, 0.0)
-    assert integrate_semiinfinite(lambda x: 1.0, 1.0, bound=0.0) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
 def test_tail_radius_refuses_rates_outside_zero_to_inf(rate):
     with pytest.raises(DomainError, match="gaussian_rate"):
         gaussian_tail_radius(rate, 1e-9)
-    with pytest.raises(DomainError, match="gaussian_rate"):
-        integrate_semiinfinite(lambda x: 0.0, rate)
 
 
 def test_err_est_is_a_float_with_or_without_a_bisection():
-    # the first call is accepted on its one panel; the others bisect, and
-    # their panel errors are numpy scalars
+    # the first call is accepted on its one panel; the second bisects, and
+    # its panel errors are numpy scalars
     results = [
-        integrate_adaptive(lambda x: x * x, 0.0, 1.0),
-        integrate_adaptive(lambda x: math.sin(30 * x) ** 2, 0.0, 3.0,
-                           ToleranceBudget(1e-10)),
-        integrate_semiinfinite(lambda x: math.cos(5 * x) * math.exp(-x * x), 1.0,
-                               ToleranceBudget(1e-12))]
-    assert [type(err) for _, err in results] == [float] * 3
+        _integrate_panels(lambda x: x * x, [0.0, 1.0], ToleranceBudget()),
+        _integrate_panels(lambda x: np.sin(30 * x) ** 2, [0.0, 3.0],
+                          ToleranceBudget(1e-10))]
+    assert [type(err) for _, err in results] == [float] * 2
 
 
 def test_seeded_partition_is_refused_above_the_panel_cap():

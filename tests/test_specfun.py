@@ -15,38 +15,10 @@ from heatforms.specfun import (RadialProfile, SpectralParameter,
                                _conical_many, _erfcx, _forward_with_error,
                                _inverse_with_error,
                                _mehler_dirichlet_eval, conical_p, conical_p1,
-                               legendre_p, legendre_p1, mehler_fock_forward,
-                               mehler_fock_inverse)
+                               mehler_fock_forward, mehler_fock_inverse)
 from heatforms.verify import PROFILES
 
 TIGHT = ToleranceBudget(abs_tol=1e-12)
-
-
-def test_legendre_closed_forms():
-    assert legendre_p(0, 0.3) == 1.0
-    assert abs(legendre_p(2, 0.5) - -0.125) < 1e-15
-    x = 0.37
-    assert abs(legendre_p(3, x) - 0.5 * (5 * x ** 3 - 3 * x)) < 1e-14
-    xs = np.array([-0.9, 0.0, 0.9])
-    np.testing.assert_allclose(legendre_p(5, -xs), -legendre_p(5, xs),
-                               atol=1e-14)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_legendre_p1_is_phi_derivative(n):
-    # with the chosen phase, P^1_n(cos phi) = d/dphi P_n(cos phi)
-    h = 1e-6
-    for phi in (0.4, 1.2, 2.3):
-        fd = (legendre_p(n, math.cos(phi + h))
-              - legendre_p(n, math.cos(phi - h))) / (2 * h)
-        assert abs(float(legendre_p1(n, math.cos(phi))) - fd) < 1e-8
-
-
-def test_legendre_domain_checks():
-    with pytest.raises(DomainError):
-        legendre_p(-1, 0.5)
-    with pytest.raises(DomainError):
-        legendre_p(2, 1.5)
 
 
 # Values frozen from 40-digit evaluations of the Legendre function of
