@@ -215,6 +215,37 @@ def test_sigma_parts_agree_with_mpmath_across_the_series_seam():
     assert np.all(np.abs(got_dsig - dsig) <= 2e-15 * np.abs(dsig))
 
 
+def test_sphere_series_sums_legendre_polynomials():
+    """The recurrence in _sphere_series gives sum (2n+1) e^{-n(n+1)t} P_n(x)
+    over its N terms, as numpy's Legendre series does, and P_n(-x) =
+    (-1)^n P_n(x) carries over term by term."""
+    t = 0.05
+    xs = np.array([-0.9, -0.37, 0.0, 0.37, 0.9, 1.0])
+    total, n_max, _, _ = kernels._sphere_series(xs, t, 1e-9)
+    n = np.arange(n_max + 1)
+    coef = (2 * n + 1) * np.exp(-n * (n + 1) * t)
+    ref = np.polynomial.legendre.legval(xs, coef)
+    np.testing.assert_allclose(total, ref, rtol=0, atol=1e-12 * np.abs(coef).sum())
+    mirrored, _, _, _ = kernels._sphere_series(-xs, t, 1e-9)
+    odd = np.polynomial.legendre.legval(xs, np.where(n % 2, coef, 0.0))
+    np.testing.assert_allclose(mirrored, total - 2.0 * odd, rtol=0,
+                               atol=1e-12 * np.abs(coef).sum())
+
+
+@pytest.mark.parametrize("t", [0.05, 0.3, 1.0, 3.0])
+def test_sphere_generator_p1_is_the_d_derivative(t):
+    """With the chosen phase P1_n(cos d) = d/dd P_n(cos d), so G_d is the
+    d-derivative of G over the same N' terms; central differences agree."""
+    h = 1e-6
+    for d in (0.4, 1.2, 2.3):
+        def gen(dd):
+            return kernels._sphere_series(math.cos(dd), t, 1e-9, math.sin(dd))[3]
+        _, gd, n_gen, _ = gen(d)
+        (g_hi, _, n_hi, _), (g_lo, _, n_lo, _) = gen(d + h), gen(d - h)
+        assert n_hi == n_gen == n_lo
+        assert abs((g_hi - g_lo) / (2 * h) - gd) < 1e-8
+
+
 @pytest.mark.parametrize("t", [1e-4, 1e-2, 1.0])
 def test_sphere_series_keep_their_bits_for_a_float_and_an_array(t):
     """One pass of code serves both: a float stays a float, and it sums to

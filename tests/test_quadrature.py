@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from heatforms.errors import DomainError, NonconvergenceError
-from heatforms.quadrature import (DecayHint, ToleranceBudget, _integrate_panels,
-                                  _kronrod21, _seeded_edges,
+from heatforms.quadrature import (DecayHint, ToleranceBudget, _area_tail,
+                                  _integrate_panels, _kronrod21, _seeded_edges,
                                   gaussian_tail_radius, refine_until_stable,
                                   solve_radius)
 
@@ -29,6 +29,31 @@ def test_gaussian_on_finite_interval():
 def test_polynomial_is_near_exact():
     val, _ = _integrate_panels(lambda x: x ** 5, [0.0, 1.0], ToleranceBudget())
     assert abs(val - 1.0 / 6.0) < 1e-14
+
+
+def test_one_integrand_call_covers_every_seeded_panel():
+    """An accepted seeding costs one call on all 21 nodes of every panel,
+    and gives the value a single panel bisected to the same budget does."""
+    budget = ToleranceBudget(abs_tol=1e-11)
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return np.sin(3.0 * x) * np.exp(-x)
+
+    seeded, err = _integrate_panels(f, _seeded_edges(2.0, 0.25), budget)
+    assert sizes == [8 * 21] and err <= budget.abs_tol
+    one, _ = _integrate_panels(f, [0.0, 2.0], budget)
+    assert abs(seeded - one) < 1e-12
+
+
+def test_degenerate_and_invalid_intervals():
+    # a panel of zero width holds nothing
+    assert _integrate_panels(lambda x: x, [1.0, 1.0], ToleranceBudget()) == (0.0, 0.0)
+    # a seeding needs a finite cut: infinite or NaN ones are refused by count
+    for cut in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="above the 20000 allowed"):
+            _seeded_edges(cut, 1.0)
 
 
 def test_row_valued_integrand_matches_each_row_integral():
@@ -70,6 +95,19 @@ def test_nonconvergence_reports_achieved_estimate():
         _integrate_panels(lambda x: np.sin(50.0 * x) ** 2, [0.0, 10.0], budget)
     assert info.value.achieved is not None
     assert info.value.achieved > 1e-15
+
+
+def test_semiinfinite_gaussian_moments():
+    """int_0^inf x^p e^{-x^2} dx as the transforms take it: cut at the
+    radius gaussian_tail_radius gives for the envelope (1+x)^p e^{-x^2},
+    then integrated on a seeded partition of [0, R]."""
+    budget = ToleranceBudget(abs_tol=1e-11)
+    for p, ref in ((0, 0.5 * math.sqrt(math.pi)), (2, 0.25 * math.sqrt(math.pi))):
+        radius, tail = gaussian_tail_radius(1.0, 1e-13, poly_degree=p)
+        val, err = _integrate_panels(lambda x: x ** p * np.exp(-x * x),
+                                     _seeded_edges(radius, 1.0), budget)
+        assert err <= budget.abs_tol and tail <= 1e-13
+        assert abs(val - ref) <= err + tail + 1e-13
 
 
 def test_gaussian_tail_radius_is_rigorous():
@@ -206,8 +244,11 @@ def test_tail_radius_refuses_negative_or_non_finite_bounds(bound):
         gaussian_tail_radius(1.0, 1e-9, bound=bound)
 
 
-def test_a_zero_bound_leaves_no_tail():
+def test_a_zero_bound_leaves_no_tail_and_nothing_to_integrate():
     assert gaussian_tail_radius(1.0, 1e-9, bound=0.0) == (0.0, 0.0)
+    zero = DecayHint("gaussian", 1.0, 0.0)
+    for hyperbolic in (False, True):
+        assert _area_tail(zero, 1e-9, hyperbolic) == (1.0, 0.0)
 
 
 @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
