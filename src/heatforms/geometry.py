@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -30,7 +29,8 @@ from .errors import (CoincidentPointsError, CutLocusError, DecayHintError,
                      DomainError, HeatformsError, KindMismatchError,
                      NonconvergenceError)
 from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
-                         _area_tail, _max_change, refine_until_stable)
+                         _area_tail, _ComplexRefused, _max_change,
+                         refine_until_stable)
 
 __all__ = [
     "SurfaceKind",
@@ -62,15 +62,17 @@ class SurfaceKind(enum.Enum):
     def parse(cls, name) -> "SurfaceKind":
         if isinstance(name, cls):
             return name
-        key = str(name).strip().lower()
-        aliases = {
-            "euclidean": cls.EUCLIDEAN, "plane": cls.EUCLIDEAN, "e2": cls.EUCLIDEAN,
-            "sphere": cls.SPHERE, "s2": cls.SPHERE,
-            "hyperbolic": cls.HYPERBOLIC, "h2": cls.HYPERBOLIC,
-        }
-        if key not in aliases:
+        kind = _SURFACE_NAMES.get(str(name).strip().lower())
+        if kind is None:
             raise DomainError(f"unknown surface {name!r}")
-        return aliases[key]
+        return kind
+
+
+_SURFACE_NAMES = {
+    "euclidean": SurfaceKind.EUCLIDEAN, "plane": SurfaceKind.EUCLIDEAN,
+    "e2": SurfaceKind.EUCLIDEAN, "sphere": SurfaceKind.SPHERE, "s2": SurfaceKind.SPHERE,
+    "hyperbolic": SurfaceKind.HYPERBOLIC, "h2": SurfaceKind.HYPERBOLIC,
+}
 
 
 class _Model(NamedTuple):
@@ -617,17 +619,15 @@ def _field_values(fn, kind: SurfaceKind, degree: int, c1: np.ndarray, c2: np.nda
 
     fn takes a Point, streamed row by row from _grid_points, or with
     vectorized the arrays (c1, c2); np.fromiter converts as float() does
-    (None to NaN).  A value it cannot take, a complex one (numpy's
-    ComplexWarning is an error here, fn's own included), one without
+    (None to NaN).  A value it cannot take, a complex one (_ComplexRefused,
+    the policy the transforms' radial callbacks are read under), one without
     components .a and .b, a wrong shape or a non-finite value raises
     DomainError.  An error of fn, raised a frame deeper than a conversion
     error, propagates.
     """
     shape = c1.shape + (2,) * (degree == 1)
     try:
-        with warnings.catch_warnings():
-            # the casts would cut a complex value to its real part
-            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        with _ComplexRefused():
             if vectorized:
                 vals = np.asarray(fn(c1, c2), dtype=float)
             else:

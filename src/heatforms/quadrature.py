@@ -32,7 +32,8 @@ from __future__ import annotations
 import heapq
 import math
 import numbers
-from dataclasses import dataclass, replace
+import warnings
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -68,13 +69,15 @@ class ToleranceBudget:
     def __post_init__(self):
         if not (self.abs_tol > 0.0) or not math.isfinite(self.abs_tol):
             raise DomainError("abs_tol must be positive and finite")
-        if not (isinstance(self.max_quad_depth, numbers.Integral)
-                and self.max_quad_depth >= 1):
+        depth = self.max_quad_depth
+        # the ABC check is slow, and nearly every depth is a plain int
+        if not ((type(depth) is int or isinstance(depth, numbers.Integral))
+                and depth >= 1):
             raise DomainError("max_quad_depth must be an integer of at least 1")
 
     def part(self, fraction: float) -> "ToleranceBudget":
         """A budget carrying `fraction` of this budget's error allowance."""
-        return replace(self, abs_tol=self.abs_tol * fraction)
+        return ToleranceBudget(self.abs_tol * fraction, self.max_quad_depth)
 
 
 DEFAULT_BUDGET = ToleranceBudget()
@@ -273,6 +276,41 @@ def _as_float(value, what: str) -> float:
         except (TypeError, ValueError):
             pass
     raise DomainError(f"{what} returned {type(value).__name__!r}, not a float")
+
+
+class _ComplexRefused(warnings.catch_warnings):
+    """A context in which numpy's ComplexWarning is an error: a cast to
+    float would otherwise cut a complex value to its real part.  The
+    warning is raised where the cast happens, in a callback's own code
+    too."""
+
+    def __enter__(self):
+        log = super().__enter__()
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        return log
+
+
+def _read_floats(fn, xs: np.ndarray, what: str) -> np.ndarray:
+    """fn at every entry of a 1-d array xs, as a float array.
+
+    fn takes Python floats, and one np.fromiter converts its values under
+    _ComplexRefused, as float() does but a None to NaN.  Only a value it
+    refuses, or a NaN, sends the nodes through _as_float again, so a
+    value float() cannot take, a complex one and a None raise its
+    DomainError naming `what` and the value's type; a NaN is returned for
+    the caller's non-finite check.  An error raised inside fn, a frame
+    below the conversion, propagates unchanged.
+    """
+    nodes = xs.tolist()
+    try:
+        with _ComplexRefused():
+            values = np.fromiter(map(fn, nodes), float, count=len(nodes))
+        if not np.isnan(values).any():
+            return values
+    except (TypeError, ValueError, np.exceptions.ComplexWarning) as exc:
+        if exc.__traceback__.tb_next is not None:
+            raise
+    return np.array([_as_float(fn(x), what) for x in nodes])
 
 
 def _panel_estimates(f, edges):

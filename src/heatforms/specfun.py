@@ -8,16 +8,20 @@ cosh(r), which is the radial eigenfunction pairing used by the transform.
 One conical evaluator, ``_conical_many``, serves both axes: an array of rho
 at one radius or several (``conical_p``, ``conical_p1`` and the synthesis
 below) and an array of radii at fixed rho (each adaptive panel of the
-forward transform in one call).  Each radius takes one of three branches:
+forward transform in one call).  Both series are sums of a radius's powers
+against a rho's coefficients, so each block of radii and rho is a few
+matrix-vector products.  Each radius takes one of three branches:
 
 - near the origin (sinh^2(r/2) <= 1/2 and sinh^2(r/2) (1/4 + rho^2) <=
-  0.3) the hypergeometric series in sinh^2(r/2);
+  0.3) the hypergeometric series in sinh^2(r/2), with as many terms as its
+  largest entry needs;
 - from r = ln2 / 2 on, for rho >= 1e-3, the convergent series in x =
   e^{-2r} <= 1/2 (_conical_far), whose term ratios are below x in modulus:
   its tail after the last term t_K is at most |t_K| x / (1 - x), and its
   error bar adds 8 eps times the sum of |terms| for roundoff and eps (|ln
   c| + |nu| r) times it for the phase, so about 57 terms reach 1e-17
-  whatever rho is;
+  whatever rho is.  ln c(rho) comes from one asymptotic series of ln
+  Gamma(z + 1/2) - ln Gamma(z) in 1/z^2 after a shift of ten;
 - elsewhere, in the band between the two and for rho < 1e-3, the
   Mehler-Dirichlet integral (DLMF 14.20; Gil, Segura & Temme, Numerical
   Methods for Special Functions, SIAM 2007) in one pass of composite
@@ -34,7 +38,9 @@ rho and r are.
 
 One rho integral, ``_synthesis``, serves the inverse transform (a row of
 fhat) and the spectral oracle on H2 (rows of heat data), and alone decides
-where that integral is cut and what its error bar charges.
+where that integral is cut and what its error bar charges.  The radial
+callbacks, fhat and a profile's function, are read a batch of nodes at a
+time by ``quadrature._read_floats``.
 """
 
 from __future__ import annotations
@@ -47,8 +53,8 @@ import numpy as np
 from .errors import DomainError
 from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
                          _area_tail, _as_float, _integrate_panels,
-                         _kronrod_panels, _seeded_edges, gaussian_tail_radius,
-                         refine_until_stable)
+                         _kronrod_panels, _read_floats, _seeded_edges,
+                         gaussian_tail_radius, refine_until_stable)
 
 __all__ = [
     "SpectralParameter",
@@ -90,11 +96,14 @@ _BLOCK_ELEMS = 1 << 16
 # more than 1e-13 (1.8e-13 at rho = 1e-3 against 30-digit values).
 _FAR_RADIUS = 0.5 * math.log(2.0)
 _RHO_MIN = 1e-3
-# B_2k / (2k (2k - 1)), k = 1..8: Stirling's series for ln Gamma.
-_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
-             1.0 / 1188.0, -691.0 / 360360.0, 1.0 / 156.0, -3617.0 / 122400.0)
-# (-1)^(n+1) / n, n = 2..16: the series of (z log1p(v) - 1/2) / (z v) in v.
-_LOG1P_REST = tuple((1.0 if n % 2 else -1.0) / n for n in range(2, 17))
+# -(2 - 2^(1 - 2k)) B_2k / (2k (2k - 1)), k = 1..8: ln Gamma(z + 1/2) - ln
+# Gamma(z) = ln(z) / 2 + sum_k these * z^(1 - 2k), the difference of
+# Stirling's series at shifts 1/2 and 0 (DLMF 5.11.8, B_n(1/2) = -(1 -
+# 2^(1 - n)) B_n); at |z| >= 10.5 the ninth term is below 2e-18.
+_HALF_GAMMA = np.array([-0.125, 0.005208333333333333, -0.0015625,
+                        0.0011858258928571428, -0.001681857638888889,
+                        0.0038341175426136365, -0.012819730318509616,
+                        0.059100405375162764])
 
 
 @dataclass(frozen=True)
@@ -212,23 +221,34 @@ def _mehler_dirichlet_eval(rhos: np.ndarray, radii: np.ndarray, n_panels: int,
     10-point Gauss rule on the same nodes (P1 entries None unless need_p1).
     A 0-d radii gives values shaped like rhos, a 1-d one a row per radius.
 
-    Radius blocks keep a block's table and a 4-row rho block near
-    _BLOCK_ELEMS entries however many radii come in.  `scale`, if given,
-    is a 1-entry array raised to the largest K21 sum of |terms| of any
-    entry, which sets the roundoff.
+    Radius blocks, or blocks of panels when one radius has more than
+    _BLOCK_ELEMS / 84 of them (their sums are added), keep a block's table
+    and a 4-row rho block near _BLOCK_ELEMS entries however many radii and
+    panels come in.  `scale`, if given, is a 1-entry array raised to the
+    largest K21 sum of |terms| of any entry, which sets the roundoff.
     """
     flat = radii.reshape(-1)
-    step = max(1, _BLOCK_ELEMS // (4 * 21 * n_panels))
-    out = np.empty((4 if need_p1 else 2, flat.size, rhos.size))
+    per_block = max(1, _BLOCK_ELEMS // (4 * 21))  # panels of one table
+    step = max(1, per_block // n_panels)  # radii of one table
+    edges = np.linspace(0.0, 1.0, n_panels + 1)
+    rho_max = float(abs(rhos).max(initial=0.0))
+    out = np.zeros((4 if need_p1 else 2, flat.size, rhos.size))
     for lo in range(0, flat.size, step):
-        s, weights, boundary = _dirichlet_table(flat[lo:lo + step], n_panels, need_p1)
-        _dirichlet_sums(rhos, s, weights, boundary, out[:, lo:lo + step])
-        if scale is not None:  # each K21 row's weights share one sign
-            mass = np.abs(weights[0::2].sum(axis=-1))
+        rows = out[:, lo:lo + step]
+        mass = 0.0  # the K21 rows' sums of |weights|; each row has one sign
+        for p_lo in range(0, n_panels, per_block):
+            s, weights, boundary = _dirichlet_table(
+                flat[lo:lo + step], edges[p_lo:p_lo + per_block + 1], need_p1)
+            _dirichlet_sums(rhos, s, weights, rows)
+            if scale is not None:
+                mass = mass + np.abs(weights[0::2].sum(axis=-1))
+            del s, weights  # before the next block's table is built
+        if need_p1:
+            rows[2:] += boundary[:, None]
+        if scale is not None:
             if need_p1:
-                mass[1] += float(abs(rhos).max(initial=0.0)) * mass[0] + boundary
+                mass[1] += rho_max * mass[0] + boundary
             scale[0] = max(scale[0], _TWO_SQRT2_OVER_PI * float(mass.max()))
-        del s, weights, boundary  # before the next block's table is built
     out *= _TWO_SQRT2_OVER_PI
     out = out.reshape(out.shape[:1] + radii.shape + rhos.shape)
     if not need_p1:
@@ -236,17 +256,18 @@ def _mehler_dirichlet_eval(rhos: np.ndarray, radii: np.ndarray, n_panels: int,
     return (out[0], out[2]), (out[1], out[3])
 
 
-def _dirichlet_table(radii: np.ndarray, n_panels: int, need_p1: bool):
+def _dirichlet_table(radii: np.ndarray, edges: np.ndarray, need_p1: bool):
     """The radius-only factors of the conical integrand for a 1-d array of
-    radii, on a unit composite K21 rule scaled by sqrt(r): (s, weights,
-    boundary).  s holds the nodes s = r - w^2; weights holds radius-by-node
-    rows, the K21 and G10 weights times 1/sqrt(psi) and, with need_p1, both
-    times its r-derivative; boundary (None unless need_p1) is the
-    moving-endpoint term 1 / (2 sqrt 2 sinh(r/2)) of the r-derivative.
+    radii, on the K21 panels between `edges` of a unit composite rule
+    scaled by sqrt(r): (s, weights, boundary).  s holds the nodes s = r -
+    w^2; weights holds radius-by-node rows, the K21 and G10 weights times
+    1/sqrt(psi) and, with need_p1, both times its r-derivative; boundary
+    (None unless need_p1) is the moving-endpoint term 1 / (2 sqrt 2
+    sinh(r/2)) of the r-derivative.
 
     With h = w^2 / 2 and a = r - h, 1/sqrt(psi) = 2 sqrt(h) e^{-r/2} /
     sqrt(expm1(-2a) expm1(-2h)), so nothing overflows at any finite r."""
-    x, wts = _kronrod_panels(np.linspace(0.0, 1.0, n_panels + 1))
+    x, wts = _kronrod_panels(edges)
     r = radii[:, None]
     xsq = x * x
     s = r * (1.0 - xsq)  # w = sqrt(r) x
@@ -280,11 +301,11 @@ def _rho_blocks(n_rho: int, n_nodes: int):
 
 
 def _dirichlet_sums(rhos: np.ndarray, s: np.ndarray, weights: np.ndarray,
-                    boundary, out: np.ndarray):
+                    out: np.ndarray):
     """Quadrature sums against each row of a table's weights for every rho,
-    written to out[row, radius, rho]: cos(rho s) against every row, and for
+    added to out[row, radius, rho]: cos(rho s) against every row, and for
     the r-derivative rows also -rho sin(rho s) against the matching
-    1/sqrt(psi) row, plus the boundary term.
+    1/sqrt(psi) row.
 
     Every sum is a matrix-vector product: one matrix product against all
     rows is no faster at these sizes, and its first call makes BLAS touch
@@ -295,57 +316,91 @@ def _dirichlet_sums(rhos: np.ndarray, s: np.ndarray, weights: np.ndarray,
         phase = rho[:, None] * s[:, None, :]
         cos_phase = np.cos(phase)
         for row, w in enumerate(weights):
-            out[row, :, lo:hi] = (cos_phase @ w[..., None])[..., 0]
-        if boundary is not None:
+            out[row, :, lo:hi] += (cos_phase @ w[..., None])[..., 0]
+        if len(weights) > 2:
             np.sin(phase, out=phase)
             for row, w in enumerate(weights[:2]):
                 out[2 + row, :, lo:hi] -= rho * (phase @ w[..., None])[..., 0]
-            out[2:, :, lo:hi] += boundary[:, None]
         del phase, cos_phase  # before the next block's are built
+
+
+def _powers(y: np.ndarray, n: int) -> np.ndarray:
+    """y^k for k < n, a row per k and a column per entry of the 1-d array y,
+    by doubling: rows [m, 2m) are rows [0, m) times y^m."""
+    powers = np.empty((n, y.size))
+    powers[0] = 1.0
+    powers[1:2] = y
+    m = 2
+    while m < n:
+        np.multiply(powers[:min(m, n - m)], powers[m // 2] ** 2, out=powers[m:2 * m])
+        m *= 2
+    return powers
 
 
 def _conical_series(rhos: np.ndarray, radii: np.ndarray, s: np.ndarray,
                     need_p1: bool):
     """Hypergeometric series about the origin, in s = sinh^2(r/2).
 
-    P_{-1/2+i rho}(cosh r) = sum_k a_k(rho) (-s)^k with the ratio
-    a_k/a_{k-1} = ((k - 1/2)^2 + rho^2)/k^2; it converges fast whenever
-    s * (rho^2 + 1/4) is small, which is exactly the regime where the
+    P_{-1/2+i rho}(cosh r) = sum_k a_k(rho) (-s)^k with a_0 = 1 and the
+    ratio a_k/a_{k-1} = ((k - 1/2)^2 + rho^2)/k^2, and P1 = -(sinh(r) / 2)
+    sum_k (k + 1) a_{k+1} (-s)^k term by term; it converges fast whenever
+    s (rho^2 + 1/4) is small, which is exactly the regime where the
     integral form loses its derivative to cancellation.  radii and s are
-    0-d or 1-d as in _mehler_dirichlet_eval.  Every term shrinks by a factor
-    of at least 0.8 in the series regime, so the sum stops for the whole
-    batch at the first term below 1e-18 (1 + max |P|).
+    0-d or 1-d as in _mehler_dirichlet_eval.
+
+    |a_k s^k| grows with s and rho^2 for every k, so the batch's largest
+    entry sets the terms: the sum stops at the first term K of that entry
+    below 1e-18, and the sums of |terms| are that entry's.  In the series
+    regime (s <= 1/2, s (rho^2 + 1/4) <= 0.3) every later ratio is at most s
+    (1 + rho^2 / (K + 1)^2) <= 0.575, so the tail beyond term K is below
+    1.36 |term K|; err charges 2 |term K| and 8 eps times the sums of
+    |terms|.  Each block of radii and rho is a few matrix-vector products of
+    the radii's powers of -s against the a_k, near _BLOCK_ELEMS entries.
     """
-    s = s[..., None]
-    neg_s = -s
-    s_div = np.where(s == 0.0, 1.0, s)  # s = 0 keeps P = 1, P1 = 0
-    p = np.ones(s.shape[:-1] + rhos.shape)
-    dp = np.zeros_like(p)
-    rsq = rhos * rhos
-    term = np.ones_like(p)
-    # |term_k| grows with rho^2 and s for every k, so the largest entry's
-    # sums of |terms| are the sums of the largest |term_k|.
-    abs_p, abs_dp = 1.0, 0.0
+    s_max = float(s.max())
+    rsq_max = float(np.abs(rhos).max()) ** 2
+    term, abs_p, abs_dp = 1.0, 1.0, 0.0
     for k in range(1, 80):
-        term = term * neg_s * (((k - 0.5) ** 2 + rsq) / (k * k))
-        p = p + term
-        dp = dp + k * term / s_div
-        tail = float(abs(term).max())
-        abs_p += tail
-        abs_dp += k * tail
-        if tail <= 1e-18 * (1.0 + float(abs(p).max())):
+        term = term * s_max * (((k - 0.5) ** 2 + rsq_max) / (k * k))
+        abs_p += term
+        abs_dp += k * term
+        if term <= 1e-18:
             break
-    err = 2.0 * tail + 8.0 * _EPS * abs_p
+    n_terms = k + 1
+    ks = np.arange(1.0, n_terms)[:, None]
+    shape = radii.shape + rhos.shape
+    radii, s = radii.reshape(-1), s.reshape(-1)
+    out = np.empty((2 if need_p1 else 1, radii.size, rhos.size))
+    r_step = max(1, _BLOCK_ELEMS // n_terms)
+    rho_step = max(1, _BLOCK_ELEMS // (2 * n_terms))
+    for r_lo in range(0, radii.size, r_step):
+        rows = slice(r_lo, r_lo + r_step)
+        powers = _powers(-s[rows], n_terms)
+        half_sinh = -0.5 * np.sinh(radii[rows])
+        for lo in range(0, rhos.size, rho_step):
+            cols = slice(lo, lo + rho_step)
+            rho = rhos[cols]
+            # a_k(rho) in the first columns, and with P1 (k + 1) a_{k+1}
+            coefs = np.empty((n_terms, (1 + need_p1) * rho.size))
+            a_k = coefs[:, :rho.size]
+            a_k[0] = 1.0
+            np.divide((ks - 0.5) ** 2 + rho * rho, ks * ks, out=a_k[1:])
+            np.cumprod(a_k, axis=0, out=a_k)
+            if need_p1:
+                np.multiply(a_k[1:], ks, out=coefs[:-1, rho.size:])
+                coefs[-1, rho.size:] = 0.0
+            sums = _matvecs(powers.T, coefs)
+            out[0, rows, cols] = sums[:, :rho.size]
+            if need_p1:  # ds/dr = sinh(r) / 2
+                out[1, rows, cols] = sums[:, rho.size:] * half_sinh[:, None]
+        del powers  # before the next block's are built
+    out = out.reshape(out.shape[:1] + shape)
+    err = 2.0 * term + 8.0 * _EPS * abs_p
     if not need_p1:
-        return p, None, err
-    abs_dp *= 0.5 * math.sinh(float(radii.max())) / float(s_div.max())
-    return p, dp * 0.5 * np.sinh(radii)[..., None], err + 8.0 * _EPS * abs_dp
-
-
-def _power_sum(u: np.ndarray, coefs) -> np.ndarray:
-    """sum_k coefs[k] u^(k + 1) at each entry of a 1-d array u."""
-    powers = np.cumprod(np.repeat(u[:, None], len(coefs), axis=1), axis=1)
-    return powers @ np.asarray(coefs)
+        return out[0], None, err
+    # |P1 terms| = sinh(r) k |a_k| s^(k-1) / 2, each factor largest at r_max
+    abs_dp *= 0.5 * math.sinh(float(radii.max())) / s_max if s_max else 0.0
+    return out[0], out[1], err + 8.0 * _EPS * abs_dp
 
 
 def _log_c(rhos: np.ndarray) -> np.ndarray:
@@ -354,44 +409,54 @@ def _log_c(rhos: np.ndarray) -> np.ndarray:
     ln c = ln Gamma(w + 1/2) - ln Gamma(w) - ln(i rho) - ln(pi) / 2 with w =
     1/2 + i rho.  The Gamma difference is taken at z = w + 10, less the log
     of the product of the ten ratios (w + j + 1/2) / (w + j), whose argument
-    stays within (-pi/2, 0], so its branch never wraps.  At z it is ln(z) / 2
-    + (z log1p(v) - 1/2) + S(z + 1/2) - S(z), v = 1 / (2z), S Stirling's
-    series: the bracket is summed as (1/2) sum_{n>=2} (-1)^(n+1) v^(n-1) /
-    n, |v| <= 1/21, so nothing of size rho cancels.
+    stays within (-pi/2, 0].  At z it is ln(z) / 2 + sum_k _HALF_GAMMA[k]
+    z^(-2k - 1), one series in u = 1/z^2 (|z| >= 10.5) whose powers of u
+    come by doubling and meet the coefficients in one real product.  The
+    logs are taken as one, of sqrt(z) / (rho times the product), whose
+    argument lies in [0, 3 pi / 4), so no branch wraps and nothing of size
+    rho cancels.
     """
-    w = 0.5 + 1j * rhos
-    j = np.arange(10.0)
-    shift = np.prod((w[:, None] + (j + 0.5)) / (w[:, None] + j), axis=1)
-    z = w + 10.0
-    stirling = [t * _power_sum(1.0 / (t * t), _STIRLING) for t in (z + 0.5, z)]
-    return (0.5 * np.log(z) + 0.5 * _power_sum(0.5 / z, _LOG1P_REST)
-            + (stirling[0] - stirling[1]) - np.log(shift) - np.log(rhos)
-            - 0.5j * math.pi - 0.5 * math.log(math.pi))
+    z = 10.5 + 1j * rhos
+    wj = z + np.arange(-10.0, 0.0)[:, None]  # w + j, a row per j
+    shift = np.multiply.reduce((wj + 0.5) / wj)
+    u = 1.0 / (z * z)
+    powers = np.empty((8, rhos.size), dtype=complex)  # u^k, a row per k
+    powers[0] = 1.0
+    powers[1] = u
+    np.multiply(powers[:2], u * u, out=powers[2:4])
+    np.multiply(powers[:4], powers[2] * powers[2], out=powers[4:])
+    series = (_HALF_GAMMA @ powers.view(float)).view(complex)
+    return (series / z + np.log(np.sqrt(z) / (shift * rhos))
+            - complex(0.5 * math.log(math.pi), 0.5 * math.pi))
 
 
 def _matvecs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b as matrix-vector products, one per column of b or per row of a,
     whichever are fewer: a matrix product's first call makes BLAS touch
     about 0.3 MB more of resident memory for its packing buffers."""
-    b = np.ascontiguousarray(b)
     if b.shape[1] <= a.shape[0]:
-        return np.stack([a @ col for col in b.T], axis=1)
-    return np.stack([row @ b for row in a])
+        return np.array([a @ col for col in b.T]).T.copy()
+    return np.array([row @ b for row in a])
 
 
-def _far_products(rhos: np.ndarray, n_terms: int) -> np.ndarray:
+def _far_products(rhos: np.ndarray, n_terms: int, need_p1: bool) -> np.ndarray:
     """Q_k(rho) = prod_{j<k} (j + 1/2)(j + 1/2 - i rho) / ((j + 1)(j + 1 -
     i rho)) for k < n_terms, a row per k: the e^{-2r} series' terms without
-    their x^k."""
-    a = np.arange(n_terms - 1.0)[:, None] + 0.5
+    their x^k.  With need_p1, the columns of -2k Q_k follow those of Q_k."""
+    a = np.arange(0.5, n_terms - 1.0)[:, None]
     b = a + 0.5
-    q = np.empty((n_terms, rhos.size), dtype=complex)
-    q[0] = 1.0
+    rsq = rhos * rhos
+    q = np.empty((n_terms, (1 + need_p1) * rhos.size), dtype=complex)
+    head = q[:, :rhos.size]
+    head[0] = 1.0
     # (a - i rho) / (b - i rho) = (ab + rho^2 - i rho / 2) / (b^2 + rho^2)
-    scale = (a / b) / (b * b + rhos * rhos)
-    q[1:].real = scale * (a * b + rhos * rhos)
-    q[1:].imag = scale * (-0.5 * rhos)
-    return np.cumprod(q, axis=0, out=q)
+    scale = (a / b) / (b * b + rsq)
+    np.multiply(scale, a * b + rsq, out=head[1:].real)
+    np.multiply(scale, -0.5 * rhos, out=head[1:].imag)
+    np.cumprod(head, axis=0, out=head)
+    if need_p1:
+        np.multiply(head, -2.0 * np.arange(n_terms)[:, None], out=q[:, rhos.size:])
+    return q
 
 
 def _conical_far(rhos: np.ndarray, radii: np.ndarray, need_p1: bool):
@@ -405,54 +470,66 @@ def _conical_far(rhos: np.ndarray, radii: np.ndarray, need_p1: bool):
     + 1 - i rho)) has modulus below x, so |t_k| <= x^k, the tail beyond the
     last term t_K is at most |t_K| x / (1 - x) (and |t_K| ((|nu| + 2K) x /
     (1 - x) + 2x / (1 - x)^2) for P1), and the sums of |terms| are at most
-    1 / (1 - x) and |nu| / (1 - x) + 2x / (1 - x)^2.  K is set by the
+    1 / (1 - x) and |nu| / (1 - x) + 2x / (1 - x)^2.  K >= 1 is set by the
     batch's largest x so that x^K <= 1e-17: 57 terms at x = 1/2.  err is
     the largest over entries of 2 |c| e^{-r/2} times the tail plus (8 eps +
     eps (|ln c| + |nu| r)) times the sum of |terms|: the sums' roundoff and
     the rounding of the phase.  The terms are sum_k Q_k(rho) x^k with Q_k
-    the running product of the ratios without x, so each block of radii
-    and rho is a few matrix-vector products; blocks keep the (radius, rho,
-    term) count near _BLOCK_ELEMS.
+    the running product of the ratios without x and x^k = e^{-2kr}, so
+    each block of radii and rho is a few real matrix-vector products
+    against the real and imaginary parts of Q (and of -2k Q_k for P1),
+    which lie side by side in memory; blocks keep the (radius, rho, term)
+    count near _BLOCK_ELEMS.
     """
     rhos = np.abs(rhos)
     x_max = math.exp(-2.0 * float(radii.min()))
-    n_terms = 1 if x_max == 0.0 else 1 + math.ceil(math.log(1e-17) / math.log(x_max))
+    # at least x^0 and x^1, which the block takes x from
+    n_terms = 2 if x_max == 0.0 else max(2, 1 + math.ceil(math.log(1e-17)
+                                                          / math.log(x_max)))
     out = np.empty((2 if need_p1 else 1, radii.size, rhos.size))
-    err = 0.0
     r_step = min(radii.size, max(1, _BLOCK_ELEMS // n_terms))
     rho_step = max(1, _BLOCK_ELEMS // (2 * n_terms * r_step))  # complex terms
-    for r_lo in range(0, radii.size, r_step):
-        rows = slice(r_lo, r_lo + r_step)
-        r = radii[rows, None]
-        x = np.exp(-2.0 * r)
-        powers = np.repeat(x, n_terms, axis=1)
-        powers[:, 0] = 1.0
-        np.cumprod(powers, axis=1, out=powers)
-        # a row of x^k per radius, and with P1 a row of -2k x^k below it
-        weights = (np.concatenate([powers, powers * (-2.0 * np.arange(n_terms))])
-                   if need_p1 else powers)
-        last = powers[:, -1:]  # bounds |t_K|
-        mass = 1.0 / (1.0 - x)
-        tail, slope = last * x * mass, 2.0 * x * mass * mass
-        for lo in range(0, rhos.size, rho_step):
-            cols = slice(lo, lo + rho_step)
-            rho = rhos[cols]
-            log_c, nu = _log_c(rho), -0.5 + 1j * rho
-            q = _far_products(rho, n_terms)
-            sums = _matvecs(weights, q.real) + 1j * _matvecs(weights, q.imag)
-            amp = 2.0 * np.exp(log_c + nu * r)
-            f = sums[:r.size]
-            out[0, rows, cols] = (amp * f).real
-            abs_nu = np.abs(nu)
-            rounding = _EPS * (8.0 + np.abs(log_c) + abs_nu * r)
-            bound = tail + rounding * mass
-            if need_p1:
-                out[1, rows, cols] = (amp * (nu * f + sums[r.size:])).real
-                bound = np.maximum(bound, (abs_nu + 2.0 * (n_terms - 1)) * tail
-                                   + slope * last + rounding * (abs_nu * mass + slope))
-            err = max(err, float((np.abs(amp) * bound).max()))
-        del powers, weights, last, q, sums  # before the next block's are built
+    err = max(_far_block(rhos, radii[lo:lo + r_step], n_terms, rho_step,
+                         out[:, lo:lo + r_step]) for lo in range(0, radii.size, r_step))
     return out[0], (out[1] if need_p1 else None), err
+
+
+def _far_block(rhos: np.ndarray, r: np.ndarray, n_terms: int, rho_step: int,
+               out: np.ndarray) -> float:
+    """One block of radii of _conical_far, written to out (P and, with two
+    rows, P1); returns its err.  A function of its own, so that a block's
+    arrays are freed before the next block's are built."""
+    powers = np.exp(np.multiply.outer(np.arange(0.0, -2.0 * n_terms, -2.0), r))
+    x, last = powers[1], powers[-1]  # x, and x^K bounds |t_K|
+    mass = 1.0 / (1.0 - x)
+    x_mass = x * mass
+    tail = last * x_mass
+    slope = 2.0 * x_mass * mass
+    # P1's tail bound less its |nu| tail: |t_K| (2K x / (1 - x) + 2x / (1 - x)^2)
+    tail1 = (2.0 * (n_terms - 1)) * tail + slope * last
+    r, tail, tail1 = r[:, None], tail[:, None], tail1[:, None]
+    # the roundoff's eps goes into the factors it multiplies
+    mass, slope = _EPS * mass[:, None], _EPS * slope[:, None]
+    need_p1 = len(out) == 2
+    err = 0.0
+    for lo in range(0, rhos.size, rho_step):
+        cols = slice(lo, lo + rho_step)
+        rho = rhos[cols]
+        log_c, nu = _log_c(rho), -0.5 + 1j * rho
+        q = _far_products(rho, n_terms, need_p1)
+        sums = _matvecs(powers.T, q.view(float)).view(complex)
+        amp = 2.0 * np.exp(log_c + nu * r)
+        f = sums[:, :rho.size]
+        out[0, :, cols] = (amp * f).real
+        abs_nu = np.abs(nu)
+        rounding = 8.0 + np.abs(log_c) + abs_nu * r
+        bound = tail + rounding * mass
+        if need_p1:
+            out[1, :, cols] = (amp * (nu * f + sums[:, rho.size:])).real
+            # (|nu| + 2K) tail + slope |t_K| + eps rounding (|nu| mass + slope)
+            bound = np.maximum(bound, abs_nu * bound + tail1 + rounding * slope)
+        err = max(err, float((np.abs(amp) * bound).max()))
+    return err
 
 
 def _conical_integral(rhos: np.ndarray, radii: np.ndarray,
@@ -477,6 +554,24 @@ def _conical_integral(rhos: np.ndarray, radii: np.ndarray,
     return p, p1, diff + 8.0 * _EPS * float(scale[0])
 
 
+def _sinh_half_sq(radii: np.ndarray) -> np.ndarray:
+    """s = sinh^2(r/2), the series variable, with r clipped at 2: the clip
+    leaves the choice of _takes_series alone and keeps sinh finite."""
+    return np.sinh(0.5 * np.minimum(radii, 2.0)) ** 2
+
+
+def _takes_series(s, rho_max: float):
+    """Whether radii with s = sinh^2(r/2) (r clipped at 2) take the series
+    about the origin, in a batch whose largest |rho| is rho_max.
+
+    The series needs fast initial decay (small s rho^2) AND to sit well
+    inside its |s| < 1 convergence disk; at small rho the first condition
+    alone would admit s up to 1.2, where the tail diverges.  Both hold on
+    an interval of radii from 0.
+    """
+    return (s <= 0.5) & (s * (0.25 + rho_max * rho_max) <= 0.3)
+
+
 def _conical_many(rhos: np.ndarray, r, budget: ToleranceBudget, need_p1: bool):
     """(P, P1, err) for an array of rho at one radius or at an array of radii.
 
@@ -487,20 +582,43 @@ def _conical_many(rhos: np.ndarray, r, budget: ToleranceBudget, need_p1: bool):
     else.  The integral entries share one refinement, so every radius
     meets the tolerance it would meet alone.  err is the largest series
     tail, e^{-2r} tail or final K21-G10 change met, plus the roundoff each
-    branch charges.
+    branch charges.  Each branch serves an interval of radii, so the
+    smallest and largest radius tell when one branch serves the whole
+    batch; it then goes to that branch directly.
     """
     rhos = np.asarray(rhos, dtype=float)
     radii = np.asarray(r, dtype=float)
-    if not np.all((radii >= 0.0) & (radii < math.inf)):
-        raise DomainError("radius must be finite and nonnegative")
     flat = radii.reshape(-1)
-    rho_max = float(abs(rhos).max()) if rhos.size else 0.0
-    # The series needs fast initial decay (small s rho^2) AND to sit well
-    # inside its |s| < 1 convergence disk; at small rho the first condition
-    # alone would admit s up to 1.2, where the tail diverges.  Clipping r at
-    # 2 leaves that choice alone and keeps sinh finite.
-    s_half = np.sinh(0.5 * np.minimum(flat, 2.0)) ** 2
-    series = (s_half <= 0.5) & (s_half * (0.25 + rho_max * rho_max) <= 0.3)
+    shape = radii.shape + rhos.shape
+    if flat.size:
+        r_min, r_max = float(flat.min()), float(flat.max())
+        if not (r_min >= 0.0 and r_max < math.inf):
+            raise DomainError("radius must be finite and nonnegative")
+    if not (flat.size and rhos.size):
+        return np.zeros(shape), (np.zeros(shape) if need_p1 else None), 0.0
+    abs_rhos = np.abs(rhos)
+    rho_max = float(abs_rhos.max())
+    series_min, series_max = (_takes_series(math.sinh(0.5 * min(r, 2.0)) ** 2, rho_max)
+                              for r in (r_min, r_max))
+    if series_max:
+        p, p1, err = _conical_series(rhos, flat, _sinh_half_sq(flat), need_p1)
+    elif series_min:
+        return _conical_parts(rhos, flat, budget, need_p1, shape)
+    elif r_min >= _FAR_RADIUS and float(abs_rhos.min()) >= _RHO_MIN:
+        p, p1, err = _conical_far(rhos, flat, need_p1)
+    elif r_max < _FAR_RADIUS or rho_max < _RHO_MIN:
+        p, p1, err = _conical_integral(rhos, flat, budget, need_p1)
+    else:
+        return _conical_parts(rhos, flat, budget, need_p1, shape)
+    return p.reshape(shape), (p1.reshape(shape) if need_p1 else None), err
+
+
+def _conical_parts(rhos, flat, budget, need_p1, shape):
+    """_conical_many for a batch whose radii take more than one branch:
+    each branch's rectangle of (radius, rho) entries is evaluated alone and
+    written into one array."""
+    s_half = _sinh_half_sq(flat)
+    series = _takes_series(s_half, float(np.abs(rhos).max()))
     far = ~series & (flat >= _FAR_RADIUS)
     small = np.abs(rhos) < _RHO_MIN
     every = np.ones(rhos.shape, dtype=bool)
@@ -519,15 +637,12 @@ def _conical_many(rhos: np.ndarray, r, budget: ToleranceBudget, need_p1: bool):
         parts += [(~series & ~far, every, integral), (far, small, integral)]
     parts = [(rows, cols, fn(rows, cols)) for rows, cols, fn in parts
              if rows.any() and cols.any()]
-    err = max((part[2][2] for part in parts), default=0.0)
-    shape = radii.shape + rhos.shape
-    if len(parts) == 1 and parts[0][0].all() and parts[0][1].all():
-        p, p1, _ = parts[0][2]
-        return p.reshape(shape), (p1.reshape(shape) if need_p1 else None), err
     out = np.zeros((2 if need_p1 else 1, flat.size, rhos.size))
     for rows, cols, values in parts:
+        rectangle = np.ix_(rows, cols)
         for row, v in zip(out, values[:2]):
-            row[np.ix_(rows, cols)] = v
+            row[rectangle] = v
+    err = max(part[2][2] for part in parts)
     return out[0].reshape(shape), (out[1].reshape(shape) if need_p1 else None), err
 
 
@@ -598,7 +713,7 @@ def _forward_with_error(profile: RadialProfile, rho,
         nonlocal achieved
         _, e_vals, e_err = _conical_many(rho_row, rs, cb, need_p1=True)
         achieved = max(achieved, e_err)
-        f_vals = np.array([profile(r) for r in rs])
+        f_vals = _read_floats(profile.fn, rs, "the radial profile")
         return 2.0 * math.pi * e_vals[:, 0] * f_vals * np.sinh(rs)
 
     decay = profile.decay
@@ -650,15 +765,17 @@ def _synthesis(data, orders, radii, rate: float, bound: float,
     met.  The panels start no wider than 1/sqrt(rate) or the conical period
     2 pi / max r, as on one wide panel K21 and G10 can agree by accident.
     Returns (rows, err_est, radius, evals): rows[k, i] at radii[i], one
-    bound for every entry, the cut and the rho nodes evaluated.
+    bound for every entry, the cut and the rho nodes evaluated; no radii,
+    like a zero bound, give zero rows, err_est 0 and no evaluation.
     """
     radii = np.asarray(radii, dtype=float).reshape(-1)
-    if not np.all((radii >= 0.0) & (radii < math.inf)):  # max r sizes panels
+    r_max = float(radii.max(initial=0.0))  # sizes the panels
+    if not (float(radii.min(initial=0.0)) >= 0.0 and r_max < math.inf):
         raise DomainError("radius must be finite and nonnegative")
     n = int(0 in orders)
     scale = bound / (2.0 * math.pi)
     radius, tail = gaussian_tail_radius(rate, 0.25 * budget.abs_tol, scale, n)
-    if bound == 0.0:
+    if bound == 0.0 or not radii.size:
         return np.zeros((len(orders), radii.size)), 0.0, radius, 0
     radius = max(radius, 2.0 / math.sqrt(rate))
     mass = scale * (0.5 * math.sqrt(math.pi / rate) + 0.5 * n / rate)  # int env
@@ -673,9 +790,9 @@ def _synthesis(data, orders, radii, rate: float, bound: float,
         weight = rhos * np.tanh(math.pi * rhos) / (2.0 * math.pi)
         rows = [d * weight * (p1 / (0.25 + rhos * rhos) if k else p)
                 for d, k in zip(data(rhos), orders)]
-        return np.reshape(rows, (-1, rhos.size))
+        return np.array(rows).reshape(-1, rhos.size)
 
-    width = min(1.0 / math.sqrt(rate), 2.0 * math.pi / max(float(radii.max()), 1e-300))
+    width = min(1.0 / math.sqrt(rate), 2.0 * math.pi / max(r_max, 1e-300))
     values, qerr = _integrate_panels(integrand, _seeded_edges(radius, width),
                                      budget.part(0.5))
     err = qerr + tail + achieved * mass
@@ -685,13 +802,13 @@ def _synthesis(data, orders, radii, rate: float, bound: float,
 def _inverse_with_error(fhat, r: float, budget: ToleranceBudget = DEFAULT_BUDGET,
                         gaussian_rate: float = 0.25, bound: float = 10.0):
     """(value, err_est, radius) of mehler_fock_inverse, taking fhat as exact:
-    the one order-one row of _synthesis, fhat read through _as_float, and
+    the one order-one row of _synthesis, fhat read through _read_floats, and
     the radius where it cut the rho integral."""
     if not 0.0 < float(r) < math.inf:
         raise DomainError("inverse transform evaluation needs 0 < r < inf")
 
     def data(rhos: np.ndarray) -> np.ndarray:
-        return np.array([[_as_float(fhat(p), "fhat") for p in rhos]])
+        return _read_floats(fhat, rhos, "fhat")[None]
 
     rows, err, radius, _ = _synthesis(data, (1,), r, gaussian_rate, bound, budget)
     return float(rows[0, 0]), err, radius

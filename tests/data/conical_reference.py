@@ -1,10 +1,13 @@
 """Print the frozen conical values that tests/test_specfun.py compares the
-e^{-2r} branch and the large-radius integral against.
+e^{-2r} branch and the large-radius integral against, and the frozen ln c
+table its connection coefficient is held to.
 
-Each line is (rho, r, P, P1) with P = P_{-1/2+i rho}(cosh r) and P1 its
-r-derivative, the order-one Legendre function of the same degree (mpmath
-legenp, type 3), evaluated at 40 digits and rounded to a double.  Needs
-mpmath (1.3.0 was used), which the package does not depend on:
+Each conical line is (rho, r, P, P1) with P = P_{-1/2+i rho}(cosh r) and P1
+its r-derivative, the order-one Legendre function of the same degree
+(mpmath legenp, type 3), evaluated at 40 digits and rounded to a double.
+Each ln c line is (rho, ln|c|, arg c) with c = Gamma(i rho) / (sqrt(pi)
+Gamma(1/2 + i rho)), from mpmath's loggamma at 40 digits, printed to 30.
+Needs mpmath (1.3.0 was used), which the package does not depend on:
 
     python tests/data/conical_reference.py
 """
@@ -19,6 +22,8 @@ FAR_RADII = ("0.4", "0.5", "1", "3", "8", "30")
 # radii where sinh(r) overflows a double
 HUGE_RHOS = ("0", "1", "30")
 HUGE_RADII = ("711", "1000", "1400")
+# ln c of the e^{-2r} branch, from rho_min to far beyond the rho it serves
+LOG_C_RHOS = ("1e-3", "0.01", "0.3", "1", "3", "10", "50", "300", "5000", "1e5")
 
 
 def conical(rho: str, r: str):
@@ -36,3 +41,10 @@ for name, rhos, radii in (("FAR", FAR_RHOS, FAR_RADII),
             p, p1 = conical(rho, r)
             print(f"    ({float(rho)!r}, {float(r)!r}, {p!r}, {p1!r}),")
     print("]")
+
+print("LOG_C_CASES = [")
+for rho in LOG_C_RHOS:
+    x = mp.mpf(rho)
+    log_c = mp.loggamma(1j * x) - mp.loggamma(0.5 + 1j * x) - mp.log(mp.pi) / 2
+    print(f'    ({float(rho)!r}, "{mp.nstr(mp.re(log_c), 30)}", "{mp.nstr(mp.im(log_c), 30)}"),')
+print("]")

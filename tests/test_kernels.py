@@ -347,6 +347,16 @@ def test_h2_spectral_refuses_an_infinite_distance(ds):
         hyperbolic._h2_spectral(np.array(ds), 1.0, ToleranceBudget(1e-6))
 
 
+@pytest.mark.parametrize("generator", [False, True])
+def test_h2_spectral_of_no_distances_is_empty(generator):
+    """No distance leaves no panel to size: empty rows, no error and no
+    conical evaluation."""
+    rows, err, _, evals = hyperbolic._h2_spectral(np.array([]), 1.0,
+                                                  ToleranceBudget(1e-6), generator)
+    assert rows.shape == ((3 if generator else 1), 0)
+    assert err == 0.0 and evals == 0
+
+
 @pytest.mark.parametrize("kind,d", [("sphere", 1.0), ("hyperbolic", 0.8)])
 def test_generator_is_the_time_integral_of_the_kernel(kind, d):
     # G = int_t^inf K0 dtau (mean-zero part on the sphere), cut where the

@@ -129,6 +129,12 @@ def test_budget_validation():
         ToleranceBudget(abs_tol=math.nan)
     part = ToleranceBudget(abs_tol=1e-6).part(0.25)
     assert part.abs_tol == 0.25e-6
+    # a part keeps the depth and every check
+    assert ToleranceBudget(1e-6, 7).part(0.5) == ToleranceBudget(5e-7, 7)
+    assert ToleranceBudget(1e-6, np.int64(3)).part(0.5).max_quad_depth == 3
+    for fraction in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            ToleranceBudget(1e-6).part(fraction)
 
 
 @pytest.mark.parametrize("depth", [1.5, 2.0, math.inf, math.nan, "3"])

@@ -113,16 +113,29 @@ def test_radial_callbacks_float_cannot_take_raise_a_domain_error():
         mehler_fock_forward(RadialProfile(lambda r: np.complex128(r * 1j), hint), 1.0)
     with pytest.raises(DomainError, match="fhat returned 'complex128'"):
         mehler_fock_inverse(lambda rho: np.complex128(math.exp(-rho * rho) + 1j), 1.0)
-    # an error raised inside a callback propagates unchanged
+    # np.fromiter reads a None as NaN; the batch is read again to name it
+    with pytest.raises(DomainError, match="fhat returned 'NoneType'"):
+        mehler_fock_inverse(lambda rho: None, 1.0)
+    with pytest.raises(DomainError, match="radial profile returned 'NoneType'"):
+        mehler_fock_forward(RadialProfile(lambda r: None if r < 1.0 else 0.0, hint), 1.0)
+    # a NaN is a float: the quadrature refuses it as non-finite
+    with pytest.raises(DomainError, match="non-finite"):
+        mehler_fock_forward(RadialProfile(lambda r: float("nan"), hint), 1.0)
+    with pytest.raises(DomainError, match="non-finite"):
+        mehler_fock_inverse(lambda rho: float("nan"), 1.0)
+    # an error raised inside a callback propagates unchanged, at once
     error = ValueError("a user's own error")
+    calls = []
 
     def raising(x):
+        calls.append(x)
         raise error
     for call in (lambda: mehler_fock_forward(RadialProfile(raising, hint), 1.0),
                  lambda: mehler_fock_inverse(raising, 1.0)):
+        calls.clear()
         with pytest.raises(ValueError) as got:
             call()
-        assert got.value is error
+        assert got.value is error and len(calls) == 1
 
 
 def test_inverse_needs_positive_radius():
@@ -271,6 +284,32 @@ def test_dirichlet_memory_does_not_grow_with_the_radius_count():
         (one_p, one_p1), _ = _mehler_dirichlet_eval(rhos, radii[i], 32, True)
         assert np.abs(p[i] - one_p).max() <= 1e-14
         assert np.abs(p1[i] - one_p1).max() <= 1e-14
+
+
+def test_blocks_of_panels_add_up_to_the_one_block_values():
+    # 1600 panels take three blocks (780, 780, 40), 96 panels one; both
+    # grids resolve these rho at r = 3, and the K21 sums of |terms| agree
+    rhos = np.linspace(0.0, 12.0, 22)
+    one, blocks = np.zeros(1), np.zeros(1)
+    (p, p1), _ = _mehler_dirichlet_eval(rhos, np.array(3.0), 96, True, one)
+    (q, q1), _ = _mehler_dirichlet_eval(rhos, np.array(3.0), 1600, True, blocks)
+    assert np.abs(p - q).max() <= 1e-14 and np.abs(p1 - q1).max() <= 1e-14
+    assert abs(blocks[0] - one[0]) <= 1e-12 * one[0]
+
+
+def test_dirichlet_memory_does_not_grow_with_the_panel_count():
+    # rho r / 4 at rho = 1e6, r = 0.3 asks for passes of 65536 and 131072
+    # panels, 2.75 million nodes at one radius: blocks of panels keep the
+    # traced peak below 100 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(NonconvergenceError):
+            specfun._conical_integral(np.array([1e6]), np.array(0.3), ToleranceBudget(),
+                                      True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +515,31 @@ def test_log_c_has_its_closed_form_modulus():
     got = np.exp(2.0 * specfun._log_c(rhos).real)
     want = 1.0 / (np.tanh(np.pi * rhos) * np.pi * rhos)
     assert np.all(np.abs(got / want - 1.0) <= 16.0 * specfun._EPS)
+
+
+# (rho, ln|c|, arg c) for c = Gamma(i rho) / (sqrt(pi) Gamma(1/2 + i rho)),
+# 30 digits of 40-digit mpmath loggamma; regenerate with
+# tests/data/conical_reference.py.
+LOG_C_CASES = [
+    (0.001, "5.76302703806301560533150759593", "-1.56941003483788431338329516819"),
+    (0.01, "3.46060475567457219469727479791", "-1.55693578667552882525358193884"),
+    (0.3, "0.182640484891392127736005527205", "-1.20780555230358716145545122676"),
+    (1.0, "-0.57049749802218351068386543596", "-0.917428922919860707555628220702"),
+    (3.0, "-1.12167108074634279668943547386", "-0.827264826812722584963537836277"),
+    (10.0, "-1.7236574894217229290807094025", "-0.797903387476085776024292134797"),
+    (50.0, "-2.52837644563877311638108906963", "-0.787898205069116495001367760147"),
+    (300.0, "-3.42425618025280061678732774882", "-0.785814830257016853859766216559"),
+    (5000.0, "-4.83096153863281880039908052432", "-0.785423163397489976282827512502"),
+    (100000.0, "-6.32882767540981429711669231239", "-0.785399413397448314823994179309"),
+]
+
+
+def test_log_c_meets_its_frozen_table():
+    # within 4 eps (1 + |ln c|) of 30-digit values
+    for rho, modulus, phase in LOG_C_CASES:
+        want = complex(float(modulus), float(phase))
+        got = specfun._log_c(np.array([rho]))[0]
+        assert abs(got - want) <= 4.0 * specfun._EPS * (1.0 + abs(want))
 
 
 def test_routing_sends_far_radii_and_small_rho_to_their_branches(monkeypatch):
