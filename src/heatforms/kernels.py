@@ -17,6 +17,7 @@ same sense the other two are.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,7 @@ __all__ = [
 T_MIN = 1e-4
 
 _FOUR_PI = 4.0 * math.pi
+_SINH_RANGE = math.asinh(sys.float_info.max)  # 710.48: sinh overflows past it
 _EULER_GAMMA = 0.57721566490153286061
 
 
@@ -513,6 +515,10 @@ def apply_k0(kind, field: FormField, t,
     sup = max(_field_bound(field, kind), 1e-300)
     tol = budget.abs_tol
     edges = _radial_edges(kind, t, 0.25 * tol / sup)
+    if kind is SurfaceKind.HYPERBOLIC and edges[-1] > _SINH_RANGE:
+        # the area factor sinh s of the radial rule would overflow
+        raise DomainError(f"at t = {t!r} the kernel's mass radius {edges[-1]:.6g} "
+                          f"passes the float range of sinh, {_SINH_RANGE:.6g}")
     kbudget = ToleranceBudget(abs_tol=_kernel_tol(kind, edges, tol / sup))
 
     def kernel(s: np.ndarray) -> np.ndarray:

@@ -9,7 +9,8 @@ hyperbolic plane (hyperbolic cylinder); act, reduce and image sums use it.
 
 Truncation is by distance: elements with d(x, g y) <= R enter the sum and the
 remainder is bounded by counting estimates times a pointwise kernel majorant,
-Gaussian in the distance on both surfaces.
+Gaussian in the distance on both surfaces.  R comes from the kernel and the
+group alone, so every pair of points shares it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .geometry import (BiTensor1, Point, SurfaceKind, _axis_chart,
 from .hyperbolic import _h2_k0_majorant
 from .kernels import Kernel1Value, _as_time, _k0_dist, k1 as _k1_base
 from .quadrature import DEFAULT_BUDGET, ToleranceBudget, solve_radius
+from .specfun import _EPS
 
 __all__ = [
     "CoveringGroupSpec",
@@ -94,7 +96,7 @@ class CoveringGroupSpec:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.array([[self.v1[0], self.v2[0]], [self.v1[1], self.v2[1]]])
+        return np.array(tuple(zip(*self._shifts)))  # a column per generator
 
     def identity(self) -> "GroupElement":
         return GroupElement(self, 0, 0)
@@ -184,51 +186,45 @@ class QuotientSurface:
 
 def _images(group: CoveringGroupSpec, x: Point, y: Point, radius: float):
     """(k1, k2, dist): integer coordinates of every g of a nontrivial group with
-    d(x, g y) <= radius, and those distances, as arrays in the order of
-    enumerate_elements (by squared integer norm, then lexicographic).
+    d(x, g y) <= radius (k2 = 0 at rank 1), and those distances, as arrays in
+    enumerate_elements' order (by squared integer norm, then lexicographic).
 
-    The candidates are the integers within radius |rho_i| of rho_i . D, for
-    the chart difference D and the rows rho_i of the inverse generator matrix
-    (v / |v|^2 at rank 1); on H2 as d >= |du - k ell|, the foot point on the
-    axis being 1-Lipschitz.  Arrays measure them on the plane, a loop on H2.
-    """
+    The candidates are one box, refused over _MAX_ELEMENTS or past 2^53 (where
+    floats stop being exact integers): k_i within radius |rho_i| of rho_i . D,
+    for the chart difference D and the rows rho_i of the inverse generator
+    matrix (v / |v|^2 at rank 1); on H2 as d >= |du - k ell|, the foot point on
+    the axis being 1-Lipschitz.  A loop measures H2."""
     shifts = group._shifts
     (xa, xb), (ya, yb) = _axis_chart(x), _axis_chart(y)
     da, db = xa - ya, xb - yb
-    # the rows of the inverse matrix, as (p, q) / div
-    if len(shifts) == 2:
+    if len(shifts) == 2:  # the rows of the inverse matrix, as (p, q) / div
         (a, c), (b, e) = shifts
         div, rows = a * e - b * c, ((e, -b), (-c, a))
-    else:
+    else:  # a unit row over |v|, so no |v|^2 underflows
         (a, c), = shifts
-        div, rows = a * a + c * c, ((a, c),)
-    lo, hi, count = [], [], 1
-    for p, q in rows:
+        div = math.hypot(a, c)
+        rows = ((a / div, c / div),)
+    lo, size = [], []
+    for p, q in rows:  # floor and ceil in floats, so an infinite box meets the guard
         center = (p * da + q * db) / div
         half = radius * math.hypot(p, q) / abs(div) + 1e-9
-        lo.append(math.floor(center - half))
-        hi.append(math.ceil(center + half))
-        count *= hi[-1] - lo[-1] + 1
-    if count > _MAX_ELEMENTS:
+        lo.append((center - half) // 1.0)
+        size.append(-((-center - half) // 1.0) - lo[-1] + 1.0)
+    count = math.prod(size)
+    if not (count <= _MAX_ELEMENTS and max(map(abs, lo)) < 2.0 ** 53):
         raise EnumerationOverflowError(
-            f"radius {radius} implies {count} candidates, over the "
-            f"{_MAX_ELEMENTS} guard")
-    if len(shifts) == 1:
-        n1 = np.arange(lo[0], hi[0] + 1)
-        n1 = n1[np.lexsort((n1, n1 * n1))]  # the final order, which the mask keeps
-        if group.base is SurfaceKind.EUCLIDEAN:
-            dist = np.hypot(da - n1 * a, db - n1 * c)
-        else:
-            dist = np.array([_axis_distance(xb, yb, da - k * a) for k in n1.tolist()])
-        keep = dist <= radius
-        n1 = n1[keep]
-        return n1, np.zeros(len(n1), dtype=int), dist[keep]
-    ks = np.indices((hi[0] - lo[0] + 1, hi[1] - lo[1] + 1)).reshape(2, -1)
-    ks += np.array(lo)[:, None]
+            f"radius {radius} implies {count:.6g} candidates at coordinates up to "
+            f"{max(map(abs, lo)):.3g}, over the {_MAX_ELEMENTS} guard or 2^53")
+    ks = np.indices(tuple(map(int, size))).reshape(len(rows), -1)
+    ks += np.array(lo, dtype=int)[:, None]
     img = group.matrix @ ks
-    dist = np.hypot(da - img[0], db - img[1])
+    if group.base is SurfaceKind.EUCLIDEAN:
+        dist = np.hypot(da - img[0], db - img[1])
+    else:  # the generator (ell, 0) moves u alone
+        dist = np.array([_axis_distance(xb, yb, da - u) for u in img[0].tolist()])
     mask = dist <= radius
-    n1, n2, dist = ks[0][mask], ks[1][mask], dist[mask]
+    ks, dist = ks.compress(mask, axis=1), dist[mask]
+    n1, n2 = ks[0], (ks[1] if len(ks) == 2 else 0 * ks[0])
     order = np.lexsort((n2, n1, n1 * n1 + n2 * n2))
     return n1[order], n2[order], dist[order]
 
@@ -249,28 +245,27 @@ def enumerate_elements(group: CoveringGroupSpec, x: Point, y: Point,
     return [GroupElement(group, a, b) for a, b in zip(k1.tolist(), k2.tolist())]
 
 
-def _series_tail(term, j: int, ratio) -> float:
-    """Upper bound on sum_{i >= j} term(i) for positive terms.
+def _series_tail(term, start, ratio) -> float:
+    """Upper bound on the sum of positive term(m) over m = start, start + 1, ....
 
-    ratio(i) bounds term(k + 1) / term(k) for every k >= i and does not
-    increase with i (math.inf where no such bound holds yet).  The terms are
-    summed until one falls to 1e-8 of the sum with rho = ratio(i) < 1; all
-    later terms are then at most the geometric series term(i) rho^n, and
-    its sum closes the bound.  A further 1e-12 of the whole covers the
-    roundoff of at most 400 terms and their sum.  math.inf if 400 terms do
-    not get there.
+    ratio(m) bounds term(k + 1) / term(k) for every k >= m and does not increase
+    with m (math.inf where no such bound holds yet).  The terms are summed until
+    one falls to 1e-8 of the sum with rho = ratio(m) < 1; all later terms are
+    then at most the geometric series term(m) rho^n, and its sum closes the
+    bound.  A further 1e-12 of the whole covers the roundoff of at most 400
+    terms and their sum.  math.inf if 400 terms do not get there.
     """
     total = 0.0
-    for i in range(j, j + 400):
-        cur = term(i)
+    for i in range(400):
+        cur = term(start + i)
         total += cur
-        rho = ratio(i)
+        rho = ratio(start + i)
         if cur <= 1e-8 * total and rho < 1.0:
             return (total + cur * rho / (1.0 - rho)) * (1.0 + 1e-12)
     return math.inf
 
 
-def _ring(m: int, pad: float) -> float:
+def _ring(m: float, pad: float) -> float:
     """Area of the ring m - pad <= |p| < m + 1 + pad: times 1/cell, a bound
     on the lattice points in the ring m <= |p| < m + 1."""
     return math.pi * ((m + 1.0 + pad) ** 2 - max(0.0, m - pad) ** 2)
@@ -279,8 +274,8 @@ def _ring(m: int, pad: float) -> float:
 def _gaussian_ratio(a: float, pad: float):
     """ratio for _series_tail of terms c(m) e^{-a m^2} with
     c(m + 1) / c(m) <= (2m + 3) / (2m + 1) once m >= pad: true of _ring's
-    count, (2m + 1)(2 pad + 1) pi there, and of a constant count (pad = 0)."""
-    def ratio(m: int) -> float:
+    count, (2m + 1)(2 pad + 1) pi there, and of the line's (pad = 0)."""
+    def ratio(m: float) -> float:
         if m < pad:
             return math.inf
         return (2 * m + 3) / (2 * m + 1) * math.exp(-a * (2 * m + 1))
@@ -288,9 +283,10 @@ def _gaussian_ratio(a: float, pad: float):
 
 
 def _euclid_tail(group: CoveringGroupSpec, radius: float, t: float) -> float:
-    """Bound on the image sum beyond the enumeration radius: ring counting
-    times the kernel value at the inner ring edge, summed over the rings
-    from floor(radius) out and closed by _series_tail."""
+    """Bound on the image sum beyond the enumeration radius, for every pair:
+    ring counting times the kernel value at the inner ring edge, summed over
+    the rings m <= d < m + 1 from m = radius out and closed by _series_tail.
+    Such a ring meets a line in two intervals of at most sqrt(2m + 1)."""
     if len(group._shifts) == 2:
         (a, c), (b, e) = group._shifts
         pad = 0.5 * (math.hypot(a, c) + math.hypot(b, e))
@@ -299,35 +295,38 @@ def _euclid_tail(group: CoveringGroupSpec, radius: float, t: float) -> float:
         def count(m):
             return _ring(m, pad) / area
     else:
-        pad = 0.0
-        length = math.hypot(*group.v1)
+        pad, length = 0.0, math.hypot(*group.v1)
 
         def count(m):
-            return 2.0 * (1.0 + 1.0 / length)
+            return 2.0 * (1.0 + math.sqrt(2 * m + 1) / length)
     return _series_tail(
         lambda m: count(m) * math.exp(-m * m / (4.0 * t)) / (_FOUR_PI * t),
-        math.floor(radius), _gaussian_ratio(1.0 / (4.0 * t), pad))
+        radius, _gaussian_ratio(1.0 / (4.0 * t), pad))
 
 
-def _h2_tail(group: CoveringGroupSpec, d0: float, radius: float, t: float) -> float:
-    """Bound on the image sum beyond the enumeration radius on the
-    hyperbolic cylinder: every image in the box |k| <= k_box counts at the
-    majorant's value at the radius, and the two images at each k beyond it
-    at its value at k ell - d0 <= d(x, g y).
+def _h2_tail(group: CoveringGroupSpec, radius: float, t: float) -> float:
+    """Bound on the image sum beyond the enumeration radius R on the
+    hyperbolic cylinder, for every pair.  Image k lies at least |du - k ell|
+    away, the foot point on the axis being 1-Lipschitz: at most 2R/ell + 1
+    images count at M(R), and the j-th past them on each side (j >= 0) at
+    M(R + j ell).  More than _MAX_ELEMENTS of them raise EnumerationOverflowError.
 
-    The majorant is e^{-s^2/4t} (a s + b) over a non-decreasing sqrt(sinh s)
-    (hyperbolic._h2_k0_majorant), so its ratio over one step ell is at most
-    e^{-(2 s ell + ell^2)/4t} (1 + ell/s), which falls with s.
-    """
+    M = hyperbolic._h2_k0_majorant does not increase in s: its log-derivative
+    a/(a s + b) - s/2t - coth(s)/2 is negative as b/a = 0.68 sqrt(t), and past
+    its clamp at s = 300 while s^2 > 2t (from t = 3000 M is 0).  Its ratio over
+    one step ell is at most e^{-(2 s ell + ell^2)/4t} (1 + ell/s)."""
     ell = group.ell
-    k_box = int(math.ceil((radius + d0) / ell))
+    count = 2.0 * radius / ell + 1.0
+    if count > _MAX_ELEMENTS:
+        raise EnumerationOverflowError(f"translation length {ell:.3g} puts over "
+                                       f"{_MAX_ELEMENTS} images within R = {radius:.6g}")
 
-    def ratio(k: int) -> float:
-        s = k * ell - d0
+    def ratio(j: int) -> float:
+        s = radius + j * ell
         return math.exp(-(2.0 * s * ell + ell * ell) / (4.0 * t)) * (1.0 + ell / s)
-    return ((2 * k_box + 1) * _h2_k0_majorant(max(radius, 1e-6), t)
-            + _series_tail(lambda k: 2.0 * _h2_k0_majorant(k * ell - d0, t),
-                           k_box + 1, ratio))
+    return (count * _h2_k0_majorant(radius, t)
+            + _series_tail(lambda j: 2.0 * _h2_k0_majorant(radius + j * ell, t),
+                           0, ratio))
 
 
 def _fourier_tail(pad: float, rate: float, k_rad: float) -> float:
@@ -338,13 +337,15 @@ def _fourier_tail(pad: float, rate: float, k_rad: float) -> float:
                         math.floor(k_rad), _gaussian_ratio(rate, pad))
 
 
-def _truncation(group: CoveringGroupSpec, d0: float, t: float,
+def _truncation(group: CoveringGroupSpec, t: float,
                 target: float) -> tuple[float, float]:
-    """(radius, tail bound) with the tail at most target."""
-    start = max(1.0, d0 + 4.0 * math.sqrt(t))
-    if group.base is SurfaceKind.HYPERBOLIC:
-        return solve_radius(lambda r: _h2_tail(group, d0, r, t), target, start, 1.2)
-    return solve_radius(lambda r: _euclid_tail(group, r, t), target, start, 1.2)
+    """(radius, tail bound) with the tail at most target, for every pair: the
+    search starts where the tails' common Gaussian factor e^{-R^2/4t} / (4 pi t)
+    alone meets the target (2 sqrt(t) at least) and grows R by 1.2."""
+    gauss = max(_FOUR_PI * t * target, math.ulp(0.0))
+    start = 2.0 * math.sqrt(t * max(1.0, -math.log(gauss)))
+    tail = _h2_tail if group.base is SurfaceKind.HYPERBOLIC else _euclid_tail
+    return solve_radius(lambda r: tail(group, r, t), target, start, 1.2)
 
 
 def _k0_quotient_full(q: QuotientSurface, x: Point, y: Point, t: float,
@@ -354,7 +355,8 @@ def _k0_quotient_full(q: QuotientSurface, x: Point, y: Point, t: float,
     The image sum is taken straight from the distances _images returns, in
     enumerate_elements' order: one vectorized Gaussian sum on flat
     quotients, one McKean pass (_k0_dist) over every image on the
-    hyperbolic cylinder.  No GroupElement or image Point is built.
+    hyperbolic cylinder.  No GroupElement or image Point is built.  With no
+    image within the radius the value is 0.0 and err_est the tail.
     """
     t = _as_time(t)
     if x.kind is not q.base or y.kind is not q.base:
@@ -362,21 +364,18 @@ def _k0_quotient_full(q: QuotientSurface, x: Point, y: Point, t: float,
     if not q.group._shifts:
         value, err, _, _ = _k0_dist(q.base, distance(q.base, x, y), t, budget)
         return value, err, 1, 0.0
-    tol = budget.abs_tol
-    if q.base is SurfaceKind.EUCLIDEAN:
-        d0 = distance(q.base, x, y)
-    else:  # _images' own distance of the identity, which radius > d0 enumerates
-        (xu, xw), (yu, yw) = _axis_chart(x), _axis_chart(y)
-        d0 = _axis_distance(xw, yw, xu - yu)
-    radius, tail = _truncation(q.group, d0, t, 0.25 * tol)
+    radius, tail = _truncation(q.group, t, 0.25 * budget.abs_tol)
     _, _, dists = _images(q.group, x, y, radius)
     n = len(dists)
+    if n == 0:
+        return 0.0, tail, 0, radius
     if q.base is SurfaceKind.HYPERBOLIC:
         # each image is held to its own share
         values, err, _, _ = _k0_dist(q.base, dists, t, budget.part(0.5 / n))
         return math.fsum(values), tail + n * err, n, radius
-    total = float(np.sum(np.exp(-dists * dists / (4.0 * t)))) / (_FOUR_PI * t)
-    return total, tail, n, radius
+    total = float(np.exp(dists * dists / (-4.0 * t)).sum()) / (_FOUR_PI * t)
+    # each term rounds by a few ulps, the pairwise sum by log2(n) of the total
+    return total, tail + (8.0 + math.log2(n)) * _EPS * total, n, radius
 
 
 def k0_quotient(q: QuotientSurface, x: Point, y: Point, t,

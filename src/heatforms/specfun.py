@@ -117,8 +117,8 @@ class SpectralParameter:
     rho: float
 
     def __post_init__(self):
-        if not math.isfinite(self.rho) or self.rho < 0.0:
-            raise DomainError("rho must be finite and nonnegative")
+        if not math.isfinite(self.rho * self.rho) or self.rho < 0.0:
+            raise DomainError("rho must be nonnegative, and finite with rho^2")
 
     @property
     def lam(self) -> float:
@@ -130,8 +130,9 @@ def _as_rho(rho) -> float:
     if isinstance(rho, SpectralParameter):
         return rho.rho
     value = float(rho)
-    if not math.isfinite(value):
-        raise DomainError("rho must be finite")
+    # rho^2 enters lambda and the conical series; past 1.3e154 it overflows
+    if not math.isfinite(value * value):
+        raise DomainError(f"rho must be finite with rho^2, not {value:.3g}")
     # The spectrum is symmetric under rho -> -rho; fold negatives over.
     return abs(value)
 

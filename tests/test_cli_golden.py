@@ -10,15 +10,18 @@ as one block of tests/data/cli_golden.txt:
 
 A change that is meant to alter an output regenerates the file with
 ``PYTHONPATH=src python tests/test_cli_golden.py`` and names the changed
-lines in its description.
+lines in its description; ``--report`` prints, instead of writing, each
+changed command and the largest |new - old| over its numbers.
 """
 
 import contextlib
 import io
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
+from golden import largest_change
 
 from heatforms.cli import main
 
@@ -91,6 +94,24 @@ def test_cli_output_keeps_every_byte(command):
     assert transcript(command) == _golden_blocks()[command]
 
 
+def report() -> list:
+    """One line per command whose block moved: the command and the largest
+    |new - old| over its numbers, split at spaces, commas and braces, or
+    both blocks where they do not pair up as numbers."""
+    split = str.maketrans(",{}", "   ")
+    out = []
+    for command, want in _golden_blocks().items():
+        got = transcript(command)
+        if got != want:
+            change = largest_change(got.translate(split), want.translate(split))
+            out.append(f"{command}: {change!r}" if change is not None
+                       else f"{command}:\n{want}=>\n{got}")
+    return out
+
+
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text("\n".join(transcript(c) for c in COMMANDS))
+    if "--report" in sys.argv[1:]:
+        print("\n".join(report()))
+    else:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text("\n".join(transcript(c) for c in COMMANDS))

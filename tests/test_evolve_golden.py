@@ -16,7 +16,8 @@ with ==.  The sphere fields of the main grid carry no hint; the "hinted"
 records scale P2 by 1e4 and say so in a bounded hint.  A change that is
 meant to move a value regenerates the file with
 ``PYTHONPATH=src python tests/test_evolve_golden.py`` and names the changed
-records in its description.
+records in its description, as the same command
+with ``--report`` lists them.
 """
 
 import hashlib
@@ -25,7 +26,7 @@ import struct
 from pathlib import Path
 
 import numpy as np
-from golden import moved, read, write
+from golden import main, moved, read
 
 from heatforms import (DecayHint, FormField, HeatformsError, OneFormValue, Point,
                        ToleranceBudget, apply_k0, apply_k1, heat_residual,
@@ -168,4 +169,4 @@ def test_field_sampling_keeps_every_float_and_every_point():
 
 
 if __name__ == "__main__":
-    write(GOLDEN, [record(key, thunk) for key, thunk in _cases()])
+    main(GOLDEN, [record(key, thunk) for key, thunk in _cases()])

@@ -12,13 +12,14 @@ four matrix entries, err_est, terms and radius of a Kernel1Value; and
 (G, G_d, G_dd) of g1_scalar.  They compare with ==, so a zero may change
 sign.  A change that is meant to move a value regenerates the file with
 ``PYTHONPATH=src python tests/test_kernel_golden.py`` and names the changed
-records in its description.
+records in its description, as the same command
+with ``--report`` lists them.
 """
 
 from pathlib import Path
 
 import pytest
-from golden import moved, read, write
+from golden import main, moved, read
 
 from heatforms import (T_MIN, HeatformsError, Point, ToleranceBudget, g1_scalar,
                        k0, k1, k2)
@@ -74,5 +75,5 @@ def test_kernel_values_keep_every_float(kernel, surface):
 
 
 if __name__ == "__main__":
-    write(GOLDEN, [line for kernel in KERNELS for surface in SURFACES
-                   for line in records(kernel, surface)])
+    main(GOLDEN, [line for kernel in KERNELS for surface in SURFACES
+                  for line in records(kernel, surface)])

@@ -620,6 +620,23 @@ def test_far_out_h2_evolved_fields_are_finite_or_name_the_radius(r):
             scalar.fn(x)
 
 
+@pytest.mark.parametrize("x", [Point("hyperbolic", 0.0, 0.3), Point("hyperbolic", 2.0, 0.3)])
+def test_h2_evolution_past_the_sinh_range_names_t_and_the_mass_radius(x):
+    """At t = 495 the kernel's mass radius is 714, where sinh overflows: the
+    evolution used to fail with NonconvergenceError("change nan").  At
+    t = 487.5 (radius 708.7) it still evaluates, or names x's radius."""
+    field = FormField(0, lambda p: math.exp(-p.c1 ** 2), DecayHint("gaussian", 1.0, 1.0))
+    budget = ToleranceBudget(abs_tol=1e-6)
+    with pytest.raises(DomainError, match=r"t = 495\.0 .* mass radius 714\.1"):
+        apply_k0("hyperbolic", field, 495.0, budget).fn(x)
+    near = apply_k0("hyperbolic", field, 487.5, budget)
+    if x.c1 == 0.0:
+        assert 0.0 < near.fn(x) < 1e-6
+    else:
+        with pytest.raises(DomainError, match="radius 2.0"):
+            near.fn(x)
+
+
 def test_apply_k0_sphere_eigenfunctions():
     t = 0.3
     for n in (1, 2, 3):

@@ -130,8 +130,7 @@ def test_enumeration_matches_brute_force_flat(group):
 def _written_out_image_sum(group, x, y, t, budget):
     """k0_quotient's sum, written out over enumerate_elements at the
     truncation radius k0_quotient chooses."""
-    d0 = distance(group.base, x, y)
-    radius, _ = _truncation(group, d0, t, 0.25 * budget.abs_tol)
+    radius, _ = _truncation(group, t, 0.25 * budget.abs_tol)
     els = enumerate_elements(group, x, y, radius)
     (xu, xw), (yu, yw) = _axis_chart(x), _axis_chart(y)
     if group.base is H:
@@ -166,9 +165,26 @@ def test_k0_quotient_is_the_written_out_image_sum_bit_for_bit(group):
                 assert got == _written_out_image_sum(group, x, y, t, budget)
 
 
+@pytest.mark.parametrize("group", [UNIT, SKEW, CYL], ids=["unit", "skew", "cylinder"])
+def test_flat_err_est_charges_the_roundoff_of_the_sum(group):
+    """The flat sum's err_est used to be its tail alone: 3.0e-18 for a value
+    of 0.674 on the unit torus, whose ulp is 1.1e-16.  At abs_tol 1e-20 the
+    tail is far below one ulp of the value, so the rounding charge shows."""
+    q = QuotientSurface.from_group(group)
+    x, y = Point(E, 0.3, 0.7), Point(E, 0.9, 2.1)
+    for t in (1e-3, 0.05, 0.7, 2.0):
+        for tol in (1e-10, 1e-20):
+            budget = ToleranceBudget(abs_tol=tol)
+            value, err, _, _ = _k0_quotient_full(q, x, y, t, budget)
+            assert err >= np.finfo(float).eps * abs(value)
+            out = k1_quotient_flat(q, x, y, t, budget)
+            assert out.err_est >= np.finfo(float).eps * abs(out.matrix.m11)
+
+
 def _summed(term, start):
-    """sum_{i >= start} term(i), carried until the terms underflow."""
-    return math.fsum(term(i) for i in range(start, start + 5000))
+    """The sum of term(m) over m = start, start + 1, ..., carried until the
+    terms underflow."""
+    return math.fsum(term(start + i) for i in range(5000))
 
 
 def _ring(m, pad):
@@ -182,20 +198,66 @@ def test_tails_bound_the_fully_summed_series(radius, t):
     pad = 0.5 * (math.hypot(*SKEW.v1) + math.hypot(*SKEW.v2))
     area = abs(float(np.linalg.det(SKEW.matrix)))
     lattice = _summed(lambda m: _ring(m, pad) / area * math.exp(-m * m / (4 * t))
-                      / (4 * math.pi * t), math.floor(radius))
+                      / (4 * math.pi * t), radius)
     assert _euclid_tail(SKEW, radius, t) >= lattice
-    cyl = _summed(lambda m: 4.0 * math.exp(-m * m / (4 * t)) / (4 * math.pi * t),
-                  math.floor(radius))
+    cyl = _summed(lambda m: 2.0 * (1.0 + math.sqrt(2 * m + 1))
+                  * math.exp(-m * m / (4 * t)) / (4 * math.pi * t), radius)
     assert _euclid_tail(CYL, radius, t) >= cyl
     rate = 4 * math.pi ** 2 * t / 40.0
     fourier = _summed(lambda m: _ring(m, 0.9) * math.exp(-rate * m * m),
                       math.floor(radius))
     assert _fourier_tail(0.9, rate, radius) >= fourier
-    ell, d0 = HCYL.ell, 0.8
-    k_box = math.ceil((radius + d0) / ell)
-    h2 = ((2 * k_box + 1) * _h2_k0_majorant(radius, t)
-          + _summed(lambda k: 2.0 * _h2_k0_majorant(k * ell - d0, t), k_box + 1))
-    assert _h2_tail(HCYL, d0, radius, t) >= h2
+    ell = HCYL.ell
+    h2 = ((2 * radius / ell + 1) * _h2_k0_majorant(radius, t)
+          + _summed(lambda j: 2.0 * _h2_k0_majorant(radius + j * ell, t), 0))
+    assert _h2_tail(HCYL, radius, t) >= h2
+
+
+@pytest.mark.parametrize("ell", [0.1, 0.8, 2.0, 4.0])
+@pytest.mark.parametrize("t,tol", [(0.01, 1e-10), (0.3, 1e-6), (2.0, 1e-10), (20.0, 1e-6)])
+def test_h2_tail_bounds_the_majorant_over_every_image_beyond_the_radius(ell, t, tol):
+    """Brute force over pairs with |du| from 0 to 1e3, near and far off the
+    axis: the majorant summed over every image beyond the radius stays
+    below the pair-free tail."""
+    group = CoveringGroupSpec.hyperbolic_cyclic(ell)
+    radius, tail = _truncation(group, t, 0.25 * tol)
+    for du in (0.0, 0.37, 1.3, 7.7, 55.5, 1e3):
+        for w1, w2 in ((0.0, 0.0), (0.3, -0.2), (radius - 0.5, 0.0),
+                       (0.5 * radius, -0.5 * radius), (0.0, radius + 1.0)):
+            # past |du - k ell| = 2 radius + 50 ell the terms are negligible
+            k0 = round(du / ell)
+            reach = int(2 * radius / ell) + 50
+            dists = [_axis_distance(w1, w2, du - k * ell)
+                     for k in range(k0 - reach, k0 + reach)]
+            beyond = math.fsum(_h2_k0_majorant(d, t) for d in dists if d > radius)
+            assert beyond <= tail
+
+
+@pytest.mark.parametrize("length", [0.1, 1.0, 3.0])
+@pytest.mark.parametrize("t,tol", [(0.01, 1e-10), (2.0, 1e-6), (100.0, 1e-6)])
+def test_flat_cylinder_tail_bounds_every_offset_from_the_line(length, t, tol):
+    """An offset h from the line of images near the radius puts long runs of
+    images just beyond it; the pair-free tail still bounds their sum."""
+    group = CoveringGroupSpec.euclidean_cyclic((length, 0.0))
+    radius, tail = _truncation(group, t, 0.25 * tol)
+    reach = int((radius + 40.0 * math.sqrt(t)) / length) + 10
+    ks = np.arange(-reach, reach + 1)
+    for h in np.linspace(0.0, radius + 3.0, 61):
+        d = np.hypot(0.3 - ks * length, h)
+        beyond = np.sum(np.exp(-d[d > radius] ** 2 / (4 * t))) / (4 * math.pi * t)
+        assert beyond <= tail
+
+
+@pytest.mark.parametrize("group", [UNIT, SKEW, CYL, HCYL],
+                         ids=["unit", "skew", "cylinder", "h-cylinder"])
+def test_truncation_radius_is_the_same_for_near_and_far_pairs(group):
+    q = QuotientSurface.from_group(group)
+    x = Point(group.base, 0.3, 0.7)
+    for t in (0.05, 0.7):
+        radii = {_k0_quotient_full(q, x, Point(group.base, r, 2.1), t,
+                                   ToleranceBudget(abs_tol=1e-8))[3]
+                 for r in (0.9, 40.0, 400.0)}
+        assert len(radii) == 1
 
 
 @pytest.mark.parametrize("group,radius", [(UNIT, 4000.0), (CYL, 1e7), (HCYL, 3e7)],
@@ -486,3 +548,32 @@ def test_far_out_hyperbolic_cylinder_sweep():
                   Point(H, r + rng.uniform(-1.0, 1.0), theta),
                   Point(H, rng.uniform(300.0, 2000.0), rng.uniform(0.0, 2 * math.pi))):
             _far_out_calls(group, x, y)
+
+
+@pytest.mark.parametrize("group,r", [(CYL, 1e20), (SKEW, 1e20), (HCYL, 1e300)],
+                         ids=["cylinder", "skew", "h-cylinder"])
+def test_images_past_exact_lattice_coordinates_are_refused(group, r):
+    """Far out along a generator the images next to x have lattice
+    coordinates past 2^53, no longer exact floats: the image sum refuses
+    them with a typed error, as it refuses too many candidates."""
+    assert _far_out_calls(group, Point(group.base, r, 0.0), Point(group.base, 0.5, 1.0)) is None
+
+
+@pytest.mark.parametrize("group", [CoveringGroupSpec.euclidean_cyclic((1e-200, 0.0)),
+                                   CoveringGroupSpec.hyperbolic_cyclic(1e-300)],
+                         ids=["cylinder-1e-200", "h-cylinder-1e-300"])
+def test_degenerate_generators_refuse_with_finite_numbers(group):
+    """Generators whose length squares to 0 once raised ZeroDivisionError
+    (the plane) or OverflowError (H2); now the images they would need are
+    refused, with every number in the message finite."""
+    x, y = Point(group.base, 0.3, 0.7), Point(group.base, 0.9, 2.1)
+    assert _far_out_calls(group, x, y) is None
+    with pytest.raises(EnumerationOverflowError) as info:
+        k0_quotient(QuotientSurface.from_group(group), x, y, 0.5)
+    numbers = []
+    for word in str(info.value).replace(",", " ").split():
+        try:
+            numbers.append(float(word))
+        except ValueError:
+            pass
+    assert numbers and all(map(math.isfinite, numbers))

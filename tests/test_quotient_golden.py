@@ -14,13 +14,14 @@ and the integer coordinates (k1, k2) of every element enumerate_elements
 finds within distance 3, in its order.  They compare with ==, so a zero
 may change sign.  A change that is meant to move a value regenerates the
 file with ``PYTHONPATH=src python tests/test_quotient_golden.py`` and names
-the changed records in its description.
+the changed records in its description, as the same command
+with ``--report`` lists them.
 """
 
 from pathlib import Path
 
 import pytest
-from golden import moved, read, write
+from golden import main, moved, read
 
 from heatforms import (CoveringGroupSpec, GroupElement, HeatformsError, Point,
                        QuotientSurface, ToleranceBudget, act, enumerate_elements,
@@ -105,4 +106,4 @@ def test_quotient_values_keep_every_float(name):
 
 
 if __name__ == "__main__":
-    write(GOLDEN, [record(*key) for key in _keys()])
+    main(GOLDEN, [record(*key) for key in _keys()])

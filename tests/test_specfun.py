@@ -242,6 +242,23 @@ def test_conical_rejects_bad_radii():
             _conical_many(np.array([1.0]), np.array([0.5, bad]), TIGHT, True)
 
 
+def test_rho_whose_square_overflows_is_refused():
+    """rho^2 overflows past 1.34e154: conical_p and conical_p1 returned NaN
+    there and the forward transform a NonconvergenceError carrying NaN."""
+    for rho in (1e155, -1e155):
+        for call in (lambda: conical_p(rho, 1.0), lambda: conical_p1(rho, 1.0),
+                     lambda: mehler_fock_forward(PROFILES["gaussian"], rho)):
+            with pytest.raises(DomainError):
+                call()
+    with pytest.raises(DomainError):
+        SpectralParameter(1e155)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(conical_p(1e154, 1.0))
+        assert math.isfinite(conical_p1(1e154, 1.0))
+        assert math.isfinite(SpectralParameter(1e154).lam)
+
+
 def test_dirichlet_memory_does_not_grow_with_the_rho_count():
     # 4096 panels: a 22-by-86016 array would take 15.1 MB; rho blocks of
     # 4 rows keep the peak at that of a 4-rho evaluation

@@ -24,14 +24,15 @@ quadrature allows, and inverses at an infinite radius or rate.  Floats
 compare with ==.  A
 change that is meant to move a value regenerates the file with
 ``PYTHONPATH=src python tests/test_transform_golden.py`` and names the
-changed records in its description.
+changed records in its description, as the same command
+with ``--report`` lists them.
 """
 
 import math
 from pathlib import Path
 
 import numpy as np
-from golden import moved, read, write
+from golden import main, moved, read
 
 from heatforms import (DecayHint, HeatformsError, ToleranceBudget, conical_p,
                        conical_p1)
@@ -124,4 +125,4 @@ def test_transform_values_keep_every_float():
 
 
 if __name__ == "__main__":
-    write(GOLDEN, [record(key, thunk) for key, thunk in _cases()])
+    main(GOLDEN, [record(key, thunk) for key, thunk in _cases()])
