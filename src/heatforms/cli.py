@@ -181,7 +181,7 @@ def _run_transform(args) -> int:
                          "arg": rho, "value": val, "err_est": err})
     else:
         inverse, rel_err = _roundtrip(profile, _parse_range(args.r_range, "--r-range"),
-                                      budget, 0.2, 10.0)
+                                      budget)
         if args.direction == "inverse":
             rows = [{"direction": "inverse", "profile": profile.name, "arg": r,
                      "value": back, "err_est": err} for r, back, err in inverse]

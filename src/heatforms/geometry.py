@@ -51,6 +51,8 @@ __all__ = [
 CUT_LOCUS_TOL = 1e-3
 
 _TWO_PI = 2.0 * math.pi
+# The largest rules of integrate_surface: radial intervals, angles.
+_SURFACE_LIMIT = (2048, 4096)
 
 
 class SurfaceKind(enum.Enum):
@@ -537,8 +539,7 @@ def _nested_integral(kind: SurfaceKind, edges, sample, tol: float, start: tuple,
             tried.append(n_int)
             return float(rule(p, n_int)[1].sum())
 
-        refine_until_stable(mass, (start[0],), 2, mass_tol,
-                            int(math.log2(limit[0] / start[0])))
+        refine_until_stable(mass, start[0], mass_tol, int(math.log2(limit[0] / start[0])))
         return tried[-2]
 
     starts = [start[0] if profile is None else sized_start(p)
@@ -595,7 +596,7 @@ def _nested_integral(kind: SurfaceKind, edges, sample, tol: float, start: tuple,
         passes[:] = passes[-1:] + [value]
         return value
 
-    return refine_until_stable(one_pass, (1,), 2, tol, sum(room) + 1)[0]
+    return refine_until_stable(one_pass, 1, tol, sum(room) + 1)[0]
 
 
 def _components(values, kind: SurfaceKind):
@@ -664,11 +665,11 @@ def integrate_surface(kind, f, budget: ToleranceBudget = DEFAULT_BUDGET,
 
     The integral runs on the nested sampler of apply_k0 and apply_k1
     (_nested_integral) without a kernel, from 31 radial nodes by 64
-    angles: refinement keeps every value it has and samples f only at new
-    nodes, so each node once, until two passes agree to within the budget.
-    The sphere needs no decay hint.  A value _field_values rejects (not a
-    float, the wrong shape or non-finite) raises DomainError on the first
-    pass.
+    angles up to _SURFACE_LIMIT: refinement keeps every value it has and
+    samples f only at new nodes, so each node once, until two passes agree
+    to within the budget.  The sphere needs no decay hint.  A value
+    _field_values rejects (not a float, the wrong shape or non-finite)
+    raises DomainError on the first pass.
     """
     kind = SurfaceKind.parse(kind)
     if kind is SurfaceKind.SPHERE:
@@ -683,8 +684,5 @@ def integrate_surface(kind, f, budget: ToleranceBudget = DEFAULT_BUDGET,
     def sample(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
         return _field_values(f, kind, 0, *np.meshgrid(c1, c2, indexing="ij"), vectorized)
 
-    # max(2, max_quad_depth // 4) rounds of growth by 1.5 from 32 x 64 bound
-    # the grid; this many doublings reach at least as far.
-    grow = 2 ** math.ceil(max(2, budget.max_quad_depth // 4) * math.log2(1.5))
     return float(_nested_integral(kind, edges, sample, 0.5 * budget.abs_tol,
-                                  (32, 64), (32 * grow, 64 * grow)))
+                                  (32, 64), _SURFACE_LIMIT))

@@ -266,7 +266,7 @@ def _h2_mckean(ds, t: float, budget: ToleranceBudget, generator: bool = False):
         return rows[..., 0], rows[..., 1]
 
     rows, _ = refine_until_stable(
-        one_pass, (1,), 2, 0.5 * tol, _MCKEAN_ROUNDS,
+        one_pass, 1, 0.5 * tol, _MCKEAN_ROUNDS,
         # the floor concedes what roundoff already spent
         floor=lambda cur: 64.0 * _EPS * float(scale.max()), embedded=True)
     # K21 and G10 can agree to the last bit, so the roundoff of the sums is

@@ -28,8 +28,7 @@ from .geometry import (_MODELS, BiTensor1, OneFormValue, Point, SurfaceKind,
                        apply_i_plus_star, distance, _chart_points, _field_values,
                        _nested_integral, _outer_plus, _pair_derivatives)
 from .hyperbolic import _h2_mass_tail, _h2_mckean
-from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
-                         refine_until_stable, solve_radius)
+from .quadrature import DEFAULT_BUDGET, DecayHint, ToleranceBudget, solve_radius
 from .specfun import _EPS, _expint_cf
 
 __all__ = [
@@ -191,18 +190,20 @@ def k0_h2_mckean(d: float, t, budget: ToleranceBudget = DEFAULT_BUDGET) -> float
     return _k0_dist(SurfaceKind.HYPERBOLIC, d, t, budget)[0]
 
 
-def _mass_tail(kind: SurfaceKind, radius: float, t: float) -> float:
-    """Upper bound for the kernel mass beyond the given geodesic radius."""
-    if kind is SurfaceKind.SPHERE:
-        return 0.0
-    if kind is SurfaceKind.EUCLIDEAN:
-        return math.exp(-radius * radius / (4.0 * t))
-    return _h2_mass_tail(radius, t)
-
-
 def _mass_radius(kind: SurfaceKind, t: float, tol: float) -> float:
-    return solve_radius(lambda R: _mass_tail(kind, R, t), tol,
-                        max(1.0, 3.0 * math.sqrt(t)), 1.2)[0]
+    """Radius beyond which the kernel's mass on the plane or H2 is at most
+    tol.  On H2 a radius past sinh's float range, where the area factor
+    sinh s of a radial rule would overflow, raises DomainError naming t."""
+    def tail(R: float) -> float:
+        if kind is SurfaceKind.EUCLIDEAN:
+            return math.exp(-R * R / (4.0 * t))
+        return _h2_mass_tail(R, t)
+
+    radius = solve_radius(tail, tol, max(1.0, 3.0 * math.sqrt(t)), 1.2)[0]
+    if kind is SurfaceKind.HYPERBOLIC and radius > _SINH_RANGE:
+        raise DomainError(f"at t = {t!r} the kernel's mass radius {radius:.6g} "
+                          f"passes the float range of sinh, {_SINH_RANGE:.6g}")
+    return radius
 
 
 def _h2_kappa_radius(decay: DecayHint, r_x: float, t: float, tol: float) -> float:
@@ -515,10 +516,6 @@ def apply_k0(kind, field: FormField, t,
     sup = max(_field_bound(field, kind), 1e-300)
     tol = budget.abs_tol
     edges = _radial_edges(kind, t, 0.25 * tol / sup)
-    if kind is SurfaceKind.HYPERBOLIC and edges[-1] > _SINH_RANGE:
-        # the area factor sinh s of the radial rule would overflow
-        raise DomainError(f"at t = {t!r} the kernel's mass radius {edges[-1]:.6g} "
-                          f"passes the float range of sinh, {_SINH_RANGE:.6g}")
     kbudget = ToleranceBudget(abs_tol=_kernel_tol(kind, edges, tol / sup))
 
     def kernel(s: np.ndarray) -> np.ndarray:
@@ -559,8 +556,8 @@ def apply_k1(kind, field: FormField, t,
     without a hint), once per node of a grid whose radial start comes from
     kappa.  On H2 a Gaussian or exponential hint sets the cut by a bound on
     kappa's tail at each x (_h2_kappa_radius).  A bounded hint keeps the
-    cut at K0's mass radius, where G_d's tail, which decays only like
-    1/sinh s, is not counted.
+    cut at K0's mass radius (refused past sinh's range, as in apply_k0),
+    where G_d's tail, which decays only like 1/sinh s, is not counted.
     """
     kind = SurfaceKind.parse(kind)
     t = _as_time(t)
@@ -569,12 +566,11 @@ def apply_k1(kind, field: FormField, t,
     sup = max(_field_bound(field, kind), 1e-300)
     tol = budget.abs_tol
     kbudget = budget.part(0.25)
-    mass_edges = _radial_edges(kind, t, 0.125 * tol / sup)
+    at_kappa = kind is SurfaceKind.HYPERBOLIC and field.decay.kind != "bounded"
+    mass_edges = None if at_kappa else _radial_edges(kind, t, 0.125 * tol / sup)
 
     def evaluate(x: Point) -> OneFormValue:
-        edges = mass_edges
-        if kind is SurfaceKind.HYPERBOLIC and field.decay.kind != "bounded":
-            edges = (0.0, _h2_kappa_radius(field.decay, x.c1, t, 0.125 * tol))
+        edges = mass_edges or (0.0, _h2_kappa_radius(field.decay, x.c1, t, 0.125 * tol))
         ktol = _kernel_tol(kind, edges, tol / sup)
 
         def kappa(s: np.ndarray) -> np.ndarray:

@@ -4,10 +4,9 @@ The one integrator over an interval is ``_integrate_panels``, which halves
 the worst panel of a given partition until the summed error fits: the
 package's own rho integral (``specfun._synthesis``) and the forward
 transform's r integral start it from equal seeded panels
-(``_seeded_edges``), and a seeding of more than 20,000 panels is refused
-with a DomainError before any array is built.  It returns ``(value,
-err_est)``, a float ``err_est`` no larger than the requested absolute
-tolerance, or raises :class:`~heatforms.errors.NonconvergenceError`.
+(``_seeded_edges``).  It returns ``(value, err_est)``, a float ``err_est``
+no larger than the requested absolute tolerance, or raises
+:class:`~heatforms.errors.NonconvergenceError`.
 
 Each panel takes QUADPACK's 21-point Gauss-Kronrod rule, laid on a
 partition by ``_kronrod_panels``, which McKean's integral on H2 uses too;
@@ -16,8 +15,8 @@ its embedded 10-point Gauss sum on the same nodes is the accuracy check.
 Two helpers here are the package's only truncation and refinement policy:
 ``solve_radius`` cuts every noncompact integral or sum at the first radius
 where an explicit tail bound falls below its share of the tolerance, and
-``refine_until_stable`` grows a grid until two successive passes agree, or
-until one pass agrees with the lower-order rule embedded in it.
+``refine_until_stable`` doubles a grid until two successive passes agree,
+or until one pass agrees with the lower-order rule embedded in it.
 Every radius search and every "refine until two passes agree" loop in the
 package calls them, so each failure reports the tail or the change it
 achieved against the tolerance it was asked for.  The area tail of a
@@ -25,13 +24,21 @@ decay hint on the plane or the hyperbolic plane, which cuts both
 ``integrate_surface`` and the forward Mehler-Fock transform, is solved
 here too, by ``_area_tail``, and so is the Gaussian tail that cuts the rho
 integral, by ``gaussian_tail_radius``.
+
+A ToleranceBudget asks for accuracy alone; each route caps its own
+refinement: ``_integrate_panels`` at _MAX_DEPTH = 40 halvings of a panel
+or _MAX_PANELS = 20,000 panels (also the most ``_seeded_edges`` seeds),
+``solve_radius`` at _MAX_RADIUS_STEPS = 400 radii, McKean's grid at
+hyperbolic._MCKEAN_ROUNDS = 12 doublings, ``specfun._conical_integral`` at
+the first grid past specfun._CONICAL_PANELS = 65536 panels, and the nested
+sampler's rules at kernels._APPLY_LIMIT = (512, 512) in apply_k0 and
+apply_k1 and geometry._SURFACE_LIMIT = (2048, 4096) in integrate_surface.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -47,9 +54,10 @@ __all__ = [
     "gaussian_tail_radius",
 ]
 
-# Hard cap on seeded and accepted panels, independent of the depth limit, so
-# a hostile integrand or a tiny panel width cannot allocate unboundedly.
+# Hard caps on seeded and accepted panels and on the halvings of one, so a
+# hostile integrand or a tiny panel width cannot allocate unboundedly.
 _MAX_PANELS = 20000
+_MAX_DEPTH = 40
 # Radii a truncation search tries before giving up; even at the smallest
 # growth factor in use (1.2) this spans 31 decades beyond the start radius.
 _MAX_RADIUS_STEPS = 400
@@ -59,25 +67,19 @@ _MAX_RADIUS_STEPS = 400
 class ToleranceBudget:
     """Accuracy request threaded through kernels, series, and quadratures.
 
-    abs_tol is the absolute error target for the final result; routines that
-    combine several truncations split it internally.
+    abs_tol, the whole request, is the absolute error target for the final
+    result; routines that combine several truncations split it internally.
     """
 
     abs_tol: float = 1e-8
-    max_quad_depth: int = 40
 
     def __post_init__(self):
         if not (self.abs_tol > 0.0) or not math.isfinite(self.abs_tol):
             raise DomainError("abs_tol must be positive and finite")
-        depth = self.max_quad_depth
-        # the ABC check is slow, and nearly every depth is a plain int
-        if not ((type(depth) is int or isinstance(depth, numbers.Integral))
-                and depth >= 1):
-            raise DomainError("max_quad_depth must be an integer of at least 1")
 
     def part(self, fraction: float) -> "ToleranceBudget":
         """A budget carrying `fraction` of this budget's error allowance."""
-        return ToleranceBudget(self.abs_tol * fraction, self.max_quad_depth)
+        return ToleranceBudget(self.abs_tol * fraction)
 
 
 DEFAULT_BUDGET = ToleranceBudget()
@@ -122,7 +124,7 @@ def _area_tail(decay: DecayHint, tol: float, hyperbolic: bool, scale: float = 1.
     pi C exp(R - a R^2) / (2 a R - 1), an exponential one pi C exp((1 - a)
     R) / (a - 1).  C is the hint's bound times scale.  A bounded hint, or
     exponential decay at a rate the hyperbolic area growth defeats (a <= 1),
-    raises DecayHintError.
+    raises DecayHintError; a pi C past the float range raises DomainError.
     """
     if decay.kind == "bounded":
         raise DecayHintError("integrals over a noncompact surface need decay")
@@ -130,6 +132,9 @@ def _area_tail(decay: DecayHint, tol: float, hyperbolic: bool, scale: float = 1.
         return 1.0, 0.0
     a = decay.rate
     c = math.pi * decay.bound * scale
+    if not math.isfinite(c):
+        raise DomainError(f"the area tail's factor pi * bound {decay.bound:.6g} "
+                          f"* scale {scale:.6g} overflows")
     if not hyperbolic:
         if decay.kind == "gaussian":
             R = max(1.0, math.sqrt(math.log(max(c / a / tol, 1.0)) / a))
@@ -233,27 +238,24 @@ def _max_change(cur, prev) -> float:
     return float(np.abs(cur - prev).max())
 
 
-def refine_until_stable(one_pass, size: tuple, grow: float, tol: float,
-                        rounds: int, floor=None, embedded: bool = False):
-    """Rerun one_pass on grids grown by `grow` until two passes agree.
+def refine_until_stable(one_pass, n: int, tol: float, rounds: int, floor=None,
+                        embedded: bool = False):
+    """Rerun one_pass(n) with n doubled each round until two passes agree.
 
-    one_pass(*size) returns a float, an array, or a tuple of them (None
-    entries are skipped).  Each round scales every entry of size by grow
-    (truncating to int), reruns, and accepts once the largest change is at
-    most tol or, if given, floor(result), the roundoff already spent.
-    With `embedded`, one_pass returns (result, lower): the result and a
-    lower-order one from the same nodes, such as the Gauss rule inside a
-    Kronrod rule.  Each pass is then compared with its own lower result,
-    so the first pass can be accepted, and at most `rounds` grown passes
-    follow it.  Returns (result, last_change); raises NonconvergenceError
-    with the last change against tol after `rounds` unsuccessful rounds.
+    one_pass returns a float, an array, or a tuple of them (None entries
+    are skipped).  A pass is accepted once the largest change from the
+    previous one is at most tol or, if given, floor(result), the roundoff
+    already spent.  With `embedded`, one_pass returns (result, lower): the
+    result and a lower-order one from the same nodes, such as the Gauss
+    rule inside a Kronrod rule.  Each pass is then compared with its own
+    lower result, so the first pass can be accepted.  Returns (result,
+    last_change); raises NonconvergenceError with the last change against
+    tol once `rounds` doubled passes after the first have not settled.
     """
     prev = None
     diff = math.inf
     for k in range(rounds + 1):
-        if k:
-            size = tuple(int(n * grow) for n in size)
-        cur = one_pass(*size)
+        cur = one_pass(n << k)
         if embedded:
             cur, prev = cur
         if embedded or k:
@@ -352,7 +354,8 @@ def _integrate_panels(f, edges, budget: ToleranceBudget):
     per row and a float err_est of each panel's largest row error summed.
     A complex, non-finite or misshapen value raises DomainError, and f's
     own exceptions propagate; NonconvergenceError carries the achieved
-    error past budget.max_quad_depth halvings or _MAX_PANELS panels."""
+    error once the worst panel has been halved _MAX_DEPTH times or the
+    partition holds _MAX_PANELS panels."""
     values, errs = _panel_estimates(f, edges)
     # Heap entries: (-err, tiebreak, a, b, value, depth).
     heap = [(-e, k, a, b, v, 0) for k, (a, b, v, e)
@@ -362,7 +365,7 @@ def _integrate_panels(f, edges, budget: ToleranceBudget):
     total_err = float(errs.sum())
     while total_err > budget.abs_tol:
         neg_err, _, pa, pb, _, depth = heap[0]
-        if depth >= budget.max_quad_depth or len(heap) >= _MAX_PANELS:
+        if depth >= _MAX_DEPTH or len(heap) >= _MAX_PANELS:
             raise NonconvergenceError(
                 f"adaptive quadrature stalled at error {total_err:.3e} "
                 f"(requested {budget.abs_tol:.3e})",

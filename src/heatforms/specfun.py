@@ -91,6 +91,10 @@ _ERFCX_Q = (2.56852019228982242e00, 1.87295284992346725e00,
             2.33520497626869185e-3)
 # Entries of one rho-by-node array in the Mehler-Dirichlet evaluator (512 KB).
 _BLOCK_ELEMS = 1 << 16
+# The Mehler-Dirichlet integral's first grid at most; a larger one is final.
+_CONICAL_PANELS = 65536
+# (rate, bound) of the decay |fhat| <= bound e^{-rate rho^2} of the round trip.
+_ROUNDTRIP_DECAY = (0.2, 10.0)
 # The e^{-2r} series serves radii from ln2 / 2, where x = e^{-2r} <= 1/2, and
 # rho from _RHO_MIN: below it the 1/rho cancellation in 2 Re[c ...] costs
 # more than 1e-13 (1.8e-13 at rho = 1e-3 against 30-digit values).
@@ -538,16 +542,15 @@ def _conical_integral(rhos: np.ndarray, radii: np.ndarray,
     """Mehler-Dirichlet branch: one K21 pass, accepted once its largest
     change from the embedded G10 over all radii is within budget.abs_tol or
     the roundoff floor; otherwise the panels double.  The first grid takes
-    max|rho| r_max / 4 + 1 panels, at most 65536, and a grid of more than
-    65536 is not doubled again.  err adds 8 eps times the largest sum of
+    max|rho| r_max / 4 + 1 panels, at most _CONICAL_PANELS, and the last
+    grid is the first past it.  err adds 8 eps times the largest sum of
     |terms| met."""
     rho_max = float(np.abs(rhos).max(initial=0.0))
-    n0 = min(65536, max(4, int(math.ceil(rho_max * float(radii.max()) / 4.0)) + 1))
-    rounds = min(budget.max_quad_depth, (65536 // n0).bit_length())
+    n0 = min(_CONICAL_PANELS, max(4, math.ceil(rho_max * float(radii.max()) / 4.0) + 1))
     scale = np.zeros(1)
     (p, p1), diff = refine_until_stable(
         lambda n: _mehler_dirichlet_eval(rhos, radii, n, need_p1, scale),
-        (n0,), 2, budget.abs_tol, rounds,
+        n0, budget.abs_tol, (_CONICAL_PANELS // n0).bit_length(),
         # the floor concedes what roundoff already spent
         floor=lambda cur: 64.0 * _EPS * (1.0 + max(
             float(abs(v).max()) for v in cur if v is not None)),
@@ -815,8 +818,7 @@ def _inverse_with_error(fhat, r: float, budget: ToleranceBudget = DEFAULT_BUDGET
     return float(rows[0, 0]), err, radius
 
 
-def _roundtrip(profile: RadialProfile, radii, budget: ToleranceBudget,
-               gaussian_rate: float, bound: float):
+def _roundtrip(profile: RadialProfile, radii, budget: ToleranceBudget):
     """The inverse transform of profile's computed forward transform at
     radii: the rows [(r, value, err_est)] and the relative L2 error
     against the profile over radii (None if it vanishes at every radius).
@@ -840,7 +842,7 @@ def _roundtrip(profile: RadialProfile, radii, budget: ToleranceBudget,
     rows, num, den = [], 0.0, 0.0
     for r in radii:
         worst = 0.0
-        back, err, radius = _inverse_with_error(fhat, r, budget, gaussian_rate, bound)
+        back, err, radius = _inverse_with_error(fhat, r, budget, *_ROUNDTRIP_DECAY)
         rows.append((r, back, err + worst * radius / (2.0 * math.pi)))
         num += (back - profile(r)) ** 2
         den += profile(r) ** 2

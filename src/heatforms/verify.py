@@ -244,7 +244,7 @@ def _suite_mehler_fock(tol=None):
     budget = ToleranceBudget(abs_tol=1e-7)
     radii = (0.3, 0.7, 1.1, 1.5, 2.0, 2.4)
     return [CheckResult(f"mehler-fock-roundtrip[{name}]",
-                        _roundtrip(PROFILES[name], radii, budget, 0.2, 10.0)[1],
+                        _roundtrip(PROFILES[name], radii, budget)[1],
                         _tol(1e-4, tol))
             for name in ("gaussian", "cubic")]
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heatforms import geometry
 from heatforms.errors import (CutLocusError, DecayHintError, DomainError,
                               NonconvergenceError)
 from heatforms.geometry import (CUT_LOCUS_TOL, BiTensor1, OneFormValue, Point,
@@ -274,16 +275,17 @@ def test_noncompact_integration_needs_decay():
                           vectorized=True)
 
 
-def test_unsettled_surface_integral_reports_its_last_change():
+def test_unsettled_surface_integral_reports_its_last_change(monkeypatch):
     """exp(-r^2)(1 + 0.2 cos phi), phi the angle about (1, 0): the jump at
     that pole keeps successive grids apart, and the error says by how much."""
+    monkeypatch.setattr(geometry, "_SURFACE_LIMIT", (128, 256))
     def field(c1, c2):
         x, y = c1 * np.cos(c2), c1 * np.sin(c2)
         return np.exp(-c1 ** 2) * (1.0 + 0.2 * np.cos(np.arctan2(y, x - 1.0)))
 
     with pytest.raises(NonconvergenceError) as info:
         integrate_surface("plane", field,
-                          ToleranceBudget(abs_tol=1e-9, max_quad_depth=8),
+                          ToleranceBudget(abs_tol=1e-9),
                           decay=DecayHint("gaussian", 1.0, 1.2), vectorized=True)
     assert info.value.achieved > info.value.requested == 5e-10
 

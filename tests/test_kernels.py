@@ -637,6 +637,21 @@ def test_h2_evolution_past_the_sinh_range_names_t_and_the_mass_radius(x):
             near.fn(x)
 
 
+def test_h2_one_form_evolution_past_the_sinh_range_names_t_and_the_mass_radius():
+    """A bounded hint cuts apply_k1 at K0's mass radius, 714 at t = 495:
+    it used to fail with NonconvergenceError("change nan").  A Gaussian
+    hint cuts at kappa's tail radius instead and keeps its values."""
+    budget, x = ToleranceBudget(abs_tol=1e-6), Point("hyperbolic", 0.0, 0.3)
+    zero = FormField(1, lambda p: OneFormValue(0.0, 0.0), DecayHint("bounded", 0.0, 1.0))
+    with pytest.raises(DomainError, match=r"t = 495\.0 .* mass radius 714\.1"):
+        apply_k1("hyperbolic", zero, 495.0, budget).fn(x)
+    field = FormField(1, lambda p: OneFormValue(math.exp(-p.c1 ** 2), 0.0),
+                      DecayHint("gaussian", 1.0, 1.0))
+    for t, a in ((495.0, 1.7074898779664644e-59), (600.0, 2.4357993919963634e-71)):
+        value = apply_k1("hyperbolic", field, t, budget).fn(Point("hyperbolic", 0.5, 0.3))
+        assert value.a == pytest.approx(a, rel=1e-9)
+
+
 def test_apply_k0_sphere_eigenfunctions():
     t = 0.3
     for n in (1, 2, 3):

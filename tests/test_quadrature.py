@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from heatforms import geometry, hyperbolic, kernels, quadrature, specfun
 from heatforms.errors import DomainError, NonconvergenceError
 from heatforms.quadrature import (DecayHint, ToleranceBudget, _area_tail,
                                   _integrate_panels, _kronrod21, _seeded_edges,
@@ -89,8 +91,9 @@ def test_nonfinite_integrand_rejected():
     assert got.value is error
 
 
-def test_nonconvergence_reports_achieved_estimate():
-    budget = ToleranceBudget(abs_tol=1e-15, max_quad_depth=2)
+def test_nonconvergence_reports_achieved_estimate(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 2)
+    budget = ToleranceBudget(abs_tol=1e-15)
     with pytest.raises(NonconvergenceError) as info:
         _integrate_panels(lambda x: np.sin(50.0 * x) ** 2, [0.0, 10.0], budget)
     assert info.value.achieved is not None
@@ -129,20 +132,11 @@ def test_budget_validation():
         ToleranceBudget(abs_tol=math.nan)
     part = ToleranceBudget(abs_tol=1e-6).part(0.25)
     assert part.abs_tol == 0.25e-6
-    # a part keeps the depth and every check
-    assert ToleranceBudget(1e-6, 7).part(0.5) == ToleranceBudget(5e-7, 7)
-    assert ToleranceBudget(1e-6, np.int64(3)).part(0.5).max_quad_depth == 3
+    # a part keeps every check
+    assert ToleranceBudget(1e-6).part(0.5) == ToleranceBudget(5e-7)
     for fraction in (0.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             ToleranceBudget(1e-6).part(fraction)
-
-
-@pytest.mark.parametrize("depth", [1.5, 2.0, math.inf, math.nan, "3"])
-def test_budget_depth_must_be_an_integer(depth):
-    """A fractional or non-finite depth used to be accepted and failed
-    later inside a quadrature with an untyped TypeError."""
-    with pytest.raises(DomainError):
-        ToleranceBudget(max_quad_depth=depth)
 
 
 @pytest.mark.parametrize("kind,rate,bound", [
@@ -179,14 +173,14 @@ def test_solve_radius_failure_carries_tail_and_tol():
 
 def test_refine_until_stable_reports_the_last_change():
     # passes on 4, 8, 16, ... panels; successive passes differ by 1/(2n)
-    value, diff = refine_until_stable(lambda n: 1.0 / n, (4,), 2, 0.02, 10)
+    value, diff = refine_until_stable(lambda n: 1.0 / n, 4, 0.02, 10)
     assert (value, diff) == (1.0 / 64, 1.0 / 64)
     with pytest.raises(NonconvergenceError) as info:
-        refine_until_stable(lambda n: 1.0 / n, (4,), 2, 1e-9, 3)
+        refine_until_stable(lambda n: 1.0 / n, 4, 1e-9, 3)
     assert info.value.achieved == 1.0 / 32
     assert info.value.requested == 1e-9
     # a roundoff floor above the change accepts the first refinement
-    value, _ = refine_until_stable(lambda n: 1.0 / n, (4,), 2, 0.0, 3,
+    value, _ = refine_until_stable(lambda n: 1.0 / n, 4, 0.0, 3,
                                    floor=lambda cur: 1.0)
     assert value == 1.0 / 8
 
@@ -199,18 +193,18 @@ def test_refine_until_stable_compares_a_pass_with_its_embedded_rule():
         seen.append(n)
         return 1.0 / n, 1.0 / n + 1.0 / n ** 2
 
-    value, diff = refine_until_stable(one_pass, (4,), 2, 0.1, 3, embedded=True)
+    value, diff = refine_until_stable(one_pass, 4, 0.1, 3, embedded=True)
     assert seen == [4] and (value, diff) == (0.25, 1.0 / 16)
     seen.clear()
-    value, diff = refine_until_stable(one_pass, (4,), 2, 1e-3, 5, embedded=True)
+    value, diff = refine_until_stable(one_pass, 4, 1e-3, 5, embedded=True)
     assert seen == [4, 8, 16, 32] and (value, diff) == (1.0 / 32, 1.0 / 1024)
     # the round cap counts the grown passes after the first, as without it
     seen.clear()
     with pytest.raises(NonconvergenceError) as info:
-        refine_until_stable(one_pass, (4,), 2, 1e-9, 3, embedded=True)
+        refine_until_stable(one_pass, 4, 1e-9, 3, embedded=True)
     assert seen == [4, 8, 16, 32]
     assert info.value.achieved == 1.0 / 1024 and info.value.requested == 1e-9
-    value, _ = refine_until_stable(one_pass, (4,), 2, 0.0, 3,
+    value, _ = refine_until_stable(one_pass, 4, 0.0, 3,
                                    floor=lambda cur: 1.0, embedded=True)
     assert value == 0.25
 
@@ -232,16 +226,16 @@ def test_kronrod21_is_quadpacks_rule():
     assert np.array_equal(_K21_W, _K21_W[::-1])
 
 
-def test_refine_until_stable_grows_every_grid_axis_and_skips_none():
+def test_refine_until_stable_doubles_the_grid_and_skips_none():
     seen = []
 
-    def one_pass(n_rad, n_ang):
-        seen.append((n_rad, n_ang))
-        return np.array([1.0 / n_rad, 1.0 / n_ang]), None
+    def one_pass(n):
+        seen.append(n)
+        return np.array([1.0 / n]), None
 
-    (vals, extra), diff = refine_until_stable(one_pass, (90, 96), 1.5, 2e-3, 3)
-    assert seen == [(90, 96), (135, 144), (202, 216), (303, 324)]
-    assert extra is None and diff == pytest.approx(1.0 / 202 - 1.0 / 303)
+    (vals, extra), diff = refine_until_stable(one_pass, 90, 2e-3, 3)
+    assert seen == [90, 180, 360, 720]
+    assert extra is None and diff == pytest.approx(1.0 / 360 - 1.0 / 720)
 
 
 @pytest.mark.parametrize("bound", [-1.0, math.nan, math.inf])
@@ -281,3 +275,30 @@ def test_seeded_partition_is_refused_above_the_panel_cap():
     for width in (0.99e-4, 1e-300):
         with pytest.raises(DomainError, match="above the 20000 allowed"):
             _seeded_edges(2.0, width)
+
+
+def test_refinement_caps_are_pinned(monkeypatch):
+    """Every route's refinement cap, so that none moves unnoticed; the
+    budget carries the accuracy request alone."""
+    assert [f.name for f in dataclasses.fields(ToleranceBudget)] == ["abs_tol"]
+    assert (quadrature._MAX_DEPTH, quadrature._MAX_PANELS,
+            quadrature._MAX_RADIUS_STEPS) == (40, 20000, 400)
+    assert geometry._SURFACE_LIMIT == (2048, 4096)
+    assert kernels._APPLY_LIMIT == (512, 512)
+    assert hyperbolic._MCKEAN_ROUNDS == 12
+    # the conical integral's passes when no grid settles: an embedded rule
+    # that never agrees, from 4 panels and from 65536
+    seen = []
+
+    def never_settles(rhos, radii, n, need_p1, scale):
+        seen.append(n)
+        ones = np.ones(rhos.size)
+        return (ones, None), (2.0 * ones, None)
+
+    monkeypatch.setattr(specfun, "_mehler_dirichlet_eval", never_settles)
+    for rho, n0, last in ((2.0, 4, 131072), (1e6, 65536, 131072)):
+        seen.clear()
+        with pytest.raises(NonconvergenceError):
+            specfun._conical_integral(np.array([rho]), np.array(0.3),
+                                      ToleranceBudget(), False)
+        assert seen == [n0 << k for k in range(len(seen))] and seen[-1] == last
