@@ -139,6 +139,16 @@ def test_budget_validation():
             ToleranceBudget(1e-6).part(fraction)
 
 
+def test_budget_takes_no_refinement_depth():
+    """The budget is an accuracy request alone: each route keeps its own
+    refinement cap, so a depth is refused where it used to be stored."""
+    with pytest.raises(TypeError):
+        ToleranceBudget(1e-6, 7)
+    with pytest.raises(TypeError):
+        ToleranceBudget(abs_tol=1e-6, max_quad_depth=7)
+    assert not hasattr(ToleranceBudget(), "max_quad_depth")
+
+
 @pytest.mark.parametrize("kind,rate,bound", [
     ("gaussian", 1.0, math.inf), ("gaussian", math.inf, 1.0),
     ("exp", math.inf, 1.0), ("exp", 2.0, math.inf), ("bounded", 0.0, math.inf)])
@@ -249,6 +259,21 @@ def test_a_zero_bound_leaves_no_tail_and_nothing_to_integrate():
     zero = DecayHint("gaussian", 1.0, 0.0)
     for hyperbolic in (False, True):
         assert _area_tail(zero, 1e-9, hyperbolic) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("kind,rate,hyperbolic", [
+    ("gaussian", 1.0, False), ("exp", 1.0, False),
+    ("gaussian", 1.0, True), ("exp", 2.0, True)])
+def test_area_tail_refuses_a_factor_past_the_float_range(kind, rate, hyperbolic):
+    """bound * scale is finite here and pi times it is not: every route
+    used to read its tail from inf * 0 = NaN."""
+    hint = DecayHint(kind, rate, 1e308)
+    with pytest.raises(DomainError, match="overflows"):
+        _area_tail(hint, 1e-9, hyperbolic, scale=1.0)
+    with pytest.raises(DomainError, match="overflows"):
+        _area_tail(DecayHint(kind, rate, 1.0), 1e-9, hyperbolic, scale=1e308)
+    radius, tail = _area_tail(DecayHint(kind, rate, 1e200), 1e-9, hyperbolic)
+    assert math.isfinite(radius) and 0.0 <= tail <= 1e-9
 
 
 @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
