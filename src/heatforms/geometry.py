@@ -419,10 +419,12 @@ def _chart_points(kind: SurfaceKind, x: Point, s_grid: np.ndarray,
     outgoing geodesic covector at the target, in the target's polar coframe.
     """
     model = _MODELS[kind]
+    reach = float(s_grid.max())
     try:  # the coordinates grow like C(r + s), the frame products like C^2
-        model.C(x.c1 + float(s_grid.max())) ** (2 if need_frames else 1)
+        model.C(x.c1 + reach) ** (2 if need_frames else 1)
     except OverflowError:
-        raise DomainError(f"the chart at radius {x.c1!r} overflows") from None
+        raise DomainError(f"the chart at radius {x.c1!r} overflows: its grid "
+                          f"reaches geodesic distance {reach:.6g}") from None
     c, s = math.cos(x.c2), math.sin(x.c2)
     cx = model.C(x.c1)
     pos = np.array(_embed(x))

@@ -380,7 +380,7 @@ def k1(kind, x: Point, y: Point, t,
     t = _as_time(t)
     d = distance(kind, x, y)
     if d == 0.0:
-        c, err, terms, radius = _k1_coincidence(kind, t, budget)
+        c, err, terms, radius = _k1_coincidence(kind, t, budget.part(0.5))
         return Kernel1Value(BiTensor1(c, 0.0, 0.0, c), 2.0 * err, terms, radius)
     return _k1_apart(kind, x, y, d, t, budget)
 

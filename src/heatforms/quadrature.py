@@ -137,7 +137,10 @@ def _area_tail(decay: DecayHint, tol: float, hyperbolic: bool, scale: float = 1.
                           f"* scale {scale:.6g} overflows")
     if not hyperbolic:
         if decay.kind == "gaussian":
-            R = max(1.0, math.sqrt(math.log(max(c / a / tol, 1.0)) / a))
+            ratio = c / a / tol  # its log taken term by term where it overflows
+            log_ratio = (math.log(max(ratio, 1.0)) if ratio < math.inf
+                         else math.log(c) - math.log(a) - math.log(tol))
+            R = max(1.0, math.sqrt(log_ratio / a))
             return R, c * math.exp(-a * R * R) / a
         return solve_radius(
             lambda R: 2.0 * c * (R + 1.0 / a) * math.exp(-a * R) / a,

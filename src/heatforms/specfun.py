@@ -5,12 +5,13 @@ Conventions
 ``conical_p1`` is the r-derivative of ``conical_p`` evaluated at
 cosh(r), which is the radial eigenfunction pairing used by the transform.
 
-One conical evaluator, ``_conical_many``, serves both axes: an array of rho
-at one radius or several (``conical_p``, ``conical_p1`` and the synthesis
-below) and an array of radii at fixed rho (each adaptive panel of the
-forward transform in one call).  Both series are sums of a radius's powers
-against a rho's coefficients, so each block of radii and rho is a few
-matrix-vector products.  Each radius takes one of three branches:
+One conical evaluator, ``_conical_many``, takes a 1-d array of rho and a
+1-d array of radii and returns a row per radius and a column per rho: many
+rho at one radius for the synthesis below, many radii at one rho for the
+panels of the forward transform, one of each for ``conical_p`` and
+``conical_p1``.  Both series are sums of a radius's powers against a rho's
+coefficients, so each block of radii and rho is a few matrix-vector
+products.  Each radius takes one of three branches:
 
 - near the origin (sinh^2(r/2) <= 1/2 and sinh^2(r/2) (1/4 + rho^2) <=
   0.3) the hypergeometric series in sinh^2(r/2), with as many terms as its
@@ -213,49 +214,44 @@ def _expint_cf(z: float, p: float) -> float:
 
 
 def _mehler_dirichlet_eval(rhos: np.ndarray, radii: np.ndarray, n_panels: int,
-                           need_p1: bool, scale=None):
+                           need_p1: bool, scale: np.ndarray):
     """Composite-K21 evaluation of the conical integral and its r-derivative.
 
     The representation is P_{-1/2+i rho}(cosh r) =
     (2 sqrt 2 / pi) * int_0^sqrt(r) cos(rho (r - w^2)) / sqrt(psi(w)) dw with
     psi(w) = sinh(r - w^2/2) * sinhc(w^2/2); the substitution s = r - w^2 has
     absorbed the inverse-square-root endpoint singularity of the classical
-    form, so the integrand is smooth on the whole interval.  Each radius gets
-    its own grid of n_panels K21 panels on [0, sqrt(r)].  Returns
-    ((P, P1), (P_G10, P1_G10)): the K21 values and those of the embedded
-    10-point Gauss rule on the same nodes (P1 entries None unless need_p1).
-    A 0-d radii gives values shaped like rhos, a 1-d one a row per radius.
+    form, so the integrand is smooth on the whole interval.  Each radius of
+    the 1-d array radii gets its own grid of n_panels K21 panels on [0,
+    sqrt(r)].  Returns ((P, P1), (P_G10, P1_G10)), a row per radius and a
+    column per rho: the K21 values and those of the embedded 10-point Gauss
+    rule on the same nodes (P1 entries None unless need_p1).
 
     Radius blocks, or blocks of panels when one radius has more than
     _BLOCK_ELEMS / 84 of them (their sums are added), keep a block's table
     and a 4-row rho block near _BLOCK_ELEMS entries however many radii and
-    panels come in.  `scale`, if given, is a 1-entry array raised to the
-    largest K21 sum of |terms| of any entry, which sets the roundoff.
+    panels come in.  `scale`, a 1-entry array, is raised to the largest K21
+    sum of |terms| of any entry, which sets the roundoff.
     """
-    flat = radii.reshape(-1)
     per_block = max(1, _BLOCK_ELEMS // (4 * 21))  # panels of one table
     step = max(1, per_block // n_panels)  # radii of one table
     edges = np.linspace(0.0, 1.0, n_panels + 1)
     rho_max = float(abs(rhos).max(initial=0.0))
-    out = np.zeros((4 if need_p1 else 2, flat.size, rhos.size))
-    for lo in range(0, flat.size, step):
+    out = np.zeros((4 if need_p1 else 2, radii.size, rhos.size))
+    for lo in range(0, radii.size, step):
         rows = out[:, lo:lo + step]
         mass = 0.0  # the K21 rows' sums of |weights|; each row has one sign
         for p_lo in range(0, n_panels, per_block):
             s, weights, boundary = _dirichlet_table(
-                flat[lo:lo + step], edges[p_lo:p_lo + per_block + 1], need_p1)
+                radii[lo:lo + step], edges[p_lo:p_lo + per_block + 1], need_p1)
             _dirichlet_sums(rhos, s, weights, rows)
-            if scale is not None:
-                mass = mass + np.abs(weights[0::2].sum(axis=-1))
+            mass = mass + np.abs(weights[0::2].sum(axis=-1))
             del s, weights  # before the next block's table is built
         if need_p1:
             rows[2:] += boundary[:, None]
-        if scale is not None:
-            if need_p1:
-                mass[1] += rho_max * mass[0] + boundary
-            scale[0] = max(scale[0], _TWO_SQRT2_OVER_PI * float(mass.max()))
+            mass[1] += rho_max * mass[0] + boundary
+        scale[0] = max(scale[0], _TWO_SQRT2_OVER_PI * float(mass.max()))
     out *= _TWO_SQRT2_OVER_PI
-    out = out.reshape(out.shape[:1] + radii.shape + rhos.shape)
     if not need_p1:
         return (out[0], None), (out[1], None)
     return (out[0], out[2]), (out[1], out[3])
@@ -351,7 +347,7 @@ def _conical_series(rhos: np.ndarray, radii: np.ndarray, s: np.ndarray,
     sum_k (k + 1) a_{k+1} (-s)^k term by term; it converges fast whenever
     s (rho^2 + 1/4) is small, which is exactly the regime where the
     integral form loses its derivative to cancellation.  radii and s are
-    0-d or 1-d as in _mehler_dirichlet_eval.
+    1-d, and the values come a row per radius.
 
     |a_k s^k| grows with s and rho^2 for every k, so the batch's largest
     entry sets the terms: the sum stops at the first term K of that entry
@@ -373,8 +369,6 @@ def _conical_series(rhos: np.ndarray, radii: np.ndarray, s: np.ndarray,
             break
     n_terms = k + 1
     ks = np.arange(1.0, n_terms)[:, None]
-    shape = radii.shape + rhos.shape
-    radii, s = radii.reshape(-1), s.reshape(-1)
     out = np.empty((2 if need_p1 else 1, radii.size, rhos.size))
     r_step = max(1, _BLOCK_ELEMS // n_terms)
     rho_step = max(1, _BLOCK_ELEMS // (2 * n_terms))
@@ -399,7 +393,6 @@ def _conical_series(rhos: np.ndarray, radii: np.ndarray, s: np.ndarray,
             if need_p1:  # ds/dr = sinh(r) / 2
                 out[1, rows, cols] = sums[:, rho.size:] * half_sinh[:, None]
         del powers  # before the next block's are built
-    out = out.reshape(out.shape[:1] + shape)
     err = 2.0 * term + 8.0 * _EPS * abs_p
     if not need_p1:
         return out[0], None, err
@@ -576,92 +569,85 @@ def _takes_series(s, rho_max: float):
     return (s <= 0.5) & (s * (0.25 + rho_max * rho_max) <= 0.3)
 
 
-def _conical_many(rhos: np.ndarray, r, budget: ToleranceBudget, need_p1: bool):
-    """(P, P1, err) for an array of rho at one radius or at an array of radii.
+def _conical_many(rhos: np.ndarray, radii: np.ndarray, budget: ToleranceBudget,
+                  need_p1: bool):
+    """(P, P1, err) for a 1-d array of rho at a 1-d array of radii, a row per
+    radius and a column per rho.
 
-    A scalar r gives arrays shaped like rhos; an array of radii gives one row
-    per radius.  Each radius takes one branch on its own: the series about
-    the origin; from r = ln2 / 2 (_FAR_RADIUS) on, the e^{-2r} series,
-    except in the columns with rho < _RHO_MIN; the integral everywhere
-    else.  The integral entries share one refinement, so every radius
-    meets the tolerance it would meet alone.  err is the largest series
-    tail, e^{-2r} tail or final K21-G10 change met, plus the roundoff each
-    branch charges.  Each branch serves an interval of radii, so the
-    smallest and largest radius tell when one branch serves the whole
-    batch; it then goes to that branch directly.
+    Each radius takes one branch on its own: the series about the origin;
+    from r = ln2 / 2 (_FAR_RADIUS) on, the e^{-2r} series, except in the
+    columns with rho < _RHO_MIN; the integral everywhere else.  The integral
+    entries share one refinement, so every radius meets the tolerance it
+    would meet alone.  err is the largest series tail, e^{-2r} tail or final
+    K21-G10 change met, plus the roundoff each branch charges.
+
+    Each branch serves an interval of radii, so the smallest and largest
+    radius tell when one branch serves the whole batch; it then goes to that
+    branch directly, and only a batch that spans branches is tiled by
+    (radius, rho) rectangles.  The exits stay for the traffic they carry: at
+    abs_tol 1e-8 an inverse transform makes one call, at its one radius and
+    105 rho, which takes an exit, and a forward transform one call, at 126
+    to 210 radii of its seeded panels and one rho, which spans all three
+    branches.  Sending every batch through the rectangles' masks cost 30-50%
+    per conical_p1 call and up to 20% per inverse transform.
     """
-    rhos = np.asarray(rhos, dtype=float)
-    radii = np.asarray(r, dtype=float)
-    flat = radii.reshape(-1)
-    shape = radii.shape + rhos.shape
-    if flat.size:
-        r_min, r_max = float(flat.min()), float(flat.max())
-        if not (r_min >= 0.0 and r_max < math.inf):
-            raise DomainError("radius must be finite and nonnegative")
-    if not (flat.size and rhos.size):
+    r_min, r_max = float(radii.min(initial=math.inf)), float(radii.max(initial=0.0))
+    if not (r_min >= 0.0 and r_max < math.inf):
+        raise DomainError("radius must be finite and nonnegative")
+    shape = (radii.size, rhos.size)
+    if not (radii.size and rhos.size):
         return np.zeros(shape), (np.zeros(shape) if need_p1 else None), 0.0
     abs_rhos = np.abs(rhos)
     rho_max = float(abs_rhos.max())
     series_min, series_max = (_takes_series(math.sinh(0.5 * min(r, 2.0)) ** 2, rho_max)
                               for r in (r_min, r_max))
     if series_max:
-        p, p1, err = _conical_series(rhos, flat, _sinh_half_sq(flat), need_p1)
-    elif series_min:
-        return _conical_parts(rhos, flat, budget, need_p1, shape)
-    elif r_min >= _FAR_RADIUS and float(abs_rhos.min()) >= _RHO_MIN:
-        p, p1, err = _conical_far(rhos, flat, need_p1)
-    elif r_max < _FAR_RADIUS or rho_max < _RHO_MIN:
-        p, p1, err = _conical_integral(rhos, flat, budget, need_p1)
-    else:
-        return _conical_parts(rhos, flat, budget, need_p1, shape)
-    return p.reshape(shape), (p1.reshape(shape) if need_p1 else None), err
-
-
-def _conical_parts(rhos, flat, budget, need_p1, shape):
-    """_conical_many for a batch whose radii take more than one branch:
-    each branch's rectangle of (radius, rho) entries is evaluated alone and
-    written into one array."""
-    s_half = _sinh_half_sq(flat)
-    series = _takes_series(s_half, float(np.abs(rhos).max()))
-    far = ~series & (flat >= _FAR_RADIUS)
-    small = np.abs(rhos) < _RHO_MIN
+        return _conical_series(rhos, radii, _sinh_half_sq(radii), need_p1)
+    if not series_min:
+        if r_min >= _FAR_RADIUS and float(abs_rhos.min()) >= _RHO_MIN:
+            return _conical_far(rhos, radii, need_p1)
+        if r_max < _FAR_RADIUS or rho_max < _RHO_MIN:
+            return _conical_integral(rhos, radii, budget, need_p1)
+    s_half = _sinh_half_sq(radii)
+    series = _takes_series(s_half, rho_max)
+    far = ~series & (radii >= _FAR_RADIUS)
+    small = abs_rhos < _RHO_MIN
     every = np.ones(rhos.shape, dtype=bool)
 
     def integral(rows, cols):
-        return _conical_integral(rhos[cols], flat[rows], budget, need_p1)
+        return _conical_integral(rhos[cols], radii[rows], budget, need_p1)
 
     # (rows, columns, evaluator) rectangles that tile the batch
     parts = [(series, every, lambda rows, cols: _conical_series(
-                  rhos, flat[rows], s_half[rows], need_p1)),
+                  rhos, radii[rows], s_half[rows], need_p1)),
              (far, ~small, lambda rows, cols: _conical_far(
-                  rhos[cols], flat[rows], need_p1))]
+                  rhos[cols], radii[rows], need_p1))]
     if small.all() or not far.any():
         parts.append((~series, every, integral))
     else:
         parts += [(~series & ~far, every, integral), (far, small, integral)]
     parts = [(rows, cols, fn(rows, cols)) for rows, cols, fn in parts
              if rows.any() and cols.any()]
-    out = np.zeros((2 if need_p1 else 1, flat.size, rhos.size))
+    out = np.zeros((2 if need_p1 else 1,) + shape)
     for rows, cols, values in parts:
         rectangle = np.ix_(rows, cols)
         for row, v in zip(out, values[:2]):
             row[rectangle] = v
-    err = max(part[2][2] for part in parts)
-    return out[0].reshape(shape), (out[1].reshape(shape) if need_p1 else None), err
+    return out[0], (out[1] if need_p1 else None), max(part[2][2] for part in parts)
 
 
 def conical_p(rho, r: float, budget: ToleranceBudget = DEFAULT_BUDGET) -> float:
-    """Conical (Mehler) function P_{-1/2 + i rho}(cosh r) for r >= 0."""
-    rho_val = _as_rho(rho)
-    p, _, _ = _conical_many(np.array([rho_val]), float(r), budget, need_p1=False)
-    return float(p[0])
+    """Conical (Mehler) function P_{-1/2 + i rho}(cosh r) for r >= 0, the one
+    entry of a batch of one rho at one radius."""
+    p, _, _ = _conical_many(np.array([_as_rho(rho)]), np.array([float(r)]), budget, False)
+    return float(p[0, 0])
 
 
 def conical_p1(rho, r: float, budget: ToleranceBudget = DEFAULT_BUDGET) -> float:
-    """Radial derivative d/dr of conical_p; vanishes at r = 0."""
-    rho_val = _as_rho(rho)
-    _, p1, _ = _conical_many(np.array([rho_val]), float(r), budget, need_p1=True)
-    return float(p1[0])
+    """Radial derivative d/dr of conical_p, which vanishes at r = 0; the one
+    entry of a batch of one rho at one radius."""
+    _, p1, _ = _conical_many(np.array([_as_rho(rho)]), np.array([float(r)]), budget, True)
+    return float(p1[0, 0])
 
 
 def _area_mass(decay: DecayHint) -> float:

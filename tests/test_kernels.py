@@ -96,6 +96,16 @@ def test_k1_coincidence_is_isotropic():
         assert abs(near.m11 - m.m11) < 1e-4
 
 
+def test_coincident_k1_meets_its_request():
+    """k1 reports twice c(t)'s error, so c(t) gets half the budget; with all
+    of it err_est came to 1.9e-10 and 1.17e-12 here.  The plane's 2 eps / t
+    and H2 at t = 1e-4 are bound by roundoff, not by the budget's share, and
+    are left out."""
+    for kind, t, tol in (("sphere", 1e-4, 1e-10), ("hyperbolic", 3e-4, 1e-12)):
+        x = Point(kind, 0.3, 0.2)
+        assert k1(kind, x, x, t, ToleranceBudget(abs_tol=tol)).err_est <= tol
+
+
 def test_h2_dual_routes_agree():
     # k0 serves from McKean's integral; the spectral integral is the oracle.
     for d in (0.1, 1.0, 2.5):
@@ -633,8 +643,12 @@ def test_h2_evolution_past_the_sinh_range_names_t_and_the_mass_radius(x):
     if x.c1 == 0.0:
         assert 0.0 < near.fn(x) < 1e-6
     else:
-        with pytest.raises(DomainError, match="radius 2.0"):
+        # the chart names x's radius and its grid's reach, the kernel's mass
+        # radius less a little: cosh(2 + s) overflows from s = 708.48 on
+        with pytest.raises(DomainError, match="radius 2.0") as info:
             near.fn(x)
+        reach = float(str(info.value).rsplit(" ", 1)[1])
+        assert 708.48 < reach < 708.7
 
 
 def test_h2_one_form_evolution_past_the_sinh_range_names_t_and_the_mass_radius():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -276,6 +277,19 @@ def test_area_tail_refuses_a_factor_past_the_float_range(kind, rate, hyperbolic)
     assert math.isfinite(radius) and 0.0 <= tail <= 1e-9
 
 
+def test_plane_gaussian_tail_survives_a_ratio_past_the_float_range():
+    """pi bound / rate / tol overflows for a finite factor: the tail used to
+    read radius inf, and the integral failed on non-finite coordinates."""
+    hint = DecayHint("gaussian", 1.0, 1e300)
+    radius, tail = _area_tail(hint, 1e-9, False)
+    assert 26.6 < radius < 26.8 and 0.0 < tail <= 1e-9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = geometry.integrate_surface("plane", lambda p: math.exp(-p.c1 ** 2),
+                                           ToleranceBudget(abs_tol=1e-9), hint)
+    assert abs(value - math.pi) <= 1e-9
+
+
 @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
 def test_tail_radius_refuses_rates_outside_zero_to_inf(rate):
     with pytest.raises(DomainError, match="gaussian_rate"):
@@ -317,13 +331,13 @@ def test_refinement_caps_are_pinned(monkeypatch):
 
     def never_settles(rhos, radii, n, need_p1, scale):
         seen.append(n)
-        ones = np.ones(rhos.size)
+        ones = np.ones((radii.size, rhos.size))
         return (ones, None), (2.0 * ones, None)
 
     monkeypatch.setattr(specfun, "_mehler_dirichlet_eval", never_settles)
     for rho, n0, last in ((2.0, 4, 131072), (1e6, 65536, 131072)):
         seen.clear()
         with pytest.raises(NonconvergenceError):
-            specfun._conical_integral(np.array([rho]), np.array(0.3),
+            specfun._conical_integral(np.array([rho]), np.array([0.3]),
                                       ToleranceBudget(), False)
         assert seen == [n0 << k for k in range(len(seen))] and seen[-1] == last

@@ -209,29 +209,26 @@ def test_radius_batch_matches_single_radius_calls(rho, extra, gap, exponent):
 
 
 @pytest.mark.parametrize("r", [0.0, 0.01, 0.3, 1.5, 6.0])
-def test_single_radius_batch_keeps_the_scalar_bits(r):
+def test_conical_p_and_p1_equal_their_one_entry_batch(r):
     rhos = np.linspace(0.0, 12.0, 22)
-    p, p1, err = _conical_many(rhos, r, TIGHT, need_p1=True)
-    bp, bp1, berr = _conical_many(rhos, np.array([r]), TIGHT, need_p1=True)
-    assert bp.shape == bp1.shape == (1, rhos.size)
-    assert np.array_equal(bp[0], p) and np.array_equal(bp1[0], p1)
-    assert berr == err
+    p, p1, _ = _conical_many(rhos, np.array([r]), TIGHT, need_p1=True)
+    assert p.shape == p1.shape == (1, rhos.size)
     for rho in (0.0, 3.5, 12.0):
-        one = np.array([rho])
-        assert conical_p(rho, r, TIGHT) == _conical_many(one, [r], TIGHT, False)[0][0, 0]
-        assert conical_p1(rho, r, TIGHT) == _conical_many(one, [r], TIGHT, True)[1][0, 0]
+        one, radii = np.array([rho]), np.array([r])
+        assert conical_p(rho, r, TIGHT) == _conical_many(one, radii, TIGHT, False)[0][0, 0]
+        assert conical_p1(rho, r, TIGHT) == _conical_many(one, radii, TIGHT, True)[1][0, 0]
 
 
 def test_conical_roundoff_floor_accepts_the_achievable_change():
     # |P1| reaches ~12 here, so grid doublings keep changing it by a few
     # ulps of that size; without the floor a 1e-16 request can never be met
     rhos = np.linspace(0.0, 30.0, 22)
-    p, p1, err = _conical_many(rhos, 0.1, ToleranceBudget(abs_tol=1e-16),
+    p, p1, err = _conical_many(rhos, np.array([0.1]), ToleranceBudget(abs_tol=1e-16),
                                need_p1=True)
     assert np.max(np.abs(p1)) > 10.0
     assert 1e-16 < err <= 64.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(p1)))
-    ref_p, ref_p1, _ = _conical_many(rhos, 0.1, ToleranceBudget(abs_tol=1e-12),
-                                     need_p1=True)
+    ref_p, ref_p1, _ = _conical_many(rhos, np.array([0.1]),
+                                     ToleranceBudget(abs_tol=1e-12), need_p1=True)
     np.testing.assert_allclose(p, ref_p, rtol=0, atol=1e-12)
     np.testing.assert_allclose(p1, ref_p1, rtol=0, atol=1e-12)
 
@@ -270,7 +267,7 @@ def test_dirichlet_memory_does_not_grow_with_the_rho_count():
     def peak(rhos):
         tracemalloc.start()
         try:
-            out = _mehler_dirichlet_eval(rhos, np.array(3.0), 4096, True)
+            out = _mehler_dirichlet_eval(rhos, np.array([3.0]), 4096, True, np.zeros(1))
             return tracemalloc.get_traced_memory()[1], out
         finally:
             tracemalloc.stop()
@@ -280,9 +277,10 @@ def test_dirichlet_memory_does_not_grow_with_the_rho_count():
     many, ((p, p1), _) = peak(rhos)
     assert many <= 1.1 * few
     for i in (0, 9, 21):
-        (one_p, one_p1), _ = _mehler_dirichlet_eval(rhos[i:i + 1], np.array(3.0),
-                                                    4096, True)
-        assert abs(p[i] - one_p[0]) <= 1e-14 and abs(p1[i] - one_p1[0]) <= 1e-14
+        (one_p, one_p1), _ = _mehler_dirichlet_eval(rhos[i:i + 1], np.array([3.0]),
+                                                    4096, True, np.zeros(1))
+        assert abs(p[0, i] - one_p[0, 0]) <= 1e-14
+        assert abs(p1[0, i] - one_p1[0, 0]) <= 1e-14
 
 
 def test_dirichlet_memory_does_not_grow_with_the_radius_count():
@@ -293,7 +291,7 @@ def test_dirichlet_memory_does_not_grow_with_the_radius_count():
     def peak(radii):
         tracemalloc.start()
         try:
-            out = _mehler_dirichlet_eval(rhos, radii, 32, True)
+            out = _mehler_dirichlet_eval(rhos, radii, 32, True, np.zeros(1))
             return tracemalloc.get_traced_memory()[1], out
         finally:
             tracemalloc.stop()
@@ -303,9 +301,10 @@ def test_dirichlet_memory_does_not_grow_with_the_radius_count():
     many, ((p, p1), _) = peak(radii)
     assert many <= 1.2 * few
     for i in (0, 150, 299):
-        (one_p, one_p1), _ = _mehler_dirichlet_eval(rhos, radii[i], 32, True)
-        assert np.abs(p[i] - one_p).max() <= 1e-14
-        assert np.abs(p1[i] - one_p1).max() <= 1e-14
+        (one_p, one_p1), _ = _mehler_dirichlet_eval(rhos, radii[i:i + 1], 32, True,
+                                                    np.zeros(1))
+        assert np.abs(p[i] - one_p[0]).max() <= 1e-14
+        assert np.abs(p1[i] - one_p1[0]).max() <= 1e-14
 
 
 def test_blocks_of_panels_add_up_to_the_one_block_values():
@@ -313,8 +312,8 @@ def test_blocks_of_panels_add_up_to_the_one_block_values():
     # grids resolve these rho at r = 3, and the K21 sums of |terms| agree
     rhos = np.linspace(0.0, 12.0, 22)
     one, blocks = np.zeros(1), np.zeros(1)
-    (p, p1), _ = _mehler_dirichlet_eval(rhos, np.array(3.0), 96, True, one)
-    (q, q1), _ = _mehler_dirichlet_eval(rhos, np.array(3.0), 1600, True, blocks)
+    (p, p1), _ = _mehler_dirichlet_eval(rhos, np.array([3.0]), 96, True, one)
+    (q, q1), _ = _mehler_dirichlet_eval(rhos, np.array([3.0]), 1600, True, blocks)
     assert np.abs(p - q).max() <= 1e-14 and np.abs(p1 - q1).max() <= 1e-14
     assert abs(blocks[0] - one[0]) <= 1e-12 * one[0]
 
@@ -326,8 +325,8 @@ def test_dirichlet_memory_does_not_grow_with_the_panel_count():
     tracemalloc.start()
     try:
         with pytest.raises(NonconvergenceError):
-            specfun._conical_integral(np.array([1e6]), np.array(0.3), ToleranceBudget(),
-                                      True)
+            specfun._conical_integral(np.array([1e6]), np.array([0.3]),
+                                      ToleranceBudget(), True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -342,7 +341,7 @@ def _count_passes(monkeypatch):
     calls = []
     evaluate, integral = specfun._mehler_dirichlet_eval, specfun._conical_integral
 
-    def counted_eval(rhos, radii, n_panels, need_p1, scale=None):
+    def counted_eval(rhos, radii, n_panels, need_p1, scale):
         calls[-1].append(n_panels)
         return evaluate(rhos, radii, n_panels, need_p1, scale)
 
@@ -400,12 +399,12 @@ def test_failed_embedded_check_doubles_the_panels(monkeypatch):
     # is called on its own
     calls = _count_passes(monkeypatch)
     budget = ToleranceBudget(abs_tol=1e-14)
-    p, p1, err = specfun._conical_integral(np.array([40.0]), np.array(0.5),
+    p, p1, err = specfun._conical_integral(np.array([40.0]), np.array([0.5]),
                                            budget, True)
     assert calls == [[6, 12]] and err <= 1e-14 + 8.0 * specfun._EPS * 50.0
     (ref_p, ref_p1), _ = specfun._mehler_dirichlet_eval(
-        np.array([40.0]), np.array(0.5), 96, True)
-    assert abs(p[0] - ref_p[0]) <= 1e-14 and abs(p1[0] - ref_p1[0]) <= 1e-14
+        np.array([40.0]), np.array([0.5]), 96, True, np.zeros(1))
+    assert abs(p[0, 0] - ref_p[0, 0]) <= 1e-14 and abs(p1[0, 0] - ref_p1[0, 0]) <= 1e-14
 
 
 def test_conical_branches_agree_within_their_err_at_the_seam():
@@ -418,12 +417,12 @@ def test_conical_branches_agree_within_their_err_at_the_seam():
             s_half = math.sinh(0.5 * r) ** 2
             if s_half > 0.5 or s_half * (0.25 + rho * rho) > 0.3:
                 continue
-            rhos, radii = np.array([rho]), np.array(r)
-            series = specfun._conical_series(rhos, radii, np.array(s_half), True)
+            rhos, radii = np.array([rho]), np.array([r])
+            series = specfun._conical_series(rhos, radii, np.array([s_half]), True)
             integral = specfun._conical_integral(rhos, radii, TIGHT, True)
             err = series[2] + integral[2]
-            assert abs(series[0][0] - integral[0][0]) <= err
-            assert abs(series[1][0] - integral[1][0]) <= err
+            assert abs(series[0][0, 0] - integral[0][0, 0]) <= err
+            assert abs(series[1][0, 0] - integral[1][0, 0]) <= err
 
 
 def test_exhausted_conical_refinement_reports_its_change(monkeypatch):
@@ -435,7 +434,7 @@ def test_exhausted_conical_refinement_reports_its_change(monkeypatch):
     calls = _count_passes(monkeypatch)
     budget = ToleranceBudget(abs_tol=1e-10)
     with pytest.raises(NonconvergenceError) as info:  # on its own, as above
-        specfun._conical_integral(np.array([2.0]), np.array(1.5), budget, True)
+        specfun._conical_integral(np.array([2.0]), np.array([1.5]), budget, True)
     assert calls == [[4 << k for k in range(16)]]
     assert info.value.requested == 1e-10 and 1e-7 < info.value.achieved < 1e-5
 
@@ -444,10 +443,10 @@ def test_conical_integral_grid_is_capped(monkeypatch):
     # rho r / 4 + 1 would be 75001 panels; the first grid takes 65536, and
     # no refinement goes beyond 131072
     calls = _count_passes(monkeypatch)
-    p, _, _ = specfun._conical_integral(np.array([1e6]), np.array(0.3),
+    p, _, _ = specfun._conical_integral(np.array([1e6]), np.array([0.3]),
                                         ToleranceBudget(), False)
     assert calls[0][0] == 65536 and max(calls[0]) <= 131072
-    assert abs(p[0]) <= 1.0
+    assert abs(p[0, 0]) <= 1.0
 
 
 # ---------------------------------------------------------------------------
