@@ -70,6 +70,11 @@ class SurfaceKind(enum.Enum):
         return kind
 
 
+# The members as module names for the hot paths: `kind is _HYPERBOLIC` costs
+# about 12 ns, an attribute of the Enum class about 95 ns.
+_EUCLIDEAN, _SPHERE, _HYPERBOLIC = (SurfaceKind.EUCLIDEAN, SurfaceKind.SPHERE,
+                                    SurfaceKind.HYPERBOLIC)
+
 _SURFACE_NAMES = {
     "euclidean": SurfaceKind.EUCLIDEAN, "plane": SurfaceKind.EUCLIDEAN,
     "e2": SurfaceKind.EUCLIDEAN, "sphere": SurfaceKind.SPHERE, "s2": SurfaceKind.SPHERE,
@@ -122,7 +127,7 @@ class Point:
             raise DomainError("coordinates must be finite")
         if c1 < 0.0:
             raise DomainError("radial coordinate must be nonnegative")
-        if kind is SurfaceKind.SPHERE and c1 > math.pi:
+        if kind is _SPHERE and c1 > math.pi:
             raise DomainError("colatitude must lie in [0, pi]")
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c2", c2 % _TWO_PI)
@@ -139,7 +144,7 @@ def _grid_points(kind: SurfaceKind, c1: np.ndarray, c2: np.ndarray):
     first bad entry.  Points are made row by row, never all at once.
     """
     if not (np.isfinite(c1).all() and np.isfinite(c2).all() and (c1 >= 0.0).all()
-            and (kind is not SurfaceKind.SPHERE or (c1 <= math.pi).all())):
+            and (kind is not _SPHERE or (c1 <= math.pi).all())):
         for row1, row2 in zip(c1, c2):
             for a, b in zip(row1.tolist(), row2.tolist()):
                 yield Point(kind, a, b)
@@ -184,7 +189,8 @@ class BiTensor1:
 
 
 def _check_pair(kind, x: Point, y: Point) -> SurfaceKind:
-    kind = SurfaceKind.parse(kind)
+    if kind is not x.kind:  # x's own member needs no parsing
+        kind = SurfaceKind.parse(kind)
     if x.kind is not kind or y.kind is not kind:
         raise KindMismatchError(
             f"points of kind ({x.kind.value}, {y.kind.value}) passed to a "
@@ -206,11 +212,11 @@ def distance(kind, x: Point, y: Point) -> float:
     """
     kind = _check_pair(kind, x, y)
     dtheta = x.c2 - y.c2
-    if kind is SurfaceKind.EUCLIDEAN:
+    if kind is _EUCLIDEAN:
         # d^2 = (r1 - r2)^2 + 4 r1 r2 sin^2(dtheta / 2)
         return math.hypot(x.c1 - y.c1,
                           2.0 * math.sqrt(x.c1 * y.c1) * abs(math.sin(0.5 * dtheta)))
-    if kind is SurfaceKind.HYPERBOLIC:
+    if kind is _HYPERBOLIC:
         return _h2_distance(x.c1, y.c1, dtheta)
     s1, c1 = math.sin(0.5 * x.c1), math.cos(0.5 * x.c1)
     s2, c2 = math.sin(0.5 * y.c1), math.cos(0.5 * y.c1)
@@ -272,7 +278,7 @@ def _axis_chart(p: Point) -> tuple[float, float]:
     Fermi (u, w) about the theta = 0 geodesic on H2, sinh w = sinh r sin theta
     and sinh u cosh w = sinh r cos theta (in logs past sinh r's float range)."""
     r, c, s = p.c1, math.cos(p.c2), math.sin(p.c2)
-    if p.kind is SurfaceKind.EUCLIDEAN:
+    if p.kind is _EUCLIDEAN:
         return r * c, r * s
     if r <= 710.0:
         x1, x2 = math.sinh(r) * c, math.sinh(r) * s
@@ -289,7 +295,7 @@ _axis_distance = partial(_h2_distance, form=_FERMI)
 def _axis_point(kind: SurfaceKind, a: float, b: float) -> Point:
     """The point at chart coordinates (a, b) of _axis_chart: on H2 at the distance
     from (0, 0), angle atan2(tanh w, sinh u) with |u| <= 710 (past it, < 1e-308)."""
-    if kind is SurfaceKind.EUCLIDEAN:
+    if kind is _EUCLIDEAN:
         return Point(kind, math.hypot(a, b), math.atan2(b, a))
     return Point(kind, _axis_distance(0.0, b, a),
                  math.atan2(math.tanh(b), math.sinh(max(-710.0, min(a, 710.0)))))
@@ -320,7 +326,7 @@ def _pair_derivatives(kind, x: Point, y: Point, d: float) -> _PairDerivatives:
     kind = _check_pair(kind, x, y)
     if d == 0.0:
         raise CoincidentPointsError("distance derivatives need distinct points")
-    if kind is SurfaceKind.SPHERE and math.pi - d < CUT_LOCUS_TOL:
+    if kind is _SPHERE and math.pi - d < CUT_LOCUS_TOL:
         raise CutLocusError(
             f"pair at distance {d:.6f} lies within {CUT_LOCUS_TOL} of the cut locus")
     dtheta = x.c2 - y.c2
@@ -329,14 +335,15 @@ def _pair_derivatives(kind, x: Point, y: Point, d: float) -> _PairDerivatives:
     cos_dt = math.cos(dtheta)
     r1, r2 = x.c1, y.c1
 
-    if kind is SurfaceKind.EUCLIDEAN:
+    if kind is _EUCLIDEAN:
         gx0, gx1 = ((r1 - r2) + r2 * two_sh2) / d, r2 * sin_dt / d
         gy0, gy1 = ((r2 - r1) + r1 * two_sh2) / d, -r1 * sin_dt / d
         mixed = ((-cos_dt - gx0 * gy0) / d, (-sin_dt - gx0 * gy1) / d,
                  (sin_dt - gx1 * gy0) / d, (-cos_dt - gx1 * gy1) / d)
         return _PairDerivatives((gx0, gx1), (gy0, gy1), mixed)
 
-    S, C = _MODELS[kind].S, _MODELS[kind].C
+    model = _MODELS[kind]
+    S, C = model.S, model.C
     try:
         s1, c1 = S(r1), C(r1)
         s2, c2 = S(r2), C(r2)
@@ -433,8 +440,8 @@ def _chart_points(kind: SurfaceKind, x: Point, s_grid: np.ndarray,
     ss = s_grid[:, None, None]
     w_vec = e1 * np.cos(psi_grid)[:, None] + e2 * np.sin(psi_grid)[:, None]
     y_vec = model.C_arr(ss) * pos + model.S_arr(ss) * w_vec
-    c1 = (np.hypot(y_vec[..., 1], y_vec[..., 2]) if kind is SurfaceKind.EUCLIDEAN
-          else np.arccos(np.clip(y_vec[..., 0], -1.0, 1.0)) if kind is SurfaceKind.SPHERE
+    c1 = (np.hypot(y_vec[..., 1], y_vec[..., 2]) if kind is _EUCLIDEAN
+          else np.arccos(np.clip(y_vec[..., 0], -1.0, 1.0)) if kind is _SPHERE
           else np.arccosh(np.maximum(1.0, y_vec[..., 0])))
     c2 = np.arctan2(y_vec[..., 2], y_vec[..., 1])
     if not need_frames:
@@ -446,7 +453,7 @@ def _chart_points(kind: SurfaceKind, x: Point, s_grid: np.ndarray,
     # The radial frame vector at the target is (-kappa S, C ct, C st): p
     # pairs the velocity with it in R^3 on the planar slice and the sphere,
     # and in the Lorentz pairing <A, B> = -A0 B0 + A1 B1 + A2 B2 on H2.
-    p = (-t0 * sr + t1 * cr * ct + t2 * cr * st if kind is SurfaceKind.HYPERBOLIC
+    p = (-t0 * sr + t1 * cr * ct + t2 * cr * st if kind is _HYPERBOLIC
          else t1 * cr * ct + t2 * cr * st - t0 * sr)
     return c1, c2, p, -t1 * st + t2 * ct
 
@@ -483,7 +490,7 @@ def _radial_panel(kind: SurfaceKind, lo: float, hi: float, n_int: int):
     edge, so none on the chart centre or the sphere's antipode.
     """
     x, w = _fejer2(n_int)
-    if kind is SurfaceKind.SPHERE:
+    if kind is _SPHERE:
         a, b = 2.0 * math.sin(0.5 * lo) ** 2, 2.0 * math.sin(0.5 * hi) ** 2
         v = 0.5 * (a + b) + 0.5 * (b - a) * x
         return 2.0 * np.arcsin(np.sqrt(0.5 * v)), 0.5 * (b - a) * w
@@ -674,14 +681,14 @@ def integrate_surface(kind, f, budget: ToleranceBudget = DEFAULT_BUDGET,
     raises DomainError on the first pass.
     """
     kind = SurfaceKind.parse(kind)
-    if kind is SurfaceKind.SPHERE:
+    if kind is _SPHERE:
         edges = (0.0, math.pi)
     elif decay is None:
         raise DecayHintError("integration over a noncompact surface needs "
                              "a decay hint")
     else:
         edges = (0.0, _area_tail(decay, 0.25 * budget.abs_tol,
-                                 kind is SurfaceKind.HYPERBOLIC)[0])
+                                 kind is _HYPERBOLIC)[0])
 
     def sample(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
         return _field_values(f, kind, 0, *np.meshgrid(c1, c2, indexing="ij"), vectorized)

@@ -2,22 +2,22 @@
 
 Two independent routes give the scalar kernel K0, the 1-form generator
 G(d, t) = int_t^inf K0(d, tau) dtau and its radial derivative G_d at any
-number of distances.  _h2_mckean, McKean's single integral on one shared w
-grid, serves every kernel in the package; _h2_spectral, the inverse
+number of distances.  _h2_mckean, McKean's single integral as one trapezoid
+sum in v, serves every kernel in the package; _h2_spectral, the inverse
 Mehler-Fock synthesis of heat data (specfun._synthesis), is the oracle the
 verification suite and the tests hold it against.  Both return (rows,
-err_est, radius, evals).  The pointwise majorant and mass tail below bound
-K0 for truncations.
+err_est, radius, evals).  The majorant and mass tail below bound K0 for
+truncations.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import (ToleranceBudget, _kronrod_panels, refine_until_stable,
-                         solve_radius)
+from .quadrature import ToleranceBudget, refine_until_stable, solve_radius
 from .specfun import _EPS, _erfcx, _expint_cf, _synthesis
 
 _FOUR_PI = 4.0 * math.pi
@@ -30,9 +30,6 @@ _GAMMA_34 = math.gamma(0.75)
 
 def _h2_spectral(ds, t: float, budget: ToleranceBudget, generator: bool = False):
     """K0 on H2, and with `generator` also G and G_d, at an array of distances.
-
-    No kernel serves from this route; the verification suite and the tests
-    hold _h2_mckean against it.
 
     Each row is the inverse Mehler-Fock synthesis of heat data
     (specfun._synthesis): e^{-lam t} against the conical function for K0,
@@ -60,18 +57,23 @@ _MCKEAN_C = math.sqrt(2.0) * _FOUR_PI ** -1.5
 _SQRT_PI = math.sqrt(math.pi)
 # Entries of one distance-by-node array in _h2_mckean (64 KB).
 _MCKEAN_BLOCK = 1 << 13
-# Grid doublings _h2_mckean tries before it reports nonconvergence.
-_MCKEAN_ROUNDS = 12
+# _h2_mckean's first step in u, and the halvings it tries before it fails.
+_MCKEAN_STEP = 0.1
+_MCKEAN_HALVINGS = 8
 # (2k)/(2k+1)! for k = 10..1: s cosh s - sinh s = sum_k these * s^(2k+1),
 # whose 11th term is below roundoff at s < 1.
 _SIGMA_SERIES = tuple(2.0 * k / math.factorial(2 * k + 1) for k in range(10, 0, -1))
-# Terms of the small-u series of I'(s, t); u^26/13! is below roundoff at
-# u < 1/2, and beyond it the closed form loses at most 6 ulps.
+# Terms of the small-u series of I(s, t) and I'(s, t) / s, and the factors
+# +-(-1)^k / k! of their coefficients; u^26/13! is below roundoff at u <
+# 1/2, and beyond it the closed forms lose at most 6 ulps.
 _DI_TERMS = 13
+_SERIES_SIGNS = np.outer([(-1.0) ** k / math.factorial(k) for k in range(_DI_TERMS)],
+                         [1.0, -1.0])
+_TINY = np.finfo(float).tiny
 
 
-def _expint_table(z: float, n: int) -> np.ndarray:
-    """E_p(z) = int_1^inf e^{-zx} x^{-p} dx for p = 5/2, 7/2, ..., n + 3/2.
+def _expint_table(z: float, n: int, first: int = 1) -> np.ndarray:
+    """E_p(z) = int_1^inf e^{-zx} x^{-p} dx for p = first + 3/2, ..., n + 3/2.
 
     Up to z = 3 the upward recurrence p E_{p+1} = e^{-z} - z E_p, started
     from E_{1/2}(z) = sqrt(pi/z) erfc(sqrt z), keeps 1e-14 relative.  Beyond
@@ -79,14 +81,14 @@ def _expint_table(z: float, n: int) -> np.ndarray:
     own continued fraction (specfun._expint_cf).
     """
     if z > 3.0:
-        return np.array([_expint_cf(z, 2.5 + k) for k in range(n)])
+        return np.array([_expint_cf(z, 1.5 + k) for k in range(first, n + 1)])
     ez = math.exp(-z)
     e_p = _SQRT_PI * math.erfc(math.sqrt(z)) / math.sqrt(z)
     out = []
     for k in range(n + 1):
         e_p = (ez - z * e_p) / (0.5 + k)  # E_{k + 3/2}
         out.append(e_p)
-    return np.array(out[1:])
+    return np.array(out[first:])
 
 
 def _sigma_parts(s: np.ndarray):
@@ -98,77 +100,94 @@ def _sigma_parts(s: np.ndarray):
     """
     q = -np.expm1(-2.0 * s)
     sigma = 2.0 * s * np.exp(-s) / q
+    far = sigma * (1.0 / s - (2.0 - q) / q) / s
+    if s.min() >= 1.0:
+        return sigma, far
     y = s * s
     poly = np.zeros_like(s)
     for coef in _SIGMA_SERIES:
         poly = (poly + coef) * y
     near = -poly / (np.sinh(np.minimum(s, 1.0)) ** 2)
-    far = sigma * (1.0 / s - (2.0 - q) / q) / s
     return sigma, np.where(s < 1.0, near, far)
 
 
-def _mckean_block(ds: np.ndarray, w: np.ndarray, wts: np.ndarray, t: float,
-                  generator: bool, di_coefs):
-    """Quadrature sums of the McKean rows for a block of distances.
+@lru_cache(maxsize=64)
+def _mckean_nodes(n: int, count: int):
+    """sinh u at u_k = k h, h = _MCKEAN_STEP / n, k = 0..count (even), and
+    cosh u times the trapezoid weights of steps h and 2h on those nodes."""
+    u = (_MCKEAN_STEP / n) * np.arange(count + 1)
+    wts = np.outer((_MCKEAN_STEP / n) * np.cosh(u), [1.0, 2.0])
+    wts[0] *= 0.5
+    wts[1::2, 1] = 0.0
+    return np.sinh(u), wts
 
-    wts holds one column of weights per rule over the nodes w.  Returns
-    (rows, abs_rows), each shaped (row, distance, rule): the K0 row (and the
-    G and G_d rows with `generator`), and the same sums of absolute values,
-    which set the roundoff floor.
-    """
-    h = 0.5 * w * w
-    s = ds[:, None] + w * w
-    # 1/sqrt(sinh a sinhc h) with a = d + h, which absorbs ds/sqrt(cosh s -
-    # cosh d) = 2w dw / (w sqrt(sinh a sinhc h)); as a + h = s it is
-    # 2 sqrt(h) e^{-s/2} / sqrt((1 - e^{-2a})(1 - e^{-2h})), and no sinh
-    # overflows.
-    inv = (2.0 * np.exp(-0.5 * s) * np.sqrt(h)
-           / np.sqrt(np.expm1(-2.0 * (ds[:, None] + h)) * np.expm1(-2.0 * h)))
+
+def _mckean_block(ds: np.ndarray, v: np.ndarray, wts: np.ndarray, t: float,
+                  generator: bool):
+    """Sums of the McKean rows, and of their |integrand|s (the roundoff
+    floor), for a block of distances, each shaped (row, distance, rule);
+    wts holds one weight column per rule over the nodes v."""
+    d, vv = ds[:, None], v * v
+    s = np.hypot(d, v)
+    # h = (cosh s - cosh d) / v^2 = 2 sinh a sinh b / v^2 with a = (s + d)/2,
+    # b = v^2 / 4a, so h^{-1/2} = 2 sqrt 2 e^{-s/2} sqrt(r(a) r(b)) with
+    # r(x) = x / (1 - e^{-2x}): no sinh overflows, and r(0) = 1/2.
+    a = np.maximum(0.5 * (s + d), _TINY)
+    b = np.maximum(vv / (4.0 * a), _TINY)
+    root = np.sqrt((a / np.expm1(-2.0 * a)) * (b / np.expm1(-2.0 * b)))
+    # s^2/4t + t/4, with s^2 = d^2 + v^2 summed as it stands
+    expo = (d * d + vv) * (0.25 / t) + 0.25 * t
+    lead = 4.0 * (_FOUR_PI * t) ** -1.5
+    if not generator:
+        # the K0 integrand is positive, so its sums are their own |sums|
+        rows = ((np.exp(-expo - 0.5 * s) * root * lead) @ wts)[None]
+        return rows, rows
+    gauss = np.exp(-expo)  # e^{-s^2/4t - t/4}
+    half = np.exp(-0.5 * s)
+    inv = half * root  # h^{-1/2} / (2 sqrt 2)
+    parts = np.empty((3,) + s.shape)
+    parts[0] = gauss * inv * lead
+    # J = s I = sqrt(pi) [A - B] with A = e^{-s/2} erfc(w - u) and B =
+    # e^{s/2} erfc(u + w), u = s / 2 sqrt t, w = sqrt(t)/2, both through
+    # erfcx so nothing overflows.  A - B cancels at small u, and so does
+    # I'/s = (s J' - J)/s^3: below u = 1/2 both come from their series.
     sqt = math.sqrt(t)
-    u = s / (2.0 * sqt)
-    v = 0.5 * sqt
-    gauss = np.exp(-u * u - v * v)  # e^{-s^2/4t - t/4}
-    parts = [s * gauss * inv * (2.0 * math.sqrt(2.0) * (_FOUR_PI * t) ** -1.5)]
-    if generator:
-        # F(s) = c sqrt(pi) [A - B] with A = e^{-s/2} erfc(v - u) and
-        # B = e^{s/2} erfc(u + v), both through erfcx so nothing overflows.
-        x = v - u
-        scaled = gauss * _erfcx(np.stack([np.abs(x), u + v]))
-        big_a = np.where(x >= 0.0, scaled[0], 2.0 * np.exp(-0.5 * s) - scaled[0])
-        big_b = scaled[1]
-        j = _SQRT_PI * (big_a - big_b)  # s I(s, t)
-        parts.append(j * inv * (2.0 * _MCKEAN_C))
-        # (F / sinh s)' / c = (sigma I)' = (sigma'/s) J + sigma I'.  I' from
-        # its closed form (s J' - J)/s^2 cancels at small u, so there it is
-        # summed from its series in u^2 instead.
-        sigma, dsig = _sigma_parts(s)
-        dj = _SQRT_PI * (2.0 * gauss / math.sqrt(math.pi * t)
-                         - 0.5 * (big_a + big_b))
-        di = (s * dj - j) / (s * s)
-        near = u < 0.5
-        if near.any():
-            un = u[near]
-            usq = un * un
-            acc = np.zeros_like(un)
-            for coef in di_coefs:
-                acc = acc * usq + coef
-            di[near] = acc * un / t
-        gd = (dsig * j + sigma * di) * inv * (2.0 * _MCKEAN_C)
-        parts.append(gd * np.sinh(np.minimum(ds, 700.0))[:, None])
-    rows = np.stack([p @ wts for p in parts])
-    abs_rows = np.stack([np.abs(p) @ wts for p in parts])
-    return rows, abs_rows
+    u, w = s / (2.0 * sqt), 0.5 * sqt
+    scaled = gauss * _erfcx(np.stack([np.abs(w - u), u + w]))
+    big_a = np.where(u <= w, scaled[0], 2.0 * half - scaled[0])
+    j = _SQRT_PI * (big_a - scaled[1])
+    dj = _SQRT_PI * (2.0 * gauss / math.sqrt(math.pi * t) - 0.5 * (big_a + scaled[1]))
+    far = np.maximum(s, sqt)  # s itself wherever the closed forms are kept
+    i_val = j / far
+    di_s = (far * dj - j) / (far * far * far)
+    near = s < sqt
+    if near.any():
+        # I = t^{-1/2} sum_k (-1)^k u^{2k} E_{k+3/2}(t/4) / k! and I'/s =
+        # (2 t^{3/2})^{-1} sum_{k>=1} (-1)^k u^{2k-2} E_{k+3/2}(t/4) / (k-1)!
+        m = _expint_table(0.25 * t, _DI_TERMS, first=0)
+        coefs = np.stack([m[:-1], m[1:]], axis=1) * _SERIES_SIGNS
+        series = (u[near] ** 2)[:, None] ** np.arange(_DI_TERMS) @ coefs
+        i_val[near] = series[:, 0] / sqt
+        di_s[near] = series[:, 1] / (2.0 * t * sqt)
+    inv *= 2.0 * math.sqrt(2.0) * _MCKEAN_C
+    parts[1] = i_val * inv
+    # (F / sinh s)' / (c s) = (sigma I)' / s = (sigma'/s) I + sigma I'/s
+    sigma, dsig = _sigma_parts(s)
+    parts[2] = (dsig * i_val + sigma * di_s) * (inv * np.sinh(np.minimum(d, 700.0)))
+    return parts @ wts, np.abs(parts) @ wts
 
 
 def _mckean_tail(limit: float, dmin: float, t: float, generator: bool):
     """Bounds on what the K0 row (and the G and G_d rows) lose beyond
-    w = limit, as a tuple with one entry per row.
+    s = d + W^2, W = limit, as a tuple with one entry per row.
 
-    Every factor is monotone in w and d, so the bound at the smallest
-    distance covers all.  K0: int 2 s e^{-s^2/4t} dw <= (2t/W) e^{-s_W^2/4t}.
-    G: J <= 2 sqrt(pi) e^{-s/2}.  G_d: |(sigma I)'| <= 2 sqrt(pi) e^{-3s/2}
-    (3 + 2/s) / (1 - e^{-2s}), from I <= 2 sqrt(pi) e^{-s/2}/s and the
-    recurrence (s^2/4) int tau^{-5/2} = int tau^{-1/2}/4 + I/2 - (>= 0).
+    In w, s = d + w^2, each row's integrand carries 1/sqrt(sinh(d + w^2/2)
+    sinhc(w^2/2)) = 2w (ds/dw) / sqrt(cosh s - cosh d).  Every factor is
+    monotone in w and d, so the bound at the smallest distance covers all.
+    K0: int 2 s e^{-s^2/4t} dw <= (2t/W) e^{-s_W^2/4t}.  G: J <= 2 sqrt(pi)
+    e^{-s/2}.  G_d: |(sigma I)'| <= 2 sqrt(pi) e^{-3s/2} (3 + 2/s) / (1 -
+    e^{-2s}), from I <= 2 sqrt(pi) e^{-s/2}/s and the recurrence (s^2/4)
+    int tau^{-5/2} = int tau^{-1/2}/4 + I/2 - (>= 0).
     """
     h = 0.5 * limit * limit
     s_w = dmin + limit * limit
@@ -190,41 +209,30 @@ def _mckean_tail(limit: float, dmin: float, t: float, generator: bool):
     return k0_tail, g_tail, gd_tail
 
 
-def _mckean_grid(limit: float, fine: float, n_split: int):
-    """QK21 nodes and (K21, G10) weight columns on [0, limit] over panels
-    [0, fine], [fine, 2 fine], [2 fine, 4 fine], ..., each split into
-    n_split equal parts.  A panel is as wide as its distance from w = 0,
-    where every feature sits (widths sqrt d, t^(1/4) and sqrt(t/d)), so
-    each resolves its part of the integrand alike."""
-    n_graded = math.ceil(math.log2(limit / fine))
-    edges = np.append(fine * 2.0 ** np.arange(-1, n_graded), limit)
-    edges[0] = 0.0
-    width = np.diff(edges) / n_split
-    lows = (edges[:-1, None] + width[:, None] * np.arange(n_split)).ravel()
-    return _kronrod_panels(np.append(lows, limit))
-
-
 def _h2_mckean(ds, t: float, budget: ToleranceBudget, generator: bool = False):
-    """K0 on H2, and with `generator` also G and G_d, at an array of distances,
-    from McKean's single integral (J. Diff. Geom. 4, 1970) on one w grid.
-
-    With s = d + w^2 every row is an integral over w >= 0 of a smooth
-    integrand against 1/sqrt(sinh(d + w^2/2) sinhc(w^2/2)):
-      K0  = sqrt 2 e^{-t/4} (4 pi t)^{-3/2} int s e^{-s^2/4t} / sqrt(cosh s - cosh d) ds,
-      G   = int_d^inf F(s) / sqrt(cosh s - cosh d) ds,
-      G_d = sinh d int_d^inf (F / sinh s)' / sqrt(cosh s - cosh d) ds,
-    where F(s) = c s I(s, t) and I = int_t^inf tau^{-3/2} e^{-tau/4 - s^2/4tau}
-    dtau in closed form through erfcx.  Each pass lays QK21 on graded w
-    panels and checks it against its embedded G10 sum on the same nodes;
-    only a failed check doubles every panel.  One refinement serves every
-    row and distance; the distance-by-node arrays are built in blocks, so
-    memory does not grow with the batch.  Returns (rows, err_est, radius,
-    evals) as _h2_spectral does, with radius the w limit and evals the w
-    nodes of all passes.  err_est per row is the largest |K21 - G10| plus
-    8 eps times the largest weighted sum of |integrand| plus the tail.
-    With `generator` every distance must be positive, and err_est holds one
-    bound per row: only the G_d bound is amplified by coth d in k1, and
-    K0's roundoff, the largest at small t, need not be.
+    """K0 on H2, and with `generator` also G and G_d, at an array of
+    distances, from McKean's single integral (J. Diff. Geom. 4, 1970) as one
+    trapezoid sum in v.  With s^2 = d^2 + v^2, cosh s - cosh d = v^2 h(v),
+    h even and free of zeros in |Im v| < 2 pi, and sigma = s / sinh s:
+      K0  = sqrt 2 e^{-t/4} (4 pi t)^{-3/2} int_0^inf e^{-s^2/4t} h^{-1/2} dv,
+      G   = c int_0^inf I(s, t) h^{-1/2} dv,
+      G_d = c sinh d int_0^inf ((sigma I)'/s) h^{-1/2} dv,
+    I = int_t^inf tau^{-3/2} e^{-tau/4 - s^2/4tau} dtau.  Each integrand is
+    analytic in a strip (half as wide for G_d, where sigma has poles), so
+    the trapezoid rule converges geometrically (Trefethen & Weideman, SIAM
+    Rev. 56, 2014).  It runs at a uniform step in u on v = alpha sinh u,
+    alpha = min(1, 2 sqrt t), which resolves K0's Gaussian and the generator
+    rows' e^{-s/2} alike; the rule at twice the step, on every other node,
+    is the check, and a failed check halves the step.  Beyond the cut V =
+    W sqrt(2 d_max + W^2), s >= d + W^2 at every distance, where
+    _mckean_tail bounds the loss.  Distances are summed in blocks, so memory
+    does not grow with the batch.  Returns (rows, err_est, radius, evals) as
+    _h2_spectral does, with radius V and evals the v nodes of all passes;
+    err_est per row is the larger of the change between the steps and 8 eps
+    times the largest weighted sum of |integrand|, plus the tail.  With
+    `generator` every distance must be positive, and err_est holds one
+    bound per row: only G_d's is amplified by coth d in k1, and K0's
+    roundoff, the largest at small t, need not be.
     """
     ds = np.asarray(ds, dtype=float).reshape(-1)
     tol = budget.abs_tol
@@ -236,44 +244,36 @@ def _h2_mckean(ds, t: float, budget: ToleranceBudget, generator: bool = False):
         start = max(start, math.sqrt(max(0.0, 4.0 * (log_tol - dmin) / 3.0)))
     limit, _ = solve_radius(lambda w: max(_mckean_tail(w, dmin, t, generator)),
                             0.25 * tol, max(0.8 * start, 1e-3), 1.2)
-    fine = min(0.5 * limit, (4.0 * t) ** 0.25,
-               math.sqrt(2.0 * t / max(dmax, 1e-300)))
-    if dmin > 0.0:
-        fine = min(fine, math.sqrt(dmin))
-    fine = max(0.5 * fine, limit * 2.0 ** -40)
-    di_coefs = None
-    if generator:
-        # I'(s) = t^{-1} sum_{k>=1} (-1)^k u^{2k-1} E_{k+3/2}(t/4) / (k-1)!
-        m = _expint_table(0.25 * t, _DI_TERMS)
-        di_coefs = [(-1.0) ** (k + 1) * m[k] / math.factorial(k)
-                    for k in range(_DI_TERMS - 1, -1, -1)]
-    n_rows = 3 if generator else 1
-    evals = 0
-    scale = np.zeros(n_rows)  # largest sum of |integrand| weights, per row
-    change = None
+    cut = limit * math.sqrt(2.0 * dmax + limit * limit)
+    alpha = min(1.0, 2.0 * math.sqrt(t))
+    u_cut = math.asinh(cut / alpha) / (2.0 * _MCKEAN_STEP)
+    evals, change = 0, None
+    scale = np.zeros(3 if generator else 1)  # largest sum of |integrand|s, per row
 
-    def one_pass(n_split: int):
+    def one_pass(n: int):
         nonlocal evals, scale, change
-        w, wts = _mckean_grid(limit, fine, n_split)
-        evals += w.size
-        rows = np.empty((n_rows, ds.size, 2))
-        per = max(1, _MCKEAN_BLOCK // w.size)
+        sinh_u, wts = _mckean_nodes(n, 2 * math.ceil(n * u_cut))
+        v, wts = alpha * sinh_u, alpha * wts
+        evals += v.size
+        rows = np.empty((scale.size, ds.size, 2))
+        per = max(1, _MCKEAN_BLOCK // v.size)
         for lo in range(0, ds.size, per):
             rows[:, lo:lo + per], abs_rows = _mckean_block(
-                ds[lo:lo + per], w, wts, t, generator, di_coefs)
+                ds[lo:lo + per], v, wts, t, generator)
             scale = np.maximum(scale, abs_rows.max(axis=(1, 2)))
         change = np.abs(rows[..., 0] - rows[..., 1]).max(axis=1)
         return rows[..., 0], rows[..., 1]
 
     rows, _ = refine_until_stable(
-        one_pass, 1, 0.5 * tol, _MCKEAN_ROUNDS,
+        one_pass, 1, 0.5 * tol, _MCKEAN_HALVINGS,
         # the floor concedes what roundoff already spent
         floor=lambda cur: 64.0 * _EPS * float(scale.max()), embedded=True)
-    # K21 and G10 can agree to the last bit, so the roundoff of the sums is
-    # charged as well as their difference
-    err = (change + 8.0 * _EPS * scale
+    # The change is the error of the sum at twice the step; the accepted
+    # sum's own, far smaller on a geometric rule, is its roundoff.  A change
+    # below that is the noise of two rounded sums: the larger is charged.
+    err = (np.maximum(change, 8.0 * _EPS * scale)
            + np.array(_mckean_tail(limit, dmin, t, generator)))
-    return rows, (err if generator else float(err[0])), limit, evals
+    return rows, (err if generator else float(err[0])), cut, evals
 
 
 def _h2_k0_majorant(d: float, t: float) -> float:

@@ -3,7 +3,7 @@
 Each surface has one radial route, _k0_dist: the closed form on the plane,
 a Legendre series on the sphere, and McKean's single integral on the
 hyperbolic plane (hyperbolic._h2_mckean, at any number of distances from
-one shared w grid; the spectral integral hyperbolic._h2_spectral is the
+one trapezoid sum in v; the spectral integral hyperbolic._h2_spectral is the
 independent route the verification suite holds it against).  In its
 generator mode the route also gives the scalar generator G(d, t) =
 int_t^inf K0(d, tau) dtau (mean-zero part on the sphere) and G_d, whose
@@ -24,9 +24,10 @@ import numpy as np
 
 from .errors import (CoincidentPointsError, CutLocusError, DecayHintError,
                      DomainError, NonconvergenceError)
-from .geometry import (_MODELS, BiTensor1, OneFormValue, Point, SurfaceKind,
-                       apply_i_plus_star, distance, _chart_points, _field_values,
-                       _nested_integral, _outer_plus, _pair_derivatives)
+from .geometry import (_EUCLIDEAN, _HYPERBOLIC, _MODELS, _SPHERE, BiTensor1,
+                       OneFormValue, Point, SurfaceKind, apply_i_plus_star,
+                       distance, _chart_points, _field_values, _nested_integral,
+                       _outer_plus, _pair_derivatives)
 from .hyperbolic import _h2_mass_tail, _h2_mckean
 from .quadrature import DEFAULT_BUDGET, DecayHint, ToleranceBudget, solve_radius
 from .specfun import _EPS, _expint_cf
@@ -80,8 +81,8 @@ class Kernel0Value:
     """Scalar kernel value with its error estimate and truncation metadata.
 
     terms counts series terms on the sphere and, on the hyperbolic plane,
-    the w nodes of every pass of the McKean integral; radius is that
-    integral's w limit (0 for closed forms and series).
+    the v nodes of every pass of McKean's trapezoid sum; radius is that
+    sum's v cut (0 for closed forms and series).
     """
 
     value: float
@@ -95,8 +96,8 @@ class Kernel1Value:
     """2x2 frame-coupling matrix of the 1-form kernel plus diagnostics.
 
     terms and radius are as in Kernel0Value; on the hyperbolic plane one
-    McKean integral yields K0, G and G_d together, so terms counts its w
-    nodes once.
+    McKean sum yields K0, G and G_d together, so terms counts its v nodes
+    once.
     """
 
     matrix: BiTensor1
@@ -187,7 +188,7 @@ def k0_h2_mckean(d: float, t, budget: ToleranceBudget = DEFAULT_BUDGET) -> float
     d = float(d)
     if d < 0.0 or not math.isfinite(d):
         raise DomainError("distance must be finite and nonnegative")
-    return _k0_dist(SurfaceKind.HYPERBOLIC, d, t, budget)[0]
+    return _k0_dist(_HYPERBOLIC, d, t, budget)[0]
 
 
 def _mass_radius(kind: SurfaceKind, t: float, tol: float) -> float:
@@ -195,12 +196,12 @@ def _mass_radius(kind: SurfaceKind, t: float, tol: float) -> float:
     tol.  On H2 a radius past sinh's float range, where the area factor
     sinh s of a radial rule would overflow, raises DomainError naming t."""
     def tail(R: float) -> float:
-        if kind is SurfaceKind.EUCLIDEAN:
+        if kind is _EUCLIDEAN:
             return math.exp(-R * R / (4.0 * t))
         return _h2_mass_tail(R, t)
 
     radius = solve_radius(tail, tol, max(1.0, 3.0 * math.sqrt(t)), 1.2)[0]
-    if kind is SurfaceKind.HYPERBOLIC and radius > _SINH_RANGE:
+    if kind is _HYPERBOLIC and radius > _SINH_RANGE:
         raise DomainError(f"at t = {t!r} the kernel's mass radius {radius:.6g} "
                           f"passes the float range of sinh, {_SINH_RANGE:.6g}")
     return radius
@@ -262,7 +263,7 @@ def _k0_dist(kind: SurfaceKind, d, t: float, budget: ToleranceBudget,
     """
     scalar = isinstance(d, float)
     lib = math if scalar else np
-    if kind is SurfaceKind.EUCLIDEAN:
+    if kind is _EUCLIDEAN:
         z = d * d / (4.0 * t)
         value = lib.exp(-z) / (_FOUR_PI * t)
         if not generator:
@@ -274,7 +275,7 @@ def _k0_dist(kind: SurfaceKind, d, t: float, budget: ToleranceBudget,
         # |G_dd| <= |G_d| / d + K0 <= 3 / (8 pi t).
         errs = 8.0 * _EPS * peak, 8.0 * _EPS * (peak + 1.0 / (_FOUR_PI * t))
         terms, radius = 1, 0.0
-    elif kind is SurfaceKind.SPHERE:
+    elif kind is _SPHERE:
         if generator and (d if scalar else d.max()) >= math.pi:
             raise CutLocusError("generator derivatives are undefined at the cut locus")
         cos_d, sin_d = lib.cos(d), (lib.sin(d) if generator else None)
@@ -337,7 +338,8 @@ def _g1_full(kind: SurfaceKind, d: float, t: float, budget: ToleranceBudget,
             "the 1-form generator is singular at zero separation; use the "
             "kernel's coincidence form instead")
     (kern, g_val, g_d), *rest = _k0_dist(kind, d, t, budget, True, h2)
-    g_dd = -g_d / _MODELS[kind].T(d) - kern + max(_MODELS[kind].kappa, 0.0) / _FOUR_PI
+    model = _MODELS[kind]
+    g_dd = -g_d / model.T(d) - kern + max(model.kappa, 0.0) / _FOUR_PI
     return g_val, g_d, g_dd, *rest
 
 
@@ -361,9 +363,9 @@ def _k1_coincidence(kind: SurfaceKind, t: float, budget: ToleranceBudget):
     """Diagonal value c(t) with K1(x, x, t) = c(t) I, from the d -> 0 limit
     of -(G_dd + G_d/L(d)), which the radial identity collapses to the
     coincidence kernel value (minus 1/4pi on the sphere)."""
-    if kind is SurfaceKind.EUCLIDEAN:
+    if kind is _EUCLIDEAN:
         return 1.0 / (_FOUR_PI * t), 2.0 * _EPS / t, 1, 0.0
-    if kind is SurfaceKind.SPHERE:
+    if kind is _SPHERE:
         raw, n_max, tail, _ = _sphere_series(1.0, t, budget.abs_tol)
         return (raw - 1.0) / _FOUR_PI, tail / _FOUR_PI, n_max, 0.0
     return _k0_dist(kind, 0.0, t, budget)
@@ -392,22 +394,22 @@ def _k1_apart(kind: SurfaceKind, x: Point, y: Point, d: float, t: float,
     data = _pair_derivatives(kind, x, y, d)
     frame_scale = max(map(abs, data.mixed))
     tol = budget.abs_tol
-    if kind is SurfaceKind.HYPERBOLIC:
+    if kind is _HYPERBOLIC:
         # The K0 and G_d rows each come with their own bound within this
         # part; the error below is 2 (err_K0 + err_Gd (coth d + frame_scale)),
         # so 2 (1 + coth d + frame_scale) parts cover it.
         budget = budget.part(0.5 / (1.0 + 1.0 / math.tanh(d) + frame_scale))
-    elif kind is SurfaceKind.SPHERE:
+    elif kind is _SPHERE:
         # Each series tail is at most the part; G's reaches the error below
         # through |cos d| + sin d frame_scale and K0's once, so the tails
         # take at most 0.24 abs_tol and roundoff the rest.
         budget = budget.part(0.12 / (1.0 + abs(math.cos(d))
                                      + math.sin(d) * frame_scale))
     _, g_d, g_dd, err1, err2, terms, radius = _g1_full(kind, d, t, budget, h2)
-    if kind is SurfaceKind.SPHERE:
+    if kind is _SPHERE:
         err2 += 8.0 * _EPS * abs(g_dd)  # the roundoff of G_dd's sum
     err = 2.0 * (err2 + err1 * frame_scale)
-    if kind is SurfaceKind.SPHERE and err > tol:
+    if kind is _SPHERE and err > tol:
         # The roundoff of the sums took more than 0.76 abs_tol: shrink the
         # tails to 0.72 of what it leaves, or report what it spent.
         roundoff = 16.0 * _EPS * (abs(g_d) * frame_scale + abs(g_dd))
@@ -441,7 +443,7 @@ def _field_bound(field: FormField, kind: SurfaceKind) -> float:
     """The bound on |f| of the field's hint; on the sphere, 1 without one."""
     if field.decay is not None:
         return field.decay.bound
-    if kind is not SurfaceKind.SPHERE:
+    if kind is not _SPHERE:
         raise DecayHintError("applying the kernel on a noncompact surface "
                              "needs the field's decay hint")
     return 1.0
@@ -472,16 +474,16 @@ def _radial_edges(kind: SurfaceKind, t: float, tol: float) -> tuple:
     """Radial panel edges for applying a kernel whose mass beyond them
     (beyond its plane-like mass radius, on the sphere) is at most tol: the
     sphere is graded at that radius, where it falls below pi."""
-    if kind is not SurfaceKind.SPHERE:
+    if kind is not _SPHERE:
         return 0.0, _mass_radius(kind, t, tol)
-    width = _mass_radius(SurfaceKind.EUCLIDEAN, t, tol)
+    width = _mass_radius(_EUCLIDEAN, t, tol)
     return (0.0, width, math.pi) if width < math.pi else (0.0, math.pi)
 
 
 def _kernel_tol(kind: SurfaceKind, edges: tuple, tol: float) -> float:
     """Pointwise tolerance of the radial kernel values, a tenth of tol
     spread over the disc of the truncation radius on the planes."""
-    reach = 1.0 if kind is SurfaceKind.SPHERE else max(1.0, edges[-1] ** 2)
+    reach = 1.0 if kind is _SPHERE else max(1.0, edges[-1] ** 2)
     return max(1e-14, 0.1 * tol / reach)
 
 
@@ -566,7 +568,7 @@ def apply_k1(kind, field: FormField, t,
     sup = max(_field_bound(field, kind), 1e-300)
     tol = budget.abs_tol
     kbudget = budget.part(0.25)
-    at_kappa = kind is SurfaceKind.HYPERBOLIC and field.decay.kind != "bounded"
+    at_kappa = kind is _HYPERBOLIC and field.decay.kind != "bounded"
     mass_edges = None if at_kappa else _radial_edges(kind, t, 0.125 * tol / sup)
 
     def evaluate(x: Point) -> OneFormValue:
@@ -618,7 +620,7 @@ def heat_residual(kind, fields, x: Point, h_t: float = 1e-3,
     if not (0.0 < h_t < math.inf and 0.0 < h_space < math.inf):
         raise DomainError("step sizes must be finite and positive")
     r, th = x.c1, x.c2
-    top = math.pi if kind is SurfaceKind.SPHERE else math.inf
+    top = math.pi if kind is _SPHERE else math.inf
     if r - h_space <= 0.0 or r + h_space >= top:
         raise DomainError("stencil too close to a coordinate pole")
     lam, lam_d = _MODELS[kind].S(r), _MODELS[kind].C(r)

@@ -9,8 +9,8 @@ no larger than the requested absolute tolerance, or raises
 :class:`~heatforms.errors.NonconvergenceError`.
 
 Each panel takes QUADPACK's 21-point Gauss-Kronrod rule, laid on a
-partition by ``_kronrod_panels``, which McKean's integral on H2 uses too;
-its embedded 10-point Gauss sum on the same nodes is the accuracy check.
+partition by ``_kronrod_panels``; its embedded 10-point Gauss sum on the
+same nodes is the accuracy check.
 
 Two helpers here are the package's only truncation and refinement policy:
 ``solve_radius`` cuts every noncompact integral or sum at the first radius
@@ -28,11 +28,12 @@ integral, by ``gaussian_tail_radius``.
 A ToleranceBudget asks for accuracy alone; each route caps its own
 refinement: ``_integrate_panels`` at _MAX_DEPTH = 40 halvings of a panel
 or _MAX_PANELS = 20,000 panels (also the most ``_seeded_edges`` seeds),
-``solve_radius`` at _MAX_RADIUS_STEPS = 400 radii, McKean's grid at
-hyperbolic._MCKEAN_ROUNDS = 12 doublings, ``specfun._conical_integral`` at
-the first grid past specfun._CONICAL_PANELS = 65536 panels, and the nested
-sampler's rules at kernels._APPLY_LIMIT = (512, 512) in apply_k0 and
-apply_k1 and geometry._SURFACE_LIMIT = (2048, 4096) in integrate_surface.
+``solve_radius`` at _MAX_RADIUS_STEPS = 400 radii, McKean's trapezoid sum
+at hyperbolic._MCKEAN_HALVINGS = 8 halvings of its step,
+``specfun._conical_integral`` at the first grid past
+specfun._CONICAL_PANELS = 65536 panels, and the nested sampler's rules at
+kernels._APPLY_LIMIT = (512, 512) in apply_k0 and apply_k1 and
+geometry._SURFACE_LIMIT = (2048, 4096) in integrate_surface.
 """
 
 from __future__ import annotations
@@ -142,9 +143,17 @@ def _area_tail(decay: DecayHint, tol: float, hyperbolic: bool, scale: float = 1.
                          else math.log(c) - math.log(a) - math.log(tol))
             R = max(1.0, math.sqrt(log_ratio / a))
             return R, c * math.exp(-a * R * R) / a
-        return solve_radius(
-            lambda R: 2.0 * c * (R + 1.0 / a) * math.exp(-a * R) / a,
-            tol, max(1.0, 2.0 / a), 1.25)
+
+        def exp_tail(R: float) -> float:
+            tail = 2.0 * c * (R + 1.0 / a) * math.exp(-a * R) / a
+            if tail < math.inf:
+                return tail
+            # its log taken term by term where the product overflows
+            log_tail = (math.log(2.0) + math.log(c) + math.log(R + 1.0 / a)
+                        - a * R - math.log(a))
+            return math.exp(log_tail) if log_tail < 709.0 else math.inf
+
+        return solve_radius(exp_tail, tol, max(1.0, 2.0 / a), 1.25)
     if decay.kind == "exp":
         if a <= 1.0:
             raise DecayHintError("exponential decay on the hyperbolic plane must "

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import (DomainError, EnumerationOverflowError, KindMismatchError,
                      UnsupportedGroupError)
-from .geometry import (BiTensor1, Point, SurfaceKind, _axis_chart,
-                       _axis_distance, _axis_point, distance)
+from .geometry import (_EUCLIDEAN, _HYPERBOLIC, BiTensor1, Point, SurfaceKind,
+                       _axis_chart, _axis_distance, _axis_point, distance)
 from .hyperbolic import _h2_k0_majorant
 from .kernels import Kernel1Value, _as_time, _k0_dist, k1 as _k1_base
 from .quadrature import DEFAULT_BUDGET, ToleranceBudget, solve_radius
@@ -72,7 +72,7 @@ class CoveringGroupSpec:
         scale = math.hypot(*v1) * math.hypot(*v2)
         if scale == 0.0 or abs(det) <= 1e-12 * scale:
             raise DomainError("lattice generators must be linearly independent")
-        return cls("euclidean_lattice", SurfaceKind.EUCLIDEAN, v1, v2)
+        return cls("euclidean_lattice", _EUCLIDEAN, v1, v2)
 
     @classmethod
     def euclidean_cyclic(cls, v) -> "CoveringGroupSpec":
@@ -81,14 +81,14 @@ class CoveringGroupSpec:
             raise DomainError("cyclic generator must be finite")
         if math.hypot(*v) <= 0.0:
             raise DomainError("cyclic generator must displace by a positive length")
-        return cls("euclidean_cyclic", SurfaceKind.EUCLIDEAN, v)
+        return cls("euclidean_cyclic", _EUCLIDEAN, v)
 
     @classmethod
     def hyperbolic_cyclic(cls, ell: float) -> "CoveringGroupSpec":
         ell = float(ell)
         if not (math.isfinite(ell) and ell > 0.0):
             raise DomainError("translation length must be positive")
-        return cls("hyperbolic_cyclic", SurfaceKind.HYPERBOLIC, ell=ell)
+        return cls("hyperbolic_cyclic", _HYPERBOLIC, ell=ell)
 
     @classmethod
     def trivial(cls, kind) -> "CoveringGroupSpec":
@@ -218,7 +218,7 @@ def _images(group: CoveringGroupSpec, x: Point, y: Point, radius: float):
     ks = np.indices(tuple(map(int, size))).reshape(len(rows), -1)
     ks += np.array(lo, dtype=int)[:, None]
     img = group.matrix @ ks
-    if group.base is SurfaceKind.EUCLIDEAN:
+    if group.base is _EUCLIDEAN:
         dist = np.hypot(da - img[0], db - img[1])
     else:  # the generator (ell, 0) moves u alone
         dist = np.array([_axis_distance(xb, yb, da - u) for u in img[0].tolist()])
@@ -344,7 +344,7 @@ def _truncation(group: CoveringGroupSpec, t: float,
     alone meets the target (2 sqrt(t) at least) and grows R by 1.2."""
     gauss = max(_FOUR_PI * t * target, math.ulp(0.0))
     start = 2.0 * math.sqrt(t * max(1.0, -math.log(gauss)))
-    tail = _h2_tail if group.base is SurfaceKind.HYPERBOLIC else _euclid_tail
+    tail = _h2_tail if group.base is _HYPERBOLIC else _euclid_tail
     return solve_radius(lambda r: tail(group, r, t), target, start, 1.2)
 
 
@@ -369,7 +369,7 @@ def _k0_quotient_full(q: QuotientSurface, x: Point, y: Point, t: float,
     n = len(dists)
     if n == 0:
         return 0.0, tail, 0, radius
-    if q.base is SurfaceKind.HYPERBOLIC:
+    if q.base is _HYPERBOLIC:
         # each image is held to its own share
         values, err, _, _ = _k0_dist(q.base, dists, t, budget.part(0.5 / n))
         return math.fsum(values), tail + n * err, n, radius
@@ -395,7 +395,7 @@ def k1_quotient_flat(q: QuotientSurface, x: Point, y: Point, t,
     identity, so the sum is S I with S the scalar quotient kernel; expressed
     back in the polar coframes it is S times the frame rotation.
     """
-    if q.base is not SurfaceKind.EUCLIDEAN:
+    if q.base is not _EUCLIDEAN:
         raise UnsupportedGroupError(
             "1-form image sums need the frame transport of the covering "
             "transformations, which is only the identity for euclidean "

@@ -90,6 +90,14 @@ _ERFCX_P = (3.05326634961232344e-1, 3.60344899949804439e-1,
 _ERFCX_Q = (2.56852019228982242e00, 1.87295284992346725e00,
             5.27905102951428412e-1, 6.05183413124413191e-2,
             2.33520497626869185e-3)
+# The same as (power, [numerator, denominator]) arrays for _rational, in
+# y^2 on [0, 0.46875], y on (0.46875, 4] and 1/y^2 beyond.
+_ERFCX_SMALL = np.array([_ERFCX_A[3::-1] + (_ERFCX_A[4],),
+                         _ERFCX_B[::-1] + (1.0,)]).T
+_ERFCX_MID = np.array([_ERFCX_C[7::-1] + (_ERFCX_C[8],),
+                       _ERFCX_D[::-1] + (1.0,)]).T
+_ERFCX_BIG = np.array([_ERFCX_P[4::-1] + (_ERFCX_P[5],),
+                       _ERFCX_Q[::-1] + (1.0,)]).T
 # Entries of one rho-by-node array in the Mehler-Dirichlet evaluator (512 KB).
 _BLOCK_ELEMS = 1 << 16
 # The Mehler-Dirichlet integral's first grid at most; a larger one is final.
@@ -154,42 +162,31 @@ class RadialProfile:
         return _as_float(self.fn(r), "the radial profile")
 
 
+def _rational(y: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """num(y) / den(y) for the (power, [num, den]) coefficients coefs."""
+    both = (y[..., None] ** np.arange(len(coefs))) @ coefs
+    return both[..., 0] / both[..., 1]
+
+
 def _erfcx(x: np.ndarray) -> np.ndarray:
     """Scaled complementary error function e^{x^2} erfc(x) for x >= 0.
 
     W. J. Cody's rational Chebyshev approximations (Math. Comp. 23, 1969):
     erf on [0, 0.46875], erfcx itself on (0.46875, 4], and erfcx in 1/x^2
     beyond; each is good to a few ulps, and nothing overflows at large x.
+    Every branch runs on the whole array, its argument clipped to its
+    interval, and each entry keeps its own branch's value: no mask costs a
+    gather and a scatter.
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = x <= 0.46875
-    big = x > 4.0
-    mid = ~(small | big)
-    if small.any():
-        y = x[small]
-        ysq = y * y
-        num, den = _ERFCX_A[4] * ysq, ysq
-        for i in range(3):
-            num = (num + _ERFCX_A[i]) * ysq
-            den = (den + _ERFCX_B[i]) * ysq
-        out[small] = np.exp(ysq) * (1.0 - y * (num + _ERFCX_A[3]) / (den + _ERFCX_B[3]))
-    if mid.any():
-        y = x[mid]
-        num, den = _ERFCX_C[8] * y, y
-        for i in range(7):
-            num = (num + _ERFCX_C[i]) * y
-            den = (den + _ERFCX_D[i]) * y
-        out[mid] = (num + _ERFCX_C[7]) / (den + _ERFCX_D[7])
-    if big.any():
-        y = x[big]
-        r = (1.0 / y) ** 2
-        num, den = _ERFCX_P[5] * r, r
-        for i in range(4):
-            num = (num + _ERFCX_P[i]) * r
-            den = (den + _ERFCX_Q[i]) * r
-        out[big] = (_INV_SQRT_PI - r * (num + _ERFCX_P[4]) / (den + _ERFCX_Q[4])) / y
-    return out
+    y = np.minimum(x, 0.46875)
+    ysq = y * y
+    small = np.exp(ysq) * (1.0 - y * _rational(ysq, _ERFCX_SMALL))
+    mid = _rational(np.minimum(np.maximum(x, 0.46875), 4.0), _ERFCX_MID)
+    y = np.maximum(x, 4.0)
+    r = (1.0 / y) ** 2
+    big = (_INV_SQRT_PI - r * _rational(r, _ERFCX_BIG)) / y
+    return np.where(x <= 0.46875, small, np.where(x <= 4.0, mid, big))
 
 
 def _expint_cf(z: float, p: float) -> float:

@@ -285,7 +285,7 @@ def test_k0_at_a_distance_takes_a_float_or_an_array(kind):
     ulp.  The generator mode keeps both rules for its rows (K0, G, G_d) and
     its two bounds, except that the plane forms G for a float only; its K0
     is the plain mode's on the plane and the sphere, and within err_est of
-    it on H2, whose generator pass takes its own w limit."""
+    it on H2, whose generator pass takes its own v cut."""
     budget = ToleranceBudget(abs_tol=1e-10)
     for t in (1e-3, 0.3, 2.0):
         for d in (0.0, 1e-7, 0.7, 2.5):
@@ -888,11 +888,13 @@ def _frozen_sphere_form(p):
 # at most 6.1e-16 on the sphere and the plane, and on H2 1.5e-13 for
 # apply_k0 and 3.2e-10 for apply_k1, whose cut now covers G_d's tail.  The
 # H2 apply_k1 entries moved again, by 5.6e-17 and 2.8e-17 against abs_tol
-# 1e-6, when McKean's w integral moved onto QK21 panels.
+# 1e-6, when McKean's w integral moved onto QK21 panels, and the H2 entry by
+# 3.3e-13 (apply_k0, abs_tol 1e-8), 8.3e-17 and 1.4e-17 when McKean's
+# integral became one trapezoid sum in v.
 _FROZEN_EVOLUTIONS = {
     "sphere": (0.33175495592319043, -0.18480157416075255, 0.027508307704957977),
     "plane": (0.30094821566974006, 0.2625716289363291, 0.12566267318777705),
-    "hyperbolic": (0.2639528497245808, 0.15535624931700312, 0.08336338958357899),
+    "hyperbolic": (0.2639528497249114, 0.15535624931700304, 0.08336338958357897),
 }
 
 
@@ -1080,51 +1082,94 @@ def test_unsettled_kernel_application_reports_its_last_change():
 
 
 def test_mckean_refinement_failure_is_in_kernel_units(monkeypatch):
-    """Block sums that alternate 0, c, 0, ... differ by c each round, and
-    the failure reports that change against the quadrature's share of the
-    tolerance."""
-    passes = iter(range(100))
+    """Block sums whose two steps always differ by c fail after the capped
+    halvings, and the failure reports that change against the quadrature's
+    share of the tolerance."""
     c = 3.0e-3
+    halvings = []
+    nodes = hyperbolic._mckean_nodes
 
-    def block(ds, w, wts, t, generator, di_coefs):
-        # one column per rule, each rule a pass of its own
-        rows = np.empty((3 if generator else 1, ds.size, wts.shape[1]))
-        for rule in range(wts.shape[1]):
-            rows[..., rule] = c * (next(passes) % 2)
+    def counted_nodes(n, count):
+        halvings.append(n)
+        return nodes(n, count)
+
+    def block(ds, v, wts, t, generator):
+        rows = np.zeros((3 if generator else 1, ds.size, 2))
+        rows[..., 0] = c
         return rows, np.abs(rows)
 
+    monkeypatch.setattr(hyperbolic, "_mckean_nodes", counted_nodes)
     monkeypatch.setattr(hyperbolic, "_mckean_block", block)
     t, tol = 0.01, 1e-8
     for generator in (False, True):
+        halvings.clear()
         with pytest.raises(NonconvergenceError) as info:
             hyperbolic._h2_mckean([0.5], t, ToleranceBudget(abs_tol=tol), generator)
         assert info.value.achieved == pytest.approx(c)
         assert info.value.requested == 0.5 * tol
+        # one pass per step, each halving it, up to the cap
+        assert halvings == [1 << k for k in range(hyperbolic._MCKEAN_HALVINGS + 1)]
 
 
-def test_mckean_each_pass_evaluates_one_grid(monkeypatch):
-    """A pass evaluates its own grid only: a first pass whose K21 and G10
-    sums disagree is followed by the 2-split grid alone, which is then
+def test_mckean_each_pass_evaluates_one_sum(monkeypatch):
+    """A pass evaluates its own nodes once: a first pass whose two steps
+    disagree is followed by the halved step alone, which is then
     accepted."""
-    splits = []
-    grid = hyperbolic._mckean_grid
+    halvings = []
+    nodes = hyperbolic._mckean_nodes
 
-    def counted_grid(limit, fine, n_split):
-        splits.append(n_split)
-        return grid(limit, fine, n_split)
+    def counted_nodes(n, count):
+        halvings.append(n)
+        return nodes(n, count)
 
-    values = iter([3.0e-3, 0.0, 0.0, 0.0])  # (K21, G10) per pass
+    values = iter([(3.0e-3, 0.0), (0.0, 0.0)])  # (step, twice the step) per pass
 
-    def block(ds, w, wts, t, generator, di_coefs):
-        rows = np.empty((1, ds.size, wts.shape[1]))
-        for rule in range(wts.shape[1]):
-            rows[..., rule] = next(values)
+    def block(ds, v, wts, t, generator):
+        rows = np.empty((1, ds.size, 2))
+        rows[..., :] = next(values)
         return rows, np.abs(rows)
 
-    monkeypatch.setattr(hyperbolic, "_mckean_grid", counted_grid)
+    monkeypatch.setattr(hyperbolic, "_mckean_nodes", counted_nodes)
     monkeypatch.setattr(hyperbolic, "_mckean_block", block)
     hyperbolic._h2_mckean([0.5], 0.01, ToleranceBudget(abs_tol=1e-8))
-    assert splits == [1, 2]
+    assert halvings == [1, 2]
+
+
+@pytest.mark.parametrize("t", [T_MIN, 1e-3, 0.01, 0.3, 2.0, 30.0])
+def test_mckean_k0_takes_at_most_100_nodes_at_a_tight_request(t):
+    for d in (0.0, 1e-6, 1e-3, 0.5, 3.0, 30.0):
+        rows, _, _, evals = hyperbolic._h2_mckean([d], t, ToleranceBudget(abs_tol=1e-12))
+        assert evals <= 100 and np.isfinite(rows[0, 0])
+
+
+@pytest.mark.parametrize("generator", [False, True])
+def test_mckean_v_cut_covers_the_w_tail_at_every_distance(monkeypatch, generator):
+    """_mckean_tail bounds what lies beyond s = d + W^2 at the batch's
+    smallest distance; the v sum reaches its cut V, and there s >= d + W^2
+    at every distance of the batch, so the bound covers what the sum
+    leaves out."""
+    limits, reach = [], []
+    tail, block = hyperbolic._mckean_tail, hyperbolic._mckean_block
+
+    def recorded_tail(limit, dmin, t, gen):
+        limits.append(limit)
+        return tail(limit, dmin, t, gen)
+
+    def recorded_block(ds, v, wts, t, gen):
+        reach.append(v.max())
+        return block(ds, v, wts, t, gen)
+
+    monkeypatch.setattr(hyperbolic, "_mckean_tail", recorded_tail)
+    monkeypatch.setattr(hyperbolic, "_mckean_block", recorded_block)
+    ds = np.array([1e-3, 0.4, 2.5, 9.0])
+    for t in (1e-3, 0.2, 5.0):
+        limits.clear()
+        reach.clear()
+        _, _, cut, _ = hyperbolic._h2_mckean(ds, t, ToleranceBudget(abs_tol=1e-10),
+                                              generator)
+        w = limits[-1]  # the limit whose tail err_est charges
+        assert min(reach) >= cut
+        assert np.all(np.hypot(ds, cut) >= (ds + w * w) * (1.0 - 1e-15))
 
 
 def test_h2_k1_at_small_time_and_separation_meets_a_tight_request():

@@ -290,6 +290,20 @@ def test_plane_gaussian_tail_survives_a_ratio_past_the_float_range():
     assert abs(value - math.pi) <= 1e-9
 
 
+def test_plane_exponential_tail_survives_a_product_past_the_float_range():
+    """2 pi bound (R + 1/a) / a overflows for a finite factor pi bound: the
+    tail used to read inf * 0 = NaN at every radius, and the search failed
+    with a NaN achieved."""
+    hint = DecayHint("exp", 2.0, 5e307)
+    radius, tail = _area_tail(hint, 1e-9, False)
+    assert math.isfinite(radius) and 0.0 <= tail <= 1e-9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = geometry.integrate_surface("plane", lambda p: math.exp(-2.0 * p.c1),
+                                           ToleranceBudget(abs_tol=1e-9), hint)
+    assert abs(value - 0.5 * math.pi) <= 1e-9
+
+
 @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
 def test_tail_radius_refuses_rates_outside_zero_to_inf(rate):
     with pytest.raises(DomainError, match="gaussian_rate"):
@@ -324,7 +338,7 @@ def test_refinement_caps_are_pinned(monkeypatch):
             quadrature._MAX_RADIUS_STEPS) == (40, 20000, 400)
     assert geometry._SURFACE_LIMIT == (2048, 4096)
     assert kernels._APPLY_LIMIT == (512, 512)
-    assert hyperbolic._MCKEAN_ROUNDS == 12
+    assert hyperbolic._MCKEAN_HALVINGS == 8
     # the conical integral's passes when no grid settles: an embedded rule
     # that never agrees, from 4 panels and from 65536
     seen = []
