@@ -2,10 +2,13 @@
 
 The one integrator over an interval is ``_integrate_panels``, which halves
 the worst panel of a given partition until the summed error fits: the
-package's own rho integral (``specfun._synthesis``) and the forward
-transform's r integral start it from equal seeded panels
-(``_seeded_edges``).  It returns ``(value, err_est)``, a float ``err_est``
-no larger than the requested absolute tolerance, or raises
+package's own rho integral (``specfun._synthesis``, on canonical grids of
+its own) and the forward transform's r integral (``_seeded_edges``) start
+it from equal seeded panels, both counted by ``_panel_count`` before any is
+built.  A seeded pass whose error already fits is returned as it is.  It
+returns ``(value, err_est)``, a float ``err_est`` no larger than the
+requested absolute tolerance or, where that lies below the roundoff, than
+64 eps times the K21 sum of |f| already spent; or it raises
 :class:`~heatforms.errors.NonconvergenceError`.
 
 Each panel takes QUADPACK's 21-point Gauss-Kronrod rule, laid on a
@@ -23,7 +26,8 @@ achieved against the tolerance it was asked for.  The area tail of a
 decay hint on the plane or the hyperbolic plane, which cuts both
 ``integrate_surface`` and the forward Mehler-Fock transform, is solved
 here too, by ``_area_tail``, and so is the Gaussian tail that cuts the rho
-integral, by ``gaussian_tail_radius``.
+integral, by ``gaussian_tail_radius``, whose search starts from two Newton
+steps on the tail bound and so normally accepts its first radius.
 
 A ToleranceBudget asks for accuracy alone; each route caps its own
 refinement: ``_integrate_panels`` at _MAX_DEPTH = 40 halvings of a panel
@@ -62,6 +66,7 @@ _MAX_DEPTH = 40
 # Radii a truncation search tries before giving up; even at the smallest
 # growth factor in use (1.2) this spans 31 decades beyond the start radius.
 _MAX_RADIUS_STEPS = 400
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -327,11 +332,13 @@ def _read_floats(fn, xs: np.ndarray, what: str) -> np.ndarray:
     return np.array([_as_float(fn(x), what) for x in nodes])
 
 
-def _panel_estimates(f, edges):
-    """(K21 values, |K21 - G10| errors) of every panel of a partition, from
-    one evaluation of f; a row-valued f gives (panel, row) values and each
-    panel's largest error over its rows."""
-    xs, w = _kronrod_panels(edges)
+def _panel_estimates(f, edges, rule=None):
+    """(K21 values, |K21 - G10| errors, K21 sums of |f|) of every panel of
+    a partition, from one evaluation of f on the nodes of rule, the
+    (nodes, weights) of _kronrod_panels(edges) when the caller holds them;
+    a row-valued f gives (panel, row) values and each panel's largest error
+    and largest sum of |f| over its rows."""
+    xs, w = _kronrod_panels(edges) if rule is None else rule
     ys = np.asarray(f(xs))
     if ys.dtype.kind == "c":  # the cast below would drop the imaginary part
         raise DomainError("integrand returned complex values")
@@ -343,40 +350,63 @@ def _panel_estimates(f, edges):
                           f"[{edges[0]}, {edges[-1]}]")
     n = len(edges) - 1
     w = w.reshape(n, 21, 2)
+    rows = ys.reshape(-1, n, 21)
     # (row, panel) sums of each rule
-    k21, g10 = ((ys.reshape(-1, n, 21) * w[..., k]).sum(axis=2) for k in (0, 1))
-    return (k21.T if ys.ndim == 2 else k21[0]), np.abs(k21 - g10).max(axis=0)
+    k21, g10 = ((rows * w[..., k]).sum(axis=2) for k in (0, 1))
+    mass = (np.abs(rows) * w[..., 0]).sum(axis=2).max(axis=0)
+    return ((k21.T if ys.ndim == 2 else k21[0]), np.abs(k21 - g10).max(axis=0),
+            mass)
 
 
-def _seeded_edges(cut: float, width: float) -> np.ndarray:
-    """Edges of the fewest equal panels no wider than width on [0, cut].
-    More than _MAX_PANELS of them raise DomainError before any is built."""
+def _panel_count(cut: float, width: float) -> int:
+    """The fewest equal panels no wider than width on [0, cut].  More than
+    _MAX_PANELS of them raise DomainError, before any is built."""
     count = cut / width
     if not count <= _MAX_PANELS:
         raise DomainError(f"panels of width {width:.3g} on [0, {cut:.3g}] would "
                           f"number {count:.3g}, above the {_MAX_PANELS} allowed")
-    return np.linspace(0.0, cut, math.ceil(count) + 1)
+    return math.ceil(count)
 
 
-def _integrate_panels(f, edges, budget: ToleranceBudget):
+def _seeded_edges(cut: float, width: float) -> np.ndarray:
+    """Edges of the fewest equal panels no wider than width on [0, cut],
+    counted by _panel_count."""
+    return np.linspace(0.0, cut, _panel_count(cut, width) + 1)
+
+
+def _fsum(values: np.ndarray):
+    """math.fsum of panel values, per row of (panel, row) ones."""
+    if values.ndim == 2:
+        return np.array([math.fsum(row) for row in values.T])
+    return math.fsum(values)
+
+
+def _integrate_panels(f, edges, budget: ToleranceBudget, first=None):
     """(value, err_est) of f on [edges[0], edges[-1]], starting from the
     partition edges and halving the worst panel (by |K21 - G10|) until the
-    errors sum to at most budget.abs_tol.  f maps an ndarray of nodes to
-    values, or to a 2-d array of one row per component, giving one value
-    per row and a float err_est of each panel's largest row error summed.
-    A complex, non-finite or misshapen value raises DomainError, and f's
-    own exceptions propagate; NonconvergenceError carries the achieved
-    error once the worst panel has been halved _MAX_DEPTH times or the
-    partition holds _MAX_PANELS panels."""
-    values, errs = _panel_estimates(f, edges)
-    # Heap entries: (-err, tiebreak, a, b, value, depth).
-    heap = [(-e, k, a, b, v, 0) for k, (a, b, v, e)
-            in enumerate(zip(edges[:-1], edges[1:], values, errs))]
+    errors sum to at most budget.abs_tol, or to at most 64 eps times the
+    K21 sum of |f|: the roundoff already spent, below which halving only
+    measures noise.  err_est is that summed error.  A seeded pass that
+    already fits returns at once, the math.fsum of its panel values.
+    first, when given, is _panel_estimates(f, edges) as the caller computed
+    it (on a cached rule).  f maps an ndarray of nodes to values, or to a
+    2-d array of one row per component, giving one value per row and a
+    float err_est of each panel's largest row error summed.  A complex,
+    non-finite or misshapen value raises DomainError, and f's own
+    exceptions propagate; NonconvergenceError carries the achieved error
+    once the worst panel has been halved _MAX_DEPTH times or the partition
+    holds _MAX_PANELS panels."""
+    values, errs, masses = _panel_estimates(f, edges) if first is None else first
+    total_err, mass = float(errs.sum()), float(masses.sum())
+    if total_err <= max(budget.abs_tol, 64.0 * _EPS * mass):
+        return _fsum(values), total_err
+    # Heap entries: (-err, tiebreak, a, b, value, depth, mass).
+    heap = [(-e, k, a, b, v, 0, m) for k, (a, b, v, e, m)
+            in enumerate(zip(edges[:-1], edges[1:], values, errs, masses))]
     heapq.heapify(heap)
     counter = len(heap)
-    total_err = float(errs.sum())
-    while total_err > budget.abs_tol:
-        neg_err, _, pa, pb, _, depth = heap[0]
+    while total_err > max(budget.abs_tol, 64.0 * _EPS * mass):
+        neg_err, _, pa, pb, _, depth, pm = heap[0]
         if depth >= _MAX_DEPTH or len(heap) >= _MAX_PANELS:
             raise NonconvergenceError(
                 f"adaptive quadrature stalled at error {total_err:.3e} "
@@ -384,15 +414,13 @@ def _integrate_panels(f, edges, budget: ToleranceBudget):
                 achieved=total_err, requested=budget.abs_tol)
         heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
-        (lv, rv), (le, re) = _panel_estimates(f, [pa, mid, pb])
+        (lv, rv), (le, re), (lm, rm) = _panel_estimates(f, [pa, mid, pb])
         total_err += le + re + neg_err
-        heapq.heappush(heap, (-le, counter, pa, mid, lv, depth + 1))
-        heapq.heappush(heap, (-re, counter + 1, mid, pb, rv, depth + 1))
+        mass += lm + rm - pm
+        heapq.heappush(heap, (-le, counter, pa, mid, lv, depth + 1, lm))
+        heapq.heappush(heap, (-re, counter + 1, mid, pb, rv, depth + 1, rm))
         counter += 2
-    if values.ndim == 2:
-        rows = np.array([entry[4] for entry in heap]).T
-        return np.array([math.fsum(row) for row in rows]), float(total_err)
-    return math.fsum(entry[4] for entry in heap), float(total_err)
+    return _fsum(np.array([entry[4] for entry in heap])), float(total_err)
 
 
 def gaussian_tail_radius(rate: float, tol: float, bound: float = 1.0,
@@ -414,12 +442,26 @@ def gaussian_tail_radius(rate: float, tol: float, bound: float = 1.0,
     if bound == 0.0:
         return 0.0, 0.0
     p = float(poly_degree)
+    log_tol = math.log(tol)
 
-    def tail(R: float) -> float:
+    def log_tail(R: float) -> float:
         slope = 2.0 * rate * R - p / (1.0 + R)
         if slope <= 0.0:
             return math.inf
-        log_val = math.log(bound) + p * math.log1p(R) - rate * R * R - math.log(slope)
-        return math.exp(min(log_val, 700.0))
+        return math.log(bound) + p * math.log1p(R) - rate * R * R - math.log(slope)
 
-    return solve_radius(tail, tol, max(1.0, math.sqrt(max(p, 1.0) / rate)), 1.25)
+    # Two Newton steps on log_tail(R) = ln tol from the root of the Gaussian
+    # factor alone.  log_tail is concave once rate R^2 is past about 1/2,
+    # which the start is, so a step lands at or just past the root and
+    # solve_radius normally accepts the first radius it tries.
+    R = math.sqrt(max(math.log(bound) - log_tol, 1.0) / rate)
+    for _ in range(2):
+        slope = 2.0 * rate * R - p / (1.0 + R)
+        if not slope > 0.0:
+            break
+        gain = slope + (2.0 * rate + p / (1.0 + R) ** 2) / slope  # -d log_tail/dR
+        step = (log_tail(R) - log_tol) / gain
+        if not R + step > 0.0:
+            break
+        R += step
+    return solve_radius(lambda R: math.exp(min(log_tail(R), 700.0)), tol, R, 1.25)

@@ -16,18 +16,23 @@ products.  Each radius takes one of three branches:
 - near the origin (sinh^2(r/2) <= 1/2 and sinh^2(r/2) (1/4 + rho^2) <=
   0.3) the hypergeometric series in sinh^2(r/2), with as many terms as its
   largest entry needs;
-- from r = ln2 / 2 on, for rho >= 1e-3, the convergent series in x =
-  e^{-2r} <= 1/2 (_conical_far), whose term ratios are below x in modulus:
-  its tail after the last term t_K is at most |t_K| x / (1 - x), and its
-  error bar adds 8 eps times the sum of |terms| for roundoff and eps (|ln
-  c| + |nu| r) times it for the phase, so about 57 terms reach 1e-17
-  whatever rho is.  ln c(rho) comes from one asymptotic series of ln
-  Gamma(z + 1/2) - ln Gamma(z) in 1/z^2 after a shift of ten;
-- elsewhere, in the band between the two and for rho < 1e-3, the
-  Mehler-Dirichlet integral (DLMF 14.20; Gil, Segura & Temme, Numerical
-  Methods for Special Functions, SIAM 2007) in one pass of composite
-  21-point Gauss-Kronrod panels, whose embedded 10-point Gauss sum is the
-  accuracy check; only a failed check doubles the panels.
+- from r = _FAR_RADIUS = 0.0768 on, for rho >= 1e-3, the convergent
+  series in x = e^{-2r} <= 0.858 (_conical_far), whose term ratios are
+  below x in modulus: its tail after the last term t_K is at most |t_K| x
+  / (1 - x), and its error bar adds 8 eps times the sum of |terms| for
+  roundoff and eps (|ln c| + |nu| r) times it for the phase.  x^K reaches
+  1e-17 within 256 terms at the first radius, 57 from ln2 / 2 on, whatever
+  rho is.  ln c(rho) comes from one asymptotic series of ln Gamma(z + 1/2)
+  - ln Gamma(z) in 1/z^2 after a shift of ten.  Near the first radius
+  1 / (1 - x) reaches 7 and at small rho |c| ~ 1 / (pi rho) is large, so a
+  column of rho < 1 whose error bar exceeds the request takes the
+  integral instead;
+- elsewhere, between the two series (which meet in a batch whose largest
+  rho is at most 14.2) and for rho < 1e-3, the Mehler-Dirichlet integral
+  (DLMF 14.20; Gil, Segura & Temme, Numerical Methods for Special
+  Functions, SIAM 2007) in one pass of composite 21-point Gauss-Kronrod
+  panels, whose embedded 10-point Gauss sum is the accuracy check; only a
+  failed check doubles the panels.
 
 The integral is also the tests' independent check on the e^{-2r} series.
 Its radius-only factors (nodes, weights times 1/sqrt(psi) and its
@@ -39,7 +44,11 @@ rho and r are.
 
 One rho integral, ``_synthesis``, serves the inverse transform (a row of
 fhat) and the spectral oracle on H2 (rows of heat data), and alone decides
-where that integral is cut and what its error bar charges.  The radial
+where that integral is cut and what its error bar charges.  It seeds its
+panels on canonical grids, 2^(k/2) wide from 0, whose nodes, weights and
+rho-only factors (the Plancherel weight, 1 / lam and ln c) one bounded
+cache (_rho_grid) builds once per grid of at most 64 panels; a
+single-rho forward transform never reaches it.  The radial
 callbacks, fhat and a profile's function, are read a batch of nodes at a
 time by ``quadrature._read_floats``.
 """
@@ -48,14 +57,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
+from .quadrature import (_EPS, DEFAULT_BUDGET, DecayHint, ToleranceBudget,
                          _area_tail, _as_float, _integrate_panels,
-                         _kronrod_panels, _read_floats, _seeded_edges,
-                         gaussian_tail_radius, refine_until_stable)
+                         _kronrod_panels, _panel_count, _panel_estimates,
+                         _read_floats, _seeded_edges, gaussian_tail_radius,
+                         refine_until_stable)
 
 __all__ = [
     "SpectralParameter",
@@ -67,7 +78,6 @@ __all__ = [
 ]
 
 _TWO_SQRT2_OVER_PI = 2.0 * math.sqrt(2.0) / math.pi
-_EPS = float(np.finfo(float).eps)
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 # Cody's coefficients for _erfcx, in his order (CALERF).
 _ERFCX_A = (3.16112374387056560e00, 1.13864154151050156e02,
@@ -104,11 +114,19 @@ _BLOCK_ELEMS = 1 << 16
 _CONICAL_PANELS = 65536
 # (rate, bound) of the decay |fhat| <= bound e^{-rate rho^2} of the round trip.
 _ROUNDTRIP_DECAY = (0.2, 10.0)
-# The e^{-2r} series serves radii from ln2 / 2, where x = e^{-2r} <= 1/2, and
-# rho from _RHO_MIN: below it the 1/rho cancellation in 2 Re[c ...] costs
-# more than 1e-13 (1.8e-13 at rho = 1e-3 against 30-digit values).
-_FAR_RADIUS = 0.5 * math.log(2.0)
+# The e^{-2r} series serves radii from _FAR_RADIUS, where x = e^{-2r} <= 0.858
+# and x^255 <= 1e-17, so no batch takes more than 256 terms, and rho from
+# _RHO_MIN: below it the 1/rho cancellation in 2 Re[c ...] costs more than
+# 1e-13 (1.8e-13 at rho = 1e-3 and r = 0.4 against 30-digit values).
+_FAR_RADIUS = 0.0768
 _RHO_MIN = 1e-3
+# Below this rho, where |c| > 0.6 grows like 1 / (pi rho), a column whose
+# e^{-2r} err exceeds the request takes the integral, which few panels serve.
+_FALLBACK_RHO = 1.0
+# Canonical seeded rho grids of at most this many panels are cached, the
+# _GRID_CACHE_SIZE last used; a grid of 64 panels holds 1344 nodes.
+_GRID_CACHE_PANELS = 64
+_GRID_CACHE_SIZE = 32
 # -(2 - 2^(1 - 2k)) B_2k / (2k (2k - 1)), k = 1..8: ln Gamma(z + 1/2) - ln
 # Gamma(z) = ln(z) / 2 + sum_k these * z^(1 - 2k), the difference of
 # Stirling's series at shifts 1/2 and 0 (DLMF 5.11.8, B_n(1/2) = -(1 -
@@ -434,47 +452,53 @@ def _matvecs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([row @ b for row in a])
 
 
-def _far_products(rhos: np.ndarray, n_terms: int, need_p1: bool) -> np.ndarray:
+def _far_products(rhos: np.ndarray, n_terms: int) -> np.ndarray:
     """Q_k(rho) = prod_{j<k} (j + 1/2)(j + 1/2 - i rho) / ((j + 1)(j + 1 -
     i rho)) for k < n_terms, a row per k: the e^{-2r} series' terms without
-    their x^k.  With need_p1, the columns of -2k Q_k follow those of Q_k."""
+    their x^k."""
     a = np.arange(0.5, n_terms - 1.0)[:, None]
     b = a + 0.5
     rsq = rhos * rhos
-    q = np.empty((n_terms, (1 + need_p1) * rhos.size), dtype=complex)
-    head = q[:, :rhos.size]
-    head[0] = 1.0
+    q = np.empty((n_terms, rhos.size), dtype=complex)
+    q[0] = 1.0
     # (a - i rho) / (b - i rho) = (ab + rho^2 - i rho / 2) / (b^2 + rho^2)
     scale = (a / b) / (b * b + rsq)
-    np.multiply(scale, a * b + rsq, out=head[1:].real)
-    np.multiply(scale, -0.5 * rhos, out=head[1:].imag)
-    np.cumprod(head, axis=0, out=head)
-    if need_p1:
-        np.multiply(head, -2.0 * np.arange(n_terms)[:, None], out=q[:, rhos.size:])
-    return q
+    np.multiply(scale, a * b + rsq, out=q[1:].real)
+    np.multiply(scale, -0.5 * rhos, out=q[1:].imag)
+    return np.cumprod(q, axis=0, out=q)
 
 
-def _conical_far(rhos: np.ndarray, radii: np.ndarray, need_p1: bool):
+def _far_factors(rhos: np.ndarray):
+    """The rho-only factors of the e^{-2r} series at rho > 0: (ln c, nu,
+    |nu|, 8 + |ln c|), the last the rho part of its rounding charge."""
+    log_c, nu = _log_c(rhos), -0.5 + 1j * rhos
+    return log_c, nu, np.abs(nu), 8.0 + np.abs(log_c)
+
+
+def _conical_far(rhos: np.ndarray, radii: np.ndarray, need_p1: bool,
+                 far: tuple | None = None):
     """The e^{-2r} branch: P_{-1/2+i rho}(cosh r) = 2 Re[c(rho) e^{nu r}
     F(1/2, 1/2 - i rho; 1 - i rho; x)] with nu = -1/2 + i rho, x = e^{-2r}
-    and c from _log_c, for rho > 0 and a 1-d array of radii; P1 = 2 Re[c
-    e^{nu r} sum_k (nu - 2k) t_k] term by term.  Returns (P, P1, err) with
-    a row per radius.
+    and c from _log_c, for rho > 0 and a 1-d array of radii (far, when
+    given, is _far_factors(rhos) as a cached rho grid holds it); P1 = 2
+    Re[c e^{nu r} sum_k (nu - 2k) t_k] term by term.  Returns (P, P1, err)
+    with a row per radius and err a bound per rho, the largest over the
+    radii.
 
     The term ratio t_{k+1} / t_k = x (k + 1/2)(k + 1/2 - i rho) / ((k + 1)(k
     + 1 - i rho)) has modulus below x, so |t_k| <= x^k, the tail beyond the
     last term t_K is at most |t_K| x / (1 - x) (and |t_K| ((|nu| + 2K) x /
     (1 - x) + 2x / (1 - x)^2) for P1), and the sums of |terms| are at most
     1 / (1 - x) and |nu| / (1 - x) + 2x / (1 - x)^2.  K >= 1 is set by the
-    batch's largest x so that x^K <= 1e-17: 57 terms at x = 1/2.  err is
-    the largest over entries of 2 |c| e^{-r/2} times the tail plus (8 eps +
-    eps (|ln c| + |nu| r)) times the sum of |terms|: the sums' roundoff and
-    the rounding of the phase.  The terms are sum_k Q_k(rho) x^k with Q_k
-    the running product of the ratios without x and x^k = e^{-2kr}, so
-    each block of radii and rho is a few real matrix-vector products
-    against the real and imaginary parts of Q (and of -2k Q_k for P1),
-    which lie side by side in memory; blocks keep the (radius, rho, term)
-    count near _BLOCK_ELEMS.
+    batch's largest x so that x^K <= 1e-17: 57 terms at x = 1/2, 256 at
+    _FAR_RADIUS.  err is 2 |c| e^{-r/2} times the tail plus (8 eps + eps
+    (|ln c| + |nu| r)) times the sum of |terms|: the sums' roundoff and the
+    rounding of the phase.  The terms are sum_k Q_k(rho) x^k with Q_k the
+    running product of the ratios without x and x^k = e^{-2kr} (by
+    doubling, _powers, at more than one radius), so each block of radii and
+    rho is a few real matrix-vector products of x^k (and of -2k x^k for P1)
+    against the real and imaginary parts of Q, which lie side by side in
+    memory; blocks keep the (radius, rho, term) count near _BLOCK_ELEMS.
     """
     rhos = np.abs(rhos)
     x_max = math.exp(-2.0 * float(radii.min()))
@@ -484,18 +508,26 @@ def _conical_far(rhos: np.ndarray, radii: np.ndarray, need_p1: bool):
     out = np.empty((2 if need_p1 else 1, radii.size, rhos.size))
     r_step = min(radii.size, max(1, _BLOCK_ELEMS // n_terms))
     rho_step = max(1, _BLOCK_ELEMS // (2 * n_terms * r_step))  # complex terms
-    err = max(_far_block(rhos, radii[lo:lo + r_step], n_terms, rho_step,
-                         out[:, lo:lo + r_step]) for lo in range(0, radii.size, r_step))
+    err = np.zeros(rhos.size)
+    for lo in range(0, radii.size, r_step):
+        np.maximum(err, _far_block(rhos, radii[lo:lo + r_step], n_terms, rho_step,
+                                   out[:, lo:lo + r_step], far), out=err)
     return out[0], (out[1] if need_p1 else None), err
 
 
 def _far_block(rhos: np.ndarray, r: np.ndarray, n_terms: int, rho_step: int,
-               out: np.ndarray) -> float:
+               out: np.ndarray, far: tuple | None) -> np.ndarray:
     """One block of radii of _conical_far, written to out (P and, with two
-    rows, P1); returns its err.  A function of its own, so that a block's
-    arrays are freed before the next block's are built."""
-    powers = np.exp(np.multiply.outer(np.arange(0.0, -2.0 * n_terms, -2.0), r))
+    rows, P1); returns its err per rho.  A function of its own, so that a
+    block's arrays are freed before the next block's are built."""
+    steps = np.arange(0.0, -2.0 * n_terms, -2.0)[:, None]  # -2k
+    # x^k = e^{-2kr}: one exp at one radius, by doubling at many
+    powers = (np.exp(steps * r) if r.size == 1
+              else _powers(np.exp(-2.0 * r), n_terms))
     x, last = powers[1], powers[-1]  # x, and x^K bounds |t_K|
+    need_p1 = len(out) == 2
+    if need_p1:  # the columns of -2k x^k follow those of x^k
+        powers = np.hstack([powers, powers * steps])
     mass = 1.0 / (1.0 - x)
     x_mass = x * mass
     tail = last * x_mass
@@ -505,25 +537,24 @@ def _far_block(rhos: np.ndarray, r: np.ndarray, n_terms: int, rho_step: int,
     r, tail, tail1 = r[:, None], tail[:, None], tail1[:, None]
     # the roundoff's eps goes into the factors it multiplies
     mass, slope = _EPS * mass[:, None], _EPS * slope[:, None]
-    need_p1 = len(out) == 2
-    err = 0.0
+    err = np.empty(rhos.size)
     for lo in range(0, rhos.size, rho_step):
         cols = slice(lo, lo + rho_step)
         rho = rhos[cols]
-        log_c, nu = _log_c(rho), -0.5 + 1j * rho
-        q = _far_products(rho, n_terms, need_p1)
+        lc, nu, abs_nu, rounding = (_far_factors(rho) if far is None
+                                    else (f[cols] for f in far))
+        q = _far_products(rho, n_terms)
         sums = _matvecs(powers.T, q.view(float)).view(complex)
-        amp = 2.0 * np.exp(log_c + nu * r)
-        f = sums[:, :rho.size]
+        amp = 2.0 * np.exp(lc + nu * r)
+        f = sums[:r.size]
         out[0, :, cols] = (amp * f).real
-        abs_nu = np.abs(nu)
-        rounding = 8.0 + np.abs(log_c) + abs_nu * r
+        rounding = rounding + abs_nu * r
         bound = tail + rounding * mass
         if need_p1:
-            out[1, :, cols] = (amp * (nu * f + sums[:, rho.size:])).real
+            out[1, :, cols] = (amp * (nu * f + sums[r.size:])).real
             # (|nu| + 2K) tail + slope |t_K| + eps rounding (|nu| mass + slope)
             bound = np.maximum(bound, abs_nu * bound + tail1 + rounding * slope)
-        err = max(err, float((np.abs(amp) * bound).max()))
+        err[cols] = (np.abs(amp) * bound).max(axis=0)
     return err
 
 
@@ -567,26 +598,29 @@ def _takes_series(s, rho_max: float):
 
 
 def _conical_many(rhos: np.ndarray, radii: np.ndarray, budget: ToleranceBudget,
-                  need_p1: bool):
+                  need_p1: bool, far: tuple | None = None):
     """(P, P1, err) for a 1-d array of rho at a 1-d array of radii, a row per
-    radius and a column per rho.
+    radius and a column per rho.  far, when given, is _far_factors(rhos) as
+    a cached rho grid holds it (_rho_grid), for the e^{-2r} series.
 
     Each radius takes one branch on its own: the series about the origin;
-    from r = ln2 / 2 (_FAR_RADIUS) on, the e^{-2r} series, except in the
-    columns with rho < _RHO_MIN; the integral everywhere else.  The integral
+    from _FAR_RADIUS on, the e^{-2r} series, except in the columns with rho
+    < _RHO_MIN, and in those with rho < _FALLBACK_RHO whose e^{-2r} err
+    exceeds budget.abs_tol (near _FAR_RADIUS at tight requests, where |c|
+    and 1 / (1 - x) are large); the integral everywhere else.  The integral
     entries share one refinement, so every radius meets the tolerance it
-    would meet alone.  err is the largest series tail, e^{-2r} tail or final
+    would meet alone.  err is the largest series tail, e^{-2r} err or final
     K21-G10 change met, plus the roundoff each branch charges.
 
     Each branch serves an interval of radii, so the smallest and largest
     radius tell when one branch serves the whole batch; it then goes to that
     branch directly, and only a batch that spans branches is tiled by
-    (radius, rho) rectangles.  The exits stay for the traffic they carry: at
-    abs_tol 1e-8 an inverse transform makes one call, at its one radius and
-    105 rho, which takes an exit, and a forward transform one call, at 126
-    to 210 radii of its seeded panels and one rho, which spans all three
-    branches.  Sending every batch through the rectangles' masks cost 30-50%
-    per conical_p1 call and up to 20% per inverse transform.
+    (radius, rho) rectangles.  The exits stay for the traffic they carry: an
+    inverse transform makes one call, at its one radius and about 110 rho,
+    which takes an exit, and a forward transform one call, at 126 to 210
+    radii of its seeded panels and one rho, which spans the series and the
+    e^{-2r} series.  Sending every batch through the rectangles' masks cost
+    30-50% per conical_p1 call and up to 20% per inverse transform.
     """
     r_min, r_max = float(radii.min(initial=math.inf)), float(radii.max(initial=0.0))
     if not (r_min >= 0.0 and r_max < math.inf):
@@ -595,20 +629,33 @@ def _conical_many(rhos: np.ndarray, radii: np.ndarray, budget: ToleranceBudget,
     if not (radii.size and rhos.size):
         return np.zeros(shape), (np.zeros(shape) if need_p1 else None), 0.0
     abs_rhos = np.abs(rhos)
-    rho_max = float(abs_rhos.max())
+    rho_min, rho_max = float(abs_rhos.min()), float(abs_rhos.max())
     series_min, series_max = (_takes_series(math.sinh(0.5 * min(r, 2.0)) ** 2, rho_max)
                               for r in (r_min, r_max))
     if series_max:
         return _conical_series(rhos, radii, _sinh_half_sq(radii), need_p1)
+    served = None  # (P, P1, err per column) of the e^{-2r} rectangle
     if not series_min:
-        if r_min >= _FAR_RADIUS and float(abs_rhos.min()) >= _RHO_MIN:
-            return _conical_far(rhos, radii, need_p1)
         if r_max < _FAR_RADIUS or rho_max < _RHO_MIN:
             return _conical_integral(rhos, radii, budget, need_p1)
+        if r_min >= _FAR_RADIUS and rho_min >= _RHO_MIN:
+            served = _conical_far(rhos, radii, need_p1, far)
+            err = float(served[2].max())
+            if err <= budget.abs_tol or rho_min >= _FALLBACK_RHO:
+                return served[0], served[1], err
     s_half = _sinh_half_sq(radii)
     series = _takes_series(s_half, rho_max)
-    far = ~series & (radii >= _FAR_RADIUS)
-    small = abs_rhos < _RHO_MIN
+    far_rows = ~series & (radii >= _FAR_RADIUS)
+    kept = abs_rhos >= _RHO_MIN  # the columns the e^{-2r} series serves
+    if served is None and far_rows.any() and kept.any():
+        served = _conical_far(rhos[kept], radii[far_rows], need_p1,
+                              None if far is None else tuple(f[kept] for f in far))
+    if served is not None:
+        held = (served[2] <= budget.abs_tol) | (abs_rhos[kept] >= _FALLBACK_RHO)
+        kept[kept] = held
+        p, p1, err = served
+        served = (p[:, held], None if p1 is None else p1[:, held],
+                  float(err[held].max(initial=0.0)))
     every = np.ones(rhos.shape, dtype=bool)
 
     def integral(rows, cols):
@@ -616,18 +663,17 @@ def _conical_many(rhos: np.ndarray, radii: np.ndarray, budget: ToleranceBudget,
 
     # (rows, columns, evaluator) rectangles that tile the batch
     parts = [(series, every, lambda rows, cols: _conical_series(
-                  rhos, radii[rows], s_half[rows], need_p1)),
-             (far, ~small, lambda rows, cols: _conical_far(
-                  rhos[cols], radii[rows], need_p1))]
-    if small.all() or not far.any():
+        rhos, radii[rows], s_half[rows], need_p1))]
+    if served is None or not kept.any():
         parts.append((~series, every, integral))
     else:
-        parts += [(~series & ~far, every, integral), (far, small, integral)]
+        parts += [(far_rows, kept, lambda rows, cols: served),
+                  (~series & ~far_rows, every, integral), (far_rows, ~kept, integral)]
     parts = [(rows, cols, fn(rows, cols)) for rows, cols, fn in parts
              if rows.any() and cols.any()]
     out = np.zeros((2 if need_p1 else 1,) + shape)
     for rows, cols, values in parts:
-        rectangle = np.ix_(rows, cols)
+        rectangle = rows if cols.all() else np.ix_(rows, cols)
         for row, v in zip(out, values[:2]):
             row[rectangle] = v
     return out[0], (out[1] if need_p1 else None), max(part[2][2] for part in parts)
@@ -730,6 +776,30 @@ def mehler_fock_forward(profile: RadialProfile, rho,
     return _forward_with_error(profile, rho, budget)[0]
 
 
+def _rho_factors(rhos: np.ndarray):
+    """The rho-only factors of the synthesis at rho nodes: (rho tanh(pi rho)
+    / 2 pi, 1 / lam)."""
+    return (rhos * np.tanh(math.pi * rhos) / (2.0 * math.pi),
+            1.0 / (0.25 + rhos * rhos))
+
+
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _rho_grid(k: int, count: int):
+    """The canonical seeded rho grid of count panels 2^(k/2) wide from 0:
+    (edges, nodes, weights, weight, inv_lam, far), its QK21 rule as
+    _kronrod_panels lays it and the rho-only factors at its nodes,
+    _rho_factors and _far_factors (every node is positive).  Read-only, as
+    the cache shares them; _synthesis caches grids of at most
+    _GRID_CACHE_PANELS panels and builds larger ones through __wrapped__."""
+    edges = 2.0 ** (0.5 * k) * np.arange(count + 1.0)
+    nodes, weights = _kronrod_panels(edges)
+    far = _far_factors(nodes)
+    grid = (edges, nodes, weights, *_rho_factors(nodes), far)
+    for array in grid[:-1] + far:
+        array.flags.writeable = False
+    return grid
+
+
 def _synthesis(data, orders, radii, rate: float, bound: float,
                budget: ToleranceBudget):
     """(1/2 pi) int_0^inf data_k(rho) rho tanh(pi rho) E_k(rho, r) drho for
@@ -749,8 +819,16 @@ def _synthesis(data, orders, radii, rate: float, bound: float,
     beyond the cut (at least 2 / sqrt(rate)), a half to the panels' K21-G10
     error and a quarter to the conical error: a change delta in E moves a
     row by at most delta int env, which is charged for the largest change
-    met.  The panels start no wider than 1/sqrt(rate) or the conical period
-    2 pi / max r, as on one wide panel K21 and G10 can agree by accident.
+    met.  As on one wide panel K21 and G10 can agree by accident, the
+    panels are seeded no wider than 1/sqrt(rate) or the conical period 2 pi
+    / max r, on a canonical grid: that width rounded down onto the ladder
+    2^(k/2), and the cut rounded up to a whole number of panels.  The grid's
+    nodes, weights and rho-only factors (_rho_grid) are built once per (k,
+    panel count) and cached, so the seeded pass costs the conical
+    functions and the data alone; _integrate_panels returns from it when
+    its error already fits, or when it is down to the roundoff already
+    spent (64 eps times the K21 sum of |integrand|), and otherwise halves
+    panels, whose factors it computes afresh.
     Returns (rows, err_est, radius, evals): rows[k, i] at radii[i], one
     bound for every entry, the cut and the rho nodes evaluated; no radii,
     like a zero bound, give zero rows, err_est 0 and no evaluation.
@@ -764,26 +842,31 @@ def _synthesis(data, orders, radii, rate: float, bound: float,
     radius, tail = gaussian_tail_radius(rate, 0.25 * budget.abs_tol, scale, n)
     if bound == 0.0 or not radii.size:
         return np.zeros((len(orders), radii.size)), 0.0, radius, 0
-    radius = max(radius, 2.0 / math.sqrt(rate))
+    width = min(1.0 / math.sqrt(rate), 2.0 * math.pi / max(r_max, 1e-300))
+    rung = math.floor(2.0 * math.log2(width))  # the width 2^(rung/2) at most
+    count = _panel_count(max(radius, 2.0 / math.sqrt(rate)), 2.0 ** (0.5 * rung))
+    grid = _rho_grid if count <= _GRID_CACHE_PANELS else _rho_grid.__wrapped__
+    edges, nodes, weights, weight, inv_lam, far = grid(rung, count)
     mass = scale * (0.5 * math.sqrt(math.pi / rate) + 0.5 * n / rate)  # int env
     cb = budget.part(0.25 / mass)
     evals, achieved = 0, 0.0
 
-    def integrand(rhos: np.ndarray) -> np.ndarray:
+    def integrand(rhos, weight, inv_lam, far=None):
         nonlocal evals, achieved
         evals += rhos.size
-        p, p1, c_err = _conical_many(rhos, radii, cb, 1 in orders)
+        p, p1, c_err = _conical_many(rhos, radii, cb, 1 in orders, far)
         achieved = max(achieved, c_err)
-        weight = rhos * np.tanh(math.pi * rhos) / (2.0 * math.pi)
-        rows = [d * weight * (p1 / (0.25 + rhos * rhos) if k else p)
+        rows = [d * weight * (p1 * inv_lam if k else p)
                 for d, k in zip(data(rhos), orders)]
         return np.array(rows).reshape(-1, rhos.size)
 
-    width = min(1.0 / math.sqrt(rate), 2.0 * math.pi / max(r_max, 1e-300))
-    values, qerr = _integrate_panels(integrand, _seeded_edges(radius, width),
-                                     budget.part(0.5))
+    first = _panel_estimates(lambda _: integrand(nodes, weight, inv_lam, far),
+                             edges, (nodes, weights))
+    values, qerr = _integrate_panels(
+        lambda rhos: integrand(rhos, *_rho_factors(rhos)), edges, budget.part(0.5),
+        first)
     err = qerr + tail + achieved * mass
-    return np.reshape(values, (len(orders), radii.size)), err, radius, evals
+    return np.reshape(values, (len(orders), radii.size)), err, float(edges[-1]), evals
 
 
 def _inverse_with_error(fhat, r: float, budget: ToleranceBudget = DEFAULT_BUDGET,

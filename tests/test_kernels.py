@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -1182,6 +1183,21 @@ def test_h2_k1_at_small_time_and_separation_meets_a_tight_request():
     loose = k1("hyperbolic", x, y, t, ToleranceBudget(abs_tol=1e-8))
     diff = np.abs(tight.matrix.as_array() - loose.matrix.as_array()).max()
     assert diff <= tight.err_est + loose.err_est
+
+
+def test_spectral_k1_at_a_tiny_separation_stops_at_its_roundoff_floor():
+    """k1 shrinks the spectral rows' budget by coth d, to 1.25e-20 at d =
+    1e-9: the rho integral stalled at 2.1e-18 and raised after 2 s.  It now
+    stops at its roundoff floor and reports it, amplified by coth d."""
+    x, y = Point("hyperbolic", 0.4, 0.3), Point("hyperbolic", 0.4 + 1e-9, 0.3)
+    d, budget = distance("hyperbolic", x, y), ToleranceBudget(abs_tol=1e-10)
+    start = time.perf_counter()
+    oracle = kernels._k1_apart(SurfaceKind.HYPERBOLIC, x, y, d, 0.3, budget,
+                               hyperbolic._h2_spectral)
+    assert time.perf_counter() - start < 0.2
+    served = kernels._k1_apart(SurfaceKind.HYPERBOLIC, x, y, d, 0.3, budget)
+    gap = np.abs(served.matrix.as_array() - oracle.matrix.as_array()).max()
+    assert gap <= served.err_est + oracle.err_est
 
 
 def test_h2_k1_meets_a_tight_request_at_small_time_and_separation():

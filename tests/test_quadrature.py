@@ -50,6 +50,33 @@ def test_one_integrand_call_covers_every_seeded_panel():
     assert abs(seeded - one) < 1e-12
 
 
+def test_a_seeded_pass_that_fits_returns_the_fsum_of_its_panels():
+    # no heap is built: the value is math.fsum of the seeded panels' K21
+    # sums, the bits a bisection-free run of the heap gave
+    edges, budget, calls = _seeded_edges(2.0, 0.25), ToleranceBudget(abs_tol=1e-11), []
+
+    def f(x):
+        calls.append(x.size)
+        return np.sin(3.0 * x) * np.exp(-x)
+
+    values, errs, _ = quadrature._panel_estimates(f, edges)
+    assert _integrate_panels(f, edges, budget) == (math.fsum(values), float(errs.sum()))
+    first = quadrature._panel_estimates(f, edges)
+    calls.clear()
+    assert _integrate_panels(f, edges, budget, first) == (math.fsum(values),
+                                                          float(errs.sum()))
+    assert calls == []  # the caller's seeded pass is not evaluated again
+
+
+def test_a_request_below_the_roundoff_stops_at_the_floor():
+    # 1e-20 on an integral near 1e3: the halvings stop once the summed error
+    # is within 64 eps of the K21 sum of |f|, and report that error
+    budget, mass = ToleranceBudget(abs_tol=1e-20), 1e3 * (2.0 - math.cos(3.0))
+    val, err = _integrate_panels(lambda x: 1e3 * np.sin(x), [0.0, 3.0], budget)
+    assert err <= 64.0 * quadrature._EPS * mass * (1.0 + 1e-12)
+    assert abs(val - 1e3 * (1.0 - math.cos(3.0))) <= err + 1e-12
+
+
 def test_degenerate_and_invalid_intervals():
     # a panel of zero width holds nothing
     assert _integrate_panels(lambda x: x, [1.0, 1.0], ToleranceBudget()) == (0.0, 0.0)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatforms import specfun
+from heatforms import quadrature, specfun
 from heatforms.errors import DecayHintError, DomainError, NonconvergenceError
 from heatforms.hyperbolic import _h2_mckean
 from heatforms.quadrature import DecayHint, ToleranceBudget
@@ -354,22 +354,37 @@ def _count_passes(monkeypatch):
     return calls
 
 
-def test_transform_cycle_evaluates_each_conical_integral_once(monkeypatch):
-    # the benchmark's transform cycle: 8 inverses of heat data and one
-    # forward transform of each profile, at tolerances 1e-6 and 1e-8.  Each
-    # integrand call evaluates the conical functions once (one
-    # _conical_many batch); radii from ln2 / 2 on take the e^{-2r} series,
-    # and a batch with radii below it runs one conical integral, accepted
-    # at its first K21 pass.
+def _transform_mix(rng, cycles):
+    """The benchmark's transform cycles: 8 inverses of heat data and one
+    forward transform of each profile, at tolerances 1e-6 and 1e-8; yields
+    each op's kind after running it."""
+    for _ in range(cycles):
+        for _ in range(8):
+            r, s = 0.2 + 2.8 * rng.uniform(), 0.3 + 0.7 * rng.uniform()
+            budget = ToleranceBudget(abs_tol=float(rng.choice([1e-6, 1e-8])))
+            mehler_fock_inverse(lambda rho: (0.25 + rho * rho)
+                                * math.exp(-(0.25 + rho * rho) * s),
+                                r, budget, gaussian_rate=0.5 * s, bound=2.0 / s)
+            yield "inverse"
+        for name in ("gaussian", "cubic"):
+            budget = ToleranceBudget(abs_tol=float(rng.choice([1e-6, 1e-8])))
+            mehler_fock_forward(PROFILES[name], 8.0 * rng.uniform(), budget)
+            yield "forward"
+
+
+def test_transform_cycle_runs_no_conical_integral(monkeypatch):
+    # From r = 0.0768 on the e^{-2r} series serves every rho >= 1e-3, so no
+    # op of the mix runs a Mehler-Dirichlet integral: an inverse's one radius
+    # is at least 0.2, and a forward transform's radii below the e^{-2r}
+    # series take the series about the origin (rho <= 8).  Each inverse
+    # evaluates the conical functions once, in one _conical_many batch.
     calls = _count_passes(monkeypatch)
-    many, integrals = specfun._conical_many, []
+    many, batches = specfun._conical_many, []
     far, far_calls = specfun._conical_far, []
 
     def counted_many(*args, **kwargs):
-        before = len(calls)
-        out = many(*args, **kwargs)
-        integrals.append(len(calls) - before)
-        return out
+        batches.append(args[1].size)
+        return many(*args, **kwargs)
 
     def counted_far(*args):
         far_calls.append(args)
@@ -377,19 +392,68 @@ def test_transform_cycle_evaluates_each_conical_integral_once(monkeypatch):
 
     monkeypatch.setattr(specfun, "_conical_many", counted_many)
     monkeypatch.setattr(specfun, "_conical_far", counted_far)
-    rng = np.random.default_rng(1)
-    for _ in range(8):
-        r, s = 0.2 + 2.8 * rng.uniform(), 0.3 + 0.7 * rng.uniform()
-        budget = ToleranceBudget(abs_tol=float(rng.choice([1e-6, 1e-8])))
-        mehler_fock_inverse(lambda rho: (0.25 + rho * rho)
-                            * math.exp(-(0.25 + rho * rho) * s),
-                            r, budget, gaussian_rate=0.5 * s, bound=2.0 / s)
-    for name in ("gaussian", "cubic"):
-        budget = ToleranceBudget(abs_tol=float(rng.choice([1e-6, 1e-8])))
-        mehler_fock_forward(PROFILES[name], 8.0 * rng.uniform(), budget)
-    assert calls and far_calls and max(integrals) == 1
-    assert sum(integrals) == len(calls)
-    assert all(len(panels) == 1 for panels in calls)
+    for kind in _transform_mix(np.random.default_rng(1), 3):
+        assert calls == []
+        if kind == "inverse":
+            assert batches == [1]
+        batches.clear()
+    assert far_calls
+
+
+def test_inverse_mix_evaluates_the_tail_at_most_twice(monkeypatch):
+    # the rho cut's search starts from two Newton steps on the tail bound,
+    # so it accepts its first or second radius
+    counts, solve = [], quadrature.solve_radius
+
+    def counted_solve(tail, tol, start, grow):
+        def counted_tail(R):
+            counts[-1] += 1
+            return tail(R)
+        counts.append(0)
+        radius, bound = solve(counted_tail, tol, start, grow)
+        assert bound <= tol
+        return radius, bound
+
+    monkeypatch.setattr(quadrature, "solve_radius", counted_solve)
+    for kind in _transform_mix(np.random.default_rng(2), 2):
+        if kind == "inverse":
+            assert counts[-1:] and counts[-1] <= 2
+        counts.clear()
+
+
+def test_rho_grid_cache_is_bounded_and_skips_large_grids():
+    """Inverses fall in a few canonical grids, each built once; a grid of
+    more than _GRID_CACHE_PANELS panels is built afresh and never cached."""
+    grid = specfun._rho_grid
+    grid.cache_clear()
+    heat = lambda rho: math.exp(-0.5 * (0.25 + rho * rho))  # noqa: E731
+    for r in np.linspace(0.2, 3.0, 12):
+        for rate in (0.15, 0.2, 0.3, 0.5):
+            for tol in (1e-6, 1e-8):
+                mehler_fock_inverse(heat, float(r), ToleranceBudget(abs_tol=tol),
+                                    gaussian_rate=rate, bound=1.0)
+    info = grid.cache_info()
+    assert info.maxsize == specfun._GRID_CACHE_SIZE == 32
+    assert 0 < info.currsize <= info.maxsize and info.hits > 4 * info.misses
+    # at r = 100 the panels are 2^(-4) wide: 92 of them, above the 64 cached
+    _, _, radius = _inverse_with_error(heat, 100.0, ToleranceBudget(abs_tol=1e-8),
+                                       0.5, 1.0)
+    assert radius / 0.0625 > specfun._GRID_CACHE_PANELS == 64
+    assert grid.cache_info()[:2] == info[:2]  # neither a hit nor a miss
+
+
+def test_oversize_rho_seeding_is_refused_before_it_is_built():
+    # panels of 2^(-13) to a cut of 3.99 would number 32,659, some 45 MB
+    # of grid; the count is checked before anything is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="allowed"):
+            mehler_fock_inverse(lambda rho: math.exp(-rho * rho), 2.0 * math.pi * 8192,
+                                gaussian_rate=1.0, bound=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_failed_embedded_check_doubles_the_panels(monkeypatch):
@@ -450,11 +514,11 @@ def test_conical_integral_grid_is_capped(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the e^{-2r} series from r = ln2 / 2 on
+# the e^{-2r} series from r = 0.0768 on
 
 # (rho, r, P, P1) from 40-digit mpmath, rounded to doubles; regenerate with
-# tests/data/conical_reference.py.  FAR straddles rho_min = 1e-3 and the
-# seam r = ln2 / 2 ~ 0.3466; at the HUGE radii sinh(r) overflows a double.
+# tests/data/conical_reference.py.  FAR straddles rho_min = 1e-3 from r =
+# 0.4 on; at the HUGE radii sinh(r) overflows a double.
 FAR_CASES = [
     (0.001, 0.4, 0.9900906772483389, -0.049097721494188236),
     (0.01, 0.4, 0.9900867629673319, -0.04911706670143319),
@@ -530,6 +594,55 @@ def test_far_series_agrees_with_the_integral_across_the_seam():
         assert np.all(np.abs(p1 - ip1) <= err + ierr)
 
 
+# (rho, r, P, P1), P and P1 to 30 digits of 40-digit mpmath, between the
+# e^{-2r} series' first radius 0.0768 and ln2 / 2, where |c| (at small rho)
+# and 1 / (1 - x) (up to 7) are large; regenerate with
+# tests/data/conical_reference.py.
+NEAR_CASES = [
+    (0.001, 0.08, "0.99960014500593100970190044845", "-0.0099927112397803936611728785678"),
+    (0.01, 0.08, "0.999599986679826022152301654295", "-0.00999666754581407858849244045487"),
+    (0.5, 0.08, "0.99920037317127560377410318483", "-0.0199813454857739086824032132684"),
+    (3.0, 0.08, "0.985258595591350740400208696401", "-0.367072994103119002181898593575"),
+    (14.0, 0.08, "0.709880964794753822812910366888", "-6.67682617319499154773905792978"),
+    (0.001, 0.12, "0.999100738203871818011895431765", "-0.0149753448569996401845412318751"),
+    (0.01, 0.12, "0.999100382177766906168970037954", "-0.0149812723997789448411484100044"),
+    (0.5, 0.12, "0.998201888155136421940821916438", "-0.0299370922109417825592759182018"),
+    (3.0, 0.12, "0.966995939110326889486920382522", "-0.545156364711936404890405881089"),
+    (14.0, 0.12, "0.409242616785600647933574540276", "-8.06774515866152913277199343199"),
+    (0.001, 0.2, "0.997505704222685167400825277886", "-0.0248859648362856322528897593786"),
+    (0.01, 0.2, "0.997504717102791001508859457854", "-0.0248958073103885801197760409499"),
+    (0.5, 0.2, "0.995014543865057757213722708291", "-0.0497095162346373216017507814475"),
+    (3.0, 0.2, "0.909766275152722968935942554793", "-0.879942093293563411707876952688"),
+    (14.0, 0.2, "-0.184178320515316751717619186672", "-5.71227888205851459161643505552"),
+    (0.001, 0.3, "0.994403811626508574121724683731", "-0.0371168203455612288767005171405"),
+    (0.01, 0.3, "0.994401598658985817609156418338", "-0.0371314771538183567707007000015"),
+    (0.5, 0.3, "0.988823380183367242268301864068", "-0.0740245643886329152192828129435"),
+    (3.0, 0.3, "0.803180199592815358125031605296", "-1.23875970290827996085554473179"),
+    (14.0, 0.3, "-0.373873431158056101942469443058", "1.94053679998338993231414889454"),
+]
+
+
+@pytest.mark.parametrize("rho,r,p_ref,p1_ref", NEAR_CASES)
+def test_far_series_holds_its_err_near_its_first_radius(rho, r, p_ref, p1_ref):
+    p, p1, err = specfun._conical_far(np.array([rho]), np.array([r]), True)
+    assert abs(p[0, 0] - float(p_ref)) <= err[0]
+    assert abs(p1[0, 0] - float(p1_ref)) <= err[0]
+
+
+@pytest.mark.parametrize("r", [0.08, 0.12, 0.2, 0.3])
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+def test_conical_batches_near_the_far_seam_meet_their_err(r, tol):
+    # the five rho of a radius in one batch, which rho = 14 keeps from the
+    # series about the origin; at 1e-12 the smallest rho take the integral
+    cases = [case for case in NEAR_CASES if case[1] == r]
+    rhos = np.array([case[0] for case in cases])
+    p, p1, err = _conical_many(rhos, np.array([r]), ToleranceBudget(abs_tol=tol), True)
+    assert err <= tol
+    for j, (_, _, p_ref, p1_ref) in enumerate(cases):
+        assert abs(p[0, j] - float(p_ref)) <= err
+        assert abs(p1[0, j] - float(p1_ref)) <= err
+
+
 def test_log_c_has_its_closed_form_modulus():
     # |Gamma(i rho) / (sqrt(pi) Gamma(1/2 + i rho))|^2 = coth(pi rho) / (pi rho)
     rhos = np.array([1e-3, 0.01, 0.5, 2.0, 8.0, 15.0, 40.0, 500.0, 1e4])
@@ -564,8 +677,11 @@ def test_log_c_meets_its_frozen_table():
 
 
 def test_routing_sends_far_radii_and_small_rho_to_their_branches(monkeypatch):
-    # radii from ln2 / 2 take the e^{-2r} series except in the columns with
-    # rho < rho_min, whose entries take the integral like the band below
+    # radii from 0.0768 take the e^{-2r} series except in the columns with
+    # rho < rho_min, whose entries take the integral; with no radius in
+    # between, no band is left for the integral.  At rho = 0.002 the e^{-2r}
+    # err at r = 0.12 (about 4e-11) exceeds TIGHT: that column takes the
+    # integral too
     seen = []
 
     def spy(name):
@@ -578,17 +694,22 @@ def test_routing_sends_far_radii_and_small_rho_to_their_branches(monkeypatch):
 
     for name in ("_conical_series", "_conical_integral", "_conical_far"):
         monkeypatch.setattr(specfun, name, spy(name))
-    rhos = np.array([0.0, 5e-4, 0.5, 6.0])
-    radii = np.array([0.05, 0.3, 1.0, 40.0])
-    p, p1, _ = _conical_many(rhos, radii, TIGHT, need_p1=True)
-    assert seen == [("_conical_series", list(rhos), [0.05]),
-                    ("_conical_far", [0.5, 6.0], [1.0, 40.0]),
-                    ("_conical_integral", list(rhos), [0.3]),
-                    ("_conical_integral", [0.0, 5e-4], [1.0, 40.0])]
-    for i, r in enumerate(radii):
-        for j, rho in enumerate(rhos):
-            assert abs(p[i, j] - conical_p(rho, r, TIGHT)) <= 1e-12
-            assert abs(p1[i, j] - conical_p1(rho, r, TIGHT)) <= 1e-12
+    for rhos, radii, want in (
+            ([0.0, 5e-4, 0.5, 6.0], [0.05, 0.3, 1.0, 40.0],
+             [("_conical_far", [0.5, 6.0], [0.3, 1.0, 40.0]),
+              ("_conical_series", [0.0, 5e-4, 0.5, 6.0], [0.05]),
+              ("_conical_integral", [0.0, 5e-4], [0.3, 1.0, 40.0])]),
+            ([0.002, 0.5, 14.0], [0.12, 1.0],
+             [("_conical_far", [0.002, 0.5, 14.0], [0.12, 1.0]),
+              ("_conical_integral", [0.002], [0.12, 1.0])])):
+        seen.clear()
+        rhos, radii = np.array(rhos), np.array(radii)
+        p, p1, _ = _conical_many(rhos, radii, TIGHT, need_p1=True)
+        assert seen == want
+        for i, r in enumerate(radii):
+            for j, rho in enumerate(rhos):
+                assert abs(p[i, j] - conical_p(rho, r, TIGHT)) <= 1e-12
+                assert abs(p1[i, j] - conical_p1(rho, r, TIGHT)) <= 1e-12
 
 
 @pytest.mark.parametrize("rho,r,p_ref,p1_ref", HUGE_CASES)

@@ -13,7 +13,7 @@ tests/data/transform_golden.txt:
 
 forward is _forward_with_error on a named profile; the conical records
 take (rho, r) on all three branches of the evaluator: the series near the
-origin, the e^{-2r} series from r = ln2 / 2 on (rho > 0) and the integral
+origin, the e^{-2r} series from r = 0.0768 on (rho > 0) and the integral
 between them and at rho = 0, out to r = 711, where sinh(r) overflows;
 inverse is _inverse_with_error of the transform workload's heat data
 lam e^{-lam s}, with its decay hint (rate s/2, bound 2/s); h2_spectral
@@ -45,10 +45,11 @@ GOLDEN = Path(__file__).parent / "data" / "transform_golden.txt"
 TOLS = (1e-6, 1e-8)
 FORWARD_RHOS = (0.0, 0.5, 2.0, 6.0)
 # series branch at r = 0.1 and 0.4 (rho small enough), the e^{-2r} series
-# beyond for rho > 0, the integral at rho = 0 and for (5.0, 0.3)
+# beyond for rho > 0, the integral at rho = 0 and between the two series
+# for (40.0, 0.05)
 CONICAL = ((0.5, 0.1), (3.0, 0.1), (0.0, 0.4), (5.0, 0.3), (0.5, 1.5), (5.0, 1.5),
            (2.0, 4.0), (20.0, 3.0), (8.0, 0.5), (0.5, 3.0), (0.0, 711.0),
-           (30.0, 711.0))
+           (30.0, 711.0), (40.0, 0.05))
 INVERSE_RADII = (0.3, 1.5, 3.0)
 HEAT_TIMES = (0.3, 1.0)
 DISTANCES = (0.1, 1.0, 2.5)
