@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +31,7 @@ from .errors import (CoincidentPointsError, CutLocusError, DecayHintError,
                      DomainError, HeatformsError, KindMismatchError,
                      NonconvergenceError)
 from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget,
-                         _area_tail, _ComplexRefused, _max_change,
+                         _area_tail, _as_float, _ComplexRefused, _max_change,
                          refine_until_stable)
 
 __all__ = [
@@ -106,63 +108,66 @@ _MODELS = {
 }
 
 
-@dataclass(frozen=True)
-class Point:
-    """A surface point in geodesic polar coordinates.
+class Point(namedtuple("Point", ("kind", "c1", "c2"))):
+    """A surface point in geodesic polar coordinates, an immutable named tuple.
 
     c1 is the radius (colatitude in [0, pi] on the sphere, nonnegative
-    elsewhere) and c2 the angle, normalized into [0, 2 pi).
+    elsewhere) and c2 the angle, normalized into [0, 2 pi).  Each coordinate
+    is read as float() reads it; a complex value, or one float() refuses,
+    raises DomainError.  _make, and so _replace, check and normalize too.
     """
 
-    kind: SurfaceKind
-    c1: float
-    c2: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        kind = SurfaceKind.parse(self.kind)
-        object.__setattr__(self, "kind", kind)
-        c1 = float(self.c1)
-        c2 = float(self.c2)
+    def __new__(cls, kind, c1, c2):
+        kind = SurfaceKind.parse(kind)
+        c1 = _as_float(c1, "the coordinate c1 is")
+        c2 = _as_float(c2, "the coordinate c2 is")
         if not (math.isfinite(c1) and math.isfinite(c2)):
             raise DomainError("coordinates must be finite")
         if c1 < 0.0:
             raise DomainError("radial coordinate must be nonnegative")
         if kind is _SPHERE and c1 > math.pi:
             raise DomainError("colatitude must lie in [0, pi]")
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2 % _TWO_PI)
+        return tuple.__new__(cls, (kind, c1, c2 % _TWO_PI))
+
+    @classmethod
+    def _make(cls, iterable) -> "Point":
+        return cls(*iterable)
+
+    def __reduce__(self):
+        # a stored angle can round to 2 pi, which a second % would move to 0
+        return tuple.__new__, (type(self), tuple(self))
 
 
 def _grid_points(kind: SurfaceKind, c1: np.ndarray, c2: np.ndarray):
-    """Yield Point(kind, a, b) for the chart arrays c1, c2 in row-major order.
+    """An iterator of Point(kind, a, b) for the chart arrays c1, c2 in
+    row-major order.
 
-    The domain checks of Point run once over the whole arrays, and the
-    points are built without __post_init__ from the normalized rows; np.mod
-    rounds exactly as Python's % does, so each point equals, hashes as and
-    is bit-identical to Point(kind, a, b).  If any entry fails a check the
-    points come from Point itself, which raises its own DomainError at the
-    first bad entry.  Points are made row by row, never all at once.
+    The domain checks of Point run once over the whole arrays, and then
+    each row's points are built by tuple.__new__ from the row's .tolist()
+    and its angles normalized by np.mod, in map and zip, so no Python frame
+    runs per point.  np.mod rounds exactly as Python's % does, so each
+    point equals, hashes as and is bit-identical to Point(kind, a, b).  If
+    any entry fails a check the points come from Point itself, which raises
+    its own DomainError at the first bad entry.  Points are made row by
+    row, never all at once.
     """
     if not (np.isfinite(c1).all() and np.isfinite(c2).all() and (c1 >= 0.0).all()
             and (kind is not _SPHERE or (c1 <= math.pi).all())):
-        for row1, row2 in zip(c1, c2):
-            for a, b in zip(row1.tolist(), row2.tolist()):
-                yield Point(kind, a, b)
-        return
-    new, set_attr = object.__new__, object.__setattr__
-    for row1, row2 in zip(c1, np.mod(c2, _TWO_PI)):
-        for a, b in zip(row1.tolist(), row2.tolist()):
-            p = new(Point)
-            set_attr(p, "__dict__", {"kind": kind, "c1": a, "c2": b})
-            yield p
+        return chain.from_iterable(map(Point, repeat(kind), row1.tolist(), row2.tolist())
+                                   for row1, row2 in zip(c1, c2))
+    new = tuple.__new__
+    return chain.from_iterable(
+        map(new, repeat(Point), zip(repeat(kind), row1.tolist(), row2.tolist()))
+        for row1, row2 in zip(c1, np.mod(c2, _TWO_PI)))
 
 
-@dataclass(frozen=True)
-class OneFormValue:
-    """Components (a, b) of a 1-form against the orthonormal coframe."""
+class OneFormValue(namedtuple("OneFormValue", ("a", "b"))):
+    """Components (a, b) of a 1-form against the orthonormal coframe, an
+    immutable named tuple."""
 
-    a: float
-    b: float
+    __slots__ = ()
 
     def as_array(self) -> np.ndarray:
         return np.array([self.a, self.b], dtype=float)
@@ -628,11 +633,12 @@ def _field_values(fn, kind: SurfaceKind, degree: int, c1: np.ndarray, c2: np.nda
     as c1, with a last axis (a, b) for degree 1.
 
     fn takes a Point, streamed row by row from _grid_points, or with
-    vectorized the arrays (c1, c2); np.fromiter converts as float() does
-    (None to NaN).  A value it cannot take, a complex one (_ComplexRefused,
-    the policy the transforms' radial callbacks are read under), one without
-    components .a and .b, a wrong shape or a non-finite value raises
-    DomainError.  An error of fn, raised a frame deeper than a conversion
+    vectorized the arrays (c1, c2).  map calls fn, and np.fromiter converts
+    its values as float() does (None to NaN), so the only Python frames per
+    node are fn's own and, for degree 1, _components' reads of .a and .b.
+    A value it cannot take, a complex one (_ComplexRefused, the policy the
+    transforms' radial callbacks are read under), one without components
+    .a and .b, a wrong shape or a non-finite value raises DomainError.  An error of fn, raised a frame deeper than a conversion
     error, propagates.
     """
     shape = c1.shape + (2,) * (degree == 1)

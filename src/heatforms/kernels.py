@@ -29,7 +29,8 @@ from .geometry import (_EUCLIDEAN, _HYPERBOLIC, _MODELS, _SPHERE, BiTensor1,
                        distance, _chart_points, _field_values, _nested_integral,
                        _outer_plus, _pair_derivatives)
 from .hyperbolic import _h2_mass_tail, _h2_mckean
-from .quadrature import DEFAULT_BUDGET, DecayHint, ToleranceBudget, solve_radius
+from .quadrature import (DEFAULT_BUDGET, DecayHint, ToleranceBudget, _as_float,
+                         solve_radius)
 from .specfun import _EPS, _expint_cf
 
 __all__ = [
@@ -64,7 +65,7 @@ class HeatTime:
     t: float
 
     def __post_init__(self):
-        t = float(self.t)
+        t = _as_float(self.t, "the time t is")
         if not math.isfinite(t) or t < T_MIN:
             raise DomainError(f"time must be finite and >= {T_MIN}")
         object.__setattr__(self, "t", t)
@@ -73,7 +74,7 @@ class HeatTime:
 def _as_time(t) -> float:
     if isinstance(t, HeatTime):
         return t.t
-    return HeatTime(float(t)).t
+    return HeatTime(t).t
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,9 @@ class Kernel1Value:
 
 @dataclass(frozen=True)
 class FormField:
-    """A sampled form: the callable fn maps a Point to a value float() takes
-    (degree 0/2) or with components .a and .b, as OneFormValue (degree 1).
+    """A sampled form: the callable fn maps a Point, the named tuple (kind,
+    c1, c2), to a value float() takes (degree 0/2) or with components .a
+    and .b, as the named tuple OneFormValue (degree 1).
     Noncompact-surface integrations require the decay hint, whose bound on
     |f| sizes their tolerances; the sphere assumes |f| <= 1 without one."""
 

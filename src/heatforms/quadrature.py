@@ -69,6 +69,21 @@ _MAX_RADIUS_STEPS = 400
 _EPS = float(np.finfo(float).eps)
 
 
+def _as_float(value, what: str) -> float:
+    """float(value), or a DomainError whose message starts with what, the
+    argument or the callback the value came from ("abs_tol is", "fhat
+    returned") and names its type.  A numpy complex scalar, which float()
+    would cut to its real part, is refused like a Python complex."""
+    if type(value) is float:
+        return value
+    if not isinstance(value, (complex, np.complexfloating)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise DomainError(f"{what} {type(value).__name__!r}, not a float")
+
+
 @dataclass(frozen=True)
 class ToleranceBudget:
     """Accuracy request threaded through kernels, series, and quadratures.
@@ -80,7 +95,11 @@ class ToleranceBudget:
     abs_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (self.abs_tol > 0.0) or not math.isfinite(self.abs_tol):
+        abs_tol = self.abs_tol
+        if type(abs_tol) is not float:  # part() passes floats: no store there
+            abs_tol = _as_float(abs_tol, "abs_tol is")
+            object.__setattr__(self, "abs_tol", abs_tol)
+        if not (abs_tol > 0.0) or not math.isfinite(abs_tol):
             raise DomainError("abs_tol must be positive and finite")
 
     def part(self, fraction: float) -> "ToleranceBudget":
@@ -285,18 +304,6 @@ def refine_until_stable(one_pass, n: int, tol: float, rounds: int, floor=None,
         f"rounds (requested {tol:.3e})", achieved=diff, requested=tol)
 
 
-def _as_float(value, what: str) -> float:
-    """float(value), or a DomainError naming what returned the value.  A
-    numpy complex scalar, which float() would cut to its real part, is
-    refused like a Python complex."""
-    if not isinstance(value, (complex, np.complexfloating)):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise DomainError(f"{what} returned {type(value).__name__!r}, not a float")
-
-
 class _ComplexRefused(warnings.catch_warnings):
     """A context in which numpy's ComplexWarning is an error: a cast to
     float would otherwise cut a complex value to its real part.  The
@@ -329,7 +336,7 @@ def _read_floats(fn, xs: np.ndarray, what: str) -> np.ndarray:
     except (TypeError, ValueError, np.exceptions.ComplexWarning) as exc:
         if exc.__traceback__.tb_next is not None:
             raise
-    return np.array([_as_float(fn(x), what) for x in nodes])
+    return np.array([_as_float(fn(x), f"{what} returned") for x in nodes])
 
 
 def _panel_estimates(f, edges, rule=None):

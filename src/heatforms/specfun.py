@@ -177,7 +177,7 @@ class RadialProfile:
     name: str = ""
 
     def __call__(self, r: float) -> float:
-        return _as_float(self.fn(r), "the radial profile")
+        return _as_float(self.fn(r), "the radial profile returned")
 
 
 def _rational(y: np.ndarray, coefs: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
+import copy
 import decimal
 import math
+import pickle
 import re
 import struct
 
@@ -68,6 +70,7 @@ def test_grid_points_equal_the_checked_constructor(kind, n_rows, n_cols, data):
         assert p.kind is q.kind
         assert _bits(p.c1) == _bits(q.c1) and _bits(p.c2) == _bits(q.c2)
         assert type(p.c1) is float and type(p.c2) is float
+        assert type(p) is Point
 
 
 @pytest.mark.parametrize("kind,bad", [
@@ -88,6 +91,104 @@ def test_grid_points_raise_as_the_constructor_does(kind, bad):
         [Point(kind, a, b) for a, b in zip(c1.ravel()[:6], c2.ravel()[:6])]
     with pytest.raises(DomainError, match=f"^{re.escape(str(want.value))}$"):
         next(points)
+
+
+def test_clean_grid_blocks_bypass_the_checked_constructor(monkeypatch):
+    kind = SurfaceKind.HYPERBOLIC
+    c1 = np.full((3, 4), 0.5)
+    c2 = np.linspace(-4.0, 4.0, 12).reshape(3, 4)
+    want = [Point(kind, a, b) for a, b in zip(c1.ravel(), c2.ravel())]
+    made = []
+    checked = Point.__new__
+
+    def spy(cls, *args):
+        made.append(args)
+        return checked(cls, *args)
+
+    monkeypatch.setattr(Point, "__new__", spy)
+    points = list(_grid_points(kind, c1, c2))
+    assert made == [] and points == want
+    assert all(type(p) is Point for p in points)
+    # a bad entry sends the block through Point, which raises at that entry
+    c1[1, 2] = -1e-9
+    points = _grid_points(kind, c1, c2)
+    assert [next(points) for _ in range(6)] == want[:6] and len(made) == 6
+    with pytest.raises(DomainError, match="radial coordinate must be nonnegative"):
+        next(points)
+    assert made[-1] == (kind, -1e-9, c2[1, 2]) and len(made) == 7
+
+
+def _round_trips(value):
+    return (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value))
+
+
+def test_points_are_immutable_named_tuples():
+    p = Point("sphere", 0.4, 2.0 * math.pi + 0.3)
+    assert repr(p) == f"Point(kind=<SurfaceKind.SPHERE: 'sphere'>, c1=0.4, c2={p.c2!r})"
+    assert hash(p) == hash((SurfaceKind.SPHERE, 0.4, p.c2))
+    assert p == (SurfaceKind.SPHERE, 0.4, p.c2) and p[1] == 0.4
+    kind, c1, c2 = p
+    assert (kind, c1, c2) == (p.kind, p.c1, p.c2)
+    assert p == Point("s2", 0.4, p.c2) and p != Point("sphere", 0.4, 0.0)
+    with pytest.raises(AttributeError):
+        p.c1 = 1.0
+    with pytest.raises(AttributeError):
+        p.label = "x"
+    # an angle just below 0 rounds to 2 pi; a round trip keeps its bits
+    edge = Point("plane", 1.0, -1e-300)
+    assert edge.c2 == 2.0 * math.pi
+    for q in (p, edge):
+        for back in _round_trips(q):
+            assert type(back) is Point and back == q and back.kind is q.kind
+            assert _bits(back.c2) == _bits(q.c2)
+
+
+def test_point_replace_and_make_check_and_normalize():
+    p = Point("plane", 1.0, 0.5)
+    q = p._replace(c2=2.0 * math.pi + 0.25)
+    assert type(q) is Point and q == Point("plane", 1.0, 0.25 + 2.0 * math.pi)
+    assert p._replace(kind="h2").kind is SurfaceKind.HYPERBOLIC
+    assert Point._make(["plane", 1, 99]) == Point("plane", 1.0, 99.0)
+    assert type(Point._make(["plane", 1, 99]).c1) is float
+    for bad in (lambda: p._replace(c1=-5.0), lambda: p._replace(c2=math.inf),
+                lambda: Point("sphere", 1.0, 0.0)._replace(c1=3.5),
+                lambda: Point._make(("plane", -1.0, 99.0)),
+                lambda: p._replace(kind="torus")):
+        with pytest.raises(DomainError):
+            bad()
+
+
+def test_one_form_values_are_immutable_named_tuples():
+    w = OneFormValue(0.3, -0.8)
+    assert repr(w) == "OneFormValue(a=0.3, b=-0.8)"
+    assert hash(w) == hash((0.3, -0.8)) and w == (0.3, -0.8)
+    a, b = w
+    assert (a, b) == (w.a, w.b) == (w[0], w[1])
+    assert w.norm() == math.hypot(0.3, -0.8) and w.as_array().tolist() == [0.3, -0.8]
+    with pytest.raises(AttributeError):
+        w.a = 1.0
+    for back in _round_trips(w):
+        assert type(back) is OneFormValue and back == w
+    assert w._replace(b=1.0) == OneFormValue(0.3, 1.0)
+    assert type(OneFormValue._make([1.0, 2.0])) is OneFormValue
+
+
+@pytest.mark.parametrize("value,name", [(np.complex128(1 + 2j), "complex128"),
+                                        (1j, "complex"), (None, "NoneType")])
+@pytest.mark.parametrize("axis", ["c1", "c2"])
+def test_point_refuses_a_coordinate_that_is_not_a_real_float(value, name, axis):
+    args = {"c1": 1.0, "c2": 0.5, axis: value}
+    with pytest.raises(DomainError,
+                       match=f"^the coordinate {axis} is '{name}', not a float$"):
+        Point("plane", args["c1"], args["c2"])
+
+
+def test_point_reads_strings_and_numbers_as_float_does():
+    assert Point("plane", "1.5", " 0.5 ") == Point("plane", 1.5, 0.5)
+    assert Point("plane", decimal.Decimal("0.1"), np.float32(0.5)) == (
+        SurfaceKind.EUCLIDEAN, 0.1, 0.5)
+    with pytest.raises(DomainError, match="^the coordinate c1 is 'str', not a float$"):
+        Point("plane", "x", 0.0)
 
 
 def test_plane_distance_closed_form():

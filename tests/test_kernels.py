@@ -914,6 +914,64 @@ def test_evolved_fields_keep_their_bits(kind):
     assert (apply_k0(kind, f0, 0.5).fn(x), v1.a, v1.b) == _FROZEN_EVOLUTIONS[kind]
 
 
+# Field calls of one apply_k0 and one apply_k1 evaluation at (0.7, 5.9), on
+# the fields of test_evolved_fields_keep_their_bits, at t = 0.1 and t = 0.5.
+# The count is the size of the node set the sampler stops on, which does not
+# vary between runs, so it moves with any change to the rules or to when they
+# stop, where a timing cannot tell.
+_FIELD_CALLS = {
+    "plane": {0: (2016, 4064), 1: (2016, 4064)},
+    "sphere": {0: (1472, 480), 1: (1472, 480)},
+    "hyperbolic": {0: (2016, 4032), 1: (2016, 2016)},
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_field_calls_per_evaluation_are_pinned(kind):
+    if kind == "sphere":
+        fields = {0: (lambda p: math.cos(p.c1)
+                      + 0.3 * math.sin(p.c1) * math.cos(p.c2 - 0.4), None),
+                  1: (_frozen_sphere_form, None)}
+    else:
+        fields = {0: (_frozen_scalar, DecayHint("gaussian", 1.0, 1.4)),
+                  1: (_frozen_form, DecayHint("gaussian", 1.0, 1.0))}
+    x = Point(kind, 0.7, 5.9)
+    for degree, evolve in ((0, apply_k0), (1, apply_k1)):
+        fn, hint = fields[degree]
+        budget = ToleranceBudget(abs_tol=1e-6 if (kind, degree) == ("hyperbolic", 1)
+                                 else 1e-8)
+        counts = []
+        for t in (0.1, 0.5):
+            calls = []
+
+            def counted(p):
+                calls.append(p)
+                return fn(p)
+
+            evolve(kind, FormField(degree, counted, hint), t, budget).fn(x)
+            counts.append(len(calls))
+        assert tuple(counts) == _FIELD_CALLS[kind][degree]
+
+
+@pytest.mark.parametrize("t,name", [(np.complex128(0.5 + 1j), "complex128"),
+                                    (0.5j, "complex"), (None, "NoneType"), ("x", "str")])
+def test_a_time_that_is_not_a_real_float_is_refused(t, name):
+    x, y = Point("plane", 0.1, 0.0), Point("plane", 0.6, 1.0)
+    for call in (lambda: k0("plane", x, y, t), lambda: HeatTime(t),
+                 lambda: apply_k0("plane", FormField(0, lambda p: 1.0,
+                                                     DecayHint("bounded", 0.0, 1.0)), t)):
+        with pytest.raises(DomainError, match=f"^the time t is '{name}', not a float$"):
+            call()
+
+
+def test_a_time_is_read_as_float_reads_it():
+    x, y = Point("plane", 0.1, 0.0), Point("plane", 0.6, 1.0)
+    want = k0("plane", x, y, 0.25).value
+    for t in ("0.25", np.float32(0.25), HeatTime("0.25")):
+        assert k0("plane", x, y, t).value == want
+    assert type(HeatTime(np.float64(0.25)).t) is float
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_bad_field_values_raise_on_the_first_pass(kind):
     hint = DecayHint("bounded", 0.0, 1.0)

@@ -167,6 +167,20 @@ def test_budget_validation():
             ToleranceBudget(1e-6).part(fraction)
 
 
+@pytest.mark.parametrize("value,name", [(np.complex128(1e-8 + 1j), "complex128"),
+                                        (1e-8j, "complex"), (None, "NoneType"),
+                                        ("x", "str")])
+def test_budget_refuses_a_tolerance_that_is_not_a_real_float(value, name):
+    with pytest.raises(DomainError, match=f"^abs_tol is '{name}', not a float$"):
+        ToleranceBudget(abs_tol=value)
+
+
+def test_budget_reads_its_tolerance_as_float_does():
+    for value in (1e-8, "1e-8", np.float32(2.0) ** -20, 1):
+        got = ToleranceBudget(abs_tol=value).abs_tol
+        assert type(got) is float and got == float(value)
+
+
 def test_budget_takes_no_refinement_depth():
     """The budget is an accuracy request alone: each route keeps its own
     refinement cap, so a depth is refused where it used to be stored."""
