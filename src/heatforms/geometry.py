@@ -216,16 +216,15 @@ def distance(kind, x: Point, y: Point) -> float:
     the error is at most 3.4 ulp.  Swapping x and y gives the same bits.
     """
     kind = _check_pair(kind, x, y)
-    dtheta = x.c2 - y.c2
+    r1, r2, dtheta = x.c1, y.c1, x.c2 - y.c2
     if kind is _EUCLIDEAN:
         # d^2 = (r1 - r2)^2 + 4 r1 r2 sin^2(dtheta / 2)
-        return math.hypot(x.c1 - y.c1,
-                          2.0 * math.sqrt(x.c1 * y.c1) * abs(math.sin(0.5 * dtheta)))
+        return math.hypot(r1 - r2, 2.0 * math.sqrt(r1 * r2) * abs(math.sin(0.5 * dtheta)))
     if kind is _HYPERBOLIC:
-        return _h2_distance(x.c1, y.c1, dtheta)
-    s1, c1 = math.sin(0.5 * x.c1), math.cos(0.5 * x.c1)
-    s2, c2 = math.sin(0.5 * y.c1), math.cos(0.5 * y.c1)
-    half_diff = 0.5 * (x.c1 - y.c1)
+        return _h2_distance(r1, r2, dtheta)
+    s1, c1 = math.sin(0.5 * r1), math.cos(0.5 * r1)
+    s2, c2 = math.sin(0.5 * r2), math.cos(0.5 * r2)
+    half_diff = 0.5 * (r1 - r2)
     sin_sum, cos_sum = s1 * c2 + c1 * s2, c1 * c2 - s1 * s2
     ch, sh = math.cos(0.5 * dtheta), math.sin(0.5 * dtheta)
     return 2.0 * math.atan2(
@@ -282,7 +281,8 @@ def _axis_chart(p: Point) -> tuple[float, float]:
     """The chart the covering groups translate: Cartesian (X, Y) on the plane,
     Fermi (u, w) about the theta = 0 geodesic on H2, sinh w = sinh r sin theta
     and sinh u cosh w = sinh r cos theta (in logs past sinh r's float range)."""
-    r, c, s = p.c1, math.cos(p.c2), math.sin(p.c2)
+    r, theta = p.c1, p.c2
+    c, s = math.cos(theta), math.sin(theta)
     if p.kind is _EUCLIDEAN:
         return r * c, r * s
     if r <= 710.0:
@@ -412,9 +412,10 @@ def apply_i_plus_star(m: BiTensor1) -> BiTensor1:
 def _embed(p: Point) -> tuple[float, float, float]:
     """p in R^3 at (C(r), S(r) cos theta, S(r) sin theta): the plane in the
     slice x0 = 1, H2 as the upper sheet of x0^2 - x1^2 - x2^2 = 1."""
+    r, theta = p.c1, p.c2
     model = _MODELS[p.kind]
-    s = model.S(p.c1)
-    return model.C(p.c1), s * math.cos(p.c2), s * math.sin(p.c2)
+    s = model.S(r)
+    return model.C(r), s * math.cos(theta), s * math.sin(theta)
 
 
 def _chart_points(kind: SurfaceKind, x: Point, s_grid: np.ndarray,
@@ -431,16 +432,17 @@ def _chart_points(kind: SurfaceKind, x: Point, s_grid: np.ndarray,
     outgoing geodesic covector at the target, in the target's polar coframe.
     """
     model = _MODELS[kind]
+    r, theta = x.c1, x.c2
     reach = float(s_grid.max())
     try:  # the coordinates grow like C(r + s), the frame products like C^2
-        model.C(x.c1 + reach) ** (2 if need_frames else 1)
+        model.C(r + reach) ** (2 if need_frames else 1)
     except OverflowError:
-        raise DomainError(f"the chart at radius {x.c1!r} overflows: its grid "
+        raise DomainError(f"the chart at radius {r!r} overflows: its grid "
                           f"reaches geodesic distance {reach:.6g}") from None
-    c, s = math.cos(x.c2), math.sin(x.c2)
-    cx = model.C(x.c1)
+    c, s = math.cos(theta), math.sin(theta)
+    cx = model.C(r)
     pos = np.array(_embed(x))
-    e1 = np.array([-model.kappa * model.S(x.c1), cx * c, cx * s])
+    e1 = np.array([-model.kappa * model.S(r), cx * c, cx * s])
     e2 = np.array([0.0, -s, c])
     ss = s_grid[:, None, None]
     w_vec = e1 * np.cos(psi_grid)[:, None] + e2 * np.sin(psi_grid)[:, None]

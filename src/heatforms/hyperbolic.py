@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .quadrature import ToleranceBudget, refine_until_stable, solve_radius
-from .specfun import _EPS, _erfcx, _expint_cf, _synthesis
+from .specfun import _EPS, _expint_cf, _synthesis
 
 _FOUR_PI = 4.0 * math.pi
 _GAMMA_14 = math.gamma(0.25)
@@ -60,16 +60,23 @@ _MCKEAN_BLOCK = 1 << 13
 # _h2_mckean's first step in u, and the halvings it tries before it fails.
 _MCKEAN_STEP = 0.1
 _MCKEAN_HALVINGS = 8
-# (2k)/(2k+1)! for k = 10..1: s cosh s - sinh s = sum_k these * s^(2k+1),
+# -(2k)/(2k+1)! for k = 1..10: s cosh s - sinh s = -sum_k these * s^(2k+1),
 # whose 11th term is below roundoff at s < 1.
-_SIGMA_SERIES = tuple(2.0 * k / math.factorial(2 * k + 1) for k in range(10, 0, -1))
+_SIGMA_SERIES = np.array([-2.0 * k / math.factorial(2 * k + 1) for k in range(1, 11)])
+_SIGMA_POWERS = np.arange(10)
 # Terms of the small-u series of I(s, t) and I'(s, t) / s, and the factors
 # +-(-1)^k / k! of their coefficients; u^26/13! is below roundoff at u <
 # 1/2, and beyond it the closed forms lose at most 6 ulps.
 _DI_TERMS = 13
 _SERIES_SIGNS = np.outer([(-1.0) ** k / math.factorial(k) for k in range(_DI_TERMS)],
                          [1.0, -1.0])
+# Where the table E_{3/2}, ..., E_{_DI_TERMS + 3/2} puts the two series'
+# coefficients (E_{k+3/2}, E_{k+5/2}), and the powers of u^2 they multiply.
+_SERIES_TERMS = np.arange(_DI_TERMS)[:, None] + np.arange(2)
+_SERIES_POWERS = np.arange(_DI_TERMS)
 _TINY = np.finfo(float).tiny
+# Signs that stack McKean's erfc arguments w - u and u + w (_mckean_j).
+_ERFC_SIGNS = np.array([-1.0, 1.0])
 
 
 def _expint_table(z: float, n: int, first: int = 1) -> np.ndarray:
@@ -95,19 +102,17 @@ def _sigma_parts(s: np.ndarray):
     """(sigma, sigma'/s) for sigma(s) = s / sinh s, s > 0.
 
     Below s = 1 the numerator of sigma' = (sinh s - s cosh s) / sinh^2 s is
-    summed as a series of like-signed terms, so nothing cancels at small s;
+    summed as a series of like-signed terms, s^3 sum_k c_k s^(2k-2), so
+    sigma'/s = sigma^2 sum_k c_k s^(2k-2) and nothing cancels at small s;
     above it sigma (1/s - coth s) loses at most a few ulps.
     """
-    q = -np.expm1(-2.0 * s)
-    sigma = 2.0 * s * np.exp(-s) / q
-    far = sigma * (1.0 / s - (2.0 - q) / q) / s
+    m2s = -2.0 * s
+    e = np.expm1(m2s)  # e^{-2s} - 1, so coth s = -(2 + e) / e
+    sigma = m2s * np.exp(-s) / e
+    far = sigma * (1.0 / s + (2.0 + e) / e) / s
     if s.min() >= 1.0:
         return sigma, far
-    y = s * s
-    poly = np.zeros_like(s)
-    for coef in _SIGMA_SERIES:
-        poly = (poly + coef) * y
-    near = -poly / (np.sinh(np.minimum(s, 1.0)) ** 2)
+    near = ((s * s)[..., None] ** _SIGMA_POWERS @ _SIGMA_SERIES) * (sigma * sigma)
     return sigma, np.where(s < 1.0, near, far)
 
 
@@ -120,6 +125,34 @@ def _mckean_nodes(n: int, count: int):
     wts[0] *= 0.5
     wts[1::2, 1] = 0.0
     return np.sinh(u), wts
+
+
+def _mckean_j(s: np.ndarray, t: float, half: np.ndarray, gauss: np.ndarray):
+    """McKean's erfc factors A = e^{-s/2} erfc(w - u) and B = e^{s/2}
+    erfc(u + w), u = s / 2 sqrt t, w = sqrt(t) / 2, and from them J = s I =
+    sqrt(pi) (A - B) and its s-derivative J' = 2 gauss / sqrt t - sqrt(pi)
+    (A + B) / 2, as (A, B, J, J'); half = e^{-s/2} and gauss = e^{-s^2/4t -
+    t/4} are the caller's.
+
+    Both erfcs come from one math.erfc pass over the stacked arguments.
+    erfc(w - u) lies in (0, 2], so A only underflows with e^{-s/2}.  B is
+    erfc(u + w) / e^{-s/2}, the divisor held at the smallest normal float:
+    below it s > 1416, u + w >= sqrt s > 37 and erfc(u + w) is already 0,
+    so B is 0 there, never inf * 0.  Where erfc(u + w) underflows (u + w >
+    26.55), B <= e^{-(u - w)^2} A / sqrt(pi) (u + w) for u >= w, and A <=
+    e^{-(u + w)^2 / 2} for u < w: B is lost only where it is below roundoff
+    of A or where A is below 1e-145.  A - B cancels at small u; the caller
+    takes J there from its series.
+    """
+    sqt = math.sqrt(t)
+    args = np.multiply.outer(_ERFC_SIGNS, s * (0.5 / sqt)) + 0.5 * sqt  # (w - u, u + w)
+    erfcs = np.fromiter(map(math.erfc, args.ravel().tolist()), float,
+                        args.size).reshape(args.shape)
+    big_a = half * erfcs[0]
+    big_b = erfcs[1] / np.maximum(half, _TINY)
+    j = _SQRT_PI * (big_a - big_b)
+    dj = (2.0 / sqt) * gauss - (0.5 * _SQRT_PI) * (big_a + big_b)
+    return big_a, big_b, j, dj
 
 
 def _mckean_block(ds: np.ndarray, v: np.ndarray, wts: np.ndarray, t: float,
@@ -135,45 +168,42 @@ def _mckean_block(ds: np.ndarray, v: np.ndarray, wts: np.ndarray, t: float,
     a = np.maximum(0.5 * (s + d), _TINY)
     b = np.maximum(vv / (4.0 * a), _TINY)
     root = np.sqrt((a / np.expm1(-2.0 * a)) * (b / np.expm1(-2.0 * b)))
-    # s^2/4t + t/4, with s^2 = d^2 + v^2 summed as it stands
-    expo = (d * d + vv) * (0.25 / t) + 0.25 * t
+    # -(s^2/4t + t/4), with s^2 = d^2 + v^2 summed as it stands
+    expo = (d * d + vv) * (-0.25 / t) - 0.25 * t
     lead = 4.0 * (_FOUR_PI * t) ** -1.5
     if not generator:
         # the K0 integrand is positive, so its sums are their own |sums|
-        rows = ((np.exp(-expo - 0.5 * s) * root * lead) @ wts)[None]
+        rows = ((np.exp(expo - 0.5 * s) * root * lead) @ wts)[None]
         return rows, rows
-    gauss = np.exp(-expo)  # e^{-s^2/4t - t/4}
+    gauss = np.exp(expo)  # e^{-s^2/4t - t/4}
     half = np.exp(-0.5 * s)
     inv = half * root  # h^{-1/2} / (2 sqrt 2)
     parts = np.empty((3,) + s.shape)
-    parts[0] = gauss * inv * lead
-    # J = s I = sqrt(pi) [A - B] with A = e^{-s/2} erfc(w - u) and B =
-    # e^{s/2} erfc(u + w), u = s / 2 sqrt t, w = sqrt(t)/2, both through
-    # erfcx so nothing overflows.  A - B cancels at small u, and so does
-    # I'/s = (s J' - J)/s^3: below u = 1/2 both come from their series.
+    np.multiply(gauss, inv, out=parts[0])
+    parts[0] *= lead
+    # J = s I from McKean's erfc factors.  Its A - B cancels at small u = s /
+    # 2 sqrt t, and so does I'/s = (J' - J/s)/s^2: below u = 1/2 both come
+    # from their series.
+    _, _, j, dj = _mckean_j(s, t, half, gauss)
     sqt = math.sqrt(t)
-    u, w = s / (2.0 * sqt), 0.5 * sqt
-    scaled = gauss * _erfcx(np.stack([np.abs(w - u), u + w]))
-    big_a = np.where(u <= w, scaled[0], 2.0 * half - scaled[0])
-    j = _SQRT_PI * (big_a - scaled[1])
-    dj = _SQRT_PI * (2.0 * gauss / math.sqrt(math.pi * t) - 0.5 * (big_a + scaled[1]))
     far = np.maximum(s, sqt)  # s itself wherever the closed forms are kept
     i_val = j / far
-    di_s = (far * dj - j) / (far * far * far)
-    near = s < sqt
-    if near.any():
+    di_s = (dj - i_val) / (far * far)
+    if ds.min() < sqt:  # s >= d: no s is below sqrt t unless a d is
+        near = s < sqt
         # I = t^{-1/2} sum_k (-1)^k u^{2k} E_{k+3/2}(t/4) / k! and I'/s =
         # (2 t^{3/2})^{-1} sum_{k>=1} (-1)^k u^{2k-2} E_{k+3/2}(t/4) / (k-1)!
-        m = _expint_table(0.25 * t, _DI_TERMS, first=0)
-        coefs = np.stack([m[:-1], m[1:]], axis=1) * _SERIES_SIGNS
-        series = (u[near] ** 2)[:, None] ** np.arange(_DI_TERMS) @ coefs
-        i_val[near] = series[:, 0] / sqt
-        di_s[near] = series[:, 1] / (2.0 * t * sqt)
+        coefs = (_expint_table(0.25 * t, _DI_TERMS, first=0)[_SERIES_TERMS]
+                 * (_SERIES_SIGNS * [1.0 / sqt, 0.5 / (t * sqt)]))
+        series = ((s[near] / (2.0 * sqt)) ** 2)[:, None] ** _SERIES_POWERS @ coefs
+        i_val[near] = series[:, 0]
+        di_s[near] = series[:, 1]
     inv *= 2.0 * math.sqrt(2.0) * _MCKEAN_C
-    parts[1] = i_val * inv
+    np.multiply(i_val, inv, out=parts[1])
     # (F / sinh s)' / (c s) = (sigma I)' / s = (sigma'/s) I + sigma I'/s
     sigma, dsig = _sigma_parts(s)
-    parts[2] = (dsig * i_val + sigma * di_s) * (inv * np.sinh(np.minimum(d, 700.0)))
+    np.multiply(dsig * i_val + sigma * di_s, inv * np.sinh(np.minimum(d, 700.0)),
+                out=parts[2])
     return parts @ wts, np.abs(parts) @ wts
 
 
@@ -209,6 +239,58 @@ def _mckean_tail(limit: float, dmin: float, t: float, generator: bool):
     return k0_tail, g_tail, gd_tail
 
 
+def _mckean_tail_slope(limit: float, dmin: float, t: float, generator: bool) -> float:
+    """A lower bound, over the rows, on -d log(tail)/dW of _mckean_tail at W =
+    limit.  The shape factor's slope is exact; K0's Gaussian and power
+    factors are exact too, and for G and G_d, -d log erfc(x)/dx >= x +
+    sqrt(x^2 + 4/pi) (Abramowitz & Stegun 7.1.13), while G_d's factor in
+    s_W only falls, so leaving it out only lowers the bound."""
+    h = 0.5 * limit * limit
+    s_w = dmin + limit * limit
+    a_w = dmin + h
+    # x / (e^{2x} - 1) as x e^{-2x} / (1 - e^{-2x}), which cannot overflow
+    shape = (0.5 * limit
+             - (1.0 - 2.0 * h * math.exp(-2.0 * h) / -math.expm1(-2.0 * h)) / limit
+             + limit * math.exp(-2.0 * a_w) / -math.expm1(-2.0 * a_w))
+    k0 = 1.0 / limit + limit * s_w / t + 0.5 * limit + shape
+    if not generator:
+        return k0
+    rates = (k * (k * limit + math.sqrt((k * limit) ** 2 + 4.0 / math.pi))
+             for k in (0.5 * math.sqrt(3.0), 0.5 * math.sqrt(7.0)))
+    return min(k0, shape + min(rates))
+
+
+def _mckean_limit(dmin: float, t: float, target: float, generator: bool):
+    """(W, _mckean_tail(W, ...)) for a W whose largest tail is at most target.
+
+    The search starts below where the Gaussian factor alone meets 4 target
+    and, if the tails there are too large, takes one Newton step on the
+    log of the largest with _mckean_tail_slope's bound on its slope.  Each
+    row's log tail is concave in W to within its power factors, so the
+    step, too long if anything, lands at or just past the root: the step's
+    radius is accepted, and at most two tails are evaluated.
+    solve_radius grows W by 1.2 from there should it not be.
+    """
+    log_tol = max(1.0, math.log(0.25 / target))
+    start = math.sqrt(math.sqrt(dmin * dmin + 4.0 * t * log_tol) - dmin)
+    if generator:
+        start = max(start, math.sqrt(max(0.0, 4.0 * (log_tol - dmin) / 3.0)))
+    limit = max(0.8 * start, 1e-3)
+    tails = _mckean_tail(limit, dmin, t, generator)
+    if max(tails) <= target:
+        return limit, tails
+    limit += ((math.log(max(tails)) - math.log(target))
+              / _mckean_tail_slope(limit, dmin, t, generator))
+
+    def largest(w: float) -> float:
+        nonlocal tails
+        tails = _mckean_tail(w, dmin, t, generator)
+        return max(tails)
+
+    limit, _ = solve_radius(largest, target, limit, 1.2)
+    return limit, tails
+
+
 def _h2_mckean(ds, t: float, budget: ToleranceBudget, generator: bool = False):
     """K0 on H2, and with `generator` also G and G_d, at an array of
     distances, from McKean's single integral (J. Diff. Geom. 4, 1970) as one
@@ -217,7 +299,11 @@ def _h2_mckean(ds, t: float, budget: ToleranceBudget, generator: bool = False):
       K0  = sqrt 2 e^{-t/4} (4 pi t)^{-3/2} int_0^inf e^{-s^2/4t} h^{-1/2} dv,
       G   = c int_0^inf I(s, t) h^{-1/2} dv,
       G_d = c sinh d int_0^inf ((sigma I)'/s) h^{-1/2} dv,
-    I = int_t^inf tau^{-3/2} e^{-tau/4 - s^2/4tau} dtau.  Each integrand is
+    I = int_t^inf tau^{-3/2} e^{-tau/4 - s^2/4tau} dtau, which _mckean_j
+    takes from McKean's two erfc factors, math.erfc's, with the exponential
+    of the growing one replaced by a division held at the smallest normal
+    float, so neither end overflows or makes inf * 0 (its docstring bounds
+    what underflow loses), and from its series at small s.  Each integrand is
     analytic in a strip (half as wide for G_d, where sigma has poles), so
     the trapezoid rule converges geometrically (Trefethen & Weideman, SIAM
     Rev. 56, 2014).  It runs at a uniform step in u on v = alpha sinh u,
@@ -225,11 +311,13 @@ def _h2_mckean(ds, t: float, budget: ToleranceBudget, generator: bool = False):
     rows' e^{-s/2} alike; the rule at twice the step, on every other node,
     is the check, and a failed check halves the step.  Beyond the cut V =
     W sqrt(2 d_max + W^2), s >= d + W^2 at every distance, where
-    _mckean_tail bounds the loss.  Distances are summed in blocks, so memory
-    does not grow with the batch.  Returns (rows, err_est, radius, evals) as
-    _h2_spectral does, with radius V and evals the v nodes of all passes;
-    err_est per row is the larger of the change between the steps and 8 eps
-    times the largest weighted sum of |integrand|, plus the tail.  With
+    _mckean_tail bounds the loss; _mckean_limit finds W, normally in at most
+    two tail evaluations, and returns the tails it charges.  Distances are
+    summed in blocks, so memory does not grow with the batch.  Returns
+    (rows, err_est, radius, evals) as _h2_spectral does, with radius V and
+    evals the v nodes of all passes; err_est per row is the larger of the
+    change between the steps and 8 eps times the largest weighted sum of
+    |integrand|, plus the tail.  With
     `generator` every distance must be positive, and err_est holds one
     bound per row: only G_d's is amplified by coth d in k1, and K0's
     roundoff, the largest at small t, need not be.
@@ -237,13 +325,7 @@ def _h2_mckean(ds, t: float, budget: ToleranceBudget, generator: bool = False):
     ds = np.asarray(ds, dtype=float).reshape(-1)
     tol = budget.abs_tol
     dmin, dmax = float(ds.min()), float(ds.max())
-    # Start the limit search where the Gaussian factor alone meets tol.
-    log_tol = max(1.0, math.log(1.0 / tol))
-    start = math.sqrt(math.sqrt(dmin * dmin + 4.0 * t * log_tol) - dmin)
-    if generator:
-        start = max(start, math.sqrt(max(0.0, 4.0 * (log_tol - dmin) / 3.0)))
-    limit, _ = solve_radius(lambda w: max(_mckean_tail(w, dmin, t, generator)),
-                            0.25 * tol, max(0.8 * start, 1e-3), 1.2)
+    limit, tails = _mckean_limit(dmin, t, 0.25 * tol, generator)
     cut = limit * math.sqrt(2.0 * dmax + limit * limit)
     alpha = min(1.0, 2.0 * math.sqrt(t))
     u_cut = math.asinh(cut / alpha) / (2.0 * _MCKEAN_STEP)
@@ -251,28 +333,32 @@ def _h2_mckean(ds, t: float, budget: ToleranceBudget, generator: bool = False):
     scale = np.zeros(3 if generator else 1)  # largest sum of |integrand|s, per row
 
     def one_pass(n: int):
-        nonlocal evals, scale, change
+        nonlocal evals, scale
         sinh_u, wts = _mckean_nodes(n, 2 * math.ceil(n * u_cut))
         v, wts = alpha * sinh_u, alpha * wts
         evals += v.size
-        rows = np.empty((scale.size, ds.size, 2))
         per = max(1, _MCKEAN_BLOCK // v.size)
-        for lo in range(0, ds.size, per):
-            rows[:, lo:lo + per], abs_rows = _mckean_block(
-                ds[lo:lo + per], v, wts, t, generator)
-            scale = np.maximum(scale, abs_rows.max(axis=(1, 2)))
-        change = np.abs(rows[..., 0] - rows[..., 1]).max(axis=1)
+        sums = [_mckean_block(ds[lo:lo + per], v, wts, t, generator)
+                for lo in range(0, ds.size, per)]
+        rows, abs_rows = (sums[0] if len(sums) == 1 else
+                          [np.concatenate(part, axis=1) for part in zip(*sums)])
+        scale = np.maximum(scale, abs_rows.max(axis=(1, 2)))
         return rows[..., 0], rows[..., 1]
+
+    def row_change(cur, lower):
+        nonlocal change
+        change = np.abs(cur - lower).max(axis=1)
+        return float(change.max())
 
     rows, _ = refine_until_stable(
         one_pass, 1, 0.5 * tol, _MCKEAN_HALVINGS,
         # the floor concedes what roundoff already spent
-        floor=lambda cur: 64.0 * _EPS * float(scale.max()), embedded=True)
+        floor=lambda cur: 64.0 * _EPS * float(scale.max()), embedded=True,
+        change=row_change)
     # The change is the error of the sum at twice the step; the accepted
     # sum's own, far smaller on a geometric rule, is its roundoff.  A change
     # below that is the noise of two rounded sums: the larger is charged.
-    err = (np.maximum(change, 8.0 * _EPS * scale)
-           + np.array(_mckean_tail(limit, dmin, t, generator)))
+    err = np.maximum(change, 8.0 * _EPS * scale) + tails
     return rows, (err if generator else float(err[0])), cut, evals
 
 

@@ -293,10 +293,12 @@ def _k0_dist(kind: SurfaceKind, d, t: float, budget: ToleranceBudget,
             errs = tuple(float(e.max()) for e in errs)
     else:
         rows, err, radius, terms = h2(d, t, budget, generator=generator)
-        rows = tuple(float(r[0]) for r in rows) if scalar else tuple(rows)
+        rows = tuple(rows[:, 0].tolist()) if scalar else tuple(rows)
         if not generator:
             return rows[0], err, terms, radius
-        err_k0, _, err_gd = (float(e) for e in np.broadcast_to(err, 3))
+        # McKean bounds each row, the spectral oracle all rows at once
+        err_k0, err_gd = ((float(err[0]), float(err[2])) if isinstance(err, np.ndarray)
+                          else (err, err))
         errs = err_gd, err_gd / math.tanh(d if scalar else float(d.min())) + err_k0
     return rows, *errs, terms, radius
 

@@ -275,7 +275,7 @@ def _max_change(cur, prev) -> float:
 
 
 def refine_until_stable(one_pass, n: int, tol: float, rounds: int, floor=None,
-                        embedded: bool = False):
+                        embedded: bool = False, change=_max_change):
     """Rerun one_pass(n) with n doubled each round until two passes agree.
 
     one_pass returns a float, an array, or a tuple of them (None entries
@@ -284,9 +284,11 @@ def refine_until_stable(one_pass, n: int, tol: float, rounds: int, floor=None,
     already spent.  With `embedded`, one_pass returns (result, lower): the
     result and a lower-order one from the same nodes, such as the Gauss
     rule inside a Kronrod rule.  Each pass is then compared with its own
-    lower result, so the first pass can be accepted.  Returns (result,
-    last_change); raises NonconvergenceError with the last change against
-    tol once `rounds` doubled passes after the first have not settled.
+    lower result, so the first pass can be accepted.  change(result,
+    previous) gives that largest change, once per pass; a caller that needs
+    it entry by entry can keep its own.  Returns (result, last_change);
+    raises NonconvergenceError with the last change against tol once
+    `rounds` doubled passes after the first have not settled.
     """
     prev = None
     diff = math.inf
@@ -295,7 +297,7 @@ def refine_until_stable(one_pass, n: int, tol: float, rounds: int, floor=None,
         if embedded:
             cur, prev = cur
         if embedded or k:
-            diff = _max_change(cur, prev)
+            diff = change(cur, prev)
             if diff <= tol or (floor is not None and diff <= floor(cur)):
                 return cur, diff
         prev = cur

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -184,6 +185,32 @@ class QuotientSurface:
         return _reduce_point(self.group, p)
 
 
+def _fermi_distances(w1: float, w2: float, du: np.ndarray) -> np.ndarray:
+    """H2 distances of the Fermi points (u, w1) and (u - du, w2) for an array
+    du, bit for bit as _axis_distance gives each: 2 asinh(sqrt(q/2)) from q
+    = cosh d - 1 = 2 sinh^2((w1 - w2)/2) + 2 cosh w1 cosh w2 sinh^2(du/2),
+    evaluated over all entries at once by C-level maps of math's functions
+    and the float operators, so no Python frame runs per entry.  Entries
+    whose q is not finite (past cosh d ~ 1e308, or where cosh w overflows)
+    take _axis_distance's log form one at a time; every entry takes
+    _axis_distance once a sinh, cosh or square on the way overflows (|w| or
+    |du|/2 past 355, or cosh w past 710)."""
+    try:
+        lead = 2.0 * math.sinh(0.5 * (w1 - w2)) ** 2
+        scale = 2.0 * math.cosh(w1) * math.cosh(w2)
+        sh = map(math.sinh, (0.5 * du).tolist())
+        q = list(map(lead.__add__, map(scale.__mul__, map(pow, sh, repeat(2)))))
+    except OverflowError:
+        return np.array([_axis_distance(w1, w2, a) for a in du.tolist()])
+    dist = np.fromiter(map(math.asinh, map(math.sqrt, map((0.5).__mul__, q))),
+                       float, du.size)
+    dist *= 2.0
+    if not sum(q) < math.inf:  # an inf or a NaN, or a sum past the range
+        big = ~(np.array(q) < math.inf)
+        dist[big] = [_axis_distance(w1, w2, a) for a in du[big].tolist()]
+    return dist
+
+
 def _images(group: CoveringGroupSpec, x: Point, y: Point, radius: float):
     """(k1, k2, dist): integer coordinates of every g of a nontrivial group with
     d(x, g y) <= radius (k2 = 0 at rank 1), and those distances, as arrays in
@@ -193,7 +220,7 @@ def _images(group: CoveringGroupSpec, x: Point, y: Point, radius: float):
     floats stop being exact integers): k_i within radius |rho_i| of rho_i . D,
     for the chart difference D and the rows rho_i of the inverse generator
     matrix (v / |v|^2 at rank 1); on H2 as d >= |du - k ell|, the foot point on
-    the axis being 1-Lipschitz.  A loop measures H2."""
+    the axis being 1-Lipschitz.  _fermi_distances measures H2."""
     shifts = group._shifts
     (xa, xb), (ya, yb) = _axis_chart(x), _axis_chart(y)
     da, db = xa - ya, xb - yb
@@ -220,8 +247,8 @@ def _images(group: CoveringGroupSpec, x: Point, y: Point, radius: float):
     img = group.matrix @ ks
     if group.base is _EUCLIDEAN:
         dist = np.hypot(da - img[0], db - img[1])
-    else:  # the generator (ell, 0) moves u alone
-        dist = np.array([_axis_distance(xb, yb, da - u) for u in img[0].tolist()])
+    else:
+        dist = _fermi_distances(xb, yb, da - img[0])
     mask = dist <= radius
     ks, dist = ks.compress(mask, axis=1), dist[mask]
     n1, n2 = ks[0], (ks[1] if len(ks) == 2 else 0 * ks[0])

@@ -78,36 +78,6 @@ __all__ = [
 ]
 
 _TWO_SQRT2_OVER_PI = 2.0 * math.sqrt(2.0) / math.pi
-_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
-# Cody's coefficients for _erfcx, in his order (CALERF).
-_ERFCX_A = (3.16112374387056560e00, 1.13864154151050156e02,
-            3.77485237685302021e02, 3.20937758913846947e03,
-            1.85777706184603153e-1)
-_ERFCX_B = (2.36012909523441209e01, 2.44024637934444173e02,
-            1.28261652607737228e03, 2.84423683343917062e03)
-_ERFCX_C = (5.64188496988670089e-1, 8.88314979438837594e00,
-            6.61191906371416295e01, 2.98635138197400131e02,
-            8.81952221241769090e02, 1.71204761263407058e03,
-            2.05107837782607147e03, 1.23033935479799725e03,
-            2.15311535474403846e-8)
-_ERFCX_D = (1.57449261107098347e01, 1.17693950891312499e02,
-            5.37181101862009858e02, 1.62138957456669019e03,
-            3.29079923573345963e03, 4.36261909014324716e03,
-            3.43936767414372164e03, 1.23033935480374942e03)
-_ERFCX_P = (3.05326634961232344e-1, 3.60344899949804439e-1,
-            1.25781726111229246e-1, 1.60837851487422766e-2,
-            6.58749161529837803e-4, 1.63153871373020978e-2)
-_ERFCX_Q = (2.56852019228982242e00, 1.87295284992346725e00,
-            5.27905102951428412e-1, 6.05183413124413191e-2,
-            2.33520497626869185e-3)
-# The same as (power, [numerator, denominator]) arrays for _rational, in
-# y^2 on [0, 0.46875], y on (0.46875, 4] and 1/y^2 beyond.
-_ERFCX_SMALL = np.array([_ERFCX_A[3::-1] + (_ERFCX_A[4],),
-                         _ERFCX_B[::-1] + (1.0,)]).T
-_ERFCX_MID = np.array([_ERFCX_C[7::-1] + (_ERFCX_C[8],),
-                       _ERFCX_D[::-1] + (1.0,)]).T
-_ERFCX_BIG = np.array([_ERFCX_P[4::-1] + (_ERFCX_P[5],),
-                       _ERFCX_Q[::-1] + (1.0,)]).T
 # Entries of one rho-by-node array in the Mehler-Dirichlet evaluator (512 KB).
 _BLOCK_ELEMS = 1 << 16
 # The Mehler-Dirichlet integral's first grid at most; a larger one is final.
@@ -178,33 +148,6 @@ class RadialProfile:
 
     def __call__(self, r: float) -> float:
         return _as_float(self.fn(r), "the radial profile returned")
-
-
-def _rational(y: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-    """num(y) / den(y) for the (power, [num, den]) coefficients coefs."""
-    both = (y[..., None] ** np.arange(len(coefs))) @ coefs
-    return both[..., 0] / both[..., 1]
-
-
-def _erfcx(x: np.ndarray) -> np.ndarray:
-    """Scaled complementary error function e^{x^2} erfc(x) for x >= 0.
-
-    W. J. Cody's rational Chebyshev approximations (Math. Comp. 23, 1969):
-    erf on [0, 0.46875], erfcx itself on (0.46875, 4], and erfcx in 1/x^2
-    beyond; each is good to a few ulps, and nothing overflows at large x.
-    Every branch runs on the whole array, its argument clipped to its
-    interval, and each entry keeps its own branch's value: no mask costs a
-    gather and a scatter.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.minimum(x, 0.46875)
-    ysq = y * y
-    small = np.exp(ysq) * (1.0 - y * _rational(ysq, _ERFCX_SMALL))
-    mid = _rational(np.minimum(np.maximum(x, 0.46875), 4.0), _ERFCX_MID)
-    y = np.maximum(x, 4.0)
-    r = (1.0 / y) ** 2
-    big = (_INV_SQRT_PI - r * _rational(r, _ERFCX_BIG)) / y
-    return np.where(x <= 0.46875, small, np.where(x <= 4.0, mid, big))
 
 
 def _expint_cf(z: float, p: float) -> float:

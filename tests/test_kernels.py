@@ -226,6 +226,65 @@ def test_sigma_parts_agree_with_mpmath_across_the_series_seam():
     assert np.all(np.abs(got_dsig - dsig) <= 2e-15 * np.abs(dsig))
 
 
+# (s, t, A, B, J, J') from mpmath at 40 digits: A = e^{-s/2} erfc(w - u), B =
+# e^{s/2} erfc(u + w), u = s / 2 sqrt t, w = sqrt(t) / 2, J = sqrt(pi) (A - B),
+# J' = sqrt(pi) (2 e^{-s^2/4t - t/4} / sqrt(pi t) - (A + B) / 2).  The first
+# three have u = w; from (10, 0.05) on erfc(u + w) is far out, and from
+# (60, 0.5) on it is subnormal or underflows.
+_MCKEAN_J_FROZEN = (
+    (0.5, 0.5, 0.7788007830714049, 0.40743475707807714, 0.6582291428673517, 1.151507384003268),
+    (2.0, 2.0, 0.36787944117144233, 0.12368254053956224, 0.4328277369041675, 0.08462463130168046),
+    (30.0, 30.0, 3.059023205018258e-07, 3.100904091055181e-08, 4.872356519996002e-07,
+     -1.8688018575324435e-07),
+    (1.0, 0.01, 1.2130613194237183, 1.5189831534352557e-12, 2.1500952069944033,
+     -1.0750476032228287),
+    (0.3, 0.001, 1.7214159528303539, 1.9635693309971612e-11, 3.0511303345695455,
+     -1.525565156621749),
+    (5.0, 0.2, 0.16416999724779496, 2.439758429624374e-15, 0.2909837438249978,
+     -0.1454918719123892),
+    (60.0, 30.0, 1.8714239888623578e-13, 3.528341515561729e-18, 3.316950117510982e-13,
+     -1.6583486124322709e-13),
+    (10.0, 0.05, 0.013475893998170934, 1.7647185153509766e-219, 0.023885400211452603,
+     -0.011942700105726302),
+    (3.0, 0.005, 0.44626032029685964, 9.784896582993435e-198, 0.790975823216498,
+     -0.395487911608249),
+    (45.0, 2.0, 3.383795845230261e-10, 2.4107453954406063e-112, 5.997621976556462e-10,
+     -2.998810988278231e-10),
+    (60.0, 0.5, 1.871524593768035e-13, 0.0, 3.317190973288535e-13, -1.6585954866442676e-13),
+    (60.0, 1.3, 1.871524593768035e-13, 3.2742363776888203e-303, 3.317190973288535e-13,
+     -1.6585954866442676e-13),
+    (60.0, 1.25, 1.871524593768035e-13, 3.06034965e-315, 3.317190973288535e-13,
+     -1.6585954866442676e-13),
+    (2.0, 0.001, 0.7357588823428847, 0.0, 1.3040986643465844, -0.6520493321732922),
+    (1.0, 0.0001, 1.2130613194252668, 0.0, 2.1500952069998407, -1.0750476034999203),
+)
+
+
+def test_mckean_erfc_factors_match_mpmath():
+    """A, J and J' keep a few ulps relative.  B keeps 1e-12 relative while
+    erfc(u + w) is a normal float, its rounding amplified by 2 (u + w)^2;
+    below that B carries e^{s/2} times erfc's absolute error, at most the
+    smallest subnormal, and is lost only where it is below roundoff of A."""
+    s, t, a, b, j, dj = (np.array(col) for col in zip(*_MCKEAN_J_FROZEN))
+    for i in range(s.size):  # one t per call, as the McKean block has
+        si = s[i:i + 1]
+        half = np.exp(-0.5 * si)
+        gauss = np.exp(-(si * si * (0.25 / t[i]) + 0.25 * t[i]))
+        got = [float(x[0]) for x in hyperbolic._mckean_j(si, t[i], half, gauss)]
+        assert abs(got[0] - a[i]) <= 2e-15 * a[i]
+        assert abs(got[1] - b[i]) <= 1e-12 * b[i] + math.exp(0.5 * s[i]) * 5e-324
+        if got[1] == 0.0:
+            assert b[i] <= 1e-16 * a[i]
+        assert abs(got[2] - j[i]) <= 2e-15 * j[i]
+        assert abs(got[3] - dj[i]) <= 2e-15 * abs(dj[i])
+    # a 2-d block of distances by nodes keeps its shape, and nothing overflows
+    # where e^{s/2} would
+    big = np.array([[1e3, 1.5e3], [3e3, 1e6]])
+    out = hyperbolic._mckean_j(big, 0.5, np.exp(-0.5 * big), np.zeros_like(big))
+    assert all(x.shape == big.shape and np.all(np.isfinite(x)) for x in out)
+    assert np.all(out[1] == 0.0)
+
+
 def test_sphere_series_sums_legendre_polynomials():
     """The recurrence in _sphere_series gives sum (2n+1) e^{-n(n+1)t} P_n(x)
     over its N terms, as numpy's Legendre series does, and P_n(-x) =
@@ -1199,6 +1258,34 @@ def test_mckean_k0_takes_at_most_100_nodes_at_a_tight_request(t):
     for d in (0.0, 1e-6, 1e-3, 0.5, 3.0, 30.0):
         rows, _, _, evals = hyperbolic._h2_mckean([d], t, ToleranceBudget(abs_tol=1e-12))
         assert evals <= 100 and np.isfinite(rows[0, 0])
+
+
+@pytest.mark.parametrize("generator", [False, True])
+def test_mckean_limit_takes_at_most_two_tails(monkeypatch, generator):
+    """The limit search starts below the root of the largest tail and takes
+    one Newton step: each call evaluates _mckean_tail at most twice, charges
+    the tails of the limit it cuts at, and those stay within a quarter of
+    abs_tol.  The generator rows need d > 0, so there d = 0 becomes 1e-9."""
+    tail = hyperbolic._mckean_tail
+    seen = []
+
+    def counted(limit, dmin, t, gen):
+        seen.append((limit, tail(limit, dmin, t, gen)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(hyperbolic, "_mckean_tail", counted)
+    for t in (T_MIN, 1e-3, 0.1, 2.0, 30.0):
+        for d in (0.0, 0.5, 5.0, 30.0):
+            d = d or (1e-9 if generator else 0.0)
+            for tol in (1e-6, 1e-12):
+                seen.clear()
+                _, err, cut, _ = hyperbolic._h2_mckean(
+                    [d], t, ToleranceBudget(abs_tol=tol), generator)
+                assert 1 <= len(seen) <= 2
+                limit, tails = seen[-1]
+                assert max(tails) <= 0.25 * tol
+                assert cut == limit * math.sqrt(2.0 * d + limit * limit)
+                assert np.all(np.asarray(err) >= tails)
 
 
 @pytest.mark.parametrize("generator", [False, True])

@@ -11,9 +11,10 @@ from heatforms.geometry import (Point, SurfaceKind, _axis_chart, _axis_distance,
 from heatforms.hyperbolic import _h2_k0_majorant, _h2_mckean
 from heatforms.kernels import k0, k1
 from heatforms.quadrature import ToleranceBudget
+from heatforms import quotient
 from heatforms.quotient import (CoveringGroupSpec, GroupElement,
                                 QuotientSurface, _euclid_tail, _fourier_tail,
-                                _h2_tail, _k0_quotient_full, _truncation, act,
+                                _h2_tail, _images, _k0_quotient_full, _truncation, act,
                                 enumerate_elements, k0_quotient,
                                 k1_quotient_flat, torus_fourier_oracle)
 
@@ -108,6 +109,49 @@ def test_enumeration_matches_brute_force_hyperbolic():
              if distance(H, x, act(GroupElement(HCYL, k), y)) <= radius]
     assert [g.k1 for g in got] == sorted((g.k1 for g in brute),
                                          key=lambda k: (k * k, k))
+
+
+def _scalar_images(group, x, y, radius):
+    """The hyperbolic cylinder's images by one _axis_distance call per k, in
+    enumerate_elements' order."""
+    (xa, xb), (ya, yb) = _axis_chart(x), _axis_chart(y)
+    reach = math.ceil((abs(xa - ya) + radius) / group.ell) + 1
+    found = [(k, _axis_distance(xb, yb, (xa - ya) - k * group.ell))
+             for k in range(-reach, reach + 1)]
+    found = sorted(((k, d) for k, d in found if d <= radius), key=lambda kd: (kd[0] ** 2, kd[0]))
+    return [k for k, _ in found], np.array([d for _, d in found])
+
+
+@pytest.mark.parametrize("ell", [0.01, 0.5, 1.5, 4.0])
+def test_hyperbolic_cylinder_images_measure_every_candidate_at_once(monkeypatch, ell):
+    """_images measures the candidates of the hyperbolic cylinder in one array
+    pass: no _axis_distance call per candidate, the same images as the
+    scalar loop, and distances within 2 ulps of it.  Points reach w = +-5;
+    at w = 300 the far candidates' q overflows and only they take the
+    scalar log form."""
+    calls = []
+    monkeypatch.setattr(quotient, "_axis_distance",
+                        lambda *a: calls.append(a) or _axis_distance(*a))
+    group = CoveringGroupSpec.hyperbolic_cyclic(ell)
+    pairs = [(_axis_point(H, u1, w1), _axis_point(H, u2, w2))
+             for u1, w1, u2, w2 in ((0.0, 0.0, 0.3, 0.0), (0.2, 5.0, -1.1, 5.0),
+                                    (1.7, -5.0, 0.4, 5.0), (-3.0, 2.5, 2.0, -0.7),
+                                    (0.0, 0.0, 0.0, 0.0))]
+    for x, y in pairs:
+        for radius in (3.0, 8.0):
+            n1, n2, dist = _images(group, x, y, radius)
+            want, ref = _scalar_images(group, x, y, radius)
+            assert n1.tolist() == want and not n2.any()
+            assert np.all(np.abs(dist - ref) <= 2.0 * np.spacing(ref))
+    assert calls == []
+    x, y = _axis_point(H, 0.1, 300.0), _axis_point(H, -0.4, 300.0)
+    n1, n2, dist = _images(group, x, y, 200.0)
+    want, ref = _scalar_images(group, x, y, 200.0)
+    assert n1.tolist() == want and np.all(np.abs(dist - ref) <= 2.0 * np.spacing(ref))
+    # every candidate is within 200 + ell of du = 0, and only those with
+    # cosh^2(300) sinh^2(du/2) past the float range fall back
+    assert 0 < len(calls) < 2.0 * (200.0 / ell + 2)
+    assert all(abs(du) > 100.0 for _, _, du in calls)
 
 
 @pytest.mark.parametrize("group", [UNIT, SKEW, CYL],
